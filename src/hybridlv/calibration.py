@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field, replace
+from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -329,15 +330,8 @@ def _surface_derivatives(surface: CallSurface, t: float, k: float):
     return _lattice_derivatives(surface, t, k)
 
 
-def dupire_vol(
-    surface: CallSurface,
-    forward_curve: Callable[[float], float],
-    t: float,
-    k: float,
-    *,
-    eps_floor: float = EPS_FLOOR,
-) -> float:
-    """Deterministic-rates local variance [C_T + K f C_K] / (K^2 C_KK / 2)."""
+def _dupire_variance(surface, forward_curve, t, k, eps_floor):
+    """Deterministic-rates local variance and the C_KK it divides by."""
     if t <= 0 or k <= 0:
         raise InvalidInputError("need T > 0 and K > 0")
     c_t, c_k, c_kk = _surface_derivatives(surface, t, k)
@@ -347,7 +341,19 @@ def dupire_vol(
     var = (c_t + k * f * c_k) / (0.5 * k**2 * c_kk)
     if var < 0:
         raise NegativeVarianceError(t, k, var, 0.0, c_kk)
-    return float(var)
+    return float(var), c_kk
+
+
+def dupire_vol(
+    surface: CallSurface,
+    forward_curve: Callable[[float], float],
+    t: float,
+    k: float,
+    *,
+    eps_floor: float = EPS_FLOOR,
+) -> float:
+    """Deterministic-rates local variance [C_T + K f C_K] / (K^2 C_KK / 2)."""
+    return _dupire_variance(surface, forward_curve, t, k, eps_floor)[0]
 
 
 def local_vol_stochastic_rates(
@@ -360,8 +366,7 @@ def local_vol_stochastic_rates(
     eps_floor: float = EPS_FLOOR,
 ) -> float:
     """Stochastic-rates local variance: Dupire minus Adj(K) / (K C_KK / 2)."""
-    dup = dupire_vol(surface, forward_curve, t, k, eps_floor=eps_floor)
-    _, _, c_kk = _surface_derivatives(surface, t, k)
+    dup, c_kk = _dupire_variance(surface, forward_curve, t, k, eps_floor)
     a = adj.interp(k)
     var = dup - a / (0.5 * k * c_kk)
     if var < 0:
@@ -375,22 +380,17 @@ def local_vol_stochastic_rates(
 
 @dataclass(frozen=True)
 class CalibrationSettings:
-    """Grid and mode settings for the maturity bootstrap."""
+    """Grid and slice-iteration settings for the maturity bootstrap."""
 
     ds: float = 0.008
     dr: float = 0.0015
     dt: float = 0.005
-    mode: str = "restart"  # or "continue"
     slice_iterations: int = 1
     use_corrective: bool = True
     eps_floor: float = EPS_FLOOR
     slice_tolerance: float = 1e-4
 
     def __post_init__(self):
-        if self.mode not in ("restart", "continue"):
-            raise InvalidInputError(f"unknown mode {self.mode!r}")
-        if self.mode == "continue" and self.slice_iterations != 1:
-            raise InvalidInputError("slice iteration requires restart mode")
         if self.slice_iterations < 1 or self.slice_iterations > 5:
             raise InvalidInputError("slice_iterations must be in 1..5")
 
@@ -437,10 +437,12 @@ class _BootstrapVol:
     """In-progress surface view used inside the bootstrap PDE solves.
 
     Piecewise constant in time: on (T_{i-1}, T_i] the slice calibrated at
-    T_i applies; beyond the last calibrated maturity the latest slice is
+    T_i applies; beyond the last calibrated maturity the pending slice is
     extended flat, which keeps the solve free of look-ahead. Strike
     interpolation is linear with flat ends.
     """
+
+    _SLACK = 1e-12
 
     def __init__(self, strikes: np.ndarray, seed_slice: np.ndarray):
         self.strikes = np.asarray(strikes, dtype=float)
@@ -457,9 +459,16 @@ class _BootstrapVol:
 
     def _slice_at(self, t: float) -> np.ndarray:
         for maturity, values in zip(self.maturities, self.slices):
-            if t <= maturity + 1e-12:
+            if t <= maturity + self._SLACK:
                 return values
         return self.pending
+
+    def next_change(self, t: float) -> float:
+        """End of the interval whose slice applies at ``t``."""
+        for maturity in self.maturities:
+            if t <= maturity + self._SLACK:
+                return maturity + self._SLACK
+        return math.inf
 
     def vol(self, t, s):
         row = self._slice_at(float(t))
@@ -490,6 +499,35 @@ def _fill_nan_flat(vals: np.ndarray) -> np.ndarray:
     return out
 
 
+# How far the aligned step count may exceed round(t_max / dt).
+_MAX_EXTRA_STEPS = 200_000
+
+
+def _aligned_step_count(maturities, dt: float) -> int:
+    """Smallest step count n >= round(t_max / dt) putting every maturity on
+    the lattice t_max * k / n (to 1e-9 of a step).
+
+    Each ratio T / t_max is read as the nearest fraction with a denominator
+    of at most the largest allowed n; n is the least multiple of the lcm of
+    those denominators that is not below the requested count. If any
+    allowed n aligns every maturity, each nearest fraction is T / t_max
+    written over that n (distinct fractions with such denominators lie
+    further apart than the 1e-9 tolerance), so this n is the smallest one.
+    """
+    mats = np.asarray(maturities, dtype=float)
+    t_max = float(mats[-1])
+    n_min = max(1, int(round(t_max / dt)))
+    limit = n_min + _MAX_EXTRA_STEPS
+    lcm = 1
+    for m in mats:
+        lcm = math.lcm(lcm, Fraction(float(m) / t_max).limit_denominator(limit).denominator)
+    n_total = lcm * -(-n_min // lcm)
+    steps = mats / t_max * n_total
+    if n_total >= limit or not np.all(np.abs(steps - np.round(steps)) < 1e-9):
+        raise CalibrationError("could not align market maturities with a uniform step")
+    return n_total
+
+
 def calibrate(
     market: CallSurface,
     model: HybridModel,
@@ -497,13 +535,22 @@ def calibrate(
 ) -> CalibrationResult:
     """Maturity-by-maturity bootstrap of the local-volatility surface.
 
-    For each market maturity the forward solve runs from time zero under
-    the surface calibrated so far (the open interval uses the previous
-    slice extended flat; the first interval is seeded with the market
-    Dupire slice), the corrective terms are read off the evolved field, and
-    the slice follows from the Dupire value minus the rate adjustment. The
-    default restarts the solve per maturity; ``mode="continue"`` resumes
-    from the previous snapshot instead.
+    For each market maturity the forward solve covers (0, T_i] under the
+    surface calibrated so far (the open interval uses the previous slice
+    extended flat; the first interval is seeded with the market Dupire
+    slice), the corrective terms are read off the evolved field, and the
+    slice follows from the Dupire value minus the rate adjustment.
+
+    Once a slice is fixed, its interval (T_{i-1}, T_i] is marched once
+    more under that final slice and the field at T_i is kept as a
+    checkpoint. The march for T_{i+1}, and each of its slice iterations,
+    resumes from that checkpoint: the same floating-point operations as a
+    restart from t=0 under the fixed slices, at the cost of the open
+    interval alone. All maturities therefore share the short-time start t0
+    of the first maturity's march; a restart per maturity would differ
+    only where that start's ``n_t // 4`` cap binds on the first grid but
+    not on a later one. The report's mass drift and negative fraction are
+    maxima over (0, T_i], carried forward across checkpoints.
     """
     settings = settings or CalibrationSettings()
     mats = market.maturities
@@ -512,16 +559,9 @@ def calibrate(
     rate = model.rate
     forward_curve = lambda t: forward_rate(rate, t)  # noqa: E731
 
-    # One spatial box for all maturities; the step count is chosen so every
-    # market maturity falls on the time lattice.
-    n_total = max(1, int(round(t_max / settings.dt)))
-    for _ in range(200000):
-        steps = np.asarray(mats) / t_max * n_total
-        if np.all(np.abs(steps - np.round(steps)) < 1e-9):
-            break
-        n_total += 1
-    else:
-        raise CalibrationError("could not align market maturities with a uniform step")
+    # One spatial box for all maturities, on a time lattice that holds
+    # every market maturity.
+    n_total = _aligned_step_count(mats, settings.dt)
     sigma_ref_model = replace(model, vol=_ref_vol(market, forward_curve, settings))
     box = auto_grid(sigma_ref_model, t_max, settings.ds, settings.dr, settings.dt)
     if strikes[0] <= box.s_min or strikes[-1] >= box.s_max:
@@ -532,8 +572,9 @@ def calibrate(
     view = _BootstrapVol(strikes, _seed_slice(market, forward_curve, strikes, settings.eps_floor))
     work_model = replace(model, vol=SurfaceVol(view))
 
-    prev_field = None
-    for maturity in mats:
+    checkpoint = None  # field at the previous maturity under its final slice
+    drift_before = neg_before = 0.0  # maxima over the checkpointed marches
+    for i, maturity in enumerate(mats):
         n_t = int(round(maturity / t_max * n_total))
         grid_i = box.with_horizon(float(maturity), n_t)
         iterations = 0
@@ -541,10 +582,7 @@ def calibrate(
         slice_vals = None
         while iterations < settings.slice_iterations and max_update > settings.slice_tolerance:
             iterations += 1
-            if settings.mode == "continue" and prev_field is not None:
-                result = evolve(work_model, grid_i, snapshot_times=[maturity], start=prev_field)
-            else:
-                result = evolve(work_model, grid_i, snapshot_times=[maturity])
+            result = evolve(work_model, grid_i, snapshot_times=[maturity], start=checkpoint)
             fld = result.at(float(maturity))
             if use_adj:
                 adj = corrective_terms(fld, forward_curve(float(maturity)), strikes)
@@ -582,8 +620,8 @@ def calibrate(
             slice_vals = new_slice
             view.set_pending(slice_vals)
 
-        mass_drift = result.diagnostics.max_ratio_deviation()
-        neg_frac = max(result.diagnostics.negative_fraction, default=0.0)
+        mass_drift = max(drift_before, result.diagnostics.max_ratio_deviation())
+        neg_frac = max(neg_before, max(result.diagnostics.negative_fraction, default=0.0))
         report.entries.append(
             MaturityDiagnostics(
                 maturity=float(maturity),
@@ -596,7 +634,11 @@ def calibrate(
         )
         view.append(float(maturity), slice_vals)
         view.set_pending(slice_vals)
-        prev_field = fld
+        if i < len(mats) - 1:
+            fixed = evolve(work_model, grid_i, snapshot_times=[maturity], start=checkpoint)
+            checkpoint = fixed.at(float(maturity))
+            drift_before = max(drift_before, fixed.diagnostics.max_ratio_deviation())
+            neg_before = max(neg_before, max(fixed.diagnostics.negative_fraction, default=0.0))
 
     surface = LocalVolSurface(mats.copy(), strikes.copy(), np.vstack(view.slices))
     return CalibrationResult(surface=surface, report=report)

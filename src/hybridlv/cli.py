@@ -222,7 +222,6 @@ def _cmd_calibrate(cfg, writer: _Writer):
         ds=float(cb["ds"]),
         dr=float(cb["dr"]),
         dt=float(cb["dt"]),
-        mode=str(cb["mode"]),
         slice_iterations=int(cb["slice_iterations"]),
         use_corrective=bool(cb["use_corrective"]),
     )

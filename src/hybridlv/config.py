@@ -47,7 +47,6 @@ _DEFAULTS = {
             "ds": 0.008,
             "dr": 0.0015,
             "dt": 0.005,
-            "mode": "restart",
             "slice_iterations": 1,
             "use_corrective": True,
             "market": "analytic",

@@ -71,18 +71,23 @@ def thomas_prefactor(a: np.ndarray, b: np.ndarray, c: np.ndarray, axis: int):
 
     ``a``, ``b``, ``c`` are 2-d arrays; the recurrence runs along ``axis``
     and is vectorised over the other one. Returns (cp, inv_piv) reusable for
-    any number of right-hand sides with the same matrix.
+    any number of right-hand sides with the same matrix. Raises
+    :class:`SingularSystemError` if any line meets a zero or non-finite
+    pivot.
     """
     if axis == 1:
         a, b, c = a.T, b.T, c.T
     n = a.shape[0]
     cp = np.empty_like(b)
     inv_piv = np.empty_like(b)
-    inv_piv[0] = 1.0 / b[0]
-    cp[0] = c[0] * inv_piv[0]
-    for i in range(1, n):
-        inv_piv[i] = 1.0 / (b[i] - a[i] * cp[i - 1])
-        cp[i] = c[i] * inv_piv[i]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        inv_piv[0] = 1.0 / b[0]
+        cp[0] = c[0] * inv_piv[0]
+        for i in range(1, n):
+            inv_piv[i] = 1.0 / (b[i] - a[i] * cp[i - 1])
+            cp[i] = c[i] * inv_piv[i]
+    if not np.all(np.isfinite(inv_piv)):
+        raise SingularSystemError("zero or non-finite pivot in a batched system")
     if axis == 1:
         return cp.T, inv_piv.T
     return cp, inv_piv

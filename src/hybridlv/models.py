@@ -9,6 +9,10 @@ mean-reverting (Hull-White) process, correlated through the Brownian drivers:
 This module holds the parameter containers, the local-volatility function
 family (constant, hyperbolic skew, interpolated surface) together with their
 spatial derivatives, and the discount-curve analytics of the rate model.
+
+Every local-volatility function answers ``next_change(t)``: the last time
+up to which ``value`` and ``derivatives`` stay exactly what they are at
+``t``. The grid solver keeps one prefactored operator for that long.
 """
 
 from __future__ import annotations
@@ -200,9 +204,8 @@ class ConstantVol:
         z = np.zeros_like(arr)
         return np.full_like(arr, self.sigma1), z, z
 
-    @property
-    def time_dependent(self) -> bool:
-        return False
+    def next_change(self, t: float) -> float:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -235,19 +238,19 @@ class HyperbolicVol:
         sig_ss = k * (gpp * arr**2 - 2.0 * arr * gp + 2.0 * (g - beta)) / arr**3
         return sig, sig_s, sig_ss
 
-    @property
-    def time_dependent(self) -> bool:
-        return False
+    def next_change(self, t: float) -> float:
+        return math.inf
 
 
 @dataclass(frozen=True)
 class SurfaceVol:
     """Local volatility read off a calibrated node surface.
 
-    ``surface`` is any object exposing ``vol(t, s) -> array`` and a
-    ``strikes`` array; spatial derivatives are taken by central differences
-    on the interpolant with a step of one node spacing (floored at 1e-4 S,
-    the interpolant is piecewise linear so smaller steps see no curvature).
+    ``surface`` is any object exposing ``vol(t, s) -> array``, a
+    ``strikes`` array and optionally ``next_change(t)``; spatial derivatives
+    are taken by central differences on the interpolant with a step of one
+    node spacing (floored at 1e-4 S, the interpolant is piecewise linear so
+    smaller steps see no curvature).
     """
 
     surface: object
@@ -273,9 +276,11 @@ class SurfaceVol:
         sig_ss = (up - 2.0 * sig + dn) / h**2
         return sig, sig_s, sig_ss
 
-    @property
-    def time_dependent(self) -> bool:
-        return True
+    def next_change(self, t: float) -> float:
+        """Forwarded to the surface when it knows when it next changes;
+        otherwise the value is assumed to move with every ``t``."""
+        next_change = getattr(self.surface, "next_change", None)
+        return float(next_change(t)) if next_change is not None else float(t)
 
 
 LocalVolFunction = Union[ConstantVol, HyperbolicVol, SurfaceVol]
@@ -299,9 +304,13 @@ class HybridModel:
     def local_vol(self, t, s):
         return self.vol.value(t, s)
 
-    @property
-    def time_dependent(self) -> bool:
-        return self.vol.time_dependent or not self.rate.has_constant_theta
+    def next_change(self, t: float) -> float:
+        """Last time up to which the SDE coefficients stay what they are at
+        ``t``; a time-dependent mean level ``theta(t)`` changes them at
+        every ``t``."""
+        if not self.rate.has_constant_theta:
+            return float(t)
+        return self.vol.next_change(t)
 
 
 @dataclass(frozen=True)

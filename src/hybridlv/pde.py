@@ -448,7 +448,16 @@ def evolve(
     Start options: ``kernel_n`` selects the isotropic Gaussian stand-in for
     the point mass at t=0 (see :func:`init_dirac`); the default is the
     model-consistent short-time start; ``start`` resumes from a previously
-    evolved field whose time must sit on this grid's step lattice.
+    evolved field whose time must sit on this grid's step lattice. A fresh
+    start is rescaled onto ZC(0, t0); a resumed field is taken as it is,
+    since a march already left it on the discount identity, so resuming at
+    ``t`` repeats bit for bit the steps a single march would take from
+    ``t`` (on the same step size).
+
+    One prefactored step operator serves every step until the model's
+    coefficients next change (``model.next_change``): the whole march for a
+    time-independent model, one interval of a piecewise-constant vol, or a
+    single step for a time-dependent mean level.
 
     After every step the raw trapezoid mass is recorded and the field is
     rescaled onto the discount identity ZC(0, t). A raw-to-target ratio
@@ -488,24 +497,24 @@ def evolve(
         wanted = [grid.n_t]
 
     diag = EvolveDiagnostics(start_mode=mode, start_time=field.t)
-    # Starting mass sits on the discount identity as well.
     m0 = field.mass()
     if m0 <= 0 or not np.isfinite(m0):
         raise InvalidInputError("start field mass must be positive and finite")
-    field.values *= zc_price(model.rate, field.t) / m0
+    if start is None:
+        # A fresh starting mass sits on the discount identity as well.
+        field.values *= zc_price(model.rate, field.t) / m0
 
     snapshots = {}
     if n0 in wanted:
         snapshots[n0] = field.copy()
 
-    static = not model.time_dependent
-    op = _StepOperator(build_coefficients(model, grid, n0 * dt), grid, dt) if static else None
-
+    valid_until = -math.inf
     values = field.values
     for n in range(n0, grid.n_t):
         t_next = (n + 1) * dt
-        if not static:
+        if n * dt > valid_until:
             op = _StepOperator(build_coefficients(model, grid, n * dt), grid, dt)
+            valid_until = model.next_change(n * dt)
         values = op.apply(values)
         if not np.all(np.isfinite(values)):
             raise PdeBlowUpError(step=n + 1, t=t_next)

@@ -118,3 +118,86 @@ def corrective_term_closed_form(s0, a, sigma2, theta, r0, sigma1, rho, maturity,
     z = (math.log(strike) - tilted_mu_y) / sd_y
     phi = math.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
     return zc * cov[0, 1] * phi / sd_y
+
+
+def aligned_step_count_by_search(maturities, dt, max_tries=200000):
+    """Step count by trial: from round(t_max/dt) upward until every maturity
+    sits within 1e-9 of a step; ``None`` if none does within ``max_tries``."""
+    mats = np.asarray(maturities, dtype=float)
+    t_max = float(mats[-1])
+    n_total = max(1, int(round(t_max / dt)))
+    for _ in range(max_tries):
+        steps = mats / t_max * n_total
+        if np.all(np.abs(steps - np.round(steps)) < 1e-9):
+            return n_total
+        n_total += 1
+    return None
+
+
+class _RestartView:
+    """Bootstrap slices, piecewise constant in time, without ``next_change``:
+    a solve under it rebuilds its step operator at every step."""
+
+    def __init__(self, strikes, pending):
+        self.strikes = np.asarray(strikes, dtype=float)
+        self.maturities = []
+        self.slices = []
+        self.pending = pending
+
+    def vol(self, t, s):
+        row = self.pending
+        for maturity, values in zip(self.maturities, self.slices):
+            if t <= maturity + 1e-12:
+                row = values
+                break
+        return np.interp(np.asarray(s, dtype=float), self.strikes, row)
+
+
+def restart_bootstrap(market, model, settings):
+    """Maturity bootstrap that restarts every march from t=0.
+
+    Returns the sigma lattice and, per maturity, (mass drift, negative
+    fraction, iterations) read off the last march, as the report states
+    them.
+    """
+    from dataclasses import replace
+
+    from hybridlv import calibration as cal
+    from hybridlv.models import SurfaceVol, forward_rate
+    from hybridlv.pde import auto_grid, evolve
+
+    mats, strikes = market.maturities, market.strikes
+    t_max = float(mats[-1])
+    fwd = lambda t: forward_rate(model.rate, t)  # noqa: E731
+    n_total = aligned_step_count_by_search(mats, settings.dt)
+    box_model = replace(model, vol=cal._ref_vol(market, fwd, settings))
+    box = auto_grid(box_model, t_max, settings.ds, settings.dr, settings.dt)
+    use_adj = settings.use_corrective and model.rate.sigma2 > 0.0
+    view = _RestartView(strikes, cal._seed_slice(market, fwd, strikes, settings.eps_floor))
+    work_model = replace(model, vol=SurfaceVol(view))
+    entries = []
+    for maturity in mats:
+        t = float(maturity)
+        grid = box.with_horizon(t, int(round(maturity / t_max * n_total)))
+        slice_vals, update, iterations = None, math.inf, 0
+        while iterations < settings.slice_iterations and update > settings.slice_tolerance:
+            iterations += 1
+            result = evolve(work_model, grid, snapshot_times=[t])
+            field = result.at(t)
+            if use_adj:
+                adj = cal.corrective_terms(field, fwd(t), strikes)
+            else:
+                adj = cal.CorrectiveTermCurve.zeros(t, strikes)
+            vals = np.array([
+                math.sqrt(cal.local_vol_stochastic_rates(
+                    market, fwd, adj, t, float(k), eps_floor=settings.eps_floor))
+                for k in strikes
+            ])
+            update = float(np.max(np.abs(vals - slice_vals))) if slice_vals is not None else math.inf
+            slice_vals = vals
+            view.pending = vals
+        diag = result.diagnostics
+        entries.append((diag.max_ratio_deviation(), max(diag.negative_fraction), iterations))
+        view.maturities.append(t)
+        view.slices.append(slice_vals)
+    return np.vstack(view.slices), entries

@@ -17,7 +17,7 @@ from hybridlv.calibration import (
     make_analytic_surface,
     price_calls_from_pz,
 )
-from hybridlv.calibration import _MarginalIntegrals
+from hybridlv.calibration import _MarginalIntegrals, _aligned_step_count
 from hybridlv.errors import (
     ButterflyDegenerateError,
     CalibrationError,
@@ -27,7 +27,11 @@ from hybridlv.errors import (
 from hybridlv.models import ConstantVol, HullWhiteParams, HybridModel, forward_rate, zc_price
 from hybridlv.pde import Field2D, auto_grid, evolve
 
-from .oracles import corrective_term_closed_form
+from .oracles import (
+    aligned_step_count_by_search,
+    corrective_term_closed_form,
+    restart_bootstrap,
+)
 
 
 def _analytic_field(model, maturity, ds=0.0156, dr=0.0026):
@@ -194,6 +198,24 @@ class TestDupire:
         dup = dupire_vol(surf, fwd, 1.0, 1.0)
         assert local_vol_stochastic_rates(surf, fwd, zeros, 1.0, 1.0) == dup
 
+    def test_one_surface_evaluation_per_node(self, set1_model, monkeypatch):
+        import hybridlv.calibration as cal_mod
+
+        surf = make_analytic_surface(set1_model, [1.0], np.linspace(0.7, 1.3, 13))
+        fwd = lambda t: forward_rate(set1_model.rate, t)  # noqa: E731
+        curve = CorrectiveTermCurve(1.0, np.array([0.7, 1.3]), np.array([1e-3, 2e-3]))
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return bshw_call(*args)
+
+        monkeypatch.setattr(cal_mod, "bshw_call", counted)
+        var = local_vol_stochastic_rates(surf, fwd, curve, 1.0, 0.9)
+        assert len(calls) == 1
+        c_kk = bshw_call(set1_model, 1.0, 0.9).c_kk
+        assert var == dupire_vol(surf, fwd, 1.0, 0.9) - curve.interp(0.9) / (0.5 * 0.9 * c_kk)
+
     def test_degenerate_butterfly_raises(self, set1_model):
         # far wing on a coarse external lattice: convexity underflows
         ks = np.array([2.2, 2.5, 2.8])
@@ -261,15 +283,25 @@ class TestCalibrate:
         assert np.max(np.abs(result.surface.sigma - 0.2)) < 5e-3
         assert len(result.report.entries) == 2
 
-    def test_continuation_agrees_with_restart(self, set1_model):
+    @pytest.mark.parametrize(
+        "slice_iterations, use_corrective", [(1, True), (2, True), (1, False)]
+    )
+    def test_checkpointed_marches_match_restart_bit_for_bit(
+        self, set1_model, slice_iterations, use_corrective
+    ):
         market = make_analytic_surface(
-            set1_model, [0.5, 1.0], np.arange(0.8, 1.2001, 0.05)
+            set1_model, [0.25, 0.5, 0.75], np.arange(0.8, 1.2001, 0.1)
         )
-        base = CalibrationSettings(ds=0.015, dr=0.0025, dt=0.01)
-        rerun = CalibrationSettings(ds=0.015, dr=0.0025, dt=0.01, mode="continue")
-        restart = calibrate(market, set1_model, base)
-        cont = calibrate(market, set1_model, rerun)
-        assert np.max(np.abs(restart.surface.sigma - cont.surface.sigma)) < 5e-4
+        settings = CalibrationSettings(
+            ds=0.02, dr=0.003, dt=0.025,
+            slice_iterations=slice_iterations, use_corrective=use_corrective,
+        )
+        result = calibrate(market, set1_model, settings)
+        sigma, entries = restart_bootstrap(market, set1_model, settings)
+        assert np.array_equal(result.surface.sigma, sigma)
+        got = [(e.mass_drift, e.negative_fraction, e.iterations) for e in result.report.entries]
+        assert got == entries
+        assert [e.iterations for e in result.report.entries] == [slice_iterations] * 3
 
     def test_dropping_the_adjustment_skews_the_wings(self, set1_model):
         # ablation: a stochastic-rates market calibrated with the corrective
@@ -303,3 +335,28 @@ class TestCalibrate:
         market = CallSurface(np.asarray(mats), ks, prices, provider="external")
         with pytest.raises((CalibrationError, InvalidInputError)):
             calibrate(market, set1_model, CalibrationSettings(ds=0.02, dr=0.003, dt=0.02))
+
+
+class TestStepAlignment:
+    @pytest.mark.parametrize("mats, dt", [
+        ([1.0], 0.005),
+        ([0.25, 0.5, 0.75, 1.0], 0.005),
+        ([0.5, 1.0], 0.03),
+        ([0.1, 0.3], 0.007),
+        ([1.0 / 3.0, 1.0], 0.01),
+        ([0.2, 0.7, 1.3], 0.011),
+        ([0.37, 1.11], 0.0125),
+    ])
+    def test_matches_the_search(self, mats, dt):
+        want = aligned_step_count_by_search(mats, dt)
+        assert want is not None
+        assert _aligned_step_count(mats, dt) == want
+
+    def test_no_alignment_raises(self, set1_model):
+        mats = [0.1234567891, 1.0]
+        assert aligned_step_count_by_search(mats, 0.01) is None
+        with pytest.raises(CalibrationError):
+            _aligned_step_count(mats, 0.01)
+        market = make_analytic_surface(set1_model, mats, np.arange(0.9, 1.1001, 0.05))
+        with pytest.raises(CalibrationError):
+            calibrate(market, set1_model, CalibrationSettings(ds=0.02, dr=0.003, dt=0.01))

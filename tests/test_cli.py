@@ -56,6 +56,8 @@ class TestConfig:
             resolve_config({"model": {"sped": 1.0}})
         with pytest.raises(ConfigError):
             resolve_config({"model": {"vol": {"type": "constant", "nu": 0.2}}})
+        with pytest.raises(ConfigError):
+            resolve_config({"run": {"calibration": {"mode": "restart"}}})
 
     def test_digest_tracks_content(self):
         a = resolve_config({"model": {"rho": 0.3}})

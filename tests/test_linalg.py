@@ -98,3 +98,23 @@ def test_batched_solver_matches_scalar_path(rng, axis):
         else:
             sys = TridiagonalSystem(a[j], b[j], c[j], f[j])
             assert np.allclose(x[j], solve_tridiagonal(sys), rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("where", ["first", "later", "nan"])
+def test_batch_with_one_singular_line_raises(rng, axis, where):
+    n, m = 6, 5
+    a = rng.uniform(-1, 1, (n, m))
+    c = rng.uniform(-1, 1, (n, m))
+    b = np.abs(a) + np.abs(c) + 1.5
+    if where == "first":
+        b[0, 3] = 0.0
+    elif where == "later":
+        # second pivot b[1] - a[1] * c[0] / b[0] vanishes
+        b[0, 3], c[0, 3], a[1, 3], b[1, 3] = 1.0, 1.0, 2.0, 2.0
+    else:
+        b[2, 3] = np.nan
+    if axis == 1:
+        a, b, c = a.T, b.T, c.T
+    with pytest.raises(SingularSystemError):
+        thomas_prefactor(a, b, c, axis)

@@ -6,7 +6,14 @@ import pytest
 
 from hybridlv.analytic import analytic_pz
 from hybridlv.errors import InvalidInputError, UnderResolvedKernelError
-from hybridlv.models import ConstantVol, HullWhiteParams, HybridModel, forward_rate, zc_price
+from hybridlv.models import (
+    ConstantVol,
+    HullWhiteParams,
+    HybridModel,
+    SurfaceVol,
+    forward_rate,
+    zc_price,
+)
 from hybridlv.pde import (
     Field2D,
     Grid2D,
@@ -21,6 +28,53 @@ from hybridlv.pde import (
 )
 
 from .oracles import lognormal_density
+
+
+class _TwoSlices:
+    """Vol surface that is flat up to t = 0.5 and skewed after it; it does
+    not say when it changes, so a solve rebuilds its operator every step."""
+
+    strikes = np.array([0.5, 1.0, 1.5])
+
+    def vol(self, t, s):
+        row = [0.2, 0.2, 0.2] if t <= 0.5 else [0.3, 0.22, 0.18]
+        return np.interp(np.asarray(s, dtype=float), self.strikes, row)
+
+
+class _TwoSlicesWithChange(_TwoSlices):
+    def next_change(self, t):
+        return 0.5 if t <= 0.5 else math.inf
+
+
+def _two_slice_model(base, surface):
+    return HybridModel(s0=base.s0, rate=base.rate, vol=SurfaceVol(surface), rho=base.rho)
+
+
+def _count_builds(monkeypatch):
+    """Record the time of every coefficient build the solver makes."""
+    import hybridlv.pde as pde_mod
+
+    times = []
+    original = pde_mod.build_coefficients
+
+    def counted(model, grid, t):
+        times.append(t)
+        return original(model, grid, t)
+
+    monkeypatch.setattr(pde_mod, "build_coefficients", counted)
+    return times
+
+
+def _assert_resume_is_exact(model):
+    # At t = 0.25 a renormalisation of the resumed mass would not be a
+    # no-op; t = 0.5 is where the piecewise vol changes.
+    g = auto_grid(model, 1.0, ds=0.02, dr=0.003, dt=0.01)
+    full = evolve(model, g, snapshot_times=[0.25, 0.5, 1.0])
+    for first in full.snapshots[:2]:
+        resumed = evolve(model, g, snapshot_times=[1.0], start=first)
+        assert np.array_equal(resumed.snapshots[-1].values, full.snapshots[-1].values)
+        n = len(resumed.diagnostics.raw_mass)
+        assert resumed.diagnostics.raw_mass == full.diagnostics.raw_mass[-n:]
 
 
 def _unit_grid(n_s=9, n_r=9, t_end=1.0, n_t=10):
@@ -288,13 +342,30 @@ class TestEvolve:
         assert np.array_equal(a, b)
 
     def test_resume_agrees_with_single_march(self, set1_model):
-        g = auto_grid(set1_model, 1.0, ds=0.02, dr=0.003, dt=0.01)
-        full = evolve(set1_model, g, snapshot_times=[0.5, 1.0])
-        first = full.snapshots[0]
-        resumed = evolve(set1_model, g, snapshot_times=[1.0], start=first)
-        assert np.allclose(
-            resumed.snapshots[-1].values, full.snapshots[-1].values, rtol=1e-12, atol=1e-14
-        )
+        _assert_resume_is_exact(set1_model)
+
+    def test_resume_agrees_with_single_march_under_piecewise_vol(self, set1_model):
+        _assert_resume_is_exact(_two_slice_model(set1_model, _TwoSlicesWithChange()))
+
+    def test_cached_operator_matches_per_step_rebuild(self, set1_model, monkeypatch):
+        cached = _two_slice_model(set1_model, _TwoSlicesWithChange())
+        rebuilt = _two_slice_model(set1_model, _TwoSlices())
+        g = auto_grid(cached, 1.0, ds=0.02, dr=0.003, dt=0.01)
+        builds = _count_builds(monkeypatch)
+        a = evolve(cached, g, snapshot_times=[0.5, 1.0])
+        assert len(builds) == 2
+        assert builds[1] == pytest.approx(0.51)
+        builds.clear()
+        b = evolve(rebuilt, g, snapshot_times=[0.5, 1.0])
+        assert len(builds) == len(b.diagnostics.times)
+        for x, y in zip(a.snapshots, b.snapshots):
+            assert np.array_equal(x.values, y.values)
+
+    def test_time_independent_model_builds_once(self, hyperbolic_model, monkeypatch):
+        g = auto_grid(hyperbolic_model, 0.5, ds=0.03, dr=0.004, dt=0.02)
+        builds = _count_builds(monkeypatch)
+        evolve(hyperbolic_model, g)
+        assert len(builds) == 1
 
     def test_bad_snapshot_time_rejected(self, set1_model):
         g = auto_grid(set1_model, 1.0, ds=0.02, dr=0.003, dt=0.01)
@@ -338,7 +409,7 @@ class TestEvolve:
 
 
 class TestTimeDependentMeanLevel:
-    def test_evolve_with_fitted_theta_keeps_the_discount_identity(self):
+    def test_evolve_with_fitted_theta_keeps_the_discount_identity(self, monkeypatch):
         from hybridlv.models import fit_theta
 
         base = HullWhiteParams(a=0.5, sigma2=0.04, theta=0.02, r0=0.02)
@@ -347,7 +418,9 @@ class TestTimeDependentMeanLevel:
         rate = HullWhiteParams(a=base.a, sigma2=base.sigma2, theta=theta_fn, r0=base.r0)
         m = HybridModel(s0=1.0, rate=rate, vol=ConstantVol(0.2), rho=0.4)
         g = auto_grid(m, 0.3, ds=0.03, dr=0.004, dt=0.03)
+        builds = _count_builds(monkeypatch)
         res = evolve(m, g, snapshot_times=[0.3])
+        assert len(builds) == len(res.diagnostics.times)
         assert res.snapshots[-1].mass() == pytest.approx(zc_price(rate, 0.3), rel=1e-10)
         assert res.diagnostics.max_ratio_deviation() < 0.05
 
