@@ -108,11 +108,6 @@ def _snap_times(cfg: ExperimentConfig, grid: pde.Grid2D) -> list[float]:
     return out
 
 
-def _evolve(cfg: ExperimentConfig, model, t_end: float, snapshot_times):
-    grid = _build_grid(cfg, model, t_end)
-    return grid, pde.evolve(model, grid, kernel_n=_kernel_arg(cfg), snapshot_times=snapshot_times)
-
-
 def _mass_rows(diag: pde.EvolveDiagnostics):
     ratios = diag.mass_ratios
     for i, t in enumerate(diag.times):

@@ -19,7 +19,7 @@ class SingularCovarianceError(HybridLvError):
 
 
 class SingularSystemError(HybridLvError):
-    """A zero pivot was met while eliminating a tridiagonal system."""
+    """A tridiagonal system is singular or met a non-finite pivot."""
 
 
 class PdeBlowUpError(HybridLvError):

@@ -1,10 +1,12 @@
 """Tridiagonal solves for the directional implicit sweeps.
 
-The interior systems carry homogeneous Dirichlet closures (x_0 = x_{n+1} = 0),
-so a plain Thomas elimination without pivoting is used. The batched variants
-run the same recurrence with the batch axis vectorised; each system in the
-batch is still an independent sequential recurrence, which keeps results
-bit-identical regardless of how callers parallelise over rows or columns.
+The interior systems carry homogeneous Dirichlet closures (x_0 = x_{n+1} = 0).
+A batch of lines, as one directional sweep of the ADI step needs, is solved
+by LAPACK ``gttrf``/``gttrs`` (LU with partial pivoting) on one long system
+with zero couplings at the line breaks. Pivoting never crosses a break, so
+each line's result is independent of the others and of how many lines share
+the batch. The single-system :func:`solve_tridiagonal` is plain Thomas
+elimination without pivoting.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import InvalidInputError, SingularSystemError
 
@@ -66,44 +69,52 @@ def solve_tridiagonal(sys: TridiagonalSystem) -> np.ndarray:
     return x
 
 
-def thomas_prefactor(a: np.ndarray, b: np.ndarray, c: np.ndarray, axis: int):
-    """Forward-elimination factors for a batch of systems along ``axis``.
+@dataclass(frozen=True)
+class LineFactors:
+    """Pivoted LU factors of a batch of tridiagonal lines.
 
-    ``a``, ``b``, ``c`` are 2-d arrays; the recurrence runs along ``axis``
-    and is vectorised over the other one. Returns (cp, inv_piv) reusable for
-    any number of right-hand sides with the same matrix. Raises
-    :class:`SingularSystemError` if any line meets a zero or non-finite
-    pivot.
+    The lines are laid out one after another along their sweep direction
+    and factored by LAPACK ``gttrf`` as one long system whose couplings are
+    zero at every line break, so each line is solved on its own. ``axis``
+    and ``shape`` say how to lay a right-hand side out the same way.
     """
-    if axis == 1:
+
+    axis: int
+    shape: tuple
+    lu: tuple
+
+
+def thomas_prefactor(a: np.ndarray, b: np.ndarray, c: np.ndarray, axis: int) -> LineFactors:
+    """Factor a batch of systems a_i x_{i-1} + b_i x_i + c_i x_{i+1} = f_i.
+
+    ``a``, ``b``, ``c`` are 2-d arrays of equal shape; each line of the
+    batch runs along ``axis`` (``a`` at its first node and ``c`` at its last
+    are ignored). The factors are reusable for any number of right-hand
+    sides with the same matrix. Raises :class:`SingularSystemError` if any
+    line is singular or meets a non-finite pivot.
+    """
+    shape = b.shape
+    if axis == 0:
         a, b, c = a.T, b.T, c.T
-    n = a.shape[0]
-    cp = np.empty_like(b)
-    inv_piv = np.empty_like(b)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        inv_piv[0] = 1.0 / b[0]
-        cp[0] = c[0] * inv_piv[0]
-        for i in range(1, n):
-            inv_piv[i] = 1.0 / (b[i] - a[i] * cp[i - 1])
-            cp[i] = c[i] * inv_piv[i]
-    if not np.all(np.isfinite(inv_piv)):
-        raise SingularSystemError("zero or non-finite pivot in a batched system")
-    if axis == 1:
-        return cp.T, inv_piv.T
-    return cp, inv_piv
+    n = b.shape[1]
+    dl = a.flatten()[1:]
+    du = c.flatten()[:-1]
+    dl[n - 1::n] = 0.0
+    du[n - 1::n] = 0.0
+    dl, d, du, du2, ipiv, info = dgttrf(
+        dl, b.flatten(), du, overwrite_dl=1, overwrite_d=1, overwrite_du=1
+    )
+    if info != 0 or not np.all(np.isfinite(d)):
+        raise SingularSystemError("singular or non-finite line in a batched system")
+    return LineFactors(axis, shape, (dl, d, du, du2, ipiv))
 
 
-def thomas_apply(a: np.ndarray, cp: np.ndarray, inv_piv: np.ndarray, f: np.ndarray, axis: int):
-    """Solve using precomputed factors; the sweep runs along ``axis``."""
-    if axis == 1:
-        a, cp, inv_piv, f = a.T, cp.T, inv_piv.T, f.T
-    n = f.shape[0]
-    x = np.empty_like(f)
-    x[0] = f[0] * inv_piv[0]
-    for i in range(1, n):
-        x[i] = (f[i] - a[i] * x[i - 1]) * inv_piv[i]
-    for i in range(n - 2, -1, -1):
-        x[i] -= cp[i] * x[i + 1]
-    if axis == 1:
-        return x.T
-    return x
+def thomas_apply(lu: LineFactors, f: np.ndarray) -> np.ndarray:
+    """Solve every line of the batch factored in ``lu`` for right-hand side ``f``."""
+    if f.shape != lu.shape:
+        raise InvalidInputError(f"right-hand side shape {f.shape} does not match {lu.shape}")
+    if lu.axis == 0:
+        f = f.T
+    x, _ = dgttrs(*lu.lu, f.flatten(), overwrite_b=1)
+    x = x.reshape(f.shape)
+    return x.T if lu.axis == 0 else x

@@ -80,6 +80,15 @@ def test_length_mismatch_rejected():
         TridiagonalSystem(np.zeros(3), np.ones(4), np.zeros(4), np.ones(4))
 
 
+def _lines(x, axis):
+    """The lines of a batch, each as a 1-d array running along ``axis``."""
+    return list(x.T if axis == 0 else x)
+
+
+def _solve_batch(a, b, c, f, axis):
+    return thomas_apply(thomas_prefactor(a, b, c, axis), f)
+
+
 @pytest.mark.parametrize("axis", [0, 1])
 def test_batched_solver_matches_scalar_path(rng, axis):
     n, m = 17, 9
@@ -88,33 +97,84 @@ def test_batched_solver_matches_scalar_path(rng, axis):
     c = rng.uniform(-1, 1, shape)
     b = np.abs(a) + np.abs(c) + 1.5
     f = rng.uniform(-3, 3, shape)
-    cp, ip = thomas_prefactor(a, b, c, axis)
-    x = thomas_apply(a, cp, ip, f, axis)
+    x = _solve_batch(a, b, c, f, axis)
+    assert x.shape == shape
     # compare each batch line against the one-system solver
-    for j in range(m):
-        if axis == 0:
-            sys = TridiagonalSystem(a[:, j], b[:, j], c[:, j], f[:, j])
-            assert np.allclose(x[:, j], solve_tridiagonal(sys), rtol=1e-13, atol=1e-15)
-        else:
-            sys = TridiagonalSystem(a[j], b[j], c[j], f[j])
-            assert np.allclose(x[j], solve_tridiagonal(sys), rtol=1e-13, atol=1e-15)
+    for line in zip(*(_lines(v, axis) for v in (a, b, c, f, x))):
+        sys = TridiagonalSystem(*line[:4])
+        assert np.allclose(line[4], solve_tridiagonal(sys), rtol=1e-13, atol=1e-15)
 
 
 @pytest.mark.parametrize("axis", [0, 1])
-@pytest.mark.parametrize("where", ["first", "later", "nan"])
-def test_batch_with_one_singular_line_raises(rng, axis, where):
+def test_batched_solver_matches_dense_oracle_with_row_swaps(rng, axis):
+    n, m = 12, 7
+    shape = (n, m) if axis == 0 else (m, n)
+    a = rng.uniform(-1, 1, shape)
+    c = rng.uniform(-1, 1, shape)
+    b = np.abs(a) + np.abs(c) + 1.5
+    # Line 4 is far from diagonally dominant: every sub-diagonal entry
+    # outweighs its diagonal, so partial pivoting must swap rows.
+    weak = (slice(None), 4) if axis == 0 else (4, slice(None))
+    b[weak] = rng.uniform(-0.1, 0.1, n)
+    a[weak] = rng.choice([-1.0, 1.0], n) * rng.uniform(2.0, 3.0, n)
+    f = rng.uniform(-3, 3, shape)
+    lu = thomas_prefactor(a, b, c, axis)
+    ipiv = lu.lu[4].reshape(m, n)
+    assert np.any(ipiv[4] != np.arange(4 * n + 1, 5 * n + 1))
+    x = thomas_apply(lu, f)
+    for la, lb, lc, lf, lx in zip(*(_lines(v, axis) for v in (a, b, c, f, x))):
+        la, lc = la.copy(), lc.copy()
+        la[0] = lc[-1] = 0.0
+        assert np.allclose(lx, dense_tridiagonal_solve(la, lb, lc, lf), rtol=1e-12, atol=1e-13)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("where", ["first", "later"])
+def test_batch_with_zero_elimination_pivot_is_solved(rng, axis, where):
+    # These lines are nonsingular but meet a zero pivot under elimination
+    # without row interchanges; the pivoted factorisation solves them.
     n, m = 6, 5
     a = rng.uniform(-1, 1, (n, m))
     c = rng.uniform(-1, 1, (n, m))
     b = np.abs(a) + np.abs(c) + 1.5
     if where == "first":
         b[0, 3] = 0.0
-    elif where == "later":
+    else:
         # second pivot b[1] - a[1] * c[0] / b[0] vanishes
         b[0, 3], c[0, 3], a[1, 3], b[1, 3] = 1.0, 1.0, 2.0, 2.0
-    else:
+    a[0] = c[-1] = 0.0
+    f = rng.uniform(-3, 3, (n, m))
+    if axis == 1:
+        a, b, c, f = a.T, b.T, c.T, f.T
+    x = _solve_batch(a, b, c, f, axis)
+    for la, lb, lc, lf, lx in zip(*(_lines(v, axis) for v in (a, b, c, f, x))):
+        assert np.allclose(lx, dense_tridiagonal_solve(la, lb, lc, lf), rtol=1e-12, atol=1e-13)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("where", ["first", "later", "nan", "inf"])
+def test_batch_with_one_singular_line_raises(rng, axis, where):
+    n, m = 6, 5
+    a = rng.uniform(-1, 1, (n, m))
+    c = rng.uniform(-1, 1, (n, m))
+    b = np.abs(a) + np.abs(c) + 1.5
+    if where == "first":
+        a[0, 3] = b[0, 3] = c[0, 3] = 0.0
+    elif where == "later":
+        a[3, 3] = b[3, 3] = c[3, 3] = 0.0
+    elif where == "nan":
         b[2, 3] = np.nan
+    else:
+        # an infinite pivot leaves the factorisation without a zero pivot
+        b[2, 3] = np.inf
     if axis == 1:
         a, b, c = a.T, b.T, c.T
     with pytest.raises(SingularSystemError):
         thomas_prefactor(a, b, c, axis)
+
+
+def test_right_hand_side_of_another_shape_rejected():
+    a, b, c = np.zeros((4, 8)), np.ones((4, 8)), np.zeros((4, 8))
+    lu = thomas_prefactor(a, b, c, axis=1)
+    with pytest.raises(InvalidInputError):
+        thomas_apply(lu, np.ones((8, 4)))

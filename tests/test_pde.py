@@ -335,6 +335,37 @@ class TestEvolve:
         res = evolve(set1_model, g)
         assert max(res.diagnostics.negative_mass_ratio) < 1e-3
 
+    def test_bundled_constant_vol_march_has_no_negative_nodes(self, set1_model):
+        # the grid of configs/bshw_rho_pos.yaml; its sweeps leave round-off
+        # near -1e-15 on a few percent of the nodes, which must not count
+        g = auto_grid(set1_model, 1.0, ds=0.0156, dr=0.0026, dt=0.0099)
+        res = evolve(set1_model, g)
+        assert max(res.diagnostics.negative_fraction) == 0.0
+
+    def test_negative_lobe_is_counted(self, set1_model):
+        g = auto_grid(set1_model, 0.04, ds=0.02, dr=0.003, dt=0.01)
+        s = g.s_nodes[:, None]
+        r = g.r_nodes[None, :]
+        bump = np.exp(-((s - 0.95) ** 2 + (r - 0.02) ** 2) / 0.002)
+        lobe = np.exp(-((s - 1.12) ** 2 + (r - 0.02) ** 2) / 0.001)
+        start = Field2D(g, bump - 0.3 * lobe, t=0.0)
+        res = evolve(set1_model, g, start=start)
+        end = res.snapshots[-1].values
+        expected = np.mean(end < -1e-10 * end.max())
+        assert 0.005 < expected < 0.2
+        assert res.diagnostics.negative_fraction[-1] == expected
+
+    def test_resume_from_another_box_rejected(self, set1_model):
+        g = auto_grid(set1_model, 1.0, ds=0.02, dr=0.003, dt=0.01)
+        first = evolve(set1_model, g, snapshot_times=[0.5]).snapshots[0]
+        wider = Grid2D(g.s_min, 2.0 * g.s_max, g.r_min, g.r_max, g.n_s, g.n_r, g.t_end, g.n_t)
+        moved = Field2D(wider, first.values, t=first.t)
+        with pytest.raises(InvalidInputError, match="box"):
+            evolve(set1_model, g, start=moved)
+        # only the horizon may differ from the grid the field was marched on
+        longer = evolve(set1_model, g.with_horizon(2.0, 2 * g.n_t), start=first)
+        assert longer.snapshots[-1].t == pytest.approx(2.0)
+
     def test_deterministic_rerun_is_bit_identical(self, set2_model):
         g = auto_grid(set2_model, 1.0, ds=0.03, dr=0.004, dt=0.02)
         a = evolve(set2_model, g).snapshots[-1].values
