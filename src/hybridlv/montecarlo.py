@@ -6,7 +6,9 @@ modes for both directions are kept behind flags. The integrated rate is
 accumulated by the trapezoid rule along each path. Paths stream through in
 batches with per-batch deterministic substreams, so memory is independent
 of the path count and results are reproducible for a given seed and batch
-size.
+size. Antithetic pairs take one draw: both legs of a batch step together
+as one state, the mirror leg on the exact negation of the draw, so each
+normal is computed once and memory stays a few arrays of twice the batch.
 """
 
 from __future__ import annotations
@@ -84,6 +86,11 @@ class ZEstimate:
     reliable: bool
 
 
+def _check_aborted(bad: int, total: int) -> None:
+    if bad > _ABORT_FRACTION * total:
+        raise McAbortedError(f"{bad} of {total} paths were non-finite")
+
+
 def _normals(rng: np.random.Generator, shape) -> np.ndarray:
     # Inverse-transform sampling keeps the antithetic mirror exact (the
     # mirrored path is the exact negation of the draw).
@@ -91,57 +98,102 @@ def _normals(rng: np.random.Generator, shape) -> np.ndarray:
     return ndtri(u)
 
 
-def _batch_terminals(model: HybridModel, maturity: float, cfg: McConfig, rng, n: int, sign: float):
-    """Terminal (S, r, trapezoid integral of r) for ``n`` paths."""
+def _batch_terminals(model: HybridModel, maturity: float, cfg: McConfig, rng, n: int):
+    """Terminal (S, r, trapezoid integral of r) of one batch of ``n`` draws.
+
+    With antithetic pairing both legs advance as one state of 2n paths:
+    rows 0..n-1 follow the draw, rows n..2n-1 its mirror. Each step draws
+    one (2, n) block of normals. A mirror row adds the negated shock, and
+    x + (-y) is x - y exactly, so it subtracts the shock computed from the
+    draw. The buffer operations follow the evaluation order of
+
+        log spot:    s * exp((r - 0.5 * sig**2) * dt + sig * sqdt * z1)
+        euler spot:  max(s * (1.0 + r * dt + sig * sqdt * z1), 1e-12)
+        exact rate:  th + (r - th) * ea + sd * zr
+        euler rate:  r + a * (th - r) * dt + sigma2 * sqdt * zr
+
+    with zr = rho * z1 + rho_c * z2, so every path gets the bits it would
+    get stepped alone from its own leg's draws.
+    """
     p = model.rate
     n_steps = max(1, int(math.ceil(maturity / cfg.dt_mc - 1e-12)))
-    s = np.full(n, model.s0)
-    r = np.full(n, p.r0)
-    acc = np.zeros(n)
+    m = 2 * n if cfg.antithetic else n
+    legs = [(slice(0, n), np.add)]
+    if cfg.antithetic:
+        legs.append((slice(n, m), np.subtract))
+    s = np.full(m, model.s0)
+    r = np.full(m, p.r0)
+    r_new = np.empty(m)
+    acc = np.zeros(m)
+    work = np.empty(m)  # spot exponent (log) or factor (euler), then the trapezoid term
+    shock = np.empty(n)  # one leg's vol shock, then the rate shock
     t = 0.0
     rho = model.rho
     rho_c = math.sqrt(1.0 - rho * rho)
-    for step in range(n_steps):
+    for _ in range(n_steps):
         dt = min(cfg.dt_mc, maturity - t)
         sqdt = math.sqrt(dt)
-        z = sign * _normals(rng, (2, n))
-        z1 = z[0]
-        zr = rho * z1 + rho_c * z[1]
-        sig = np.asarray(model.vol.value(t, s))
+        z1, zr = _normals(rng, (2, n))
+        zr *= rho_c
+        np.multiply(rho, z1, out=shock)
+        zr += shock
+        sig = np.broadcast_to(model.vol.value(t, s), s.shape)
         if cfg.spot_scheme == "log":
-            s = s * np.exp((r - 0.5 * sig**2) * dt + sig * sqdt * z1)
+            np.square(sig, out=work)
+            work *= 0.5
+            np.subtract(r, work, out=work)
+            work *= dt
         else:
-            s = s * (1.0 + r * dt + sig * sqdt * z1)
-            s = np.maximum(s, 1e-12)
+            np.multiply(r, dt, out=work)
+            work += 1.0
+        for rows, add in legs:
+            np.multiply(sig[rows], sqdt, out=shock)
+            shock *= z1
+            add(work[rows], shock, out=work[rows])
+        if cfg.spot_scheme == "log":
+            np.exp(work, out=work)
+            s *= work
+        else:
+            s *= work
+            np.maximum(s, 1e-12, out=s)
         th = p.theta_at(t + 0.5 * dt)
         if cfg.rate_scheme == "exact":
             ea = math.exp(-p.a * dt)
             sd = p.sigma2 * math.sqrt((1.0 - math.exp(-2.0 * p.a * dt)) / (2.0 * p.a))
-            r_new = th + (r - th) * ea + sd * zr
+            np.subtract(r, th, out=r_new)
+            r_new *= ea
+            r_new += th
+            np.multiply(sd, zr, out=shock)
         else:
-            r_new = r + p.a * (th - r) * dt + p.sigma2 * sqdt * zr
-        acc += 0.5 * (r + r_new) * dt
-        r = r_new
+            np.subtract(th, r, out=r_new)
+            r_new *= p.a
+            r_new *= dt
+            r_new += r
+            np.multiply(p.sigma2 * sqdt, zr, out=shock)
+        for rows, add in legs:
+            add(r_new[rows], shock, out=r_new[rows])
+        np.add(r, r_new, out=work)
+        work *= 0.5
+        work *= dt
+        acc += work
+        r, r_new = r_new, r
         t += dt
     return s, r, acc
 
 
 def _iter_batches(model: HybridModel, maturity: float, cfg: McConfig):
-    """Yield (s, r, acc) terminal arrays per antithetic leg in fixed order."""
+    """Yield ((s, r, acc), n) per batch of ``n`` draws in fixed order.
+
+    Each batch has its own substream of the seed. With antithetic pairing
+    the terminal arrays hold 2n paths, the mirrors in the second half.
+    """
     remaining = cfg.n_paths
     batch_index = 0
     while remaining > 0:
         n = min(cfg.batch_size, remaining)
         seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(batch_index,))
-        if cfg.antithetic:
-            state = np.random.Generator(np.random.PCG64(seq))
-            plus = _batch_terminals(model, maturity, cfg, state, n, +1.0)
-            state = np.random.Generator(np.random.PCG64(seq))
-            minus = _batch_terminals(model, maturity, cfg, state, n, -1.0)
-            yield plus, minus
-        else:
-            state = np.random.Generator(np.random.PCG64(seq))
-            yield _batch_terminals(model, maturity, cfg, state, n, +1.0), None
+        rng = np.random.Generator(np.random.PCG64(seq))
+        yield _batch_terminals(model, maturity, cfg, rng, n), n
         remaining -= n
         batch_index += 1
 
@@ -155,7 +207,9 @@ def simulate_paths(
     """Estimate E[payoff(S_T, r_T, int r)] for each payoff function.
 
     Accumulation is streaming in fixed batch order; a run aborts when more
-    than 0.01% of paths produce non-finite values.
+    than 0.01% of the simulated paths (both legs of every antithetic pair
+    counted) produce non-finite values. A pair with a non-finite leg is
+    dropped from the estimates.
     """
     if maturity <= 0:
         raise InvalidInputError("maturity must be positive")
@@ -164,27 +218,24 @@ def simulate_paths(
     sq_sums = np.zeros(n_payoffs)
     n_units = 0
     aborted = 0
-    for plus, minus in _iter_batches(model, maturity, cfg):
-        s, r, acc = plus
+    n_legs = 2 if cfg.antithetic else 1
+    for (s, r, acc), n in _iter_batches(model, maturity, cfg):
         ok = np.isfinite(s) & np.isfinite(r) & np.isfinite(acc)
-        if minus is not None:
-            s2, r2, acc2 = minus
-            ok &= np.isfinite(s2) & np.isfinite(r2) & np.isfinite(acc2)
-        aborted += int((~ok).sum())
-        if not ok.all():
-            s, r, acc = s[ok], r[ok], acc[ok]
-            if minus is not None:
-                s2, r2, acc2 = s2[ok], r2[ok], acc2[ok]
-        n_units += len(s)
+        aborted += len(s) - int(np.count_nonzero(ok))
+        if cfg.antithetic:
+            ok = ok[:n] & ok[n:]
+        kept = int(np.count_nonzero(ok))
+        if kept < n:
+            keep = np.tile(ok, n_legs)
+            s, r, acc = s[keep], r[keep], acc[keep]
+        n_units += kept
         for idx, payoff in enumerate(payoffs):
             vals = np.asarray(payoff(s, r, acc), dtype=float)
-            if minus is not None:
-                vals = 0.5 * (vals + np.asarray(payoff(s2, r2, acc2), dtype=float))
+            if cfg.antithetic:
+                vals = 0.5 * (vals[:kept] + vals[kept:])
             sums[idx] += vals.sum()
             sq_sums[idx] += (vals * vals).sum()
-    total = cfg.n_paths * (2 if cfg.antithetic else 1)
-    if aborted > _ABORT_FRACTION * total:
-        raise McAbortedError(f"{aborted} of {total} paths were non-finite")
+    _check_aborted(aborted, n_legs * cfg.n_paths)
     out = []
     for idx in range(n_payoffs):
         mean = sums[idx] / n_units
@@ -209,7 +260,9 @@ def conditional_z_estimate(
     common bandwidth. Sampling is plain (kernel weights break the pair
     symmetry, so antithetic mirroring is disabled to keep the error
     estimate honest); centers whose effective sample size falls below 100
-    are flagged unreliable.
+    are flagged unreliable. As in ``simulate_paths``, a run aborts when
+    more than 0.01% of paths are non-finite (a zero spot counts: its log
+    is not finite).
     """
     if bandwidth <= 0:
         raise InvalidInputError("bandwidth must be positive")
@@ -233,9 +286,10 @@ def conditional_z_estimate(
     w2z_sum = np.zeros(n_c)
     w2z2_sum = np.zeros(n_c)
     inv_h2 = 1.0 / bandwidth**2
-    for plus, _ in _iter_batches(model, maturity, plain):
-        s, r, acc = plus
+    dropped = 0
+    for (s, r, acc), _ in _iter_batches(model, maturity, plain):
         ok = np.isfinite(s) & np.isfinite(r) & np.isfinite(acc) & (s > 0)
+        dropped += len(s) - int(np.count_nonzero(ok))
         s, r, acc = s[ok], r[ok], acc[ok]
         y = np.log(s)
         z = np.exp(-acc)
@@ -247,6 +301,7 @@ def conditional_z_estimate(
             w2_sum[idx] += w2.sum()
             w2z_sum[idx] += (w2 * z).sum()
             w2z2_sum[idx] += (w2 * z * z).sum()
+    _check_aborted(dropped, cfg.n_paths)
     out = []
     for idx, center in enumerate(centers):
         if w_sum[idx] <= 0.0:

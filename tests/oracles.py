@@ -201,3 +201,61 @@ def restart_bootstrap(market, model, settings):
         view.maturities.append(t)
         view.slices.append(slice_vals)
     return np.vstack(view.slices), entries
+
+
+def _two_pass_leg(model, maturity, cfg, rng, n, sign):
+    """One antithetic leg stepped alone from ``sign`` times the draws."""
+    from hybridlv.montecarlo import _normals
+
+    p = model.rate
+    n_steps = max(1, int(math.ceil(maturity / cfg.dt_mc - 1e-12)))
+    s = np.full(n, model.s0)
+    r = np.full(n, p.r0)
+    acc = np.zeros(n)
+    t = 0.0
+    rho = model.rho
+    rho_c = math.sqrt(1.0 - rho * rho)
+    for _ in range(n_steps):
+        dt = min(cfg.dt_mc, maturity - t)
+        sqdt = math.sqrt(dt)
+        z = sign * _normals(rng, (2, n))
+        z1 = z[0]
+        zr = rho * z1 + rho_c * z[1]
+        sig = np.asarray(model.vol.value(t, s))
+        if cfg.spot_scheme == "log":
+            s = s * np.exp((r - 0.5 * sig**2) * dt + sig * sqdt * z1)
+        else:
+            s = s * (1.0 + r * dt + sig * sqdt * z1)
+            s = np.maximum(s, 1e-12)
+        th = p.theta_at(t + 0.5 * dt)
+        if cfg.rate_scheme == "exact":
+            ea = math.exp(-p.a * dt)
+            sd = p.sigma2 * math.sqrt((1.0 - math.exp(-2.0 * p.a * dt)) / (2.0 * p.a))
+            r_new = th + (r - th) * ea + sd * zr
+        else:
+            r_new = r + p.a * (th - r) * dt + p.sigma2 * sqdt * zr
+        acc += 0.5 * (r + r_new) * dt
+        r = r_new
+        t += dt
+    return s, r, acc
+
+
+def two_pass_batches(model, maturity, cfg):
+    """Monte Carlo terminals by the two-pass antithetic route.
+
+    Per batch, yields the (s, r, acc) arrays of the plus leg and of the
+    minus leg (``None`` without antithetic pairing). The minus leg re-seeds
+    the batch's substream and recomputes every draw only to negate it.
+    """
+    remaining, batch_index = cfg.n_paths, 0
+    while remaining > 0:
+        n = min(cfg.batch_size, remaining)
+        seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(batch_index,))
+        plus = _two_pass_leg(model, maturity, cfg, np.random.Generator(np.random.PCG64(seq)), n, +1.0)
+        minus = None
+        if cfg.antithetic:
+            rng = np.random.Generator(np.random.PCG64(seq))
+            minus = _two_pass_leg(model, maturity, cfg, rng, n, -1.0)
+        yield plus, minus
+        remaining -= n
+        batch_index += 1

@@ -14,6 +14,8 @@ from hybridlv.montecarlo import (
     simulate_paths,
 )
 
+from .oracles import two_pass_batches
+
 
 def _call_payoff(strike):
     return lambda s, r, acc: np.exp(-acc) * np.maximum(s - strike, 0.0)
@@ -76,9 +78,8 @@ class TestSimulatePaths:
 
         original = mc_mod._batch_terminals
 
-        def poisoned(model, maturity, cfg, rng, n, sign):
-            s, r, acc = original(model, maturity, cfg, rng, n, sign)
-            s = s.copy()
+        def poisoned(model, maturity, cfg, rng, n):
+            s, r, acc = original(model, maturity, cfg, rng, n)
             s[:: 2] = np.nan
             return s, r, acc
 
@@ -86,6 +87,60 @@ class TestSimulatePaths:
         cfg = McConfig(n_paths=10000, dt_mc=0.1, seed=3)
         with pytest.raises(McAbortedError):
             mc_mod.simulate_paths(set1_model, 1.0, cfg, [_call_payoff(1.0)])
+
+    @pytest.mark.parametrize(
+        "legs, pairs, aborts",
+        [("both", 15, True), ("both", 10, False), ("plus", 15, False)],
+    )
+    def test_abort_counts_non_finite_paths_of_each_leg(
+        self, set1_model, monkeypatch, legs, pairs, aborts
+    ):
+        # 100k pairs are 200k paths, so the 0.01% limit is 20 paths
+        import hybridlv.montecarlo as mc_mod
+
+        original = mc_mod._batch_terminals
+
+        def poisoned(model, maturity, cfg, rng, n):
+            s, r, acc = original(model, maturity, cfg, rng, n)
+            s[:pairs] = np.nan
+            if legs == "both":
+                acc[n : n + pairs] = np.inf
+            return s, r, acc
+
+        monkeypatch.setattr(mc_mod, "_batch_terminals", poisoned)
+        cfg = McConfig(n_paths=100_000, dt_mc=0.1, seed=3, batch_size=100_000)
+        run = lambda: mc_mod.simulate_paths(set1_model, 1.0, cfg, [_call_payoff(1.0)])  # noqa: E731
+        if aborts:
+            with pytest.raises(McAbortedError, match="30 of 200000"):
+                run()
+        else:
+            assert run()[0].n_effective == cfg.n_paths - pairs
+
+    @pytest.mark.parametrize(
+        "model_name, overrides",
+        [
+            ("set1_model", {}),
+            ("hyperbolic_model", {}),
+            ("set1_model", dict(spot_scheme="euler", rate_scheme="euler")),
+            ("set1_model", dict(n_paths=2500, batch_size=1000)),
+            ("set1_model", dict(antithetic=False)),
+        ],
+        ids=["log-exact", "hyperbolic", "euler-euler", "ragged-batches", "plain"],
+    )
+    def test_one_draw_stepper_matches_two_pass_route(self, request, model_name, overrides):
+        model = request.getfixturevalue(model_name)
+        cfg = replace(McConfig(n_paths=1500, dt_mc=1.0 / 50.0, seed=11, batch_size=1000), **overrides)
+        batches = list(_iter_batches(model, 1.0, cfg))
+        reference = list(two_pass_batches(model, 1.0, cfg))
+        assert len(batches) == len(reference) == -(-cfg.n_paths // cfg.batch_size)
+        for (terminals, n), (plus, minus) in zip(batches, reference):
+            for got, want in zip(terminals, plus):
+                assert np.array_equal(got[:n], want)
+            if minus is None:
+                assert len(terminals[0]) == n
+            else:
+                for got, want in zip(terminals, minus):
+                    assert np.array_equal(got[n:], want)
 
     def test_invalid_config_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -164,6 +219,27 @@ class TestConditionalZ:
         cfg = McConfig(n_paths=5000, dt_mc=1.0 / 100.0, seed=4)
         with pytest.raises(NoDataError):
             conditional_z_estimate(set1_model, 1.0, cfg, [(60.0, 3.0)], 0.005)
+
+    @pytest.mark.parametrize("poisoned_paths, aborts", [(slice(None, None, 2), True), (slice(0, 2), False)])
+    def test_aborts_on_widespread_non_finite_paths(self, set1_model, monkeypatch, poisoned_paths, aborts):
+        # 20k paths: the 0.01% limit is 2 paths
+        import hybridlv.montecarlo as mc_mod
+
+        original = mc_mod._batch_terminals
+
+        def poisoned(model, maturity, cfg, rng, n):
+            s, r, acc = original(model, maturity, cfg, rng, n)
+            r[poisoned_paths] = np.nan
+            return s, r, acc
+
+        monkeypatch.setattr(mc_mod, "_batch_terminals", poisoned)
+        cfg = McConfig(n_paths=20000, dt_mc=0.1, seed=4)
+        run = lambda: mc_mod.conditional_z_estimate(set1_model, 1.0, cfg, [(1.0, 0.02)], 0.05)  # noqa: E731
+        if aborts:
+            with pytest.raises(McAbortedError):
+                run()
+        else:
+            assert run()[0].reliable
 
     def test_bandwidth_must_be_positive(self, set1_model):
         cfg = McConfig(n_paths=100, dt_mc=0.1)
