@@ -232,17 +232,30 @@ def _cmd_calibrate(cfg, writer: _Writer):
     return 0
 
 
+def _csv_numbers(path, lineno: int, line: str, width: int, exact: bool) -> list[float]:
+    """The first ``width`` numbers of a CSV data row; a row with fewer fields
+    (or, if ``exact``, more) or a non-number is a :class:`ConfigError`."""
+    parts = line.split(",")
+    if len(parts) < width or (exact and len(parts) > width):
+        raise ConfigError(
+            f"{path}, line {lineno}: expected {width} comma-separated fields, got {len(parts)}"
+        )
+    try:
+        return [float(x) for x in parts[:width]]
+    except ValueError as exc:
+        raise ConfigError(f"{path}, line {lineno}: {exc}") from None
+
+
 def _read_market(path) -> cal.CallSurface:
     if not path:
         raise ConfigError("market=csv needs run.calibration.market_path")
     rows = []
     with open(path) as handle:
-        for line in handle:
+        for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line or line.startswith("#") or line.lower().startswith("t,"):
                 continue
-            t, k, price = (float(x) for x in line.split(","))
-            rows.append((t, k, price))
+            rows.append(tuple(_csv_numbers(path, lineno, line, 3, exact=True)))
     mats = sorted({r[0] for r in rows})
     ks = sorted({r[1] for r in rows})
     prices = np.full((len(mats), len(ks)), np.nan)
@@ -258,13 +271,13 @@ def _read_market(path) -> cal.CallSurface:
 def _read_price_csv(path):
     ks, prices = [], []
     with open(path) as handle:
-        for line in handle:
+        for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line or line.startswith("#") or line[0].isalpha():
                 continue
-            parts = line.split(",")
-            ks.append(float(parts[0]))
-            prices.append(float(parts[1]))
+            k, price = _csv_numbers(path, lineno, line, 2, exact=False)
+            ks.append(k)
+            prices.append(price)
     return np.asarray(ks), np.asarray(prices)
 
 

@@ -119,6 +119,8 @@ class ExperimentConfig:
             ks = np.asarray([float(k) for k in block])
         else:
             start, stop, step = float(block["start"]), float(block["stop"]), float(block["step"])
+            if not step > 0:
+                raise ConfigError(f"run.strikes.step must be positive, got {step!r}")
             n = int(round((stop - start) / step))
             ks = start + step * np.arange(n + 1)
         if ks.size == 0 or np.any(np.diff(ks) <= 0):

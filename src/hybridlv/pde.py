@@ -345,8 +345,16 @@ def build_coefficients(model: HybridModel, grid: Grid2D, t: float) -> AdiCoeffic
 class _StepOperator:
     """Prefactored one-step operator for a fixed coefficient level.
 
-    Only the LU factors of the two implicit sweeps and the explicit weights
-    are kept; the implicit stencils themselves are dropped once factored.
+    Only the factors of the two implicit sweeps and the explicit weights are
+    kept; the implicit stencils themselves are dropped once factored.
+
+    The second half-step's right-hand side needs no second S stencil. With
+    A1 the 3-point S stencil, the half-step value u* solves
+    (2/dt + A1 + c6) u* = f1, and the explicit S terms of half-step 2 are
+    (2/dt - A1) u*, the zero Dirichlet ring included. They therefore equal
+    (4/dt + c6) u* - f1, and f2 = (4/dt + c6) u* - f1 + wx * cross(u*). The
+    identity is used within one step only; nothing crosses from one step to
+    the next.
     """
 
     def __init__(self, coeffs: AdiCoefficients, grid: Grid2D, dt: float):
@@ -374,36 +382,35 @@ class _StepOperator:
             c2 / (2 * dr) + c4 / dr2,
             axis=1,
         )
-        # Explicit S-direction weights feeding f2.
-        self.w2_c = two_dt + 2 * c3 / ds2
-        self.w2_ip = -(c1 / (2 * ds) + c3 / ds2)
-        self.w2_im = c1 / (2 * ds) - c3 / ds2
+        # f2 = kappa * u* - f1 + wx * cross(u*), see the class docstring.
+        self.kappa = 2 * two_dt + c6
         self.wx = -c5 / (4 * ds * dr)
         self._pad = np.zeros((grid.n_s + 2, grid.n_r + 2))
+        self._rhs = np.empty((grid.n_s, grid.n_r))
+        self._tmp = np.empty((grid.n_s, grid.n_r))
 
-    def _cross(self, padded):
-        return (
-            padded[2:, 2:] + padded[:-2, :-2] - padded[:-2, 2:] - padded[2:, :-2]
-        )
+    def _cross_term(self, padded, out):
+        """``out = wx * cross(padded)``, the explicit mixed-derivative term."""
+        np.add(padded[2:, 2:], padded[:-2, :-2], out=out)
+        out -= padded[:-2, 2:]
+        out -= padded[2:, :-2]
+        out *= self.wx
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        pad = self._pad
+        pad, rhs, tmp = self._pad, self._rhs, self._tmp
         inner = pad[1:-1, 1:-1]
         inner[...] = values
-        f1 = (
-            values * self.w1_c
-            + pad[1:-1, 2:] * self.w1_jp
-            + pad[1:-1, :-2] * self.w1_jm
-            + self._cross(pad) * self.wx
-        )
-        inner[...] = thomas_apply(self.lu1, f1)
-        f2 = (
-            inner * self.w2_c
-            + pad[2:, 1:-1] * self.w2_ip
-            + pad[:-2, 1:-1] * self.w2_im
-            + self._cross(pad) * self.wx
-        )
-        return thomas_apply(self.lu2, f2)
+        np.multiply(values, self.w1_c, out=rhs)
+        rhs += np.multiply(pad[1:-1, 2:], self.w1_jp, out=tmp)
+        rhs += np.multiply(pad[1:-1, :-2], self.w1_jm, out=tmp)
+        self._cross_term(pad, tmp)
+        rhs += tmp
+        inner[...] = thomas_apply(self.lu1, rhs)
+        np.multiply(inner, self.kappa, out=tmp)
+        np.subtract(tmp, rhs, out=rhs)
+        self._cross_term(pad, tmp)
+        rhs += tmp
+        return thomas_apply(self.lu2, rhs)
 
 
 def adi_step(field: Field2D, coeffs: AdiCoefficients, dt: float) -> Field2D:
@@ -529,6 +536,7 @@ def evolve(
     for n in range(n0, grid.n_t):
         t_next = (n + 1) * dt
         if n * dt > valid_until:
+            op = None  # release the old operator before building its successor
             op = _StepOperator(build_coefficients(model, grid, n * dt), grid, dt)
             valid_until = model.next_change(n * dt)
         values = op.apply(values)

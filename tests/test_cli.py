@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ import yaml
 from hybridlv import cli
 from hybridlv.config import load_config, resolve_config
 from hybridlv.errors import ConfigError
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _load_rows(path):
@@ -172,7 +175,44 @@ run:
         )
 
 
+class _FirstOperator(Exception):
+    """Stops a command once its first step operator is built."""
+
+
+# The PDE command that each bundled config is run with.
+_BUNDLED_PDE_COMMANDS = {
+    "bshw_rho_pos": "price-pde",
+    "bshw_rho_neg_2y": "price-pde",
+    "hyperbolic_hw_rho_neg": "price-pde",
+    "hyperbolic_hw_rho_pos": "price-pde",
+    "corrective_terms_rho_pos": "corrective-terms",
+    "calibration_roundtrip": "calibrate",
+}
+
+
 class TestBundledConfigs:
+    def test_pde_commands_cover_every_bundled_config(self):
+        names = {path.stem for path in CONFIG_DIR.glob("*.yaml")}
+        assert names == set(_BUNDLED_PDE_COMMANDS)
+
+    @pytest.mark.parametrize("name", sorted(_BUNDLED_PDE_COMMANDS))
+    def test_first_operator_takes_the_blocked_scan(self, name, tmp_path, monkeypatch):
+        # A scheme change that makes gttrf swap rows would silently send every
+        # sweep back to the serial LAPACK solve.
+        import hybridlv.pde as pde_mod
+
+        class FirstOperator(pde_mod._StepOperator):
+            def __init__(self, *args):
+                super().__init__(*args)
+                raise _FirstOperator(self)
+
+        monkeypatch.setattr(pde_mod, "_StepOperator", FirstOperator)
+        config = CONFIG_DIR / f"{name}.yaml"
+        with pytest.raises(_FirstOperator) as stop:
+            cli.run(_BUNDLED_PDE_COMMANDS[name], config_path=str(config), out_dir=str(tmp_path))
+        op = stop.value.args[0]
+        assert op.lu1.scan is not None and op.lu2.scan is not None
+
     def test_reference_pipeline_meets_price_bound(self, tmp_path):
         import pathlib
 
@@ -208,3 +248,49 @@ class TestMainEntry:
     def test_compare_requires_sides(self, capsys):
         status = cli.main(["compare", "--left", "a.csv", "--right", "b.csv"])
         assert status in (1, 2, 3)  # missing files surface as an error status
+
+    def _config_error(self, capsys, argv):
+        status = cli.main(argv)
+        assert status == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "config"
+        return payload["message"]
+
+    def _market_config(self, tmp_path, market_rows):
+        market = tmp_path / "market.csv"
+        market.write_text("T,K,price\n0.5,1.0,0.06\n" + market_rows)
+        config = tmp_path / "cal.yaml"
+        config.write_text(yaml.safe_dump({
+            "run": {
+                "out_dir": str(tmp_path / "out"),
+                "calibration": {"market": "csv", "market_path": str(market)},
+            },
+        }))
+        return config, market
+
+    def test_market_row_with_four_fields_exits_2(self, tmp_path, capsys):
+        config, market = self._market_config(tmp_path, "0.5,1.1,0.03,7\n")
+        message = self._config_error(capsys, ["calibrate", "--config", str(config)])
+        assert f"{market}, line 3" in message and "fields" in message
+
+    def test_market_non_numeric_price_exits_2(self, tmp_path, capsys):
+        config, market = self._market_config(tmp_path, "0.5,1.1,abc\n")
+        message = self._config_error(capsys, ["calibrate", "--config", str(config)])
+        assert f"{market}, line 3" in message and "abc" in message
+
+    def test_compare_one_column_row_exits_2(self, tmp_path, capsys):
+        left, right = tmp_path / "left.csv", tmp_path / "right.csv"
+        left.write_text("K,price\n1.0,0.08\n1.1\n")
+        right.write_text("K,price\n1.0,0.08\n")
+        message = self._config_error(capsys, [
+            "compare", "--out", str(tmp_path / "out"), "--left", str(left), "--right", str(right),
+        ])
+        assert f"{left}, line 3" in message
+
+    def test_zero_strike_step_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "zero_step.yaml"
+        config.write_text(yaml.safe_dump({
+            "run": {"out_dir": str(tmp_path / "out"), "strikes": {"step": 0}},
+        }))
+        message = self._config_error(capsys, ["price-analytic", "--config", str(config)])
+        assert "run.strikes.step" in message

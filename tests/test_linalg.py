@@ -106,6 +106,44 @@ def test_batched_solver_matches_scalar_path(rng, axis):
 
 
 @pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 31, 32, 33, 70])
+def test_blocked_scan_matches_dense_oracle_at_block_edges(rng, axis, n):
+    # Line lengths around multiples of the 16-row block, so the carry from
+    # block to block and a partly padded last block are both exercised.
+    m = 5
+    shape = (n, m) if axis == 0 else (m, n)
+    a = rng.uniform(-1, 1, shape)
+    c = rng.uniform(-1, 1, shape)
+    b = rng.choice([-1.0, 1.0], shape) * (np.abs(a) + np.abs(c) + 1.0 + rng.uniform(0, 2, shape))
+    f = rng.uniform(-3, 3, shape)
+    lu = thomas_prefactor(a, b, c, axis)
+    assert lu.scan is not None and lu.lu is None
+    x = thomas_apply(lu, f)
+    # The factors keep a work buffer; a non-finite solve leaves nothing in it.
+    assert np.isnan(thomas_apply(lu, np.full(shape, np.nan))).all()
+    assert np.array_equal(thomas_apply(lu, f), x)
+    for la, lb, lc, lf, lx in zip(*(_lines(v, axis) for v in (a, b, c, f, x))):
+        la, lc = la.copy(), lc.copy()
+        la[0] = lc[-1] = 0.0
+        assert np.allclose(lx, dense_tridiagonal_solve(la, lb, lc, lf), rtol=1e-12, atol=1e-13)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_overflowing_scan_products_fall_back_to_gttrs(axis):
+    # No row is swapped, but an upper coupling of 1e30 over a unit pivot on
+    # every row overflows the scan's in-block products.
+    n, m = 20, 3
+    a, b, c = np.zeros((n, m)), np.ones((n, m)), np.full((n, m), 1e30)
+    f = np.zeros((n, m))
+    f[0] = 1.0
+    if axis == 1:
+        a, b, c, f = a.T, b.T, c.T, f.T
+    lu = thomas_prefactor(a, b, c, axis)
+    assert lu.scan is None
+    assert np.array_equal(thomas_apply(lu, f), f)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
 def test_batched_solver_matches_dense_oracle_with_row_swaps(rng, axis):
     n, m = 12, 7
     shape = (n, m) if axis == 0 else (m, n)
@@ -119,6 +157,7 @@ def test_batched_solver_matches_dense_oracle_with_row_swaps(rng, axis):
     a[weak] = rng.choice([-1.0, 1.0], n) * rng.uniform(2.0, 3.0, n)
     f = rng.uniform(-3, 3, shape)
     lu = thomas_prefactor(a, b, c, axis)
+    assert lu.scan is None
     ipiv = lu.lu[4].reshape(m, n)
     assert np.any(ipiv[4] != np.arange(4 * n + 1, 5 * n + 1))
     x = thomas_apply(lu, f)

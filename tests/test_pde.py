@@ -17,6 +17,7 @@ from hybridlv.models import (
 from hybridlv.pde import (
     Field2D,
     Grid2D,
+    _StepOperator,
     adi_step,
     auto_grid,
     build_coefficients,
@@ -302,6 +303,26 @@ class TestAdiStep:
         fast = adi_step(field, co, g.dt)
         literal = _literal_step(field, co, g.dt)
         assert np.max(np.abs(fast.values - literal)) < 1e-11
+
+    @pytest.mark.parametrize("kind, tol", [("impulse", 1e-12), ("random", 1e-11)])
+    def test_matches_literal_dense_assembly_with_s_dependent_coefficients(
+        self, hyperbolic_model, rng, kind, tol
+    ):
+        # S-dependent c1 and c3 and rho < 0, on lines longer than two blocks
+        # of the scan; the second half-step's right-hand side comes from the
+        # first one, the literal step builds it from its own S stencil.
+        g = _unit_grid(n_s=40, n_r=35)
+        co = build_coefficients(hyperbolic_model, g, 0.0)
+        values = np.zeros((g.n_s, g.n_r))
+        if kind == "impulse":
+            values[20, 17] = 1.0
+        else:
+            values = rng.uniform(0.0, 1.0, values.shape)
+        field = Field2D(g, values)
+        op = _StepOperator(co, g, g.dt)
+        assert op.lu1.scan is not None and op.lu2.scan is not None
+        fast = adi_step(field, co, g.dt)
+        assert np.max(np.abs(fast.values - _literal_step(field, co, g.dt))) < tol
 
     def test_one_step_mass_discounts(self, set1_model):
         g = auto_grid(set1_model, 1.0, ds=0.02, dr=0.003, dt=0.01)
