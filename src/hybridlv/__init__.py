@@ -14,7 +14,6 @@ from .analytic import (
     analytic_pz,
     analytic_z,
     bshw_call,
-    bshw_greeks_fd_check,
     bshw_moments,
     integrated_variance,
 )
@@ -31,7 +30,6 @@ from .calibration import (
     make_analytic_surface,
     price_calls_from_pz,
 )
-from .linalg import TridiagonalSystem, solve_tridiagonal
 from .models import (
     ConstantVol,
     HullWhiteParams,
@@ -49,13 +47,9 @@ from .pde import (
     AdiCoefficients,
     Field2D,
     Grid2D,
-    adi_step,
     auto_grid,
     build_coefficients,
-    default_kernel_concentration,
     evolve,
-    init_dirac,
-    integrate,
     short_time_start,
 )
 from .version import __version__

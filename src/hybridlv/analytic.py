@@ -27,7 +27,6 @@ __all__ = [
     "bshw_moments",
     "analytic_z",
     "analytic_pz",
-    "bshw_greeks_fd_check",
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -263,28 +262,3 @@ def analytic_pz(m: HybridModel, maturity: float, s, r):
     z = np.exp(-mom.mu_R - coeff[0] * dy - coeff[1] * dr + 0.5 * resid_var)
     out = density * z
     return float(out) if np.isscalar(s) and np.isscalar(r) else out
-
-
-def bshw_greeks_fd_check(m: HybridModel, maturity: float, strike: float) -> float:
-    """Max relative deviation of the closed-form sensitivities from central
-    differences of the price (steps 1e-4 in T and 1e-4 K in K)."""
-    if maturity <= 0.05:
-        raise InvalidInputError("maturity too short for the difference stencil")
-    pg = bshw_call(m, maturity, strike)
-    h_t = 1e-4
-    h_k = 1e-4 * strike
-
-    def price(t, k):
-        return bshw_call(m, t, k).price
-
-    fd_t = (price(maturity + h_t, strike) - price(maturity - h_t, strike)) / (2 * h_t)
-    fd_k = (price(maturity, strike + h_k) - price(maturity, strike - h_k)) / (2 * h_k)
-    fd_kk = (
-        price(maturity, strike + h_k) - 2 * pg.price + price(maturity, strike - h_k)
-    ) / h_k**2
-    devs = [
-        abs(pg.c_t - fd_t) / (abs(pg.c_t) + 1e-12),
-        abs(pg.c_k - fd_k) / (abs(pg.c_k) + 1e-12),
-        abs(pg.c_kk - fd_kk) / (abs(pg.c_kk) + 1e-12),
-    ]
-    return float(max(devs))

@@ -8,8 +8,8 @@ deterministic-rates Dupire value minus a corrective term
 where the expectation is evaluated by integrating the discounted joint
 density from the grid solver. Consecutive strikes share their integration
 region, so all corrective terms of one maturity cost a single pass over the
-grid: the top strike is integrated directly and the sweep adds slice
-integrals going down.
+grid: one suffix sum over the spot cells, read at each strike's cell plus
+the partial cell cut at the strike.
 """
 
 from __future__ import annotations
@@ -190,11 +190,6 @@ class _MarginalIntegrals:
         idx = int(np.searchsorted(self.s, k, side="right") - 1)
         return min(idx, len(self.s) - 2)
 
-    def _value_at(self, k: float):
-        idx = self._locate(k)
-        x = k - self.s[idx]
-        return idx, self.v[idx] + (self.v[idx + 1] - self.v[idx]) * x / self.h
-
     def _partial(self, k: float, idx: int):
         """Integrals of v and S*v over [k, node idx+1]."""
         x = k - self.s[idx]
@@ -213,22 +208,6 @@ class _MarginalIntegrals:
         idx = self._locate(k)
         _, p1 = self._partial(k, idx)
         return float(self.suffix1[idx + 1] + p1)
-
-    def between(self, ka: float, kb: float) -> float:
-        """Integral of v over (ka, kb], assembled cell by cell."""
-        if not ka < kb:
-            raise InvalidInputError("need ka < kb")
-        ia, va = self._value_at(ka)
-        ib, vb = self._value_at(kb)
-        if ia == ib:
-            return float(0.5 * (va + vb) * (kb - ka))
-        total = 0.5 * (va + self.v[ia + 1]) * (self.s[ia + 1] - ka)
-        if ib > ia + 1:
-            v0 = self.v[ia + 1 : ib]
-            v1 = self.v[ia + 2 : ib + 1]
-            total += 0.5 * self.h * (v0 + v1).sum()
-        total += 0.5 * (self.v[ib] + vb) * (kb - self.s[ib])
-        return float(total)
 
 
 def _full_nodes(field: Field2D):
@@ -249,9 +228,8 @@ def _weighted_marginal(field: Field2D, r_weight) -> np.ndarray:
 def corrective_terms(field: Field2D, f0t: float, strikes) -> CorrectiveTermCurve:
     """Adj(K) = integral of (r - f(0,T)) over {S > K} against the field.
 
-    The top strike is integrated directly; lower strikes are filled by one
-    descending sweep adding slice integrals, so the whole curve costs a
-    single traversal of the grid.
+    Each strike reads the zeroth-moment suffix integral of the weighted
+    spot marginal, so the whole curve costs a single traversal of the grid.
     """
     ks = np.asarray(strikes, dtype=float)
     if ks.ndim != 1 or ks.size == 0:
@@ -259,11 +237,7 @@ def corrective_terms(field: Field2D, f0t: float, strikes) -> CorrectiveTermCurve
     if np.any(np.diff(ks) <= 0):
         raise InvalidInputError("strikes must be strictly increasing")
     marg = _MarginalIntegrals(_full_nodes(field), _weighted_marginal(field, lambda r: r - f0t))
-    n = ks.size
-    adj = np.empty(n)
-    adj[-1] = marg.moment0(ks[-1])
-    for i in range(n - 2, -1, -1):
-        adj[i] = adj[i + 1] + marg.between(ks[i], ks[i + 1])
+    adj = np.array([marg.moment0(k) for k in ks])
     return CorrectiveTermCurve(maturity=field.t, strikes=ks, adj=adj)
 
 

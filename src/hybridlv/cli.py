@@ -65,13 +65,6 @@ class _Writer:
         return path
 
 
-def _kernel_arg(cfg: ExperimentConfig):
-    kernel = cfg.grid_block["kernel"]
-    if kernel == "auto" or kernel is None:
-        return None
-    return float(kernel)
-
-
 def _build_grid(cfg: ExperimentConfig, model, t_end: float) -> pde.Grid2D:
     gb = cfg.grid_block
     if gb["bounds"] == "auto":
@@ -85,12 +78,9 @@ def _build_grid(cfg: ExperimentConfig, model, t_end: float) -> pde.Grid2D:
             r_sigmas=float(gb["r_sigmas"]),
         )
     b = gb["bounds"]
-    n_s = max(8, int(round((float(b["s_max"]) - float(b["s_min"])) / float(gb["ds"]))) - 1)
-    n_r = max(8, int(round((float(b["r_max"]) - float(b["r_min"])) / float(gb["dr"]))) - 1)
-    n_t = max(1, int(round(t_end / float(gb["dt"]))))
-    return pde.Grid2D(
+    return pde.Grid2D.from_spacings(
         float(b["s_min"]), float(b["s_max"]), float(b["r_min"]), float(b["r_max"]),
-        n_s, n_r, t_end, n_t,
+        t_end, float(gb["ds"]), float(gb["dr"]), float(gb["dt"]),
     )
 
 
@@ -122,7 +112,7 @@ def _cmd_solve_pde(cfg, writer: _Writer):
     times = cfg.maturities()
     grid = _build_grid(cfg, model, max(times))
     times = _snap_times(cfg, grid)
-    result = pde.evolve(model, grid, kernel_n=_kernel_arg(cfg), snapshot_times=times)
+    result = pde.evolve(model, grid, snapshot_times=times)
     for snap in result.snapshots:
         path = writer.out_dir / f"pz_t{snap.t:.6g}.csv"
         with open(path, "w") as handle:
@@ -146,7 +136,7 @@ def _cmd_price_pde(cfg, writer: _Writer):
     maturity = float(cfg.maturities()[-1])
     grid = _build_grid(cfg, model, maturity)
     t_snap = _snap_times(cfg, grid)[-1]
-    result = pde.evolve(model, grid, kernel_n=_kernel_arg(cfg), snapshot_times=[t_snap])
+    result = pde.evolve(model, grid, snapshot_times=[t_snap])
     strikes = cfg.strikes()
     prices = cal.price_calls_from_pz(result.at(t_snap), strikes)
     writer.csv("prices_pde.csv", "K,price", zip(strikes, prices),
@@ -192,7 +182,7 @@ def _cmd_corrective_terms(cfg, writer: _Writer):
     times = cfg.maturities()
     grid = _build_grid(cfg, model, max(times))
     times = _snap_times(cfg, grid)
-    result = pde.evolve(model, grid, kernel_n=_kernel_arg(cfg), snapshot_times=times)
+    result = pde.evolve(model, grid, snapshot_times=times)
     strikes = cfg.strikes()
     rows = []
     for snap in result.snapshots:
@@ -319,7 +309,6 @@ def run(
     config_path: str | None = None,
     out_dir: str | None = None,
     seed: int | None = None,
-    threads: int | None = None,
     left: str | None = None,
     right: str | None = None,
 ) -> int:
@@ -339,8 +328,6 @@ def run(
     cfg = load_config(config_path)
     if seed is not None:
         cfg.raw["run"]["mc"]["seed"] = int(seed)
-    if threads is not None:
-        cfg.raw["run"]["threads"] = int(threads)
     if out_dir is not None:
         cfg.raw["run"]["out_dir"] = str(out_dir)
     out = Path(cfg.run_block["out_dir"])
@@ -369,7 +356,6 @@ def main(argv=None) -> int:
         p.add_argument("--config", type=str, default=None)
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
         if name == "compare":
             p.add_argument("--left", type=str, required=True)
             p.add_argument("--right", type=str, required=True)
@@ -380,7 +366,6 @@ def main(argv=None) -> int:
             config_path=args.config,
             out_dir=args.out,
             seed=args.seed,
-            threads=args.threads,
             left=getattr(args, "left", None),
             right=getattr(args, "right", None),
         )

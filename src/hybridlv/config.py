@@ -33,7 +33,6 @@ _DEFAULTS = {
         "ds": 0.01,
         "dr": 0.002,
         "dt": 0.01,
-        "kernel": "auto",
         "s_max_sigmas": 5.0,
         "r_sigmas": 6.0,
     },
@@ -52,7 +51,6 @@ _DEFAULTS = {
             "market": "analytic",
             "market_path": None,
         },
-        "threads": 1,
     },
 }
 

@@ -9,11 +9,6 @@ class InvalidInputError(HybridLvError, ValueError):
     """An argument is outside the documented domain of an operation."""
 
 
-class UnderResolvedKernelError(InvalidInputError):
-    """The requested start kernel is too narrow for the grid spacing and
-    would alias onto the mesh."""
-
-
 class SingularCovarianceError(HybridLvError):
     """Conditioning covariance is numerically singular."""
 

@@ -20,9 +20,6 @@ The solve then takes one of two paths:
 - Some line swapped rows: the batch keeps the pivoted factors and is solved
   by ``gttrs``. The recurrences of the scan have no room for an
   interchange, so this is the only path that solves such lines.
-
-The single-system :func:`solve_tridiagonal` is plain Thomas elimination
-without pivoting.
 """
 
 from __future__ import annotations
@@ -34,55 +31,7 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import InvalidInputError, SingularSystemError
 
-__all__ = ["TridiagonalSystem", "solve_tridiagonal"]
-
-_PIVOT_FLOOR = 1e-300
-
-
-@dataclass(frozen=True)
-class TridiagonalSystem:
-    """System a_i x_{i-1} + b_i x_i + c_i x_{i+1} = f_i with zero end closures.
-
-    ``lower[0]`` and ``upper[-1]`` are ignored.
-    """
-
-    lower: np.ndarray
-    main: np.ndarray
-    upper: np.ndarray
-    rhs: np.ndarray
-
-    def __post_init__(self):
-        n = len(self.main)
-        if not (len(self.lower) == len(self.upper) == len(self.rhs) == n):
-            raise InvalidInputError("tridiagonal arrays must have equal length")
-        if n == 0:
-            raise InvalidInputError("empty tridiagonal system")
-
-
-def solve_tridiagonal(sys: TridiagonalSystem) -> np.ndarray:
-    """Thomas elimination. Raises :class:`SingularSystemError` on a zero pivot."""
-    a = np.asarray(sys.lower, dtype=float)
-    b = np.asarray(sys.main, dtype=float)
-    c = np.asarray(sys.upper, dtype=float)
-    f = np.asarray(sys.rhs, dtype=float)
-    n = len(b)
-    cp = np.empty(n)
-    dp = np.empty(n)
-    piv = b[0]
-    if abs(piv) <= _PIVOT_FLOOR:
-        raise SingularSystemError("zero pivot at row 0")
-    cp[0] = c[0] / piv
-    dp[0] = f[0] / piv
-    for i in range(1, n):
-        piv = b[i] - a[i] * cp[i - 1]
-        if abs(piv) <= _PIVOT_FLOOR:
-            raise SingularSystemError(f"zero pivot at row {i}")
-        cp[i] = c[i] / piv
-        dp[i] = (f[i] - a[i] * dp[i - 1]) / piv
-    x = dp
-    for i in range(n - 2, -1, -1):
-        x[i] -= cp[i] * x[i + 1]
-    return x
+__all__ = ["LineFactors", "thomas_prefactor", "thomas_apply"]
 
 
 # Rows per block of the two-level scan.

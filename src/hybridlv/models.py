@@ -197,7 +197,8 @@ class ConstantVol:
             raise InvalidInputError(f"sigma1 must be >= 0, got {self.sigma1!r}")
 
     def value(self, t, s):
-        return np.full_like(np.asarray(s, dtype=float), self.sigma1)
+        """``sigma1`` broadcast to the shape of ``s`` as a read-only view."""
+        return np.broadcast_to(float(self.sigma1), np.shape(s))
 
     def derivatives(self, t, s):
         arr = np.asarray(s, dtype=float)
@@ -301,9 +302,6 @@ class HybridModel:
         if not (np.isfinite(self.rho) and abs(self.rho) <= 1.0):
             raise InvalidInputError(f"correlation must lie in [-1, 1], got {self.rho!r}")
 
-    def local_vol(self, t, s):
-        return self.vol.value(t, s)
-
     def next_change(self, t: float) -> float:
         """Last time up to which the SDE coefficients stay what they are at
         ``t``; a time-dependent mean level ``theta(t)`` changes them at
@@ -315,7 +313,11 @@ class HybridModel:
 
 @dataclass(frozen=True)
 class SdeCoefficients:
-    """Drift/volatility values and the spatial derivatives the solver needs."""
+    """Drift/volatility values and the spatial derivatives the solver needs.
+
+    The Hull-White rate volatility ``vol_r`` is constant in r, so it has no
+    r-derivatives to carry.
+    """
 
     drift_s: np.ndarray
     vol_s: np.ndarray
@@ -323,8 +325,6 @@ class SdeCoefficients:
     vol_r: np.ndarray
     sigma_s: np.ndarray
     sigma_ss: np.ndarray
-    alpha_r: np.ndarray
-    alpha_rr: np.ndarray
     mu_r: float
 
 
@@ -341,7 +341,6 @@ def sde_coefficients(m: HybridModel, t: float, s, r) -> SdeCoefficients:
     sig, sig_s, sig_ss = m.vol.derivatives(t, s_arr)
     p = m.rate
     alpha = np.full_like(r_arr, p.sigma2)
-    zeros_r = np.zeros_like(r_arr)
     return SdeCoefficients(
         drift_s=r_arr * s_arr,
         vol_s=sig,
@@ -349,7 +348,5 @@ def sde_coefficients(m: HybridModel, t: float, s, r) -> SdeCoefficients:
         vol_r=alpha,
         sigma_s=sig_s,
         sigma_ss=sig_ss,
-        alpha_r=zeros_r,
-        alpha_rr=zeros_r,
         mu_r=-p.a,
     )

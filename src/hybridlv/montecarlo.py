@@ -1,8 +1,7 @@
 """Euler-type simulation of the hybrid model for independent cross-checks.
 
-Default stepping is log-Euler for the spot (no negative spots) and the
-exact Gaussian transition for the mean-reverting rate; literal plain-Euler
-modes for both directions are kept behind flags. The integrated rate is
+Stepping is log-Euler for the spot (no negative spots) and the exact
+Gaussian transition for the mean-reverting rate. The integrated rate is
 accumulated by the trapezoid rule along each path. Paths stream through in
 batches with per-batch deterministic substreams, so memory is independent
 of the path count and results are reproducible for a given seed and batch
@@ -14,7 +13,7 @@ normal is computed once and memory stays a few arrays of twice the batch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -48,18 +47,12 @@ class McConfig:
     seed: int = 0
     antithetic: bool = True
     batch_size: int = 65536
-    spot_scheme: str = "log"  # or "euler"
-    rate_scheme: str = "exact"  # or "euler"
 
     def __post_init__(self):
         if self.n_paths < 1:
             raise InvalidInputError("need at least one path")
         if self.dt_mc <= 0:
             raise InvalidInputError("Euler step must be positive")
-        if self.spot_scheme not in ("log", "euler"):
-            raise InvalidInputError(f"unknown spot scheme {self.spot_scheme!r}")
-        if self.rate_scheme not in ("exact", "euler"):
-            raise InvalidInputError(f"unknown rate scheme {self.rate_scheme!r}")
 
 
 @dataclass(frozen=True)
@@ -107,10 +100,8 @@ def _batch_terminals(model: HybridModel, maturity: float, cfg: McConfig, rng, n:
     x + (-y) is x - y exactly, so it subtracts the shock computed from the
     draw. The buffer operations follow the evaluation order of
 
-        log spot:    s * exp((r - 0.5 * sig**2) * dt + sig * sqdt * z1)
-        euler spot:  max(s * (1.0 + r * dt + sig * sqdt * z1), 1e-12)
-        exact rate:  th + (r - th) * ea + sd * zr
-        euler rate:  r + a * (th - r) * dt + sigma2 * sqdt * zr
+        spot:  s * exp((r - 0.5 * sig**2) * dt + sig * sqdt * z1)
+        rate:  th + (r - th) * ea + sd * zr
 
     with zr = rho * z1 + rho_c * z2, so every path gets the bits it would
     get stepped alone from its own leg's draws.
@@ -125,7 +116,7 @@ def _batch_terminals(model: HybridModel, maturity: float, cfg: McConfig, rng, n:
     r = np.full(m, p.r0)
     r_new = np.empty(m)
     acc = np.zeros(m)
-    work = np.empty(m)  # spot exponent (log) or factor (euler), then the trapezoid term
+    work = np.empty(m)  # spot exponent, then the trapezoid term
     shock = np.empty(n)  # one leg's vol shock, then the rate shock
     t = 0.0
     rho = model.rho
@@ -138,38 +129,23 @@ def _batch_terminals(model: HybridModel, maturity: float, cfg: McConfig, rng, n:
         np.multiply(rho, z1, out=shock)
         zr += shock
         sig = np.broadcast_to(model.vol.value(t, s), s.shape)
-        if cfg.spot_scheme == "log":
-            np.square(sig, out=work)
-            work *= 0.5
-            np.subtract(r, work, out=work)
-            work *= dt
-        else:
-            np.multiply(r, dt, out=work)
-            work += 1.0
+        np.square(sig, out=work)
+        work *= 0.5
+        np.subtract(r, work, out=work)
+        work *= dt
         for rows, add in legs:
             np.multiply(sig[rows], sqdt, out=shock)
             shock *= z1
             add(work[rows], shock, out=work[rows])
-        if cfg.spot_scheme == "log":
-            np.exp(work, out=work)
-            s *= work
-        else:
-            s *= work
-            np.maximum(s, 1e-12, out=s)
+        np.exp(work, out=work)
+        s *= work
         th = p.theta_at(t + 0.5 * dt)
-        if cfg.rate_scheme == "exact":
-            ea = math.exp(-p.a * dt)
-            sd = p.sigma2 * math.sqrt((1.0 - math.exp(-2.0 * p.a * dt)) / (2.0 * p.a))
-            np.subtract(r, th, out=r_new)
-            r_new *= ea
-            r_new += th
-            np.multiply(sd, zr, out=shock)
-        else:
-            np.subtract(th, r, out=r_new)
-            r_new *= p.a
-            r_new *= dt
-            r_new += r
-            np.multiply(p.sigma2 * sqdt, zr, out=shock)
+        ea = math.exp(-p.a * dt)
+        sd = p.sigma2 * math.sqrt((1.0 - math.exp(-2.0 * p.a * dt)) / (2.0 * p.a))
+        np.subtract(r, th, out=r_new)
+        r_new *= ea
+        r_new += th
+        np.multiply(sd, zr, out=shock)
         for rows, add in legs:
             add(r_new[rows], shock, out=r_new[rows])
         np.add(r, r_new, out=work)
@@ -270,15 +246,7 @@ def conditional_z_estimate(
     for s_c, _ in centers:
         if s_c <= 0:
             raise InvalidInputError("center spot must be positive")
-    plain = McConfig(
-        n_paths=cfg.n_paths,
-        dt_mc=cfg.dt_mc,
-        seed=cfg.seed,
-        antithetic=False,
-        batch_size=cfg.batch_size,
-        spot_scheme=cfg.spot_scheme,
-        rate_scheme=cfg.rate_scheme,
-    )
+    plain = replace(cfg, antithetic=False)
     n_c = len(centers)
     w_sum = np.zeros(n_c)
     wz_sum = np.zeros(n_c)

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import InvalidInputError, PdeBlowUpError, UnderResolvedKernelError
+from .errors import InvalidInputError, PdeBlowUpError
 from .linalg import thomas_apply, thomas_prefactor
 from .models import HybridModel, HullWhiteParams, sde_coefficients, zc_price
 
@@ -32,19 +32,15 @@ __all__ = [
     "Field2D",
     "AdiCoefficients",
     "auto_grid",
-    "default_kernel_concentration",
-    "init_dirac",
     "short_time_start",
     "build_coefficients",
-    "adi_step",
     "evolve",
-    "integrate",
     "EvolveDiagnostics",
     "EvolveResult",
 ]
 
-# Minimum start-kernel standard deviation, in units of the larger grid spacing.
-_MIN_KERNEL_CELLS = 2.0
+# Spot deviation, in spot cells, at which the short-time start is resolved.
+_START_CELLS = 2.0
 
 # A node counts as negative below this fraction of the field's peak; round-off
 # of the sweeps leaves values near -1e-15 relative, which are not negativity.
@@ -98,6 +94,18 @@ class Grid2D:
     def r_nodes(self) -> np.ndarray:
         return self.r_min + self.dr * np.arange(1, self.n_r + 1)
 
+    @classmethod
+    def from_spacings(cls, s_min: float, s_max: float, r_min: float, r_max: float,
+                      t_end: float, ds: float, dr: float, dt: float) -> "Grid2D":
+        """Grid on the given box with node and step counts rounded from the
+        requested spacings (at least 8 interior nodes and one step)."""
+        if min(ds, dr, dt) <= 0 or t_end <= 0:
+            raise InvalidInputError("spacings and horizon must be positive")
+        n_s = max(8, int(round((s_max - s_min) / ds)) - 1)
+        n_r = max(8, int(round((r_max - r_min) / dr)) - 1)
+        n_t = max(1, int(round(t_end / dt)))
+        return cls(s_min, s_max, r_min, r_max, n_s, n_r, t_end, n_t)
+
     def with_horizon(self, t_end: float, n_t: int) -> "Grid2D":
         return Grid2D(self.s_min, self.s_max, self.r_min, self.r_max,
                       self.n_s, self.n_r, t_end, n_t)
@@ -142,19 +150,6 @@ class Field2D:
                 handle.write(f"{t:.17g},{s:.17g},{r:.17g},{row[j]:.17g}\n")
 
 
-def integrate(field: Field2D, weight: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> float:
-    """Trapezoid integral of ``weight(S, r) * field`` over the box.
-
-    Boundary contributions vanish with the Dirichlet closure.
-    """
-    g = field.grid
-    s_mesh, r_mesh = np.meshgrid(g.s_nodes, g.r_nodes, indexing="ij")
-    w = np.asarray(weight(s_mesh, r_mesh), dtype=float)
-    if not np.all(np.isfinite(w)):
-        raise InvalidInputError("weight function produced non-finite values on the grid")
-    return float(g.ds * g.dr * (w * field.values).sum())
-
-
 def _rate_mean_var(p: HullWhiteParams, t: float):
     ea = math.exp(-p.a * t)
     if p.has_constant_theta:
@@ -184,8 +179,6 @@ def auto_grid(
     standard deviations around the terminal mean (floored for near-zero
     rate volatility so the box never collapses).
     """
-    if min(ds, dr, dt) <= 0 or t_end <= 0:
-        raise InvalidInputError("spacings and horizon must be positive")
     sigma_ref = float(np.asarray(model.vol.value(0.0, model.s0)))
     zc = zc_price(model.rate, t_end)
     s_min = 1e-4 * model.s0
@@ -195,51 +188,10 @@ def auto_grid(
     half = max(half, 12.0 * dr, 1e-3)
     r_min = min(model.rate.r0, mean_r) - half
     r_max = max(model.rate.r0, mean_r) + half
-    n_s = max(8, int(round((s_max - s_min) / ds)) - 1)
-    n_r = max(8, int(round((r_max - r_min) / dr)) - 1)
-    n_t = max(1, int(round(t_end / dt)))
-    return Grid2D(s_min, s_max, r_min, r_max, n_s, n_r, t_end, n_t)
+    return Grid2D.from_spacings(s_min, s_max, r_min, r_max, t_end, ds, dr, dt)
 
 
-def default_kernel_concentration(grid: Grid2D) -> float:
-    """Concentration giving a start-kernel deviation of 3 cells of the
-    coarser direction."""
-    sd = 3.0 * max(grid.ds, grid.dr)
-    return 1.0 / sd**2
-
-
-def init_dirac(grid: Grid2D, s0: float, r0: float, concentration: float) -> Field2D:
-    """Isotropic Gaussian stand-in for the point initial mass at (s0, r0).
-
-    The kernel has covariance diag(1/N, 1/N) with N = ``concentration``;
-    after sampling on the nodes the field is rescaled so its trapezoid mass
-    is exactly 1.
-    """
-    if concentration <= 0:
-        raise InvalidInputError(f"concentration must be positive, got {concentration!r}")
-    if not (grid.s_min < s0 < grid.s_max and grid.r_min < r0 < grid.r_max):
-        raise InvalidInputError("start point lies outside the grid box")
-    sd = concentration**-0.5
-    if sd < _MIN_KERNEL_CELLS * max(grid.ds, grid.dr):
-        raise UnderResolvedKernelError(
-            f"kernel deviation {sd:.4g} is below "
-            f"{_MIN_KERNEL_CELLS:g} * max(ds, dr) = "
-            f"{_MIN_KERNEL_CELLS * max(grid.ds, grid.dr):.4g}"
-        )
-    s_nodes = grid.s_nodes[:, None]
-    r_nodes = grid.r_nodes[None, :]
-    values = concentration / (2.0 * math.pi) * np.exp(
-        -0.5 * concentration * ((s_nodes - s0) ** 2 + (r_nodes - r0) ** 2)
-    )
-    out = Field2D(grid, values, t=0.0)
-    m = out.mass()
-    if m <= 0:
-        raise InvalidInputError("start kernel has no mass inside the grid box")
-    out.values /= m
-    return out
-
-
-def short_time_start(model: HybridModel, grid: Grid2D, *, resolution_cells: float = _MIN_KERNEL_CELLS):
+def short_time_start(model: HybridModel, grid: Grid2D) -> Field2D:
     """Model-consistent Gaussian start at a small positive time.
 
     Instead of widening the point mass artificially (which convolves every
@@ -255,7 +207,7 @@ def short_time_start(model: HybridModel, grid: Grid2D, *, resolution_cells: floa
     sigma0 = float(np.asarray(model.vol.value(0.0, model.s0)))
     width_s = model.s0 * sigma0
     if width_s > 0:
-        t_needed = (resolution_cells * grid.ds / width_s) ** 2
+        t_needed = (_START_CELLS * grid.ds / width_s) ** 2
     else:
         t_needed = dt
     k = max(1, int(math.ceil(t_needed / dt - 1e-12)))
@@ -306,16 +258,21 @@ class AdiCoefficients:
 
 
 def build_coefficients(model: HybridModel, grid: Grid2D, t: float) -> AdiCoefficients:
-    """Evaluate C1..C6 on the interior nodes at time level ``t``."""
+    """Evaluate C1..C6 on the interior nodes at time level ``t``.
+
+    The Hull-White rate volatility ``alpha`` is constant in r, so every
+    term of the expansion that carries its r-derivatives is zero and left
+    out.
+    """
     s = grid.s_nodes[:, None]
     r = grid.r_nodes[None, :]
     co = sde_coefficients(model, t, s, r)
     sig, sig_s, sig_ss = co.vol_s, co.sigma_s, co.sigma_ss
-    alpha, alpha_r, alpha_rr = co.vol_r, co.alpha_r, co.alpha_rr
+    alpha = co.vol_r
     rho = model.rho
     shape = (grid.n_s, grid.n_r)
-    c1 = co.drift_s - 2.0 * s * sig**2 - 2.0 * s**2 * sig * sig_s - rho * sig * s * alpha_r
-    c2 = co.drift_r - rho * sig * alpha - rho * sig_s * s * alpha - 2.0 * alpha * alpha_r
+    c1 = co.drift_s - 2.0 * s * sig**2 - 2.0 * s**2 * sig * sig_s
+    c2 = co.drift_r - rho * sig * alpha - rho * sig_s * s * alpha
     c3 = np.broadcast_to(-0.5 * s**2 * sig**2, shape).copy()
     c4 = np.broadcast_to(-0.5 * alpha**2, shape).copy()
     c5 = np.broadcast_to(-rho * sig * s * alpha, shape).copy()
@@ -326,10 +283,6 @@ def build_coefficients(model: HybridModel, grid: Grid2D, t: float) -> AdiCoeffic
         - 4.0 * s * sig * sig_s
         - sig_s**2 * s**2
         - sig * sig_ss * s**2
-        - alpha_r**2
-        - alpha * alpha_rr
-        - rho * sig_s * s * alpha_r
-        - rho * sig * alpha_r
     )
     return AdiCoefficients(
         t=t,
@@ -413,12 +366,6 @@ class _StepOperator:
         return thomas_apply(self.lu2, rhs)
 
 
-def adi_step(field: Field2D, coeffs: AdiCoefficients, dt: float) -> Field2D:
-    """Advance the field by one full step (two directional half-sweeps)."""
-    op = _StepOperator(coeffs, field.grid, dt)
-    return Field2D(field.grid, op.apply(field.values), t=field.t + dt)
-
-
 @dataclass
 class EvolveDiagnostics:
     """Per-step mass and sign diagnostics of a time march.
@@ -463,17 +410,15 @@ class EvolveResult:
 def evolve(
     model: HybridModel,
     grid: Grid2D,
-    kernel_n: float | None = None,
     snapshot_times: Sequence[float] | None = None,
     start: Field2D | None = None,
 ) -> EvolveResult:
     """March the discounted density from its start to the grid horizon.
 
-    Start options: ``kernel_n`` selects the isotropic Gaussian stand-in for
-    the point mass at t=0 (see :func:`init_dirac`); the default is the
-    model-consistent short-time start; ``start`` resumes from a previously
-    evolved field on this grid's box and nodes (its horizon may differ)
-    whose time must sit on this grid's step lattice. A fresh
+    The march starts fresh from the model-consistent short-time start
+    (:func:`short_time_start`), or, given ``start``, resumes from a
+    previously evolved field on this grid's box and nodes (its horizon may
+    differ) whose time must sit on this grid's step lattice. A fresh
     start is rescaled onto ZC(0, t0); a resumed field is taken as it is,
     since a march already left it on the discount identity, so resuming at
     ``t`` repeats bit for bit the steps a single march would take from
@@ -494,9 +439,6 @@ def evolve(
             raise InvalidInputError("resume field does not lie on this grid's box and nodes")
         field = start.copy()
         mode = "resume"
-    elif kernel_n is not None:
-        field = init_dirac(grid, model.s0, model.rate.r0, kernel_n)
-        mode = "kernel"
     else:
         field = short_time_start(model, grid)
         mode = "short-time"

@@ -1,16 +1,27 @@
 """Independent reference computations used only by the tests.
 
 Everything here is built from a different route than the production code:
-dense linear algebra instead of the Thomas recurrence, ODE/quadrature
-integration instead of closed forms, textbook Black-Scholes with the
-stdlib error function, and Gaussian-calculus identities for the corrective
+dense linear algebra and a scalar Thomas loop instead of the batched line
+solves, ODE/quadrature integration instead of closed forms, textbook
+Black-Scholes with the stdlib error function, finite differences of the
+closed-form price, a full-grid trapezoid instead of the single-pass
+marginal integrals, and Gaussian-calculus identities for the corrective
 term. Expected values in the tests are frozen from these oracles.
+:func:`adi_step` is the one exception: it runs the production step
+operator once, for tests that check a single step.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
+
+from hybridlv.analytic import bshw_call
+from hybridlv.errors import InvalidInputError, SingularSystemError
+from hybridlv.pde import Field2D, _StepOperator
+
+_PIVOT_FLOOR = 1e-300
 
 
 def dense_tridiagonal_solve(lower, main, upper, rhs):
@@ -24,6 +35,96 @@ def dense_tridiagonal_solve(lower, main, upper, rhs):
         if i < n - 1:
             a[i, i + 1] = upper[i]
     return np.linalg.solve(a, np.asarray(rhs, dtype=float))
+
+
+@dataclass(frozen=True)
+class TridiagonalSystem:
+    """System a_i x_{i-1} + b_i x_i + c_i x_{i+1} = f_i with zero end closures.
+
+    ``lower[0]`` and ``upper[-1]`` are ignored.
+    """
+
+    lower: np.ndarray
+    main: np.ndarray
+    upper: np.ndarray
+    rhs: np.ndarray
+
+    def __post_init__(self):
+        n = len(self.main)
+        if not (len(self.lower) == len(self.upper) == len(self.rhs) == n):
+            raise InvalidInputError("tridiagonal arrays must have equal length")
+        if n == 0:
+            raise InvalidInputError("empty tridiagonal system")
+
+
+def solve_tridiagonal(sys: TridiagonalSystem) -> np.ndarray:
+    """Thomas elimination. Raises :class:`SingularSystemError` on a zero pivot."""
+    a = np.asarray(sys.lower, dtype=float)
+    b = np.asarray(sys.main, dtype=float)
+    c = np.asarray(sys.upper, dtype=float)
+    f = np.asarray(sys.rhs, dtype=float)
+    n = len(b)
+    cp = np.empty(n)
+    dp = np.empty(n)
+    piv = b[0]
+    if abs(piv) <= _PIVOT_FLOOR:
+        raise SingularSystemError("zero pivot at row 0")
+    cp[0] = c[0] / piv
+    dp[0] = f[0] / piv
+    for i in range(1, n):
+        piv = b[i] - a[i] * cp[i - 1]
+        if abs(piv) <= _PIVOT_FLOOR:
+            raise SingularSystemError(f"zero pivot at row {i}")
+        cp[i] = c[i] / piv
+        dp[i] = (f[i] - a[i] * dp[i - 1]) / piv
+    x = dp
+    for i in range(n - 2, -1, -1):
+        x[i] -= cp[i] * x[i + 1]
+    return x
+
+
+def adi_step(field, coeffs, dt):
+    """Advance the field by one full step (two directional half-sweeps)."""
+    op = _StepOperator(coeffs, field.grid, dt)
+    return Field2D(field.grid, op.apply(field.values), t=field.t + dt)
+
+
+def integrate(field, weight):
+    """Trapezoid integral of ``weight(S, r) * field`` over the box.
+
+    Boundary contributions vanish with the Dirichlet closure.
+    """
+    g = field.grid
+    s_mesh, r_mesh = np.meshgrid(g.s_nodes, g.r_nodes, indexing="ij")
+    w = np.asarray(weight(s_mesh, r_mesh), dtype=float)
+    if not np.all(np.isfinite(w)):
+        raise InvalidInputError("weight function produced non-finite values on the grid")
+    return float(g.ds * g.dr * (w * field.values).sum())
+
+
+def bshw_greeks_fd_check(m, maturity, strike):
+    """Max relative deviation of the closed-form sensitivities from central
+    differences of the price (steps 1e-4 in T and 1e-4 K in K)."""
+    if maturity <= 0.05:
+        raise InvalidInputError("maturity too short for the difference stencil")
+    pg = bshw_call(m, maturity, strike)
+    h_t = 1e-4
+    h_k = 1e-4 * strike
+
+    def price(t, k):
+        return bshw_call(m, t, k).price
+
+    fd_t = (price(maturity + h_t, strike) - price(maturity - h_t, strike)) / (2 * h_t)
+    fd_k = (price(maturity, strike + h_k) - price(maturity, strike - h_k)) / (2 * h_k)
+    fd_kk = (
+        price(maturity, strike + h_k) - 2 * pg.price + price(maturity, strike - h_k)
+    ) / h_k**2
+    devs = [
+        abs(pg.c_t - fd_t) / (abs(pg.c_t) + 1e-12),
+        abs(pg.c_k - fd_k) / (abs(pg.c_k) + 1e-12),
+        abs(pg.c_kk - fd_kk) / (abs(pg.c_kk) + 1e-12),
+    ]
+    return float(max(devs))
 
 
 def zc_by_affine_ode(a, sigma2, theta, r0, maturity):
@@ -222,18 +323,11 @@ def _two_pass_leg(model, maturity, cfg, rng, n, sign):
         z1 = z[0]
         zr = rho * z1 + rho_c * z[1]
         sig = np.asarray(model.vol.value(t, s))
-        if cfg.spot_scheme == "log":
-            s = s * np.exp((r - 0.5 * sig**2) * dt + sig * sqdt * z1)
-        else:
-            s = s * (1.0 + r * dt + sig * sqdt * z1)
-            s = np.maximum(s, 1e-12)
+        s = s * np.exp((r - 0.5 * sig**2) * dt + sig * sqdt * z1)
         th = p.theta_at(t + 0.5 * dt)
-        if cfg.rate_scheme == "exact":
-            ea = math.exp(-p.a * dt)
-            sd = p.sigma2 * math.sqrt((1.0 - math.exp(-2.0 * p.a * dt)) / (2.0 * p.a))
-            r_new = th + (r - th) * ea + sd * zr
-        else:
-            r_new = r + p.a * (th - r) * dt + p.sigma2 * sqdt * zr
+        ea = math.exp(-p.a * dt)
+        sd = p.sigma2 * math.sqrt((1.0 - math.exp(-2.0 * p.a * dt)) / (2.0 * p.a))
+        r_new = th + (r - th) * ea + sd * zr
         acc += 0.5 * (r + r_new) * dt
         r = r_new
         t += dt

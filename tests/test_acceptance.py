@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hybridlv.analytic import analytic_pz, analytic_z, bshw_call, bshw_greeks_fd_check, bshw_moments
+from hybridlv.analytic import analytic_pz, analytic_z, bshw_call, bshw_moments
 from hybridlv.calibration import (
     CalibrationSettings,
     calibrate,
@@ -20,7 +20,6 @@ from hybridlv.calibration import (
     make_analytic_surface,
     price_calls_from_pz,
 )
-from hybridlv.linalg import TridiagonalSystem, solve_tridiagonal
 from hybridlv.models import (
     ConstantVol,
     HullWhiteParams,
@@ -30,7 +29,9 @@ from hybridlv.models import (
     zc_price,
 )
 from hybridlv.montecarlo import McConfig, conditional_z_estimate, simulate_paths
-from hybridlv.pde import auto_grid, evolve, integrate
+from hybridlv.pde import auto_grid, evolve
+
+from .oracles import TridiagonalSystem, bshw_greeks_fd_check, integrate, solve_tridiagonal
 
 
 def _report(criterion, passed, detail):

@@ -10,7 +10,6 @@ from hybridlv.analytic import (
     analytic_pz,
     analytic_z,
     bshw_call,
-    bshw_greeks_fd_check,
     bshw_moments,
     integrated_variance,
     sigma_hat_sq,
@@ -20,7 +19,12 @@ from hybridlv.models import ConstantVol, HullWhiteParams, HybridModel, zc_price
 from hybridlv.pde import auto_grid
 
 from .conftest import SET1
-from .oracles import bs_call_textbook, conditional_discount_by_quadrature, joint_moments_by_quadrature
+from .oracles import (
+    bs_call_textbook,
+    bshw_greeks_fd_check,
+    conditional_discount_by_quadrature,
+    joint_moments_by_quadrature,
+)
 
 _NPDF = lambda x: math.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)  # noqa: E731
 

@@ -38,6 +38,16 @@ run:
 """
 
 
+def _keys(tree, prefix=""):
+    """Dotted paths of every key in a nested mapping."""
+    out = set()
+    for key, value in tree.items():
+        out.add(prefix + key)
+        if isinstance(value, dict):
+            out |= _keys(value, prefix + key + ".")
+    return out
+
+
 @pytest.fixture
 def fast_config(tmp_path):
     text = FAST_BSHW.replace("PLACEHOLDER", str(tmp_path / "out"))
@@ -51,7 +61,6 @@ class TestConfig:
         cfg = resolve_config({"model": {"rho": 0.3}})
         assert cfg.model_block["rho"] == 0.3
         assert cfg.model_block["s0"] == 1.0
-        assert cfg.grid_block["kernel"] == "auto"
         assert cfg.run_block["mc"]["seed"] == 12345
 
     def test_unknown_field_rejected(self):
@@ -61,6 +70,13 @@ class TestConfig:
             resolve_config({"model": {"vol": {"type": "constant", "nu": 0.2}}})
         with pytest.raises(ConfigError):
             resolve_config({"run": {"calibration": {"mode": "restart"}}})
+
+    def test_readme_schema_lists_every_field(self):
+        readme = (CONFIG_DIR.parent / "README.md").read_text()
+        block = readme.split("### Configuration schema", 1)[1]
+        block = block.split("```yaml\n", 1)[1].split("```", 1)[0]
+        documented = yaml.safe_load(block)
+        assert _keys(documented) == _keys(resolve_config({}).raw)
 
     def test_digest_tracks_content(self):
         a = resolve_config({"model": {"rho": 0.3}})
@@ -152,6 +168,29 @@ class TestCommands:
         rows = _load_rows(out / "prices_mc.csv")
         assert rows.shape[1] == 3
         assert np.all(rows[:, 2] > 0)
+
+    def test_explicit_bounds_build_the_grid_from_the_spacings(self, tmp_path, monkeypatch):
+        import hybridlv.pde as pde_mod
+
+        raw = yaml.safe_load(FAST_BSHW.replace("PLACEHOLDER", str(tmp_path / "out")))
+        raw["grid"]["bounds"] = {"s_min": 0.01, "s_max": 3.01, "r_min": -0.1, "r_max": 0.14}
+        path = tmp_path / "bounds.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        grids = []
+        original = pde_mod.evolve
+
+        def recorded(model, grid, **kwargs):
+            grids.append(grid)
+            return original(model, grid, **kwargs)
+
+        monkeypatch.setattr(pde_mod, "evolve", recorded)
+        assert cli.run("price-pde", config_path=str(path)) == 0
+        (grid,) = grids
+        assert (grid.s_min, grid.s_max, grid.r_min, grid.r_max) == (0.01, 3.01, -0.1, 0.14)
+        # 150 spot cells of 0.02, 80 rate cells of 0.003, 100 steps of 0.01
+        assert (grid.n_s, grid.n_r, grid.n_t, grid.t_end) == (149, 79, 100, 1.0)
+        rows = _load_rows(tmp_path / "out" / "prices_pde.csv")
+        assert rows.shape == (7, 2) and np.all(np.diff(rows[:, 1]) < 0)
 
     def test_calibrate_smoke(self, tmp_path):
         text = """
@@ -286,6 +325,22 @@ class TestMainEntry:
             "compare", "--out", str(tmp_path / "out"), "--left", str(left), "--right", str(right),
         ])
         assert f"{left}, line 3" in message
+
+    def test_threads_flag_exits_2(self, fast_config, capsys):
+        path, _ = fast_config
+        with pytest.raises(SystemExit) as stop:
+            cli.main(["price-analytic", "--config", str(path), "--threads", "2"])
+        assert stop.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("block, key, value", [("grid", "kernel", 400.0), ("run", "threads", 2)])
+    def test_removed_config_field_exits_2(self, tmp_path, capsys, block, key, value):
+        data = {"run": {"out_dir": str(tmp_path / "out")}}
+        data.setdefault(block, {})[key] = value
+        config = tmp_path / "removed.yaml"
+        config.write_text(yaml.safe_dump(data))
+        message = self._config_error(capsys, ["price-analytic", "--config", str(config)])
+        assert message == f"unknown config field '{block}.{key}'"
 
     def test_zero_strike_step_exits_2(self, tmp_path, capsys):
         config = tmp_path / "zero_step.yaml"

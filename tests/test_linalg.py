@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from hybridlv.errors import InvalidInputError, SingularSystemError
-from hybridlv.linalg import TridiagonalSystem, solve_tridiagonal, thomas_apply, thomas_prefactor
+from hybridlv.linalg import thomas_apply, thomas_prefactor
 
-from .oracles import dense_tridiagonal_solve
+from .oracles import TridiagonalSystem, dense_tridiagonal_solve, solve_tridiagonal
 
 
 def _random_dominant(rng, n):

@@ -174,8 +174,6 @@ class TestSdeCoefficients:
         assert float(co.vol_r) == pytest.approx(0.04)
         assert float(co.sigma_s) == 0.0
         assert float(co.sigma_ss) == 0.0
-        assert float(co.alpha_r) == 0.0
-        assert float(co.alpha_rr) == 0.0
         assert co.mu_r == pytest.approx(-0.5)
 
     def test_rejects_non_positive_spot(self, set1_model):

@@ -63,16 +63,6 @@ class TestSimulatePaths:
         assert abs(mart.mean - m.s0) <= 4.0 * mart.standard_error
         assert abs(disc.mean - zc_price(m.rate, t)) <= 4.0 * disc.standard_error
 
-    def test_plain_euler_modes_agree_with_closed_form(self, set1_model):
-        cfg = McConfig(
-            n_paths=60000, dt_mc=1.0 / 300.0, seed=17,
-            spot_scheme="euler", rate_scheme="euler",
-        )
-        est = simulate_paths(set1_model, 1.0, cfg, [_call_payoff(1.0)])[0]
-        ana = bshw_call(set1_model, 1.0, 1.0).price
-        # first-order stepping leaves an O(dt) bias on top of the noise
-        assert abs(est.mean - ana) <= 4.0 * est.standard_error + 1e-3
-
     def test_aborts_on_widespread_non_finite_paths(self, set1_model, monkeypatch):
         import hybridlv.montecarlo as mc_mod
 
@@ -121,11 +111,10 @@ class TestSimulatePaths:
         [
             ("set1_model", {}),
             ("hyperbolic_model", {}),
-            ("set1_model", dict(spot_scheme="euler", rate_scheme="euler")),
             ("set1_model", dict(n_paths=2500, batch_size=1000)),
             ("set1_model", dict(antithetic=False)),
         ],
-        ids=["log-exact", "hyperbolic", "euler-euler", "ragged-batches", "plain"],
+        ids=["log-exact", "hyperbolic", "ragged-batches", "plain"],
     )
     def test_one_draw_stepper_matches_two_pass_route(self, request, model_name, overrides):
         model = request.getfixturevalue(model_name)
@@ -147,8 +136,6 @@ class TestSimulatePaths:
             McConfig(n_paths=0, dt_mc=0.01)
         with pytest.raises(InvalidInputError):
             McConfig(n_paths=10, dt_mc=-0.1)
-        with pytest.raises(InvalidInputError):
-            McConfig(n_paths=10, dt_mc=0.1, spot_scheme="heun")
 
 
 class TestMomentsAgainstSimulation:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hybridlv.analytic import analytic_pz
-from hybridlv.errors import InvalidInputError, UnderResolvedKernelError
+from hybridlv.errors import InvalidInputError
 from hybridlv.models import (
     ConstantVol,
     HullWhiteParams,
@@ -18,17 +18,13 @@ from hybridlv.pde import (
     Field2D,
     Grid2D,
     _StepOperator,
-    adi_step,
     auto_grid,
     build_coefficients,
-    default_kernel_concentration,
     evolve,
-    init_dirac,
-    integrate,
     short_time_start,
 )
 
-from .oracles import lognormal_density
+from .oracles import adi_step, integrate, lognormal_density
 
 
 class _TwoSlices:
@@ -107,41 +103,6 @@ class TestGrid:
         assert g.dt == pytest.approx(0.0099, rel=0.02)
         assert g.s_min < set1_model.s0 < g.s_max
         assert g.r_min < set1_model.rate.r0 < g.r_max
-
-
-class TestInitDirac:
-    def test_peak_at_nearest_node(self):
-        g = _unit_grid()
-        field = init_dirac(g, 1.02, 0.021, concentration=1.0 / (2.5 * g.ds) ** 2)
-        i, j = np.unravel_index(np.argmax(field.values), field.values.shape)
-        assert g.s_nodes[i] == pytest.approx(1.0)
-        assert g.r_nodes[j] == pytest.approx(0.02)
-
-    def test_unit_mass(self):
-        g = _unit_grid()
-        field = init_dirac(g, 1.0, 0.02, concentration=1.0 / (2.5 * g.ds) ** 2)
-        assert field.mass() == pytest.approx(1.0, abs=1e-14)
-
-    def test_mirror_symmetry(self):
-        g = _unit_grid()
-        field = init_dirac(g, 1.0, 0.02, concentration=1.0 / (2.5 * g.ds) ** 2)
-        assert np.allclose(field.values, field.values[::-1, :], atol=1e-14)
-        assert np.allclose(field.values, field.values[:, ::-1], atol=1e-14)
-
-    def test_outside_grid_rejected(self):
-        g = _unit_grid()
-        with pytest.raises(InvalidInputError):
-            init_dirac(g, 2.0, 0.02, 100.0)
-
-    def test_under_resolved_kernel_rejected(self):
-        g = _unit_grid()
-        with pytest.raises(UnderResolvedKernelError):
-            init_dirac(g, 1.0, 0.02, concentration=1.0 / (0.5 * g.ds) ** 2)
-
-    def test_default_concentration_spans_three_cells(self):
-        g = _unit_grid()
-        n = default_kernel_concentration(g)
-        assert n**-0.5 == pytest.approx(3.0 * g.ds)
 
 
 class TestCoefficients:
@@ -326,8 +287,8 @@ class TestAdiStep:
 
     def test_one_step_mass_discounts(self, set1_model):
         g = auto_grid(set1_model, 1.0, ds=0.02, dr=0.003, dt=0.01)
-        field = init_dirac(g, 1.0, 0.02, default_kernel_concentration(g))
-        co = build_coefficients(set1_model, g, 0.0)
+        field = short_time_start(set1_model, g)
+        co = build_coefficients(set1_model, g, field.t)
         out = adi_step(field, co, g.dt)
         assert np.all(np.isfinite(out.values))
         assert out.mass() < field.mass()
@@ -423,15 +384,6 @@ class TestEvolve:
         g = auto_grid(set1_model, 1.0, ds=0.02, dr=0.003, dt=0.01)
         with pytest.raises(InvalidInputError):
             evolve(set1_model, g, snapshot_times=[0.5037])
-
-    def test_kernel_mode_runs(self, set1_model):
-        g = auto_grid(set1_model, 1.0, ds=0.02, dr=0.003, dt=0.01)
-        res = evolve(set1_model, g, kernel_n=default_kernel_concentration(g))
-        assert res.diagnostics.start_mode == "kernel"
-        assert res.diagnostics.start_time == 0.0
-        assert res.snapshots[-1].mass() == pytest.approx(
-            zc_price(set1_model.rate, 1.0), rel=1e-12
-        )
 
     def test_field_comparable_to_closed_form(self, set1_model):
         g = auto_grid(set1_model, 1.0, ds=0.02, dr=0.003, dt=0.01)
