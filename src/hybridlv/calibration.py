@@ -7,9 +7,10 @@ deterministic-rates Dupire value minus a corrective term
 
 where the expectation is evaluated by integrating the discounted joint
 density from the grid solver. Consecutive strikes share their integration
-region, so all corrective terms of one maturity cost a single pass over the
-grid: one suffix sum over the spot cells, read at each strike's cell plus
-the partial cell cut at the strike.
+region, so all corrective terms (or call prices) of one maturity cost a
+single vectorized pass: one suffix sum over the spot cells, read at each
+strike's cell plus the partial cell cut at the strike. Each march of the
+bootstrap runs under one vol slice, constant in time.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import (
     NegativeVarianceError,
 )
 from .models import HybridModel, SurfaceVol, forward_rate
-from .pde import Field2D, Grid2D, auto_grid, evolve
+from .pde import Field2D, auto_grid, evolve
 
 __all__ = [
     "CallSurface",
@@ -153,6 +154,13 @@ class LocalVolSurface:
             row = (1.0 - w) * self.sigma[j] + w * self.sigma[j + 1]
         return np.interp(np.asarray(s, dtype=float), self.strikes, row)
 
+    def next_change(self, t: float) -> float:
+        """Constant in time with one maturity or from the last one on;
+        between maturities the interpolation moves with every ``t``."""
+        if len(self.maturities) == 1 or t >= self.maturities[-1]:
+            return math.inf
+        return float(t)
+
     def as_vol_function(self) -> SurfaceVol:
         return SurfaceVol(self)
 
@@ -161,68 +169,38 @@ class LocalVolSurface:
 # single-pass integrals against a piecewise-linear spot marginal
 
 
-class _MarginalIntegrals:
-    """Suffix integrals of a piecewise-linear marginal over [K, s_max].
+def _strike_integrals(s_full: np.ndarray, marginal: np.ndarray, strikes):
+    """Integrals of a piecewise-linear marginal over [K, s_max], at every K.
 
-    Nodes include the zero boundary values; ``moment0`` integrates the
-    marginal itself and ``moment1`` integrates S times the marginal, both
-    exactly for the piecewise-linear model including the partial cell cut
-    at K.
+    ``s_full`` are the uniform spot nodes including both box edges and
+    ``marginal`` the values on them. Returns ``(m0, m1)``: the integrals of
+    the marginal and of S times it, both exact for the piecewise-linear
+    model. One suffix sum of whole-cell integrals serves every strike, which
+    adds the partial cell cut at its own position.
     """
-
-    def __init__(self, s_nodes_full: np.ndarray, values_full: np.ndarray):
-        self.s = s_nodes_full
-        self.v = values_full
-        h = np.diff(s_nodes_full)
-        if not np.allclose(h, h[0], rtol=1e-9):
-            raise InvalidInputError("marginal nodes must be uniform")
-        self.h = float(h[0])
-        v0, v1 = values_full[:-1], values_full[1:]
-        cell0 = 0.5 * self.h * (v0 + v1)
-        cell1 = self.h * (s_nodes_full[:-1] * 0.5 * (v0 + v1) + self.h * (v0 / 6.0 + v1 / 3.0))
-        # suffix[i] = integral from node i to the right edge
-        self.suffix0 = np.concatenate([np.cumsum(cell0[::-1])[::-1], [0.0]])
-        self.suffix1 = np.concatenate([np.cumsum(cell1[::-1])[::-1], [0.0]])
-
-    def _locate(self, k: float) -> int:
-        if not (self.s[0] < k < self.s[-1]):
-            raise InvalidInputError(f"strike {k!r} outside the grid box")
-        idx = int(np.searchsorted(self.s, k, side="right") - 1)
-        return min(idx, len(self.s) - 2)
-
-    def _partial(self, k: float, idx: int):
-        """Integrals of v and S*v over [k, node idx+1]."""
-        x = k - self.s[idx]
-        vk = self.v[idx] + (self.v[idx + 1] - self.v[idx]) * x / self.h
-        length = self.h - x
-        p0 = 0.5 * length * (vk + self.v[idx + 1])
-        p1 = length * (k * 0.5 * (vk + self.v[idx + 1]) + length * (vk / 6.0 + self.v[idx + 1] / 3.0))
-        return p0, p1
-
-    def moment0(self, k: float) -> float:
-        idx = self._locate(k)
-        p0, _ = self._partial(k, idx)
-        return float(self.suffix0[idx + 1] + p0)
-
-    def moment1(self, k: float) -> float:
-        idx = self._locate(k)
-        _, p1 = self._partial(k, idx)
-        return float(self.suffix1[idx + 1] + p1)
-
-
-def _full_nodes(field: Field2D):
-    g = field.grid
-    s_full = np.concatenate([[g.s_min], g.s_nodes, [g.s_max]])
-    return s_full
-
-
-def _weighted_marginal(field: Field2D, r_weight) -> np.ndarray:
-    """Trapezoid r-integral of weight(r) * field at each spot node,
-    padded with the zero boundary values."""
-    g = field.grid
-    w = np.asarray(r_weight(g.r_nodes), dtype=float)
-    inner = g.dr * (field.values * w[None, :]).sum(axis=1)
-    return np.concatenate([[0.0], inner, [0.0]])
+    ks = np.asarray(strikes, dtype=float)
+    if ks.ndim != 1 or ks.size == 0:
+        raise InvalidInputError("need a non-empty strike array")
+    if not np.all(np.diff(ks) > 0):
+        raise InvalidInputError("strikes must be strictly increasing")
+    if not (s_full[0] < ks[0] and ks[-1] < s_full[-1]):
+        raise InvalidInputError("strikes must lie inside the grid box")
+    h = s_full[1] - s_full[0]
+    v0, v1 = marginal[:-1], marginal[1:]
+    cell0 = 0.5 * h * (v0 + v1)
+    cell1 = h * (s_full[:-1] * 0.5 * (v0 + v1) + h * (v0 / 6.0 + v1 / 3.0))
+    # suffix[i] = integral from node i to the right edge
+    suffix0 = np.concatenate([np.cumsum(cell0[::-1])[::-1], [0.0]])
+    suffix1 = np.concatenate([np.cumsum(cell1[::-1])[::-1], [0.0]])
+    idx = np.minimum(np.searchsorted(s_full, ks, side="right") - 1, s_full.size - 2)
+    # partial cell [K, node idx+1]
+    x = ks - s_full[idx]
+    va, vb = marginal[idx], marginal[idx + 1]
+    vk = va + (vb - va) * x / h
+    length = h - x
+    m0 = suffix0[idx + 1] + 0.5 * length * (vk + vb)
+    m1 = suffix1[idx + 1] + length * (ks * 0.5 * (vk + vb) + length * (vk / 6.0 + vb / 3.0))
+    return m0, m1
 
 
 def corrective_terms(field: Field2D, f0t: float, strikes) -> CorrectiveTermCurve:
@@ -231,14 +209,11 @@ def corrective_terms(field: Field2D, f0t: float, strikes) -> CorrectiveTermCurve
     Each strike reads the zeroth-moment suffix integral of the weighted
     spot marginal, so the whole curve costs a single traversal of the grid.
     """
-    ks = np.asarray(strikes, dtype=float)
-    if ks.ndim != 1 or ks.size == 0:
-        raise InvalidInputError("need a non-empty strike array")
-    if np.any(np.diff(ks) <= 0):
-        raise InvalidInputError("strikes must be strictly increasing")
-    marg = _MarginalIntegrals(_full_nodes(field), _weighted_marginal(field, lambda r: r - f0t))
-    adj = np.array([marg.moment0(k) for k in ks])
-    return CorrectiveTermCurve(maturity=field.t, strikes=ks, adj=adj)
+    g = field.grid
+    s_full = np.concatenate([[g.s_min], g.s_nodes, [g.s_max]])
+    marginal = np.pad(g.dr * (field.values * (g.r_nodes - f0t)).sum(axis=1), 1)
+    m0, _ = _strike_integrals(s_full, marginal, strikes)
+    return CorrectiveTermCurve(maturity=field.t, strikes=strikes, adj=m0)
 
 
 def price_calls_from_pz(field: Field2D, strikes) -> np.ndarray:
@@ -246,16 +221,13 @@ def price_calls_from_pz(field: Field2D, strikes) -> np.ndarray:
 
     Uses the exact integral of (S - K)+ against the piecewise-linear spot
     marginal, split as a first-moment and a zeroth-moment suffix integral
-    (partial cells at the strike cut), one descending pass for all strikes.
+    (partial cells at the strike cut), one pass for all strikes.
     """
-    ks = np.asarray(strikes, dtype=float)
-    if np.any(np.diff(ks) <= 0):
-        raise InvalidInputError("strikes must be strictly increasing")
-    marg = _MarginalIntegrals(_full_nodes(field), _weighted_marginal(field, lambda r: np.ones_like(r)))
-    out = np.empty(ks.size)
-    for i in range(ks.size - 1, -1, -1):
-        out[i] = marg.moment1(ks[i]) - ks[i] * marg.moment0(ks[i])
-    return out
+    g = field.grid
+    s_full = np.concatenate([[g.s_min], g.s_nodes, [g.s_max]])
+    marginal = np.pad(g.dr * field.values.sum(axis=1), 1)
+    m0, m1 = _strike_integrals(s_full, marginal, strikes)
+    return m1 - np.asarray(strikes, dtype=float) * m0
 
 
 # ---------------------------------------------------------------------------
@@ -407,48 +379,6 @@ class CalibrationResult:
     report: CalibrationReport
 
 
-class _BootstrapVol:
-    """In-progress surface view used inside the bootstrap PDE solves.
-
-    Piecewise constant in time: on (T_{i-1}, T_i] the slice calibrated at
-    T_i applies; beyond the last calibrated maturity the pending slice is
-    extended flat, which keeps the solve free of look-ahead. Strike
-    interpolation is linear with flat ends.
-    """
-
-    _SLACK = 1e-12
-
-    def __init__(self, strikes: np.ndarray, seed_slice: np.ndarray):
-        self.strikes = np.asarray(strikes, dtype=float)
-        self.maturities: list[float] = []
-        self.slices: list[np.ndarray] = []
-        self.pending = np.asarray(seed_slice, dtype=float)
-
-    def set_pending(self, values: np.ndarray) -> None:
-        self.pending = np.asarray(values, dtype=float)
-
-    def append(self, maturity: float, values: np.ndarray) -> None:
-        self.maturities.append(float(maturity))
-        self.slices.append(np.asarray(values, dtype=float))
-
-    def _slice_at(self, t: float) -> np.ndarray:
-        for maturity, values in zip(self.maturities, self.slices):
-            if t <= maturity + self._SLACK:
-                return values
-        return self.pending
-
-    def next_change(self, t: float) -> float:
-        """End of the interval whose slice applies at ``t``."""
-        for maturity in self.maturities:
-            if t <= maturity + self._SLACK:
-                return maturity + self._SLACK
-        return math.inf
-
-    def vol(self, t, s):
-        row = self._slice_at(float(t))
-        return np.interp(np.asarray(s, dtype=float), self.strikes, row)
-
-
 def _seed_slice(market: CallSurface, forward_curve, strikes, eps_floor) -> np.ndarray:
     """Initial guess for the first interval: the market Dupire slice at the
     first maturity (flat-filled where the butterfly degenerates)."""
@@ -502,6 +432,13 @@ def _aligned_step_count(maturities, dt: float) -> int:
     return n_total
 
 
+def _march_under(model, strikes, values, grid, start):
+    """March to the grid horizon under one slice, constant in time."""
+    surface = LocalVolSurface([grid.t_end], strikes, values[None, :])
+    model = replace(model, vol=surface.as_vol_function())
+    return evolve(model, grid, snapshot_times=[grid.t_end], start=start)
+
+
 def calibrate(
     market: CallSurface,
     model: HybridModel,
@@ -509,15 +446,18 @@ def calibrate(
 ) -> CalibrationResult:
     """Maturity-by-maturity bootstrap of the local-volatility surface.
 
-    For each market maturity the forward solve covers (0, T_i] under the
-    surface calibrated so far (the open interval uses the previous slice
-    extended flat; the first interval is seeded with the market Dupire
-    slice), the corrective terms are read off the evolved field, and the
-    slice follows from the Dupire value minus the rate adjustment.
+    Every march covers one interval (T_{i-1}, T_i] under one slice,
+    constant in time, and builds one step operator. The solve for T_i runs
+    under the latest slice extended flat, which keeps it free of
+    look-ahead: the previous maturity's final slice (the market Dupire
+    slice for the first interval), then in each further slice iteration
+    the slice the last one produced. The corrective terms are read off the
+    evolved field, and the slice follows from the Dupire value minus the
+    rate adjustment.
 
-    Once a slice is fixed, its interval (T_{i-1}, T_i] is marched once
-    more under that final slice and the field at T_i is kept as a
-    checkpoint. The march for T_{i+1}, and each of its slice iterations,
+    Once a slice is fixed, it governs every step of its interval: the
+    interval is marched once more under it and the field at T_i is kept as
+    a checkpoint. The march for T_{i+1}, and each of its slice iterations,
     resumes from that checkpoint: the same floating-point operations as a
     restart from t=0 under the fixed slices, at the cost of the open
     interval alone. All maturities therefore share the short-time start t0
@@ -543,8 +483,8 @@ def calibrate(
 
     use_adj = settings.use_corrective and rate.sigma2 > 0.0
     report = CalibrationReport()
-    view = _BootstrapVol(strikes, _seed_slice(market, forward_curve, strikes, settings.eps_floor))
-    work_model = replace(model, vol=SurfaceVol(view))
+    slice_vals = _seed_slice(market, forward_curve, strikes, settings.eps_floor)
+    slices = []
 
     checkpoint = None  # field at the previous maturity under its final slice
     drift_before = neg_before = 0.0  # maxima over the checkpointed marches
@@ -553,10 +493,9 @@ def calibrate(
         grid_i = box.with_horizon(float(maturity), n_t)
         iterations = 0
         max_update = math.inf
-        slice_vals = None
         while iterations < settings.slice_iterations and max_update > settings.slice_tolerance:
             iterations += 1
-            result = evolve(work_model, grid_i, snapshot_times=[maturity], start=checkpoint)
+            result = _march_under(model, strikes, slice_vals, grid_i, checkpoint)
             fld = result.at(float(maturity))
             if use_adj:
                 adj = corrective_terms(fld, forward_curve(float(maturity)), strikes)
@@ -588,11 +527,9 @@ def calibrate(
                     f"T={maturity:g}: degenerate butterfly at K in {skipped}; flat-filled"
                 )
             new_slice = _fill_nan_flat(vals)
-            max_update = (
-                float(np.max(np.abs(new_slice - slice_vals))) if slice_vals is not None else math.inf
-            )
+            if iterations > 1:
+                max_update = float(np.max(np.abs(new_slice - slice_vals)))
             slice_vals = new_slice
-            view.set_pending(slice_vals)
 
         mass_drift = max(drift_before, result.diagnostics.max_ratio_deviation())
         neg_frac = max(neg_before, max(result.diagnostics.negative_fraction, default=0.0))
@@ -606,15 +543,14 @@ def calibrate(
                 max_slice_update=0.0 if math.isinf(max_update) else max_update,
             )
         )
-        view.append(float(maturity), slice_vals)
-        view.set_pending(slice_vals)
+        slices.append(slice_vals)
         if i < len(mats) - 1:
-            fixed = evolve(work_model, grid_i, snapshot_times=[maturity], start=checkpoint)
+            fixed = _march_under(model, strikes, slice_vals, grid_i, checkpoint)
             checkpoint = fixed.at(float(maturity))
             drift_before = max(drift_before, fixed.diagnostics.max_ratio_deviation())
             neg_before = max(neg_before, max(fixed.diagnostics.negative_fraction, default=0.0))
 
-    surface = LocalVolSurface(mats.copy(), strikes.copy(), np.vstack(view.slices))
+    surface = LocalVolSurface(mats.copy(), strikes.copy(), np.vstack(slices))
     return CalibrationResult(surface=surface, report=report)
 
 

@@ -55,6 +55,31 @@ _DEFAULTS = {
 }
 
 
+_BOX_EDGES = ["r_max", "r_min", "s_max", "s_min"]
+
+
+def _is_number(value) -> bool:
+    try:
+        float(value)
+    except (TypeError, ValueError):
+        return False
+    return not isinstance(value, bool)
+
+
+def _check_bounds(bounds) -> None:
+    """``grid.bounds`` is ``auto`` or maps exactly the four box edges to numbers."""
+    if bounds == "auto":
+        return
+    if not isinstance(bounds, dict):
+        raise ConfigError(f"grid.bounds must be 'auto' or a mapping of {_BOX_EDGES}, "
+                          f"got {bounds!r}")
+    offending = sorted(set(bounds) ^ set(_BOX_EDGES), key=str)
+    offending += [key for key in _BOX_EDGES if key in bounds and not _is_number(bounds[key])]
+    if offending:
+        raise ConfigError(f"grid.bounds takes exactly the numbers {_BOX_EDGES}; "
+                          f"offending keys {offending}")
+
+
 def _merge(defaults, override, path=""):
     if override is None:
         return defaults
@@ -155,6 +180,7 @@ def resolve_config(data: dict | None) -> ExperimentConfig:
             raise ConfigError(f"unknown vol fields {sorted(unknown)}")
         base.update(vol)
         merged["model"]["vol"] = base
+    _check_bounds(merged["grid"]["bounds"])
     return ExperimentConfig(raw=merged)
 
 

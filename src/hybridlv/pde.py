@@ -418,11 +418,11 @@ def evolve(
     The march starts fresh from the model-consistent short-time start
     (:func:`short_time_start`), or, given ``start``, resumes from a
     previously evolved field on this grid's box and nodes (its horizon may
-    differ) whose time must sit on this grid's step lattice. A fresh
-    start is rescaled onto ZC(0, t0); a resumed field is taken as it is,
-    since a march already left it on the discount identity, so resuming at
-    ``t`` repeats bit for bit the steps a single march would take from
-    ``t`` (on the same step size).
+    differ) whose time must sit on this grid's step lattice. Either start
+    is taken as it is: the short-time start is normalised onto ZC(0, t0)
+    and a march left the resumed field on the discount identity, so
+    resuming at ``t`` repeats bit for bit the steps a single march would
+    take from ``t`` (on the same step size).
 
     One prefactored step operator serves every step until the model's
     coefficients next change (``model.next_change``): the whole march for a
@@ -465,9 +465,6 @@ def evolve(
     m0 = field.mass()
     if m0 <= 0 or not np.isfinite(m0):
         raise InvalidInputError("start field mass must be positive and finite")
-    if start is None:
-        # A fresh starting mass sits on the discount identity as well.
-        field.values *= zc_price(model.rate, field.t) / m0
 
     snapshots = {}
     if n0 in wanted:

@@ -248,7 +248,7 @@ class _RestartView:
     def vol(self, t, s):
         row = self.pending
         for maturity, values in zip(self.maturities, self.slices):
-            if t <= maturity + 1e-12:
+            if t < maturity - 1e-12:
                 row = values
                 break
         return np.interp(np.asarray(s, dtype=float), self.strikes, row)

@@ -17,14 +17,21 @@ from hybridlv.calibration import (
     make_analytic_surface,
     price_calls_from_pz,
 )
-from hybridlv.calibration import _MarginalIntegrals, _aligned_step_count
+from hybridlv.calibration import _aligned_step_count, _strike_integrals
 from hybridlv.errors import (
     ButterflyDegenerateError,
     CalibrationError,
     InvalidInputError,
     NegativeVarianceError,
 )
-from hybridlv.models import ConstantVol, HullWhiteParams, HybridModel, forward_rate, zc_price
+from hybridlv.models import (
+    ConstantVol,
+    HullWhiteParams,
+    HybridModel,
+    SurfaceVol,
+    forward_rate,
+    zc_price,
+)
 from hybridlv.pde import Field2D, auto_grid, evolve
 
 from .oracles import (
@@ -32,6 +39,21 @@ from .oracles import (
     corrective_term_closed_form,
     restart_bootstrap,
 )
+
+
+def _count_operators(monkeypatch):
+    """Record the time level of every step operator the solver builds."""
+    import hybridlv.pde as pde_mod
+
+    levels = []
+
+    class Counted(pde_mod._StepOperator):
+        def __init__(self, coeffs, grid, dt):
+            levels.append(coeffs.t)
+            super().__init__(coeffs, grid, dt)
+
+    monkeypatch.setattr(pde_mod, "_StepOperator", Counted)
+    return levels
 
 
 def _analytic_field(model, maturity, ds=0.0156, dr=0.0026):
@@ -83,15 +105,22 @@ class TestMarginalIntegrals:
         nodes = np.linspace(0.0, 1.0, 12)
         vals = rng.uniform(0.0, 2.0, 12)
         vals[0] = vals[-1] = 0.0
-        marg = _MarginalIntegrals(nodes, vals)
         lin = lambda x: np.interp(x, nodes, vals)  # noqa: E731
-        for k in (0.037, 0.5, 0.777):
-            got0 = marg.moment0(k)
+        strikes = np.array([0.037, 0.5, 0.777])
+        m0, m1 = _strike_integrals(nodes, vals, strikes)
+        for k, got0, got1 in zip(strikes, m0, m1):
             want0 = quad(lin, k, 1.0, limit=400)[0]
             assert got0 == pytest.approx(want0, abs=1e-9)
-            got1 = marg.moment1(k)
             want1 = quad(lambda x: x * lin(x), k, 1.0, limit=400)[0]
             assert got1 == pytest.approx(want1, abs=1e-9)
+            want_call = quad(lambda x: (x - k) * lin(x), k, 1.0, limit=400)[0]
+            assert got1 - k * got0 == pytest.approx(want_call, abs=1e-9)
+
+    @pytest.mark.parametrize("strikes", [np.array([]), np.array([[0.9, 1.1]])])
+    def test_price_rejects_empty_or_2d_strikes(self, set1_model, strikes):
+        field = _analytic_field(set1_model, 1.0)
+        with pytest.raises(InvalidInputError):
+            price_calls_from_pz(field, strikes)
 
 
 class TestCorrectiveTerms:
@@ -268,6 +297,35 @@ class TestLocalVolSurface:
         with pytest.raises(InvalidInputError):
             LocalVolSurface(np.array([1.0]), np.array([1.0, 1.1]), np.array([[0.2, -0.1]]))
 
+    def test_next_change(self):
+        ks = np.array([0.8, 1.2])
+        one = LocalVolSurface(np.array([0.5]), ks, np.array([[0.2, 0.3]]))
+        assert one.next_change(0.0) == math.inf
+        assert one.next_change(0.7) == math.inf
+        two = LocalVolSurface(np.array([0.5, 1.0]), ks, np.array([[0.2, 0.3], [0.4, 0.5]]))
+        assert two.next_change(0.25) == 0.25
+        assert two.next_change(0.75) == 0.75
+        assert two.next_change(1.0) == math.inf
+        assert two.next_change(2.0) == math.inf
+
+    def test_one_maturity_march_builds_one_operator_and_matches_rebuilds(
+        self, set1_model, monkeypatch
+    ):
+        from types import SimpleNamespace
+
+        surface = LocalVolSurface(
+            np.array([0.5]), np.array([0.8, 1.0, 1.2]), np.array([[0.25, 0.2, 0.18]])
+        )
+        # the same surface without ``next_change``: rebuilt at every step
+        rebuilt = SimpleNamespace(strikes=surface.strikes, vol=surface.vol)
+        grid = auto_grid(set1_model, 0.5, ds=0.02, dr=0.003, dt=0.025)
+        levels = _count_operators(monkeypatch)
+        once = evolve(replace(set1_model, vol=surface.as_vol_function()), grid)
+        assert len(levels) == 1
+        every = evolve(replace(set1_model, vol=SurfaceVol(rebuilt)), grid)
+        assert len(levels) > 2
+        assert np.array_equal(once.snapshots[-1].values, every.snapshots[-1].values)
+
 
 class TestCalibrate:
     def test_degenerate_single_node_recovers_flat_vol(self):
@@ -306,6 +364,27 @@ class TestCalibrate:
         got = [(e.mass_drift, e.negative_fraction, e.iterations) for e in result.report.entries]
         assert got == entries
         assert [e.iterations for e in result.report.entries] == [slice_iterations] * 3
+
+    @pytest.mark.parametrize("mats, slice_iterations", [
+        ([0.25, 0.5, 0.75], 1),
+        ([0.25, 0.5, 0.75, 1.0], 1),
+        ([0.25, 0.5, 0.75], 2),
+    ])
+    def test_one_operator_per_march(self, set1_model, monkeypatch, mats, slice_iterations):
+        market = make_analytic_surface(set1_model, mats, np.arange(0.8, 1.2001, 0.1))
+        settings = CalibrationSettings(
+            ds=0.02, dr=0.003, dt=0.025, slice_iterations=slice_iterations,
+        )
+        levels = _count_operators(monkeypatch)
+        calibrate(market, set1_model, settings)
+        # each maturity's slice iterations, plus a checkpoint march for
+        # every maturity but the last, each built where its march starts
+        n = len(mats)
+        assert len(levels) == n * slice_iterations + n - 1
+        starts = [levels[0]] * (slice_iterations + 1)
+        for i in range(1, n):
+            starts += [mats[i - 1]] * (slice_iterations + (i < n - 1))
+        assert levels == pytest.approx(starts, abs=1e-12)
 
     def test_dropping_the_adjustment_skews_the_wings(self, set1_model):
         # ablation: a stochastic-rates market calibrated with the corrective

@@ -342,6 +342,21 @@ class TestMainEntry:
         message = self._config_error(capsys, ["price-analytic", "--config", str(config)])
         assert message == f"unknown config field '{block}.{key}'"
 
+    @pytest.mark.parametrize("bounds, named", [
+        ({"s_min": 0.01, "s_max": 3.0}, ["r_max", "r_min"]),
+        ("manual", ["manual"]),
+        ({"s_min": 0.01, "s_max": 3.0, "r_min": -0.1, "r_max": 0.14, "n_s": 100}, ["n_s"]),
+        ({"s_min": 0.01, "s_max": "wide", "r_min": -0.1, "r_max": 0.14}, ["s_max"]),
+    ])
+    def test_bad_grid_bounds_exit_2(self, tmp_path, capsys, bounds, named):
+        config = tmp_path / "bounds.yaml"
+        config.write_text(yaml.safe_dump({
+            "grid": {"bounds": bounds}, "run": {"out_dir": str(tmp_path / "out")},
+        }))
+        message = self._config_error(capsys, ["price-pde", "--config", str(config)])
+        assert "grid.bounds" in message
+        assert all(name in message for name in named)
+
     def test_zero_strike_step_exits_2(self, tmp_path, capsys):
         config = tmp_path / "zero_step.yaml"
         config.write_text(yaml.safe_dump({
