@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field, replace
-from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,7 +28,7 @@ from .errors import (
     InvalidInputError,
     NegativeVarianceError,
 )
-from .models import HybridModel, SurfaceVol, forward_rate
+from .models import ConstantVol, HybridModel, SurfaceVol, forward_rate
 from .pde import Field2D, auto_grid, evolve
 
 __all__ = [
@@ -155,11 +154,13 @@ class LocalVolSurface:
         return np.interp(np.asarray(s, dtype=float), self.strikes, row)
 
     def next_change(self, t: float) -> float:
-        """Constant in time with one maturity or from the last one on;
-        between maturities the interpolation moves with every ``t``."""
-        if len(self.maturities) == 1 or t >= self.maturities[-1]:
+        """Constant in time with one maturity or from the last one on, and
+        up to the first maturity (``vol`` clamps t to it); between
+        maturities the interpolation moves with every ``t``."""
+        mats = self.maturities
+        if len(mats) == 1 or t >= mats[-1]:
             return math.inf
-        return float(t)
+        return float(max(t, mats[0]))
 
     def as_vol_function(self) -> SurfaceVol:
         return SurfaceVol(self)
@@ -403,40 +404,11 @@ def _fill_nan_flat(vals: np.ndarray) -> np.ndarray:
     return out
 
 
-# How far the aligned step count may exceed round(t_max / dt).
-_MAX_EXTRA_STEPS = 200_000
-
-
-def _aligned_step_count(maturities, dt: float) -> int:
-    """Smallest step count n >= round(t_max / dt) putting every maturity on
-    the lattice t_max * k / n (to 1e-9 of a step).
-
-    Each ratio T / t_max is read as the nearest fraction with a denominator
-    of at most the largest allowed n; n is the least multiple of the lcm of
-    those denominators that is not below the requested count. If any
-    allowed n aligns every maturity, each nearest fraction is T / t_max
-    written over that n (distinct fractions with such denominators lie
-    further apart than the 1e-9 tolerance), so this n is the smallest one.
-    """
-    mats = np.asarray(maturities, dtype=float)
-    t_max = float(mats[-1])
-    n_min = max(1, int(round(t_max / dt)))
-    limit = n_min + _MAX_EXTRA_STEPS
-    lcm = 1
-    for m in mats:
-        lcm = math.lcm(lcm, Fraction(float(m) / t_max).limit_denominator(limit).denominator)
-    n_total = lcm * -(-n_min // lcm)
-    steps = mats / t_max * n_total
-    if n_total >= limit or not np.all(np.abs(steps - np.round(steps)) < 1e-9):
-        raise CalibrationError("could not align market maturities with a uniform step")
-    return n_total
-
-
 def _march_under(model, strikes, values, grid, start):
     """March to the grid horizon under one slice, constant in time."""
     surface = LocalVolSurface([grid.t_end], strikes, values[None, :])
     model = replace(model, vol=surface.as_vol_function())
-    return evolve(model, grid, snapshot_times=[grid.t_end], start=start)
+    return evolve(model, grid, start=start)
 
 
 def calibrate(
@@ -446,9 +418,10 @@ def calibrate(
 ) -> CalibrationResult:
     """Maturity-by-maturity bootstrap of the local-volatility surface.
 
-    Every march covers one interval (T_{i-1}, T_i] under one slice,
-    constant in time, and builds one step operator. The solve for T_i runs
-    under the latest slice extended flat, which keeps it free of
+    One box, whose steps hold every maturity (:func:`auto_grid`), serves
+    them all. Every march covers one interval (T_{i-1}, T_i] under one
+    slice, constant in time, and builds one step operator. The solve for
+    T_i runs under the latest slice extended flat, which keeps it free of
     look-ahead: the previous maturity's final slice (the market Dupire
     slice for the first interval), then in each further slice iteration
     the slice the last one produced. The corrective terms are read off the
@@ -469,15 +442,11 @@ def calibrate(
     settings = settings or CalibrationSettings()
     mats = market.maturities
     strikes = market.strikes
-    t_max = float(mats[-1])
     rate = model.rate
     forward_curve = lambda t: forward_rate(rate, t)  # noqa: E731
 
-    # One spatial box for all maturities, on a time lattice that holds
-    # every market maturity.
-    n_total = _aligned_step_count(mats, settings.dt)
     sigma_ref_model = replace(model, vol=_ref_vol(market, forward_curve, settings))
-    box = auto_grid(sigma_ref_model, t_max, settings.ds, settings.dr, settings.dt)
+    box = auto_grid(sigma_ref_model, mats, settings.ds, settings.dr, settings.dt)
     if strikes[0] <= box.s_min or strikes[-1] >= box.s_max:
         raise InvalidInputError("market strikes fall outside the solver box")
 
@@ -489,14 +458,13 @@ def calibrate(
     checkpoint = None  # field at the previous maturity under its final slice
     drift_before = neg_before = 0.0  # maxima over the checkpointed marches
     for i, maturity in enumerate(mats):
-        n_t = int(round(maturity / t_max * n_total))
-        grid_i = box.with_horizon(float(maturity), n_t)
+        grid_i = box.with_horizon(float(maturity), int(round(maturity / box.dt)))
         iterations = 0
         max_update = math.inf
         while iterations < settings.slice_iterations and max_update > settings.slice_tolerance:
             iterations += 1
             result = _march_under(model, strikes, slice_vals, grid_i, checkpoint)
-            fld = result.at(float(maturity))
+            fld = result.snapshots[-1]
             if use_adj:
                 adj = corrective_terms(fld, forward_curve(float(maturity)), strikes)
             else:
@@ -546,7 +514,7 @@ def calibrate(
         slices.append(slice_vals)
         if i < len(mats) - 1:
             fixed = _march_under(model, strikes, slice_vals, grid_i, checkpoint)
-            checkpoint = fixed.at(float(maturity))
+            checkpoint = fixed.snapshots[-1]
             drift_before = max(drift_before, fixed.diagnostics.max_ratio_deviation())
             neg_before = max(neg_before, max(fixed.diagnostics.negative_fraction, default=0.0))
 
@@ -556,8 +524,6 @@ def calibrate(
 
 def _ref_vol(market: CallSurface, forward_curve, settings):
     """At-the-money volatility scale for sizing the solver box."""
-    from .models import ConstantVol
-
     t_ref = float(market.maturities[-1])
     k_mid = float(market.strikes[len(market.strikes) // 2])
     try:

@@ -12,7 +12,8 @@ compare           join two price CSVs and report the discrepancy
 
 Every CSV artifact starts with a ``# config=<hash>`` comment carrying the
 digest of the resolved configuration; rerunning a command with the same
-config and seed reproduces the bytes exactly.
+config and seed reproduces the bytes exactly. The PDE commands read their
+fields at the configured maturities, each on a step of the march.
 """
 
 from __future__ import annotations
@@ -65,37 +66,16 @@ class _Writer:
         return path
 
 
-def _build_grid(cfg: ExperimentConfig, model, t_end: float) -> pde.Grid2D:
+def _build_grid(cfg: ExperimentConfig, model, maturities) -> pde.Grid2D:
+    """The configured grid; every maturity lies on a step."""
     gb = cfg.grid_block
+    spacings = [float(gb[key]) for key in ("ds", "dr", "dt")]
     if gb["bounds"] == "auto":
-        return pde.auto_grid(
-            model,
-            t_end,
-            ds=float(gb["ds"]),
-            dr=float(gb["dr"]),
-            dt=float(gb["dt"]),
-            s_max_sigmas=float(gb["s_max_sigmas"]),
-            r_sigmas=float(gb["r_sigmas"]),
-        )
-    b = gb["bounds"]
-    return pde.Grid2D.from_spacings(
-        float(b["s_min"]), float(b["s_max"]), float(b["r_min"]), float(b["r_max"]),
-        t_end, float(gb["ds"]), float(gb["dr"]), float(gb["dt"]),
-    )
-
-
-def _snap_times(cfg: ExperimentConfig, grid: pde.Grid2D) -> list[float]:
-    # Snapshot times must sit on the step lattice; snap to the nearest step
-    # and surface any real shift.
-    out = []
-    for t in cfg.maturities():
-        n = min(max(int(round(t / grid.dt)), 1), grid.n_t)
-        snapped = n * grid.dt
-        if abs(snapped - t) > 1e-9 * max(1.0, grid.t_end):
-            print(f"note: maturity {t:g} snapped to {snapped:.6g} on the step lattice",
-                  file=sys.stderr)
-        out.append(snapped)
-    return out
+        return pde.auto_grid(model, maturities, *spacings,
+                             s_max_sigmas=float(gb["s_max_sigmas"]),
+                             r_sigmas=float(gb["r_sigmas"]))
+    box = [float(gb["bounds"][key]) for key in ("s_min", "s_max", "r_min", "r_max")]
+    return pde.Grid2D.from_spacings(*box, maturities, *spacings)
 
 
 def _mass_rows(diag: pde.EvolveDiagnostics):
@@ -110,8 +90,7 @@ def _mass_rows(diag: pde.EvolveDiagnostics):
 def _cmd_solve_pde(cfg, writer: _Writer):
     model = cfg.build_model()
     times = cfg.maturities()
-    grid = _build_grid(cfg, model, max(times))
-    times = _snap_times(cfg, grid)
+    grid = _build_grid(cfg, model, times)
     result = pde.evolve(model, grid, snapshot_times=times)
     for snap in result.snapshots:
         path = writer.out_dir / f"pz_t{snap.t:.6g}.csv"
@@ -135,10 +114,9 @@ def _cmd_price_pde(cfg, writer: _Writer):
     model = cfg.build_model()
     maturity = float(cfg.maturities()[-1])
     grid = _build_grid(cfg, model, maturity)
-    t_snap = _snap_times(cfg, grid)[-1]
-    result = pde.evolve(model, grid, snapshot_times=[t_snap])
+    result = pde.evolve(model, grid)
     strikes = cfg.strikes()
-    prices = cal.price_calls_from_pz(result.at(t_snap), strikes)
+    prices = cal.price_calls_from_pz(result.snapshots[-1], strikes)
     writer.csv("prices_pde.csv", "K,price", zip(strikes, prices),
                comments=[f"T={maturity:.17g}"])
     return 0
@@ -180,14 +158,13 @@ def _cmd_price_mc(cfg, writer: _Writer):
 def _cmd_corrective_terms(cfg, writer: _Writer):
     model = cfg.build_model()
     times = cfg.maturities()
-    grid = _build_grid(cfg, model, max(times))
-    times = _snap_times(cfg, grid)
+    grid = _build_grid(cfg, model, times)
     result = pde.evolve(model, grid, snapshot_times=times)
     strikes = cfg.strikes()
     rows = []
-    for snap in result.snapshots:
-        curve = cal.corrective_terms(snap, forward_rate(model.rate, snap.t), strikes)
-        rows.extend((snap.t, k, a) for k, a in zip(curve.strikes, curve.adj))
+    for t, snap in zip(times, result.snapshots):
+        curve = cal.corrective_terms(snap, forward_rate(model.rate, t), strikes)
+        rows.extend((t, k, a) for k, a in zip(curve.strikes, curve.adj))
     writer.csv("corrective_terms.csv", "T,K,adj", rows)
     return 0
 
@@ -246,6 +223,8 @@ def _read_market(path) -> cal.CallSurface:
             if not line or line.startswith("#") or line.lower().startswith("t,"):
                 continue
             rows.append(tuple(_csv_numbers(path, lineno, line, 3, exact=True)))
+    if not rows:
+        raise ConfigError(f"{path}: no T,K,price data rows")
     mats = sorted({r[0] for r in rows})
     ks = sorted({r[1] for r in rows})
     prices = np.full((len(mats), len(ks)), np.nan)

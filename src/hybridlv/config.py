@@ -80,9 +80,16 @@ def _check_bounds(bounds) -> None:
                           f"offending keys {offending}")
 
 
+def _check_number(name: str, value) -> None:
+    if not _is_number(value):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+
+
 def _merge(defaults, override, path=""):
     if override is None:
         return defaults
+    if isinstance(defaults, (int, float)) and not isinstance(defaults, bool):
+        _check_number(path[:-1], override)
     if not isinstance(override, dict) or not isinstance(defaults, dict):
         return override
     out = dict(defaults)
@@ -151,10 +158,12 @@ class ExperimentConfig:
         return ks
 
     def maturities(self) -> list:
+        """``run.maturities`` if set, else ``[run.maturity]``; positive and increasing."""
         rb = self.run_block
-        if rb.get("maturities"):
-            return [float(t) for t in rb["maturities"]]
-        return [float(rb["maturity"])]
+        mats = [float(t) for t in rb.get("maturities") or [rb["maturity"]]]
+        if mats[0] <= 0 or np.any(np.diff(mats) <= 0):
+            raise ConfigError(f"maturities must be positive and strictly increasing, got {mats}")
+        return mats
 
 
 def resolve_config(data: dict | None) -> ExperimentConfig:
@@ -175,11 +184,10 @@ def resolve_config(data: dict | None) -> ExperimentConfig:
             base = {"type": "hyperbolic", "nu": 0.2, "beta": 0.5}
         else:
             raise ConfigError(f"unknown vol type {vol['type']!r}")
-        unknown = set(vol) - set(base)
-        if unknown:
-            raise ConfigError(f"unknown vol fields {sorted(unknown)}")
-        base.update(vol)
-        merged["model"]["vol"] = base
+        merged["model"]["vol"] = _merge(base, vol, "model.vol.")
+    for key in ("strikes", "maturities"):
+        for value in merged["run"][key] if isinstance(merged["run"][key], list) else ():
+            _check_number(f"run.{key}", value)
     _check_bounds(merged["grid"]["bounds"])
     return ExperimentConfig(raw=merged)
 

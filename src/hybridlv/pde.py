@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -45,6 +46,33 @@ _START_CELLS = 2.0
 # A node counts as negative below this fraction of the field's peak; round-off
 # of the sweeps leaves values near -1e-15 relative, which are not negativity.
 _NEGATIVE_FLOOR = 1e-10
+
+# How far the aligned step count may exceed round(t_max / dt).
+_MAX_EXTRA_STEPS = 200_000
+
+
+def _aligned_step_count(maturities, dt: float) -> int:
+    """Smallest step count n >= round(t_max / dt) putting every maturity on
+    the lattice t_max * k / n (to 1e-9 of a step).
+
+    Each T / t_max is read as its nearest fraction with a denominator up to
+    the largest allowed n, and n is the least multiple of the lcm of those
+    denominators at or above the requested count. Distinct fractions with
+    such denominators lie further apart than 1e-9, so no smaller allowed n
+    aligns every maturity.
+    """
+    mats = np.asarray(maturities, dtype=float)
+    t_max = float(mats[-1])
+    n_min = max(1, int(round(t_max / dt)))
+    limit = n_min + _MAX_EXTRA_STEPS
+    lcm = 1
+    for m in mats:
+        lcm = math.lcm(lcm, Fraction(float(m) / t_max).limit_denominator(limit).denominator)
+    n_total = lcm * -(-n_min // lcm)
+    steps = mats / t_max * n_total
+    if n_total >= limit or not np.all(np.abs(steps - np.round(steps)) < 1e-9):
+        raise InvalidInputError("could not align the maturities with a uniform step")
+    return n_total
 
 
 @dataclass(frozen=True)
@@ -96,15 +124,19 @@ class Grid2D:
 
     @classmethod
     def from_spacings(cls, s_min: float, s_max: float, r_min: float, r_max: float,
-                      t_end: float, ds: float, dr: float, dt: float) -> "Grid2D":
-        """Grid on the given box with node and step counts rounded from the
-        requested spacings (at least 8 interior nodes and one step)."""
-        if min(ds, dr, dt) <= 0 or t_end <= 0:
-            raise InvalidInputError("spacings and horizon must be positive")
+                      maturities, ds: float, dr: float, dt: float) -> "Grid2D":
+        """Grid on the given box with node counts rounded from the requested
+        spacings (at least 8 interior nodes), ending at the last of
+        ``maturities`` (one horizon or an increasing sequence), with the
+        least step count >= round(t_end / dt) that puts each on a step."""
+        mats = np.atleast_1d(np.asarray(maturities, dtype=float))
+        if (min(ds, dr, dt) <= 0 or mats.ndim != 1 or mats.size == 0 or mats[0] <= 0
+                or np.any(np.diff(mats) <= 0)):
+            raise InvalidInputError("need positive spacings and positive, increasing maturities")
         n_s = max(8, int(round((s_max - s_min) / ds)) - 1)
         n_r = max(8, int(round((r_max - r_min) / dr)) - 1)
-        n_t = max(1, int(round(t_end / dt)))
-        return cls(s_min, s_max, r_min, r_max, n_s, n_r, t_end, n_t)
+        n_t = _aligned_step_count(mats, dt)
+        return cls(s_min, s_max, r_min, r_max, n_s, n_r, float(mats[-1]), n_t)
 
     def with_horizon(self, t_end: float, n_t: int) -> "Grid2D":
         return Grid2D(self.s_min, self.s_max, self.r_min, self.r_max,
@@ -164,7 +196,7 @@ def _rate_mean_var(p: HullWhiteParams, t: float):
 
 def auto_grid(
     model: HybridModel,
-    t_end: float,
+    maturities,
     ds: float,
     dr: float,
     dt: float,
@@ -174,11 +206,14 @@ def auto_grid(
 ) -> Grid2D:
     """Truncation box sized from the model scales, with requested spacings.
 
-    The spot upper bound covers ``s_max_sigmas`` lognormal standard
-    deviations plus the forward drift; the rate bounds cover ``r_sigmas``
-    standard deviations around the terminal mean (floored for near-zero
-    rate volatility so the box never collapses).
+    The box is sized at the last of ``maturities``, each of which lies on
+    a step (:meth:`Grid2D.from_spacings`). The spot upper bound covers
+    ``s_max_sigmas`` lognormal standard deviations plus the forward drift;
+    the rate bounds cover ``r_sigmas`` standard deviations around the
+    terminal mean (floored for near-zero rate volatility so the box never
+    collapses).
     """
+    t_end = float(np.atleast_1d(maturities)[-1])
     sigma_ref = float(np.asarray(model.vol.value(0.0, model.s0)))
     zc = zc_price(model.rate, t_end)
     s_min = 1e-4 * model.s0
@@ -188,7 +223,7 @@ def auto_grid(
     half = max(half, 12.0 * dr, 1e-3)
     r_min = min(model.rate.r0, mean_r) - half
     r_max = max(model.rate.r0, mean_r) + half
-    return Grid2D.from_spacings(s_min, s_max, r_min, r_max, t_end, ds, dr, dt)
+    return Grid2D.from_spacings(s_min, s_max, r_min, r_max, maturities, ds, dr, dt)
 
 
 def short_time_start(model: HybridModel, grid: Grid2D) -> Field2D:

@@ -17,7 +17,7 @@ from hybridlv.calibration import (
     make_analytic_surface,
     price_calls_from_pz,
 )
-from hybridlv.calibration import _aligned_step_count, _strike_integrals
+from hybridlv.calibration import _strike_integrals
 from hybridlv.errors import (
     ButterflyDegenerateError,
     CalibrationError,
@@ -32,7 +32,7 @@ from hybridlv.models import (
     forward_rate,
     zc_price,
 )
-from hybridlv.pde import Field2D, auto_grid, evolve
+from hybridlv.pde import Field2D, _aligned_step_count, auto_grid, evolve
 
 from .oracles import (
     aligned_step_count_by_search,
@@ -303,7 +303,7 @@ class TestLocalVolSurface:
         assert one.next_change(0.0) == math.inf
         assert one.next_change(0.7) == math.inf
         two = LocalVolSurface(np.array([0.5, 1.0]), ks, np.array([[0.2, 0.3], [0.4, 0.5]]))
-        assert two.next_change(0.25) == 0.25
+        assert two.next_change(0.25) == 0.5
         assert two.next_change(0.75) == 0.75
         assert two.next_change(1.0) == math.inf
         assert two.next_change(2.0) == math.inf
@@ -324,6 +324,26 @@ class TestLocalVolSurface:
         assert len(levels) == 1
         every = evolve(replace(set1_model, vol=SurfaceVol(rebuilt)), grid)
         assert len(levels) > 2
+        assert np.array_equal(once.snapshots[-1].values, every.snapshots[-1].values)
+
+    def test_march_before_the_first_maturity_reuses_its_operator(
+        self, set1_model, monkeypatch
+    ):
+        from types import SimpleNamespace
+
+        surface = LocalVolSurface(
+            np.array([0.5, 1.0]), np.array([0.8, 1.0, 1.2]),
+            np.array([[0.25, 0.2, 0.18], [0.22, 0.19, 0.17]]),
+        )
+        rebuilt = SimpleNamespace(strikes=surface.strikes, vol=surface.vol)
+        grid = auto_grid(set1_model, 1.0, ds=0.02, dr=0.003, dt=0.01)
+        levels = _count_operators(monkeypatch)
+        once = evolve(replace(set1_model, vol=surface.as_vol_function()), grid)
+        # one operator up to the first maturity, then one per step after it
+        assert len(levels) == 50
+        del levels[:]
+        every = evolve(replace(set1_model, vol=SurfaceVol(rebuilt)), grid)
+        assert len(levels) == 96
         assert np.array_equal(once.snapshots[-1].values, every.snapshots[-1].values)
 
 
@@ -438,8 +458,8 @@ class TestStepAlignment:
     def test_no_alignment_raises(self, set1_model):
         mats = [0.1234567891, 1.0]
         assert aligned_step_count_by_search(mats, 0.01) is None
-        with pytest.raises(CalibrationError):
+        with pytest.raises(InvalidInputError):
             _aligned_step_count(mats, 0.01)
         market = make_analytic_surface(set1_model, mats, np.arange(0.9, 1.1001, 0.05))
-        with pytest.raises(CalibrationError):
+        with pytest.raises(InvalidInputError):
             calibrate(market, set1_model, CalibrationSettings(ds=0.02, dr=0.003, dt=0.01))

@@ -162,6 +162,17 @@ class TestCommands:
         assert rows.shape[1] == 3
         assert np.all(rows[:, 2] >= -1e-5)  # positive correlation setup
 
+    def test_corrective_terms_write_the_configured_maturities(self, tmp_path):
+        raw = yaml.safe_load(FAST_BSHW.replace("PLACEHOLDER", str(tmp_path / "out")))
+        mats = [0.25, 0.5, 0.75, 1.0]
+        raw["grid"]["dt"] = 0.0099  # 101 steps of it would miss every quarter
+        raw["run"]["maturities"] = mats
+        path = tmp_path / "fan.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        assert cli.run("corrective-terms", config_path=str(path)) == 0
+        rows = _load_rows(tmp_path / "out" / "corrective_terms.csv")
+        assert rows[:, 0].tolist() == [t for t in mats for _ in range(7)]
+
     def test_price_mc_csv(self, fast_config):
         path, out = fast_config
         assert cli.run("price-mc", config_path=str(path)) == 0
@@ -234,23 +245,35 @@ class TestBundledConfigs:
         names = {path.stem for path in CONFIG_DIR.glob("*.yaml")}
         assert names == set(_BUNDLED_PDE_COMMANDS)
 
-    @pytest.mark.parametrize("name", sorted(_BUNDLED_PDE_COMMANDS))
-    def test_first_operator_takes_the_blocked_scan(self, name, tmp_path, monkeypatch):
-        # A scheme change that makes gttrf swap rows would silently send every
-        # sweep back to the serial LAPACK solve.
+    @staticmethod
+    def _first_operator(name, tmp_path, monkeypatch):
+        """Run the config's PDE command up to its first step operator; returns
+        the operator and the grid it marches on."""
         import hybridlv.pde as pde_mod
 
         class FirstOperator(pde_mod._StepOperator):
-            def __init__(self, *args):
-                super().__init__(*args)
-                raise _FirstOperator(self)
+            def __init__(self, coeffs, grid, dt):
+                super().__init__(coeffs, grid, dt)
+                raise _FirstOperator(self, grid)
 
         monkeypatch.setattr(pde_mod, "_StepOperator", FirstOperator)
         config = CONFIG_DIR / f"{name}.yaml"
         with pytest.raises(_FirstOperator) as stop:
             cli.run(_BUNDLED_PDE_COMMANDS[name], config_path=str(config), out_dir=str(tmp_path))
-        op = stop.value.args[0]
+        return stop.value.args
+
+    @pytest.mark.parametrize("name", sorted(_BUNDLED_PDE_COMMANDS))
+    def test_first_operator_takes_the_blocked_scan(self, name, tmp_path, monkeypatch):
+        # A scheme change that makes gttrf swap rows would silently send every
+        # sweep back to the serial LAPACK solve.
+        op, _ = self._first_operator(name, tmp_path, monkeypatch)
         assert op.lu1.scan is not None and op.lu2.scan is not None
+
+    @pytest.mark.parametrize("name", sorted(_BUNDLED_PDE_COMMANDS))
+    def test_every_maturity_is_a_step_of_the_march(self, name, tmp_path, monkeypatch):
+        _, grid = self._first_operator(name, tmp_path, monkeypatch)
+        steps = np.asarray(load_config(CONFIG_DIR / f"{name}.yaml").maturities()) / grid.dt
+        assert np.all(np.abs(steps - np.round(steps)) < 1e-9)
 
     def test_reference_pipeline_meets_price_bound(self, tmp_path):
         import pathlib
@@ -356,6 +379,50 @@ class TestMainEntry:
         message = self._config_error(capsys, ["price-pde", "--config", str(config)])
         assert "grid.bounds" in message
         assert all(name in message for name in named)
+
+    @pytest.mark.parametrize("block, key, value, named", [
+        ("grid", "ds", "abc", "grid.ds"),
+        ("run", "strikes", [0.9, "x"], "run.strikes"),
+        ("run", "maturities", [0.5, "soon"], "run.maturities"),
+        ("model", "rho", "high", "model.rho"),
+        ("model", "vol", {"type": "constant", "sigma1": "low"}, "model.vol.sigma1"),
+    ])
+    def test_non_numeric_config_value_exits_2(self, tmp_path, capsys, block, key, value, named):
+        data = {"run": {"out_dir": str(tmp_path / "out")}}
+        data.setdefault(block, {})[key] = value
+        config = tmp_path / "not_a_number.yaml"
+        config.write_text(yaml.safe_dump(data))
+        message = self._config_error(capsys, ["price-analytic", "--config", str(config)])
+        assert named in message
+
+    def test_numeric_strings_pass_unchanged(self):
+        cfg = resolve_config({"grid": {"dt": "1e-2"}, "run": {"strikes": ["0.9", 1.0]}})
+        assert cfg.raw["grid"]["dt"] == "1e-2"
+        assert np.allclose(cfg.strikes(), [0.9, 1.0])
+
+    @pytest.mark.parametrize("mats", [[1.0, 0.5], [0.5, 0.5], [0.0, 1.0], [-0.5, 1.0]])
+    def test_unordered_or_non_positive_maturities_exit_2(self, fast_config, capsys, mats):
+        path, _ = fast_config
+        raw = yaml.safe_load(path.read_text())
+        raw["run"]["maturities"] = mats
+        path.write_text(yaml.safe_dump(raw))
+        message = self._config_error(capsys, ["price-pde", "--config", str(path)])
+        assert "maturities" in message
+
+    def test_maturities_off_every_uniform_step_exit_3(self, fast_config, capsys):
+        path, _ = fast_config
+        raw = yaml.safe_load(path.read_text())
+        raw["run"]["maturities"] = [0.1234567891, 1.0]
+        path.write_text(yaml.safe_dump(raw))
+        assert cli.main(["corrective-terms", "--config", str(path)]) == 3
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "InvalidInputError" and "align" in payload["message"]
+
+    def test_market_without_data_rows_exits_2(self, tmp_path, capsys):
+        config, market = self._market_config(tmp_path, "")
+        market.write_text("T,K,price\n")
+        message = self._config_error(capsys, ["calibrate", "--config", str(config)])
+        assert str(market) in message
 
     def test_zero_strike_step_exits_2(self, tmp_path, capsys):
         config = tmp_path / "zero_step.yaml"

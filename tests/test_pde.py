@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hybridlv.analytic import analytic_pz
-from hybridlv.errors import InvalidInputError
+from hybridlv.errors import InvalidInputError, PdeBlowUpError
 from hybridlv.models import (
     ConstantVol,
     HullWhiteParams,
@@ -103,6 +103,22 @@ class TestGrid:
         assert g.dt == pytest.approx(0.0099, rel=0.02)
         assert g.s_min < set1_model.s0 < g.s_max
         assert g.r_min < set1_model.rate.r0 < g.r_max
+
+    def test_maturity_fan_lies_on_the_steps(self, set1_model):
+        mats = [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0]
+        one = auto_grid(set1_model, 2.0, ds=0.0156, dr=0.0026, dt=0.0099)
+        fan = auto_grid(set1_model, mats, ds=0.0156, dr=0.0026, dt=0.0099)
+        # 202 steps of 0.0099 would put 0.25 at step 25.25; 208 is the least
+        # count above 202 with every quarter on a step
+        assert (one.n_t, fan.n_t) == (202, 208)
+        assert fan == one.with_horizon(2.0, 208)
+        steps = np.asarray(mats) / fan.dt
+        assert np.all(np.abs(steps - np.round(steps)) < 1e-9)
+
+    @pytest.mark.parametrize("mats", [[1.0, 0.5], [0.5, 0.5], [0.0, 1.0], []])
+    def test_maturities_must_be_positive_and_increasing(self, set1_model, mats):
+        with pytest.raises(InvalidInputError):
+            Grid2D.from_spacings(0.01, 3.0, -0.1, 0.14, mats, 0.02, 0.003, 0.01)
 
 
 class TestCoefficients:
@@ -393,6 +409,16 @@ class TestEvolve:
         zc = zc_price(set1_model.rate, 1.0)
         l1 = np.abs(res.snapshots[-1].values - ana).sum() * g.ds * g.dr / zc
         assert l1 < 2e-2
+
+    def test_non_finite_march_raises_with_its_step(self, set1_model):
+        # the explicit cross term at rho = 0.4 grows a checkerboard mode on
+        # this 710x293x202 grid until the field overflows
+        g = auto_grid(set1_model, 1.0, ds=0.0039, dr=0.0013, dt=0.00495)
+        assert (g.n_s, g.n_r, g.n_t) == (710, 293, 202)
+        with pytest.raises(PdeBlowUpError) as blow_up:
+            evolve(set1_model, g)
+        assert blow_up.value.step == 198
+        assert blow_up.value.t == pytest.approx(0.980198, abs=1e-6)
 
     def test_nearly_deterministic_rates_reduce_to_one_dimension(self):
         rate = HullWhiteParams(a=0.5, sigma2=1e-8, theta=0.02, r0=0.02)
