@@ -9,7 +9,6 @@ Monte Carlo simulator serve as independent cross-checks.
 
 from .analytic import (
     BshwMoments,
-    IntrinsicValue,
     PriceAndGreeks,
     analytic_pz,
     analytic_z,

@@ -21,7 +21,6 @@ from .models import ConstantVol, HullWhiteParams, HybridModel, _b_factor, forwar
 __all__ = [
     "BshwMoments",
     "PriceAndGreeks",
-    "IntrinsicValue",
     "integrated_variance",
     "bshw_call",
     "bshw_moments",
@@ -69,13 +68,6 @@ class PriceAndGreeks:
     d1: float
     d2: float
     g_t: float
-
-
-@dataclass(frozen=True)
-class IntrinsicValue:
-    """Degenerate pricing result where the sensitivities are undefined."""
-
-    price: float
 
 
 def integrated_variance(m: HybridModel, maturity: float) -> float:
@@ -155,21 +147,19 @@ def bshw_moments(m: HybridModel, maturity: float) -> BshwMoments:
 def bshw_call(m: HybridModel, maturity: float, strike: float):
     """European call price and sensitivities under the constant-vol hybrid model.
 
-    Returns :class:`PriceAndGreeks` for T > 0, or :class:`IntrinsicValue`
-    when the maturity (or the total variance) degenerates to zero.
+    The sensitivities need a positive total variance, so T <= 0 and a model
+    without any volatility are rejected.
     """
     _require_constant(m)
     if not (np.isfinite(strike) and strike > 0):
         raise InvalidInputError(f"strike must be positive, got {strike!r}")
-    if maturity < 0:
-        raise InvalidInputError(f"maturity must be >= 0, got {maturity!r}")
-    if maturity == 0.0:
-        return IntrinsicValue(price=max(m.s0 - strike, 0.0))
+    if not maturity > 0:
+        raise InvalidInputError(f"maturity must be > 0, got {maturity!r}")
     t = float(maturity)
     g = integrated_variance(m, t)
-    zc = zc_price(m.rate, t)
     if g <= 0.0:
-        return IntrinsicValue(price=max(m.s0 - strike * zc, 0.0))
+        raise InvalidInputError(f"zero total variance at T={t!r}: the call has no sensitivities")
+    zc = zc_price(m.rate, t)
     sq = math.sqrt(g)
     d1 = (math.log(m.s0 / strike) - math.log(zc) + 0.5 * g) / sq
     d2 = d1 - sq
@@ -247,13 +237,9 @@ def analytic_pz(m: HybridModel, maturity: float, s, r):
     if np.any(s_arr <= 0):
         raise InvalidInputError("spot must be positive")
     mom = bshw_moments(m, maturity)
+    coeff, resid_var = _conditional_discount_terms(mom)
     cov = mom.sigma_yr
     det = cov[0, 0] * cov[1, 1] - cov[0, 1] ** 2
-    if det <= 1e-300:
-        raise SingularCovarianceError(
-            f"covariance of (log S, r) is numerically singular (det={det:.3e})"
-        )
-    coeff, resid_var = _conditional_discount_terms(mom)
     y = np.log(s_arr)
     dy = y - mom.mu_y
     dr = r_arr - mom.mu_r

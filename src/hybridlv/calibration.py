@@ -10,7 +10,9 @@ density from the grid solver. Consecutive strikes share their integration
 region, so all corrective terms (or call prices) of one maturity cost a
 single vectorized pass: one suffix sum over the spot cells, read at each
 strike's cell plus the partial cell cut at the strike. Each march of the
-bootstrap runs under one vol slice, constant in time.
+bootstrap runs under one vol slice, constant in time, and every slice (the
+seed at the first maturity included) is read off the market by one
+extractor: the Dupire value minus the corrective term at each strike.
 """
 
 from __future__ import annotations
@@ -46,7 +48,8 @@ __all__ = [
     "calibrate",
 ]
 
-EPS_FLOOR = 1e-12
+EPS_FLOOR = 1e-12  # smallest usable C_KK; a flatter butterfly skips its strike
+SLICE_TOLERANCE = 1e-4  # slice iterations stop once no node moves by more
 
 
 # ---------------------------------------------------------------------------
@@ -57,24 +60,19 @@ EPS_FLOOR = 1e-12
 class CallSurface:
     """Call prices C(T, K) on a (maturity, strike) lattice.
 
-    ``provider`` records where derivative information comes from:
-    ``analytic`` surfaces carry their generating model and use closed-form
-    sensitivities, ``pde``/``external`` surfaces are differenced on the
-    lattice.
+    A surface that carries its generating ``model`` takes closed-form
+    sensitivities from it; any other surface is differenced on the lattice.
     """
 
     maturities: np.ndarray
     strikes: np.ndarray
     prices: np.ndarray
-    provider: str = "external"
     model: HybridModel | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "maturities", np.asarray(self.maturities, dtype=float))
         object.__setattr__(self, "strikes", np.asarray(self.strikes, dtype=float))
         object.__setattr__(self, "prices", np.asarray(self.prices, dtype=float))
-        if self.provider not in ("analytic", "pde", "external"):
-            raise InvalidInputError(f"unknown provider {self.provider!r}")
         if np.any(np.diff(self.maturities) <= 0) or np.any(np.diff(self.strikes) <= 0):
             raise InvalidInputError("maturities and strikes must be strictly increasing")
         if self.prices.shape != (len(self.maturities), len(self.strikes)):
@@ -85,8 +83,6 @@ class CallSurface:
             second = np.diff(self.prices, n=2, axis=1)
             if np.any(second < -1e-10):
                 raise InvalidInputError("prices must be convex in strike")
-        if self.provider == "analytic" and self.model is None:
-            raise InvalidInputError("analytic surfaces must carry their model")
 
 
 def make_analytic_surface(
@@ -96,7 +92,7 @@ def make_analytic_surface(
     mats = np.asarray(maturities, dtype=float)
     ks = np.asarray(strikes, dtype=float)
     prices = np.array([[bshw_call(model, t, k).price for k in ks] for t in mats])
-    return CallSurface(mats, ks, prices, provider="analytic", model=model)
+    return CallSurface(mats, ks, prices, model=model)
 
 
 @dataclass(frozen=True)
@@ -243,7 +239,7 @@ def _lattice_derivatives(surface: CallSurface, t: float, k: float):
     ik = int(np.argmin(np.abs(ks - k)))
     if abs(mats[it] - t) > 1e-9 * max(1.0, abs(t)) or abs(ks[ik] - k) > 1e-9 * max(1.0, abs(k)):
         raise InvalidInputError(
-            f"(T={t!r}, K={k!r}) must be lattice nodes for a {surface.provider} surface"
+            f"(T={t!r}, K={k!r}) must be nodes of the price lattice"
         )
     if len(mats) == 1:
         raise InvalidInputError("cannot difference a single-maturity lattice in T")
@@ -271,18 +267,18 @@ def _lattice_derivatives(surface: CallSurface, t: float, k: float):
 
 
 def _surface_derivatives(surface: CallSurface, t: float, k: float):
-    if surface.provider == "analytic":
+    if surface.model is not None:
         pg = bshw_call(surface.model, t, k)
         return pg.c_t, pg.c_k, pg.c_kk
     return _lattice_derivatives(surface, t, k)
 
 
-def _dupire_variance(surface, forward_curve, t, k, eps_floor):
+def _dupire_variance(surface, forward_curve, t, k):
     """Deterministic-rates local variance and the C_KK it divides by."""
     if t <= 0 or k <= 0:
         raise InvalidInputError("need T > 0 and K > 0")
     c_t, c_k, c_kk = _surface_derivatives(surface, t, k)
-    if c_kk <= eps_floor:
+    if c_kk <= EPS_FLOOR:
         raise ButterflyDegenerateError(t, k, c_kk)
     f = float(forward_curve(t))
     var = (c_t + k * f * c_k) / (0.5 * k**2 * c_kk)
@@ -296,11 +292,9 @@ def dupire_vol(
     forward_curve: Callable[[float], float],
     t: float,
     k: float,
-    *,
-    eps_floor: float = EPS_FLOOR,
 ) -> float:
     """Deterministic-rates local variance [C_T + K f C_K] / (K^2 C_KK / 2)."""
-    return _dupire_variance(surface, forward_curve, t, k, eps_floor)[0]
+    return _dupire_variance(surface, forward_curve, t, k)[0]
 
 
 def local_vol_stochastic_rates(
@@ -309,11 +303,9 @@ def local_vol_stochastic_rates(
     adj: CorrectiveTermCurve,
     t: float,
     k: float,
-    *,
-    eps_floor: float = EPS_FLOOR,
 ) -> float:
     """Stochastic-rates local variance: Dupire minus Adj(K) / (K C_KK / 2)."""
-    dup, c_kk = _dupire_variance(surface, forward_curve, t, k, eps_floor)
+    dup, c_kk = _dupire_variance(surface, forward_curve, t, k)
     a = adj.interp(k)
     var = dup - a / (0.5 * k * c_kk)
     if var < 0:
@@ -334,8 +326,6 @@ class CalibrationSettings:
     dt: float = 0.005
     slice_iterations: int = 1
     use_corrective: bool = True
-    eps_floor: float = EPS_FLOOR
-    slice_tolerance: float = 1e-4
 
     def __post_init__(self):
         if self.slice_iterations < 1 or self.slice_iterations > 5:
@@ -355,7 +345,6 @@ class MaturityDiagnostics:
 @dataclass
 class CalibrationReport:
     entries: list = dataclass_field(default_factory=list)
-    failures: list = dataclass_field(default_factory=list)
     warnings: list = dataclass_field(default_factory=list)
 
     def format_text(self) -> str:
@@ -369,8 +358,6 @@ class CalibrationReport:
             )
         for w in self.warnings:
             lines.append(f"warning: {w}")
-        for f in self.failures:
-            lines.append(f"failure: negative variance at (T={f[0]:g}, K={f[1]:g})")
         return "\n".join(lines) + "\n"
 
 
@@ -380,28 +367,36 @@ class CalibrationResult:
     report: CalibrationReport
 
 
-def _seed_slice(market: CallSurface, forward_curve, strikes, eps_floor) -> np.ndarray:
-    """Initial guess for the first interval: the market Dupire slice at the
-    first maturity (flat-filled where the butterfly degenerates)."""
-    t1 = float(market.maturities[0])
+def _slice(market, forward_curve, maturity, strikes, adj, report):
+    """The local-vol slice at one maturity: the market's Dupire variance
+    minus ``adj`` at every strike, and the strikes skipped on the way.
+
+    A strike whose butterfly degenerates is skipped and takes the value of
+    the nearest usable strike; a negative variance at any strike, or no
+    usable strike at all, fails the calibration.
+    """
     vals = np.full(len(strikes), np.nan)
+    skipped, negative = [], []
     for j, k in enumerate(strikes):
         try:
-            vals[j] = math.sqrt(dupire_vol(market, forward_curve, t1, float(k), eps_floor=eps_floor))
-        except (ButterflyDegenerateError, NegativeVarianceError):
-            pass
-    if np.all(np.isnan(vals)):
-        raise CalibrationError("no usable strike on the first maturity")
-    return _fill_nan_flat(vals)
-
-
-def _fill_nan_flat(vals: np.ndarray) -> np.ndarray:
-    out = vals.copy()
-    idx = np.where(~np.isnan(out))[0]
-    for j in range(len(out)):
-        if np.isnan(out[j]):
-            out[j] = out[idx[np.argmin(np.abs(idx - j))]]
-    return out
+            vals[j] = math.sqrt(
+                local_vol_stochastic_rates(market, forward_curve, adj, maturity, float(k))
+            )
+        except ButterflyDegenerateError:
+            skipped.append(float(k))
+        except NegativeVarianceError:
+            negative.append(float(k))
+    if negative:
+        raise CalibrationError(
+            "negative local variance at "
+            + ", ".join(f"(T={maturity:g}, K={k:g})" for k in negative),
+            report=report,
+        )
+    usable = np.flatnonzero(~np.isnan(vals))
+    if usable.size == 0:
+        raise CalibrationError(f"no usable strike at maturity {maturity:g}", report=report)
+    nearest = np.abs(np.arange(len(vals))[:, None] - usable[None, :]).argmin(axis=1)
+    return vals[usable[nearest]], skipped
 
 
 def _march_under(model, strikes, values, grid, start):
@@ -423,10 +418,12 @@ def calibrate(
     slice, constant in time, and builds one step operator. The solve for
     T_i runs under the latest slice extended flat, which keeps it free of
     look-ahead: the previous maturity's final slice (the market Dupire
-    slice for the first interval), then in each further slice iteration
-    the slice the last one produced. The corrective terms are read off the
-    evolved field, and the slice follows from the Dupire value minus the
-    rate adjustment.
+    slice at T_1 for the first interval), then in each further slice
+    iteration the slice the last one produced. The corrective terms are
+    read off the evolved field, and the slice follows from the Dupire value
+    minus the rate adjustment. Every slice, the seed included, comes from
+    one extractor, so a negative Dupire variance at T_1 fails before the
+    first march.
 
     Once a slice is fixed, it governs every step of its interval: the
     interval is marched once more under it and the field at T_i is kept as
@@ -445,14 +442,18 @@ def calibrate(
     rate = model.rate
     forward_curve = lambda t: forward_rate(rate, t)  # noqa: E731
 
-    sigma_ref_model = replace(model, vol=_ref_vol(market, forward_curve, settings))
+    sigma_ref_model = replace(model, vol=_ref_vol(market, forward_curve))
     box = auto_grid(sigma_ref_model, mats, settings.ds, settings.dr, settings.dt)
     if strikes[0] <= box.s_min or strikes[-1] >= box.s_max:
         raise InvalidInputError("market strikes fall outside the solver box")
 
     use_adj = settings.use_corrective and rate.sigma2 > 0.0
     report = CalibrationReport()
-    slice_vals = _seed_slice(market, forward_curve, strikes, settings.eps_floor)
+    t_1 = float(mats[0])
+    # the T_1 iteration warns for the strikes the seed skips
+    slice_vals, _ = _slice(
+        market, forward_curve, t_1, strikes, CorrectiveTermCurve.zeros(t_1, strikes), report
+    )
     slices = []
 
     checkpoint = None  # field at the previous maturity under its final slice
@@ -461,7 +462,7 @@ def calibrate(
         grid_i = box.with_horizon(float(maturity), int(round(maturity / box.dt)))
         iterations = 0
         max_update = math.inf
-        while iterations < settings.slice_iterations and max_update > settings.slice_tolerance:
+        while iterations < settings.slice_iterations and max_update > SLICE_TOLERANCE:
             iterations += 1
             result = _march_under(model, strikes, slice_vals, grid_i, checkpoint)
             fld = result.snapshots[-1]
@@ -469,32 +470,13 @@ def calibrate(
                 adj = corrective_terms(fld, forward_curve(float(maturity)), strikes)
             else:
                 adj = CorrectiveTermCurve.zeros(float(maturity), strikes)
-            vals = np.full(len(strikes), np.nan)
-            skipped = []
-            for j, k in enumerate(strikes):
-                try:
-                    var = local_vol_stochastic_rates(
-                        market, forward_curve, adj, float(maturity), float(k),
-                        eps_floor=settings.eps_floor,
-                    )
-                    vals[j] = math.sqrt(var)
-                except ButterflyDegenerateError:
-                    skipped.append(float(k))
-                except NegativeVarianceError:
-                    report.failures.append((float(maturity), float(k)))
-            if report.failures:
-                raise CalibrationError(
-                    "negative local variance at "
-                    + ", ".join(f"(T={t:g}, K={k:g})" for t, k in report.failures),
-                    report=report,
-                )
-            if np.all(np.isnan(vals)):
-                raise CalibrationError(f"no usable strike at maturity {maturity:g}", report=report)
+            new_slice, skipped = _slice(
+                market, forward_curve, float(maturity), strikes, adj, report
+            )
             if skipped:
                 report.warnings.append(
                     f"T={maturity:g}: degenerate butterfly at K in {skipped}; flat-filled"
                 )
-            new_slice = _fill_nan_flat(vals)
             if iterations > 1:
                 max_update = float(np.max(np.abs(new_slice - slice_vals)))
             slice_vals = new_slice
@@ -522,12 +504,12 @@ def calibrate(
     return CalibrationResult(surface=surface, report=report)
 
 
-def _ref_vol(market: CallSurface, forward_curve, settings):
+def _ref_vol(market: CallSurface, forward_curve):
     """At-the-money volatility scale for sizing the solver box."""
     t_ref = float(market.maturities[-1])
     k_mid = float(market.strikes[len(market.strikes) // 2])
     try:
-        level = math.sqrt(dupire_vol(market, forward_curve, t_ref, k_mid, eps_floor=settings.eps_floor))
+        level = math.sqrt(dupire_vol(market, forward_curve, t_ref, k_mid))
     except (ButterflyDegenerateError, NegativeVarianceError):
         level = 0.3
     return ConstantVol(level)

@@ -93,11 +93,9 @@ def _cmd_solve_pde(cfg, writer: _Writer):
     grid = _build_grid(cfg, model, times)
     result = pde.evolve(model, grid, snapshot_times=times)
     for snap in result.snapshots:
-        path = writer.out_dir / f"pz_t{snap.t:.6g}.csv"
-        with open(path, "w") as handle:
-            handle.write(f"# config={writer.digest}\n")
-            snap.write_csv(handle)
-        writer.written.append(path)
+        s, r = np.meshgrid(snap.grid.s_nodes, snap.grid.r_nodes, indexing="ij")
+        rows = zip(np.full(s.size, snap.t), s.ravel(), r.ravel(), snap.values.ravel())
+        writer.csv(f"pz_t{snap.t:.6g}.csv", "t,S,r,pz", rows)
     writer.csv(
         "mass_diagnostics.csv",
         "step,t,raw_mass,target_zc,ratio,neg_fraction,neg_mass_ratio",
@@ -234,7 +232,7 @@ def _read_market(path) -> cal.CallSurface:
             prices[i, j] = index.get((t, k), np.nan)
     if np.any(np.isnan(prices)):
         raise ConfigError("market CSV is not a full (T, K) lattice")
-    return cal.CallSurface(np.asarray(mats), np.asarray(ks), prices, provider="external")
+    return cal.CallSurface(np.asarray(mats), np.asarray(ks), prices)
 
 
 def _read_price_csv(path):

@@ -56,6 +56,8 @@ _DEFAULTS = {
 
 
 _BOX_EDGES = ["r_max", "r_min", "s_max", "s_min"]
+# fields that take either of two shapes; each is checked once merged
+_UNION_FIELDS = ("grid.bounds", "run.strikes")
 
 
 def _is_number(value) -> bool:
@@ -86,10 +88,15 @@ def _check_number(name: str, value) -> None:
 
 
 def _merge(defaults, override, path=""):
+    """``override`` over ``defaults``; a value takes the type of its default."""
     if override is None:
         return defaults
+    name = path[:-1]
     if isinstance(defaults, (int, float)) and not isinstance(defaults, bool):
-        _check_number(path[:-1], override)
+        _check_number(name, override)
+    elif defaults is not None and not isinstance(override, type(defaults)):
+        if name not in _UNION_FIELDS:
+            raise ConfigError(f"{name} must be a {type(defaults).__name__}, got {override!r}")
     if not isinstance(override, dict) or not isinstance(defaults, dict):
         return override
     out = dict(defaults)
@@ -185,8 +192,15 @@ def resolve_config(data: dict | None) -> ExperimentConfig:
         else:
             raise ConfigError(f"unknown vol type {vol['type']!r}")
         merged["model"]["vol"] = _merge(base, vol, "model.vol.")
+    rb = merged["run"]
+    mats = rb["maturities"]
+    if mats is not None and not (isinstance(mats, list) and mats):
+        raise ConfigError(f"run.maturities must be null or a non-empty list, got {mats!r}")
+    if not isinstance(rb["strikes"], (list, dict)):
+        raise ConfigError("run.strikes must be a list or a mapping of start, stop and step, "
+                          f"got {rb['strikes']!r}")
     for key in ("strikes", "maturities"):
-        for value in merged["run"][key] if isinstance(merged["run"][key], list) else ():
+        for value in rb[key] if isinstance(rb[key], list) else ():
             _check_number(f"run.{key}", value)
     _check_bounds(merged["grid"]["bounds"])
     return ExperimentConfig(raw=merged)

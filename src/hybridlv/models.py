@@ -227,14 +227,12 @@ class HyperbolicVol:
 
     def derivatives(self, t, s):
         arr = np.asarray(s, dtype=float)
-        if np.any(arr <= 0):
-            raise InvalidInputError("spot must be positive")
+        sig = hyperbolic_vol(self.nu, self.beta, arr)
         nu, beta = self.nu, self.beta
         g = np.sqrt(arr**2 + beta**2 * (1.0 - arr) ** 2)
         gp = (arr - beta**2 * (1.0 - arr)) / g
         gpp = (1.0 + beta**2) / g - (arr - beta**2 * (1.0 - arr)) ** 2 / g**3
         k = nu * (beta - 1.0) / beta
-        sig = nu * ((1.0 - beta + beta**2) / beta + (beta - 1.0) / (beta * arr) * (g - beta))
         sig_s = k * (gp * arr - g + beta) / arr**2
         sig_ss = k * (gpp * arr**2 - 2.0 * arr * gp + 2.0 * (g - beta)) / arr**3
         return sig, sig_s, sig_ss

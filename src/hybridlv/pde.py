@@ -170,17 +170,6 @@ class Field2D:
     def copy(self) -> "Field2D":
         return Field2D(self.grid, self.values.copy(), self.t)
 
-    def write_csv(self, handle) -> None:
-        """Rows ``t,S,r,pz`` in row-major order (S outer, r inner)."""
-        handle.write("t,S,r,pz\n")
-        s_nodes = self.grid.s_nodes
-        r_nodes = self.grid.r_nodes
-        t = self.t
-        for i, s in enumerate(s_nodes):
-            row = self.values[i]
-            for j, r in enumerate(r_nodes):
-                handle.write(f"{t:.17g},{s:.17g},{r:.17g},{row[j]:.17g}\n")
-
 
 def _rate_mean_var(p: HullWhiteParams, t: float):
     ea = math.exp(-p.a * t)

@@ -271,17 +271,18 @@ def restart_bootstrap(market, model, settings):
     t_max = float(mats[-1])
     fwd = lambda t: forward_rate(model.rate, t)  # noqa: E731
     n_total = aligned_step_count_by_search(mats, settings.dt)
-    box_model = replace(model, vol=cal._ref_vol(market, fwd, settings))
+    box_model = replace(model, vol=cal._ref_vol(market, fwd))
     box = auto_grid(box_model, t_max, settings.ds, settings.dr, settings.dt)
     use_adj = settings.use_corrective and model.rate.sigma2 > 0.0
-    view = _RestartView(strikes, cal._seed_slice(market, fwd, strikes, settings.eps_floor))
+    seed = [math.sqrt(cal.dupire_vol(market, fwd, float(mats[0]), float(k))) for k in strikes]
+    view = _RestartView(strikes, np.array(seed))
     work_model = replace(model, vol=SurfaceVol(view))
     entries = []
     for maturity in mats:
         t = float(maturity)
         grid = box.with_horizon(t, int(round(maturity / t_max * n_total)))
         slice_vals, update, iterations = None, math.inf, 0
-        while iterations < settings.slice_iterations and update > settings.slice_tolerance:
+        while iterations < settings.slice_iterations and update > cal.SLICE_TOLERANCE:
             iterations += 1
             result = evolve(work_model, grid, snapshot_times=[t])
             field = result.at(t)
@@ -290,8 +291,7 @@ def restart_bootstrap(market, model, settings):
             else:
                 adj = cal.CorrectiveTermCurve.zeros(t, strikes)
             vals = np.array([
-                math.sqrt(cal.local_vol_stochastic_rates(
-                    market, fwd, adj, t, float(k), eps_floor=settings.eps_floor))
+                math.sqrt(cal.local_vol_stochastic_rates(market, fwd, adj, t, float(k)))
                 for k in strikes
             ])
             update = float(np.max(np.abs(vals - slice_vals))) if slice_vals is not None else math.inf

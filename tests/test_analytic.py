@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridlv.analytic import (
-    IntrinsicValue,
     analytic_pz,
     analytic_z,
     bshw_call,
@@ -104,10 +103,11 @@ class TestCall:
             pg = bshw_call(m, 1.5, k)
             assert pg.price == pytest.approx(bs_call_textbook(1.0, k, 0.03, 0.2, 1.5), rel=1e-12)
 
-    def test_zero_maturity_returns_intrinsic(self, set1_model):
-        res = bshw_call(set1_model, 0.0, 0.8)
-        assert isinstance(res, IntrinsicValue)
-        assert res.price == pytest.approx(0.2)
+    def test_zero_maturity_or_variance_raises(self, set1_model):
+        with pytest.raises(InvalidInputError, match="maturity must be > 0, got 0.0"):
+            bshw_call(set1_model, 0.0, 0.8)
+        with pytest.raises(InvalidInputError, match=r"zero total variance at T=1\.0"):
+            bshw_call(_model(sigma2=0.0, sigma1=0.0), 1.0, 0.8)
 
     def test_d2_relation_and_floor(self, set1_model):
         pg = bshw_call(set1_model, 1.0, 1.1)

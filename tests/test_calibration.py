@@ -65,7 +65,7 @@ def _analytic_field(model, maturity, ds=0.0156, dr=0.0026):
 class TestCallSurfaceValidation:
     def test_analytic_surface_passes(self, set1_model):
         surf = make_analytic_surface(set1_model, [0.5, 1.0], np.linspace(0.7, 1.3, 13))
-        assert surf.provider == "analytic"
+        assert surf.model is set1_model
 
     def test_rejects_increasing_prices(self):
         with pytest.raises(InvalidInputError):
@@ -255,7 +255,7 @@ class TestDupire:
         prices = np.array([[bshw_call(set1_model, 0.1, k).price for k in ks],
                            [bshw_call(set1_model, 0.2, k).price for k in ks]])
         prices[prices < 1e-14] = 0.0
-        surf = CallSurface(np.array([0.1, 0.2]), ks, prices, provider="external")
+        surf = CallSurface(np.array([0.1, 0.2]), ks, prices)
         fwd = lambda t: forward_rate(set1_model.rate, t)  # noqa: E731
         with pytest.raises(ButterflyDegenerateError):
             dupire_vol(surf, fwd, 0.2, 2.5)
@@ -276,7 +276,7 @@ class TestDupire:
         mats = np.arange(0.2, 1.61, 0.1)
         ks = np.arange(0.6, 1.41, 0.02)
         prices = np.array([[bshw_call(m, t, k).price for k in ks] for t in mats])
-        surf = CallSurface(mats, ks, prices, provider="external")
+        surf = CallSurface(mats, ks, prices)
         fwd = lambda t: forward_rate(rate, t)  # noqa: E731
         for k in (0.8, 1.0, 1.2):
             var = dupire_vol(surf, fwd, 1.0, k)
@@ -435,9 +435,33 @@ class TestCalibrate:
         ks = np.arange(0.9, 1.1001, 0.05)
         prices = np.array([[bshw_call(set1_model, 0.5, k).price for k in ks]])
         prices[0, 2] -= 2.1e-4  # keep convexity, break the calendar
-        market = CallSurface(np.asarray(mats), ks, prices, provider="external")
+        market = CallSurface(np.asarray(mats), ks, prices)
         with pytest.raises((CalibrationError, InvalidInputError)):
             calibrate(market, set1_model, CalibrationSettings(ds=0.02, dr=0.003, dt=0.02))
+
+    def test_negative_variance_at_the_first_maturity_fails_before_marching(
+        self, set1_model, monkeypatch
+    ):
+        # a lattice market (no model) with a calendar break at (T=0.5, K=1):
+        # the seed slice goes through the same extractor as every later one
+        import hybridlv.calibration as cal_mod
+
+        mats = [0.5, 0.51, 1.0]
+        ks = np.arange(0.8, 1.2001, 0.05)
+        prices = np.array([[bshw_call(set1_model, t, k).price for k in ks] for t in mats])
+        prices[0, 4] += 1e-3
+        market = CallSurface(np.asarray(mats), ks, prices)
+        calls = []
+        original = cal_mod.evolve
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cal_mod, "evolve", counted)
+        with pytest.raises(CalibrationError, match=r"^negative local variance at \(T=0\.5, K=1\)$"):
+            calibrate(market, set1_model, CalibrationSettings(ds=0.02, dr=0.003, dt=0.01))
+        assert calls == []
 
 
 class TestStepAlignment:

@@ -78,6 +78,14 @@ class TestConfig:
         documented = yaml.safe_load(block)
         assert _keys(documented) == _keys(resolve_config({}).raw)
 
+    def test_calibration_settings_mirror_the_config_block(self):
+        from dataclasses import fields
+
+        from hybridlv.calibration import CalibrationSettings
+
+        keys = set(resolve_config({}).run_block["calibration"]) - {"market", "market_path"}
+        assert {f.name for f in fields(CalibrationSettings)} == keys
+
     def test_digest_tracks_content(self):
         a = resolve_config({"model": {"rho": 0.3}})
         b = resolve_config({"model": {"rho": 0.31}})
@@ -154,6 +162,29 @@ class TestCommands:
         assert header == "t,S,r,pz"
         mass = (out / "mass_diagnostics.csv").read_text().splitlines()
         assert mass[3] == "step,t,raw_mass,target_zc,ratio,neg_fraction,neg_mass_ratio"
+
+    def test_solve_pde_snapshot_is_row_major(self, fast_config, monkeypatch):
+        import hybridlv.pde as pde_mod
+
+        results = []
+        original = pde_mod.evolve
+
+        def recorded(*args, **kwargs):
+            results.append(original(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(pde_mod, "evolve", recorded)
+        path, out = fast_config
+        assert cli.run("solve-pde", config_path=str(path)) == 0
+        (csv,) = out.glob("pz_t*.csv")
+        (snap,) = results[0].snapshots
+        lines = csv.read_text().splitlines()
+        assert lines[1] == "t,S,r,pz"
+        assert len(lines) == 2 + snap.grid.n_s * snap.grid.n_r
+        # S outer, r running fastest, every value back to the bit (17 digits)
+        s, r = np.meshgrid(snap.grid.s_nodes, snap.grid.r_nodes, indexing="ij")
+        want = np.column_stack([np.full(s.size, snap.t), s.ravel(), r.ravel(), snap.values.ravel()])
+        assert np.array_equal(_load_rows(csv), want)
 
     def test_corrective_terms_csv(self, fast_config):
         path, out = fast_config
@@ -394,6 +425,34 @@ class TestMainEntry:
         config.write_text(yaml.safe_dump(data))
         message = self._config_error(capsys, ["price-analytic", "--config", str(config)])
         assert named in message
+
+    @pytest.mark.parametrize("run, named", [
+        ({"maturities": 1.0}, "run.maturities"),
+        ({"maturities": []}, "run.maturities"),
+        ({"strikes": "abc"}, "run.strikes"),
+        ({"out_dir": ["a", "b"]}, "run.out_dir"),
+        ({"calibration": {"market": 1}}, "run.calibration.market"),
+        ({"mc": {"antithetic": "false"}}, "run.mc.antithetic"),
+        ({"calibration": {"use_corrective": "no"}}, "run.calibration.use_corrective"),
+        ({"mc": 5}, "run.mc"),
+    ])
+    def test_mistyped_run_field_exits_2(self, tmp_path, capsys, run, named):
+        config = tmp_path / "mistyped.yaml"
+        config.write_text(yaml.safe_dump({"run": {"out_dir": str(tmp_path / "out"), **run}}))
+        message = self._config_error(capsys, ["price-analytic", "--config", str(config)])
+        assert message.startswith(named + " must be")
+
+    @pytest.mark.parametrize("command", ["price-analytic", "calibrate"])
+    def test_model_without_volatility_exits_3(self, tmp_path, capsys, command):
+        config = tmp_path / "still.yaml"
+        config.write_text(yaml.safe_dump({
+            "model": {"rate": {"sigma2": 0.0}, "vol": {"type": "constant", "sigma1": 0.0}},
+            "run": {"out_dir": str(tmp_path / "out")},
+        }))
+        assert cli.main([command, "--config", str(config)]) == 3
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "InvalidInputError"
+        assert "zero total variance at T=1.0" in payload["message"]
 
     def test_numeric_strings_pass_unchanged(self):
         cfg = resolve_config({"grid": {"dt": "1e-2"}, "run": {"strikes": ["0.9", 1.0]}})

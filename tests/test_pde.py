@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -496,25 +495,3 @@ class TestIntegrate:
         field = Field2D(g, np.ones((g.n_s, g.n_r)))
         with np.errstate(invalid="ignore", divide="ignore"), pytest.raises(InvalidInputError):
             integrate(field, lambda s, r: np.log(s - 1.0))
-
-
-class TestFieldCsv:
-    def test_row_major_export(self):
-        g = _unit_grid()
-        values = np.arange(g.n_s * g.n_r, dtype=float).reshape(g.n_s, g.n_r)
-        field = Field2D(g, values, t=0.5)
-        buf = io.StringIO()
-        field.write_csv(buf)
-        lines = buf.getvalue().strip().split("\n")
-        assert lines[0] == "t,S,r,pz"
-        assert len(lines) == 1 + g.n_s * g.n_r
-        first = lines[1].split(",")
-        assert float(first[0]) == 0.5
-        assert float(first[1]) == pytest.approx(g.s_nodes[0])
-        assert float(first[2]) == pytest.approx(g.r_nodes[0])
-        # r runs fastest
-        second = lines[2].split(",")
-        assert float(second[1]) == pytest.approx(g.s_nodes[0])
-        assert float(second[2]) == pytest.approx(g.r_nodes[1])
-        # 17 significant digits survive a round trip
-        assert float(lines[1].split(",")[3]) == values[0, 0]
