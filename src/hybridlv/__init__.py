@@ -35,7 +35,6 @@ from .models import (
     HybridModel,
     HyperbolicVol,
     SurfaceVol,
-    fit_theta,
     forward_rate,
     hyperbolic_vol,
     sde_coefficients,

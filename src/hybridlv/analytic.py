@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import InvalidInputError, SingularCovarianceError
-from .models import ConstantVol, HullWhiteParams, HybridModel, _b_factor, forward_rate, zc_price
+from .models import ConstantVol, HybridModel, _b_factor, _rate_mean_var, forward_rate, zc_price
 
 __all__ = [
     "BshwMoments",
@@ -38,8 +38,6 @@ def _npdf(x):
 def _require_constant(m: HybridModel) -> ConstantVol:
     if not isinstance(m.vol, ConstantVol):
         raise InvalidInputError("closed forms require a constant equity volatility")
-    if not m.rate.has_constant_theta:
-        raise InvalidInputError("closed forms require a constant rate mean level")
     return m.vol
 
 
@@ -123,10 +121,9 @@ def bshw_moments(m: HybridModel, maturity: float) -> BshwMoments:
     ea = math.exp(-a * t)
     e2a = math.exp(-2 * a * t)
     b = (1.0 - ea) / a
-    mu_r = r0 * ea + th * (1.0 - ea)
+    mu_r, var_r = _rate_mean_var(p, t)
     mu_R = th * t + (r0 - th) * b
     mu_y = math.log(m.s0) + mu_R - 0.5 * s1**2 * t
-    var_r = s2**2 * (1.0 - e2a) / (2 * a)
     var_R = (s2 / a) ** 2 * (t + (1.0 - e2a) / (2 * a) - 2.0 * b)
     cov_rR = s2**2 / a * (b - (1.0 - e2a) / (2 * a))
     var_y = var_R + s1**2 * t + 2.0 * rho * s1 * s2 / a * (t - b)

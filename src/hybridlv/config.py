@@ -88,11 +88,15 @@ def _check_number(name: str, value) -> None:
 
 
 def _merge(defaults, override, path=""):
-    """``override`` over ``defaults``; a value takes the type of its default."""
+    """``override`` over ``defaults``; a value takes the type of its default
+    (an integer default takes only an integer, a float default any number)."""
     if override is None:
         return defaults
     name = path[:-1]
-    if isinstance(defaults, (int, float)) and not isinstance(defaults, bool):
+    if isinstance(defaults, int) and not isinstance(defaults, bool):
+        if not isinstance(override, int) or isinstance(override, bool):
+            raise ConfigError(f"{name} must be an integer, got {override!r}")
+    elif isinstance(defaults, float):
         _check_number(name, override)
     elif defaults is not None and not isinstance(override, type(defaults)):
         if name not in _UNION_FIELDS:
@@ -202,6 +206,10 @@ def resolve_config(data: dict | None) -> ExperimentConfig:
     for key in ("strikes", "maturities"):
         for value in rb[key] if isinstance(rb[key], list) else ():
             _check_number(f"run.{key}", value)
+    market_path = rb["calibration"]["market_path"]
+    if market_path is not None and not isinstance(market_path, str):
+        raise ConfigError(f"run.calibration.market_path must be null or a string, "
+                          f"got {market_path!r}")
     _check_bounds(merged["grid"]["bounds"])
     return ExperimentConfig(raw=merged)
 

@@ -4,7 +4,7 @@ The asset follows a local-volatility diffusion and the short rate a Gaussian
 mean-reverting (Hull-White) process, correlated through the Brownian drivers:
 
     dS(t)/S(t) = r(t) dt + sigma(t, S(t)) dW1(t)
-    dr(t)      = a (theta(t) - r(t)) dt + sigma2 (rho dW1 + sqrt(1-rho^2) dW2)
+    dr(t)      = a (theta - r(t)) dt + sigma2 (rho dW1 + sqrt(1-rho^2) dW2)
 
 This module holds the parameter containers, the local-volatility function
 family (constant, hyperbolic skew, interpolated surface) together with their
@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import InvalidInputError
 
@@ -36,7 +35,6 @@ __all__ = [
     "SdeCoefficients",
     "zc_price",
     "forward_rate",
-    "fit_theta",
     "hyperbolic_vol",
     "sde_coefficients",
 ]
@@ -49,16 +47,12 @@ def _b_factor(a: float, t) -> float:
 
 @dataclass(frozen=True)
 class HullWhiteParams:
-    """Mean-reverting Gaussian short-rate parameters.
-
-    ``theta`` is either a constant long-term mean level or a deterministic
-    function of time, e.g. produced by :func:`fit_theta` from a market
-    forward curve.
-    """
+    """Mean-reverting Gaussian short-rate parameters with a constant
+    long-term mean level ``theta``."""
 
     a: float
     sigma2: float
-    theta: Union[float, Callable[[float], float]]
+    theta: float
     r0: float
 
     def __post_init__(self):
@@ -68,101 +62,44 @@ class HullWhiteParams:
             raise InvalidInputError(f"rate volatility must be >= 0, got {self.sigma2!r}")
         if not np.isfinite(self.r0):
             raise InvalidInputError(f"initial short rate must be finite, got {self.r0!r}")
-        if callable(self.theta):
-            if not np.isfinite(float(self.theta(0.0))):
-                raise InvalidInputError("theta(0) must evaluate to a finite value")
-        elif not np.isfinite(self.theta):
+        if not np.isfinite(self.theta):
             raise InvalidInputError(f"theta must be finite, got {self.theta!r}")
 
-    @property
-    def has_constant_theta(self) -> bool:
-        return not callable(self.theta)
 
-    def theta_at(self, t: float) -> float:
-        return float(self.theta(t)) if callable(self.theta) else float(self.theta)
+def _rate_mean_var(p: HullWhiteParams, t: float):
+    """Mean and variance of the short rate r(t)."""
+    ea = math.exp(-p.a * t)
+    mean = p.r0 * ea + p.theta * (1.0 - ea)
+    var = p.sigma2**2 * (1.0 - math.exp(-2 * p.a * t)) / (2 * p.a)
+    return mean, var
 
 
 def zc_price(p: HullWhiteParams, maturity: float) -> float:
-    """Zero-coupon bond price ZC(0, T) = E[exp(-int_0^T r)].
-
-    Constant mean level uses the affine closed form; a time-dependent level
-    is integrated against the bond kernel by adaptive quadrature.
-    """
+    """Zero-coupon bond price ZC(0, T) = E[exp(-int_0^T r)], in affine
+    closed form."""
     if not np.isfinite(maturity) or maturity < 0:
         raise InvalidInputError(f"maturity must be >= 0, got {maturity!r}")
     if maturity == 0.0:
         return 1.0
     a, s2, t = p.a, p.sigma2, float(maturity)
     b = _b_factor(a, t)
-    if p.has_constant_theta:
-        log_a = (p.theta - s2**2 / (2 * a**2)) * (b - t) - s2**2 / (4 * a) * b**2
-        return float(np.exp(log_a - b * p.r0))
-    mean_part = quad(
-        lambda s: p.theta_at(s) * (1.0 - np.exp(-a * (t - s))),
-        0.0,
-        t,
-        epsabs=1e-13,
-        epsrel=1e-11,
-        limit=200,
-    )[0]
-    convexity = s2**2 / (2 * a**2) * (t - (3.0 - 4.0 * np.exp(-a * t) + np.exp(-2 * a * t)) / (2 * a))
-    return float(np.exp(-(p.r0 * b + mean_part - convexity)))
+    log_a = (p.theta - s2**2 / (2 * a**2)) * (b - t) - s2**2 / (4 * a) * b**2
+    return float(np.exp(log_a - b * p.r0))
 
 
 def forward_rate(p: HullWhiteParams, maturity: float) -> float:
-    """Instantaneous forward rate f(0, T) = -d/dT log ZC(0, T)."""
+    """Instantaneous forward rate f(0, T) = -d/dT log ZC(0, T), in closed form."""
     if not np.isfinite(maturity) or maturity < 0:
         raise InvalidInputError(f"maturity must be >= 0, got {maturity!r}")
     a, s2, t = p.a, p.sigma2, float(maturity)
     ea = np.exp(-a * t)
-    if p.has_constant_theta:
-        th = p.theta
-        return float(
-            -s2**2 / (2 * a**2)
-            + th
-            - (th - s2**2 / a**2 - p.r0) * ea
-            - s2**2 / (2 * a**2) * np.exp(-2 * a * t)
-        )
-    if t == 0.0:
-        return float(p.r0)
-    mean_part = quad(
-        lambda s: p.theta_at(s) * np.exp(-a * (t - s)),
-        0.0,
-        t,
-        epsabs=1e-13,
-        epsrel=1e-11,
-        limit=200,
-    )[0]
-    return float(p.r0 * ea + a * mean_part - 0.5 * s2**2 * _b_factor(a, t) ** 2)
-
-
-def fit_theta(
-    forward_curve: Callable[[float], float],
-    a: float,
-    sigma2: float,
-    t: float,
-    forward_derivative: Callable[[float], float] | None = None,
-) -> float:
-    """Mean level theta(t) that makes the rate model reproduce ``forward_curve``.
-
-    ``forward_curve`` maps maturity to the instantaneous forward rate f(0, .).
-    When no analytic derivative is supplied, d f / dt is taken by central
-    differences (one-sided at the origin).
-    """
-    if a <= 0:
-        raise InvalidInputError(f"mean-reversion speed must be positive, got {a!r}")
-    if forward_derivative is not None:
-        slope = float(forward_derivative(t))
-    else:
-        h = 1e-6 * max(1.0, abs(t))
-        if t >= h:
-            slope = (forward_curve(t + h) - forward_curve(t - h)) / (2 * h)
-        else:
-            slope = (forward_curve(t + h) - forward_curve(t)) / h
-    value = forward_curve(t)
-    if not (np.isfinite(slope) and np.isfinite(value)):
-        raise InvalidInputError("forward curve is not differentiable at t")
-    return float(slope / a + value + 0.5 * (sigma2 / a) ** 2 * (1.0 - np.exp(-2 * a * t)))
+    th = p.theta
+    return float(
+        -s2**2 / (2 * a**2)
+        + th
+        - (th - s2**2 / a**2 - p.r0) * ea
+        - s2**2 / (2 * a**2) * np.exp(-2 * a * t)
+    )
 
 
 def hyperbolic_vol(nu: float, beta: float, s):
@@ -300,14 +237,6 @@ class HybridModel:
         if not (np.isfinite(self.rho) and abs(self.rho) <= 1.0):
             raise InvalidInputError(f"correlation must lie in [-1, 1], got {self.rho!r}")
 
-    def next_change(self, t: float) -> float:
-        """Last time up to which the SDE coefficients stay what they are at
-        ``t``; a time-dependent mean level ``theta(t)`` changes them at
-        every ``t``."""
-        if not self.rate.has_constant_theta:
-            return float(t)
-        return self.vol.next_change(t)
-
 
 @dataclass(frozen=True)
 class SdeCoefficients:
@@ -342,7 +271,7 @@ def sde_coefficients(m: HybridModel, t: float, s, r) -> SdeCoefficients:
     return SdeCoefficients(
         drift_s=r_arr * s_arr,
         vol_s=sig,
-        drift_r=p.a * (p.theta_at(t) - r_arr),
+        drift_r=p.a * (p.theta - r_arr),
         vol_r=alpha,
         sigma_s=sig_s,
         sigma_ss=sig_ss,

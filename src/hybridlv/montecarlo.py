@@ -51,6 +51,8 @@ class McConfig:
     def __post_init__(self):
         if self.n_paths < 1:
             raise InvalidInputError("need at least one path")
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be non-negative, got {self.seed!r}")
         if self.dt_mc <= 0:
             raise InvalidInputError("Euler step must be positive")
 
@@ -121,6 +123,7 @@ def _batch_terminals(model: HybridModel, maturity: float, cfg: McConfig, rng, n:
     t = 0.0
     rho = model.rho
     rho_c = math.sqrt(1.0 - rho * rho)
+    th = p.theta
     for _ in range(n_steps):
         dt = min(cfg.dt_mc, maturity - t)
         sqdt = math.sqrt(dt)
@@ -139,7 +142,6 @@ def _batch_terminals(model: HybridModel, maturity: float, cfg: McConfig, rng, n:
             add(work[rows], shock, out=work[rows])
         np.exp(work, out=work)
         s *= work
-        th = p.theta_at(t + 0.5 * dt)
         ea = math.exp(-p.a * dt)
         sd = p.sigma2 * math.sqrt((1.0 - math.exp(-2.0 * p.a * dt)) / (2.0 * p.a))
         np.subtract(r, th, out=r_new)

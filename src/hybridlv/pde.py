@@ -22,11 +22,10 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import InvalidInputError, PdeBlowUpError
 from .linalg import thomas_apply, thomas_prefactor
-from .models import HybridModel, HullWhiteParams, sde_coefficients, zc_price
+from .models import HybridModel, _rate_mean_var, sde_coefficients, zc_price
 
 __all__ = [
     "Grid2D",
@@ -169,18 +168,6 @@ class Field2D:
 
     def copy(self) -> "Field2D":
         return Field2D(self.grid, self.values.copy(), self.t)
-
-
-def _rate_mean_var(p: HullWhiteParams, t: float):
-    ea = math.exp(-p.a * t)
-    if p.has_constant_theta:
-        mean = p.r0 * ea + p.theta * (1.0 - ea)
-    else:
-        mean_part = quad(lambda s: p.theta_at(s) * math.exp(-p.a * (t - s)), 0.0, t,
-                         epsabs=1e-12, limit=200)[0]
-        mean = p.r0 * ea + p.a * mean_part
-    var = p.sigma2**2 * (1.0 - math.exp(-2 * p.a * t)) / (2 * p.a)
-    return mean, var
 
 
 def auto_grid(
@@ -448,10 +435,9 @@ def evolve(
     resuming at ``t`` repeats bit for bit the steps a single march would
     take from ``t`` (on the same step size).
 
-    One prefactored step operator serves every step until the model's
-    coefficients next change (``model.next_change``): the whole march for a
-    time-independent model, one interval of a piecewise-constant vol, or a
-    single step for a time-dependent mean level.
+    One prefactored step operator serves every step until the local vol
+    next changes (``model.vol.next_change``): the whole march for a
+    time-independent vol, or one interval of a piecewise-constant one.
 
     After every step the raw trapezoid mass is recorded and the field is
     rescaled onto the discount identity ZC(0, t). A raw-to-target ratio
@@ -501,7 +487,7 @@ def evolve(
         if n * dt > valid_until:
             op = None  # release the old operator before building its successor
             op = _StepOperator(build_coefficients(model, grid, n * dt), grid, dt)
-            valid_until = model.next_change(n * dt)
+            valid_until = model.vol.next_change(n * dt)
         values = op.apply(values)
         if not np.all(np.isfinite(values)):
             raise PdeBlowUpError(step=n + 1, t=t_next)

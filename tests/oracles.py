@@ -316,6 +316,7 @@ def _two_pass_leg(model, maturity, cfg, rng, n, sign):
     t = 0.0
     rho = model.rho
     rho_c = math.sqrt(1.0 - rho * rho)
+    th = p.theta
     for _ in range(n_steps):
         dt = min(cfg.dt_mc, maturity - t)
         sqdt = math.sqrt(dt)
@@ -324,7 +325,6 @@ def _two_pass_leg(model, maturity, cfg, rng, n, sign):
         zr = rho * z1 + rho_c * z[1]
         sig = np.asarray(model.vol.value(t, s))
         s = s * np.exp((r - 0.5 * sig**2) * dt + sig * sqdt * z1)
-        th = p.theta_at(t + 0.5 * dt)
         ea = math.exp(-p.a * dt)
         sd = p.sigma2 * math.sqrt((1.0 - math.exp(-2.0 * p.a * dt)) / (2.0 * p.a))
         r_new = th + (r - th) * ea + sd * zr

@@ -428,16 +428,17 @@ class TestCalibrate:
         assert np.max(np.abs(prices - market.prices[1])) < 8e-4
 
     def test_negative_variance_raises_with_report(self, set1_model):
-        # a market convex enough to price but inconsistent with the rate
-        # dynamics at the wing: shrink the maturity spacing of an otherwise
-        # valid surface so the time slope goes slightly negative
-        mats = [0.5]
-        ks = np.arange(0.9, 1.1001, 0.05)
-        prices = np.array([[bshw_call(set1_model, 0.5, k).price for k in ks]])
-        prices[0, 2] -= 2.1e-4  # keep convexity, break the calendar
+        # a lattice market (no model), convex in K, whose T=0.6 quotes repeat
+        # those at T=0.5: the central calendar slope at T_2=0.55 vanishes, so
+        # the second slice fails once the first is calibrated and reported
+        mats = [0.5, 0.55, 0.6]
+        ks = np.arange(0.8, 1.2001, 0.05)
+        prices = np.array([[bshw_call(set1_model, t, k).price for k in ks] for t in mats])
+        prices[2] = prices[0]
         market = CallSurface(np.asarray(mats), ks, prices)
-        with pytest.raises((CalibrationError, InvalidInputError)):
-            calibrate(market, set1_model, CalibrationSettings(ds=0.02, dr=0.003, dt=0.02))
+        with pytest.raises(CalibrationError, match=r"^negative local variance at \(T=0\.55, ") as err:
+            calibrate(market, set1_model, CalibrationSettings(ds=0.02, dr=0.003, dt=0.01))
+        assert [e.maturity for e in err.value.report.entries] == [0.5]
 
     def test_negative_variance_at_the_first_maturity_fails_before_marching(
         self, set1_model, monkeypatch

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -435,12 +438,28 @@ class TestMainEntry:
         ({"mc": {"antithetic": "false"}}, "run.mc.antithetic"),
         ({"calibration": {"use_corrective": "no"}}, "run.calibration.use_corrective"),
         ({"mc": 5}, "run.mc"),
+        ({"mc": {"n_paths": "1e3"}}, "run.mc.n_paths"),
+        ({"mc": {"seed": True}}, "run.mc.seed"),
+        ({"calibration": {"slice_iterations": 2.9}}, "run.calibration.slice_iterations"),
+        ({"calibration": {"market": "csv", "market_path": 7}}, "run.calibration.market_path"),
+        ({"calibration": {"market": "csv", "market_path": 0}}, "run.calibration.market_path"),
     ])
     def test_mistyped_run_field_exits_2(self, tmp_path, capsys, run, named):
         config = tmp_path / "mistyped.yaml"
         config.write_text(yaml.safe_dump({"run": {"out_dir": str(tmp_path / "out"), **run}}))
         message = self._config_error(capsys, ["price-analytic", "--config", str(config)])
         assert message.startswith(named + " must be")
+
+    @pytest.mark.parametrize("config_seed, flags", [(-1, []), (7, ["--seed", "-3"])])
+    def test_negative_seed_exits_3(self, fast_config, capsys, config_seed, flags):
+        path, _ = fast_config
+        raw = yaml.safe_load(path.read_text())
+        raw["run"]["mc"]["seed"] = config_seed
+        path.write_text(yaml.safe_dump(raw))
+        assert cli.main(["price-mc", "--config", str(path), *flags]) == 3
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "InvalidInputError"
+        assert "seed must be non-negative" in payload["message"]
 
     @pytest.mark.parametrize("command", ["price-analytic", "calibrate"])
     def test_model_without_volatility_exits_3(self, tmp_path, capsys, command):
@@ -490,3 +509,12 @@ class TestMainEntry:
         }))
         message = self._config_error(capsys, ["price-analytic", "--config", str(config)])
         assert "run.strikes.step" in message
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # no quadrature in the engine: importing it must not pay for scipy.integrate
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, hybridlv.cli; print('scipy.integrate' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"

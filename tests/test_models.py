@@ -12,7 +12,6 @@ from hybridlv.models import (
     HullWhiteParams,
     HybridModel,
     HyperbolicVol,
-    fit_theta,
     forward_rate,
     hyperbolic_vol,
     sde_coefficients,
@@ -75,28 +74,6 @@ class TestForwardRate:
         h = 1e-5
         fd = -(math.log(zc_price(HW1, t + h)) - math.log(zc_price(HW1, t - h))) / (2 * h)
         assert forward_rate(HW1, t) == pytest.approx(fd, rel=1e-6)
-
-
-class TestFitTheta:
-    def test_flat_deterministic_curve(self):
-        assert fit_theta(lambda t: 0.02, 0.5, 0.0, 1.3) == pytest.approx(0.02, abs=1e-12)
-
-    def test_flat_curve_with_rate_vol(self):
-        # 0.02 + 0.5 * (0.04/0.5)^2 * (1 - e^-1), frozen
-        got = fit_theta(lambda t: 0.02, 0.5, 0.04, 1.0)
-        assert got == pytest.approx(0.0220227858, abs=1e-9)
-
-    def test_round_trip_reproduces_discount_curve(self):
-        curve = lambda t: forward_rate(HW1, t)  # noqa: E731
-        theta_fn = lambda t: fit_theta(curve, HW1.a, HW1.sigma2, t)  # noqa: E731
-        refit = HullWhiteParams(a=HW1.a, sigma2=HW1.sigma2, theta=theta_fn, r0=HW1.r0)
-        for t in (0.25, 1.0, 3.0):
-            assert zc_price(refit, t) == pytest.approx(zc_price(HW1, t), abs=1e-8)
-
-    def test_non_differentiable_curve_rejected(self):
-        bad = lambda t: float("nan")  # noqa: E731
-        with pytest.raises(InvalidInputError):
-            fit_theta(bad, 0.5, 0.04, 1.0)
 
 
 class TestHyperbolicVol:
@@ -189,7 +166,3 @@ class TestModelValidation:
     def test_positive_spot(self):
         with pytest.raises(InvalidInputError):
             HybridModel(s0=0.0, rate=HW1, vol=ConstantVol(0.2), rho=0.0)
-
-    def test_callable_theta_checked_at_origin(self):
-        with pytest.raises(InvalidInputError):
-            HullWhiteParams(a=0.5, sigma2=0.04, theta=lambda t: float("inf"), r0=0.02)

@@ -437,23 +437,6 @@ class TestEvolve:
         assert l1 < 5e-2
 
 
-class TestTimeDependentMeanLevel:
-    def test_evolve_with_fitted_theta_keeps_the_discount_identity(self, monkeypatch):
-        from hybridlv.models import fit_theta
-
-        base = HullWhiteParams(a=0.5, sigma2=0.04, theta=0.02, r0=0.02)
-        curve = lambda t: forward_rate(base, t)  # noqa: E731
-        theta_fn = lambda t: fit_theta(curve, base.a, base.sigma2, t)  # noqa: E731
-        rate = HullWhiteParams(a=base.a, sigma2=base.sigma2, theta=theta_fn, r0=base.r0)
-        m = HybridModel(s0=1.0, rate=rate, vol=ConstantVol(0.2), rho=0.4)
-        g = auto_grid(m, 0.3, ds=0.03, dr=0.004, dt=0.03)
-        builds = _count_builds(monkeypatch)
-        res = evolve(m, g, snapshot_times=[0.3])
-        assert len(builds) == len(res.diagnostics.times)
-        assert res.snapshots[-1].mass() == pytest.approx(zc_price(rate, 0.3), rel=1e-10)
-        assert res.diagnostics.max_ratio_deviation() < 0.05
-
-
 class TestShortTimeStart:
     def test_starts_on_the_step_lattice_with_discount_mass(self, set1_model):
         g = auto_grid(set1_model, 1.0, ds=0.0156, dr=0.0026, dt=0.0099)
