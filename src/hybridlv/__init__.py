@@ -21,7 +21,6 @@ from .calibration import (
     CalibrationSettings,
     CallSurface,
     CorrectiveTermCurve,
-    LocalVolSurface,
     calibrate,
     corrective_terms,
     dupire_vol,

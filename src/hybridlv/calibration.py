@@ -36,7 +36,6 @@ from .pde import Field2D, auto_grid, evolve
 __all__ = [
     "CallSurface",
     "CorrectiveTermCurve",
-    "LocalVolSurface",
     "make_analytic_surface",
     "corrective_terms",
     "price_calls_from_pz",
@@ -117,49 +116,6 @@ class CorrectiveTermCurve:
     def zeros(cls, maturity: float, strikes) -> "CorrectiveTermCurve":
         ks = np.asarray(strikes, dtype=float)
         return cls(maturity, ks, np.zeros_like(ks))
-
-
-@dataclass(frozen=True)
-class LocalVolSurface:
-    """Calibrated sigma(T, K) nodes; bilinear inside, flat outside."""
-
-    maturities: np.ndarray
-    strikes: np.ndarray
-    sigma: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "maturities", np.asarray(self.maturities, dtype=float))
-        object.__setattr__(self, "strikes", np.asarray(self.strikes, dtype=float))
-        object.__setattr__(self, "sigma", np.asarray(self.sigma, dtype=float))
-        if self.sigma.shape != (len(self.maturities), len(self.strikes)):
-            raise InvalidInputError("sigma lattice shape mismatch")
-        if np.any(~np.isfinite(self.sigma)) or np.any(self.sigma < 0):
-            raise InvalidInputError("sigma nodes must be finite and non-negative")
-
-    def vol(self, t, s):
-        """Bilinear interpolation in (T, K) with flat extrapolation."""
-        mats = self.maturities
-        t_clamped = min(max(float(t), mats[0]), mats[-1])
-        if len(mats) == 1:
-            row = self.sigma[0]
-        else:
-            j = int(np.searchsorted(mats, t_clamped, side="right") - 1)
-            j = min(max(j, 0), len(mats) - 2)
-            w = (t_clamped - mats[j]) / (mats[j + 1] - mats[j])
-            row = (1.0 - w) * self.sigma[j] + w * self.sigma[j + 1]
-        return np.interp(np.asarray(s, dtype=float), self.strikes, row)
-
-    def next_change(self, t: float) -> float:
-        """Constant in time with one maturity or from the last one on, and
-        up to the first maturity (``vol`` clamps t to it); between
-        maturities the interpolation moves with every ``t``."""
-        mats = self.maturities
-        if len(mats) == 1 or t >= mats[-1]:
-            return math.inf
-        return float(max(t, mats[0]))
-
-    def as_vol_function(self) -> SurfaceVol:
-        return SurfaceVol(self)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +319,7 @@ class CalibrationReport:
 
 @dataclass
 class CalibrationResult:
-    surface: LocalVolSurface
+    surface: SurfaceVol
     report: CalibrationReport
 
 
@@ -401,8 +357,7 @@ def _slice(market, forward_curve, maturity, strikes, adj, report):
 
 def _march_under(model, strikes, values, grid, start):
     """March to the grid horizon under one slice, constant in time."""
-    surface = LocalVolSurface([grid.t_end], strikes, values[None, :])
-    model = replace(model, vol=surface.as_vol_function())
+    model = replace(model, vol=SurfaceVol([grid.t_end], strikes, values[None, :]))
     return evolve(model, grid, start=start)
 
 
@@ -500,7 +455,7 @@ def calibrate(
             drift_before = max(drift_before, fixed.diagnostics.max_ratio_deviation())
             neg_before = max(neg_before, max(fixed.diagnostics.negative_fraction, default=0.0))
 
-    surface = LocalVolSurface(mats.copy(), strikes.copy(), np.vstack(slices))
+    surface = SurfaceVol(mats.copy(), strikes.copy(), np.vstack(slices))
     return CalibrationResult(surface=surface, report=report)
 
 

@@ -291,12 +291,11 @@ def run(
 ) -> int:
     """Execute one command; returns the process exit status."""
     if command == "compare":
-        cfg = load_config(config_path) if config_path else ExperimentConfig(raw={"compare": True})
+        digest = load_config(config_path).digest() if config_path else "none"
         out = Path(out_dir or ".")
         out.mkdir(parents=True, exist_ok=True)
         if not (left and right):
             raise ConfigError("compare needs --left and --right price CSVs")
-        digest = cfg.digest() if config_path else "none"
         return _cmd_compare(left, right, _Writer(out, digest))
     if command not in _COMMANDS:
         raise ConfigError(f"unknown command {command!r}")

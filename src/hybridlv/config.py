@@ -21,12 +21,18 @@ from .models import ConstantVol, HullWhiteParams, HybridModel, HyperbolicVol
 
 __all__ = ["ExperimentConfig", "load_config", "resolve_config"]
 
+# each model.vol type: its class and the defaults of its fields
+_VOL_TYPES = {
+    "constant": (ConstantVol, {"sigma1": 0.2}),
+    "hyperbolic": (HyperbolicVol, {"nu": 0.2, "beta": 0.5}),
+}
+
 _DEFAULTS = {
     "model": {
         "s0": 1.0,
         "rho": 0.0,
         "rate": {"a": 0.5, "sigma2": 0.0, "theta": 0.02, "r0": 0.02},
-        "vol": {"type": "constant", "sigma1": 0.2},
+        "vol": {"type": "constant", **_VOL_TYPES["constant"][1]},
     },
     "grid": {
         "bounds": "auto",
@@ -143,13 +149,8 @@ class ExperimentConfig:
             theta=float(mb["rate"]["theta"]),
             r0=float(mb["rate"]["r0"]),
         )
-        vb = mb["vol"]
-        if vb["type"] == "constant":
-            vol = ConstantVol(float(vb["sigma1"]))
-        elif vb["type"] == "hyperbolic":
-            vol = HyperbolicVol(nu=float(vb["nu"]), beta=float(vb["beta"]))
-        else:
-            raise ConfigError(f"unknown vol type {vb['type']!r}")
+        vol_cls, _ = _VOL_TYPES[mb["vol"]["type"]]
+        vol = vol_cls(**{k: float(v) for k, v in mb["vol"].items() if k != "type"})
         return HybridModel(
             s0=float(mb["s0"]), rate=rate, vol=vol, rho=float(mb["rho"])
         )
@@ -189,12 +190,10 @@ def resolve_config(data: dict | None) -> ExperimentConfig:
     if vol is not None:
         if not isinstance(vol, dict) or "type" not in vol:
             raise ConfigError("model.vol must be a mapping with a 'type' field")
-        if vol["type"] == "constant":
-            base = {"type": "constant", "sigma1": 0.2}
-        elif vol["type"] == "hyperbolic":
-            base = {"type": "hyperbolic", "nu": 0.2, "beta": 0.5}
-        else:
-            raise ConfigError(f"unknown vol type {vol['type']!r}")
+        vol_type = vol["type"]
+        if not isinstance(vol_type, str) or vol_type not in _VOL_TYPES:
+            raise ConfigError(f"unknown vol type {vol_type!r}")
+        base = {"type": vol_type, **_VOL_TYPES[vol_type][1]}
         merged["model"]["vol"] = _merge(base, vol, "model.vol.")
     rb = merged["run"]
     mats = rb["maturities"]

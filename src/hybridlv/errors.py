@@ -18,12 +18,14 @@ class SingularSystemError(HybridLvError):
 
 
 class PdeBlowUpError(HybridLvError):
-    """Non-finite values appeared during time marching."""
+    """A time step left a non-finite or non-positive raw field mass."""
 
-    def __init__(self, step: int, t: float):
+    def __init__(self, step: int, t: float, raw_mass: float):
         self.step = step
         self.t = t
-        super().__init__(f"non-finite field values at step {step} (t={t:.6g})")
+        self.raw_mass = raw_mass
+        kind = "non-positive" if raw_mass <= 0 else "non-finite"
+        super().__init__(f"{kind} raw mass {raw_mass:.6g} at step {step} (t={t:.6g})")
 
 
 class ButterflyDegenerateError(HybridLvError):

@@ -180,31 +180,43 @@ class HyperbolicVol:
 
 @dataclass(frozen=True)
 class SurfaceVol:
-    """Local volatility read off a calibrated node surface.
+    """Local volatility on calibrated sigma(T, K) nodes: linear in T
+    between maturities, linear in K between strikes, flat outside.
 
-    ``surface`` is any object exposing ``vol(t, s) -> array``, a
-    ``strikes`` array and optionally ``next_change(t)``; spatial derivatives
-    are taken by central differences on the interpolant with a step of one
-    node spacing (floored at 1e-4 S, the interpolant is piecewise linear so
-    smaller steps see no curvature).
+    Spatial derivatives are central differences on the interpolant with a
+    step of one strike spacing (floored at 1e-4 S, the interpolant is
+    piecewise linear so smaller steps see no curvature).
     """
 
-    surface: object
+    maturities: np.ndarray
+    strikes: np.ndarray
+    sigma: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "maturities", np.asarray(self.maturities, dtype=float))
+        object.__setattr__(self, "strikes", np.asarray(self.strikes, dtype=float))
+        object.__setattr__(self, "sigma", np.asarray(self.sigma, dtype=float))
+        if self.sigma.shape != (len(self.maturities), len(self.strikes)):
+            raise InvalidInputError("sigma lattice shape mismatch")
+        if np.any(~np.isfinite(self.sigma)) or np.any(self.sigma < 0):
+            raise InvalidInputError("sigma nodes must be finite and non-negative")
 
     def value(self, t, s):
-        return np.asarray(self.surface.vol(t, np.asarray(s, dtype=float)), dtype=float)
-
-    def _step(self, s):
-        strikes = np.asarray(self.surface.strikes, dtype=float)
-        if strikes.size >= 2:
-            spacing = float(np.median(np.diff(strikes)))
+        mats = self.maturities
+        t_clamped = min(max(float(t), mats[0]), mats[-1])
+        if len(mats) == 1:
+            row = self.sigma[0]
         else:
-            spacing = 1e-2
-        return np.maximum(spacing, 1e-4 * np.abs(s))
+            j = int(np.searchsorted(mats, t_clamped, side="right") - 1)
+            j = min(max(j, 0), len(mats) - 2)
+            w = (t_clamped - mats[j]) / (mats[j + 1] - mats[j])
+            row = (1.0 - w) * self.sigma[j] + w * self.sigma[j + 1]
+        return np.interp(np.asarray(s, dtype=float), self.strikes, row)
 
     def derivatives(self, t, s):
         arr = np.asarray(s, dtype=float)
-        h = self._step(arr)
+        spacing = float(np.median(np.diff(self.strikes))) if self.strikes.size >= 2 else 1e-2
+        h = np.maximum(spacing, 1e-4 * np.abs(arr))
         up = self.value(t, arr + h)
         dn = self.value(t, np.maximum(arr - h, 1e-12))
         sig = self.value(t, arr)
@@ -213,10 +225,13 @@ class SurfaceVol:
         return sig, sig_s, sig_ss
 
     def next_change(self, t: float) -> float:
-        """Forwarded to the surface when it knows when it next changes;
-        otherwise the value is assumed to move with every ``t``."""
-        next_change = getattr(self.surface, "next_change", None)
-        return float(next_change(t)) if next_change is not None else float(t)
+        """Constant in time with one maturity or from the last one on, and
+        up to the first maturity (``value`` clamps t to it); between
+        maturities the interpolation moves with every ``t``."""
+        mats = self.maturities
+        if len(mats) == 1 or t >= mats[-1]:
+            return math.inf
+        return float(max(t, mats[0]))
 
 
 LocalVolFunction = Union[ConstantVol, HyperbolicVol, SurfaceVol]

@@ -440,8 +440,10 @@ def evolve(
     time-independent vol, or one interval of a piecewise-constant one.
 
     After every step the raw trapezoid mass is recorded and the field is
-    rescaled onto the discount identity ZC(0, t). A raw-to-target ratio
-    off by more than 20% is surfaced as a divergence warning.
+    rescaled onto the discount identity ZC(0, t). A raw mass that is
+    non-finite or non-positive raises :class:`PdeBlowUpError`; a
+    raw-to-target ratio off by more than 20% is surfaced as a divergence
+    warning.
     """
     dt = grid.dt
     if start is not None:
@@ -489,12 +491,11 @@ def evolve(
             op = _StepOperator(build_coefficients(model, grid, n * dt), grid, dt)
             valid_until = model.vol.next_change(n * dt)
         values = op.apply(values)
-        if not np.all(np.isfinite(values)):
-            raise PdeBlowUpError(step=n + 1, t=t_next)
         raw = float(grid.ds * grid.dr * values.sum())
+        # a NaN or inf anywhere in the field leaves the sum non-finite
+        if not 0.0 < raw < math.inf:
+            raise PdeBlowUpError(step=n + 1, t=t_next, raw_mass=raw)
         target = zc_price(model.rate, t_next)
-        if raw <= 0:
-            raise PdeBlowUpError(step=n + 1, t=t_next)
         if abs(raw / target - 1.0) > 0.20:
             diag.warnings.append(
                 f"raw mass drift {raw / target - 1.0:+.2%} at t={t_next:.6g}"

@@ -19,6 +19,7 @@ from scipy.integrate import quad, solve_ivp
 
 from hybridlv.analytic import bshw_call
 from hybridlv.errors import InvalidInputError, SingularSystemError
+from hybridlv.models import SurfaceVol
 from hybridlv.pde import Field2D, _StepOperator
 
 _PIVOT_FLOOR = 1e-300
@@ -236,8 +237,8 @@ def aligned_step_count_by_search(maturities, dt, max_tries=200000):
 
 
 class _RestartView:
-    """Bootstrap slices, piecewise constant in time, without ``next_change``:
-    a solve under it rebuilds its step operator at every step."""
+    """Bootstrap slices, piecewise constant in time, whose ``next_change(t)``
+    is ``t``: a solve under it rebuilds its step operator at every step."""
 
     def __init__(self, strikes, pending):
         self.strikes = np.asarray(strikes, dtype=float)
@@ -245,13 +246,19 @@ class _RestartView:
         self.slices = []
         self.pending = pending
 
-    def vol(self, t, s):
+    def value(self, t, s):
         row = self.pending
         for maturity, values in zip(self.maturities, self.slices):
             if t < maturity - 1e-12:
                 row = values
                 break
         return np.interp(np.asarray(s, dtype=float), self.strikes, row)
+
+    def derivatives(self, t, s):
+        return SurfaceVol.derivatives(self, t, s)
+
+    def next_change(self, t):
+        return t
 
 
 def restart_bootstrap(market, model, settings):
@@ -264,7 +271,7 @@ def restart_bootstrap(market, model, settings):
     from dataclasses import replace
 
     from hybridlv import calibration as cal
-    from hybridlv.models import SurfaceVol, forward_rate
+    from hybridlv.models import forward_rate
     from hybridlv.pde import auto_grid, evolve
 
     mats, strikes = market.maturities, market.strikes
@@ -276,7 +283,7 @@ def restart_bootstrap(market, model, settings):
     use_adj = settings.use_corrective and model.rate.sigma2 > 0.0
     seed = [math.sqrt(cal.dupire_vol(market, fwd, float(mats[0]), float(k))) for k in strikes]
     view = _RestartView(strikes, np.array(seed))
-    work_model = replace(model, vol=SurfaceVol(view))
+    work_model = replace(model, vol=view)
     entries = []
     for maturity in mats:
         t = float(maturity)

@@ -9,7 +9,6 @@ from hybridlv.calibration import (
     CalibrationSettings,
     CallSurface,
     CorrectiveTermCurve,
-    LocalVolSurface,
     calibrate,
     corrective_terms,
     dupire_vol,
@@ -283,26 +282,34 @@ class TestDupire:
             assert math.sqrt(var) == pytest.approx(0.2, abs=2e-3)
 
 
-class TestLocalVolSurface:
+class _RebuiltEveryStep(SurfaceVol):
+    """The same surface, saying it may change at every ``t``: a solve
+    under it rebuilds its step operator at every step."""
+
+    def next_change(self, t):
+        return t
+
+
+class TestSurfaceVol:
     def test_bilinear_interpolation_and_flat_extrapolation(self):
-        surf = LocalVolSurface(
+        surf = SurfaceVol(
             np.array([0.5, 1.0]), np.array([0.8, 1.2]),
             np.array([[0.2, 0.3], [0.4, 0.5]]),
         )
-        assert surf.vol(0.75, 1.0) == pytest.approx(0.35)
-        assert surf.vol(0.25, 0.5) == pytest.approx(0.2)  # flat in both axes
-        assert surf.vol(2.0, 2.0) == pytest.approx(0.5)
+        assert surf.value(0.75, 1.0) == pytest.approx(0.35)
+        assert surf.value(0.25, 0.5) == pytest.approx(0.2)  # flat in both axes
+        assert surf.value(2.0, 2.0) == pytest.approx(0.5)
 
     def test_rejects_negative_nodes(self):
         with pytest.raises(InvalidInputError):
-            LocalVolSurface(np.array([1.0]), np.array([1.0, 1.1]), np.array([[0.2, -0.1]]))
+            SurfaceVol(np.array([1.0]), np.array([1.0, 1.1]), np.array([[0.2, -0.1]]))
 
     def test_next_change(self):
         ks = np.array([0.8, 1.2])
-        one = LocalVolSurface(np.array([0.5]), ks, np.array([[0.2, 0.3]]))
+        one = SurfaceVol(np.array([0.5]), ks, np.array([[0.2, 0.3]]))
         assert one.next_change(0.0) == math.inf
         assert one.next_change(0.7) == math.inf
-        two = LocalVolSurface(np.array([0.5, 1.0]), ks, np.array([[0.2, 0.3], [0.4, 0.5]]))
+        two = SurfaceVol(np.array([0.5, 1.0]), ks, np.array([[0.2, 0.3], [0.4, 0.5]]))
         assert two.next_change(0.25) == 0.5
         assert two.next_change(0.75) == 0.75
         assert two.next_change(1.0) == math.inf
@@ -311,38 +318,29 @@ class TestLocalVolSurface:
     def test_one_maturity_march_builds_one_operator_and_matches_rebuilds(
         self, set1_model, monkeypatch
     ):
-        from types import SimpleNamespace
-
-        surface = LocalVolSurface(
-            np.array([0.5]), np.array([0.8, 1.0, 1.2]), np.array([[0.25, 0.2, 0.18]])
-        )
-        # the same surface without ``next_change``: rebuilt at every step
-        rebuilt = SimpleNamespace(strikes=surface.strikes, vol=surface.vol)
+        nodes = (np.array([0.5]), np.array([0.8, 1.0, 1.2]), np.array([[0.25, 0.2, 0.18]]))
         grid = auto_grid(set1_model, 0.5, ds=0.02, dr=0.003, dt=0.025)
         levels = _count_operators(monkeypatch)
-        once = evolve(replace(set1_model, vol=surface.as_vol_function()), grid)
+        once = evolve(replace(set1_model, vol=SurfaceVol(*nodes)), grid)
         assert len(levels) == 1
-        every = evolve(replace(set1_model, vol=SurfaceVol(rebuilt)), grid)
+        every = evolve(replace(set1_model, vol=_RebuiltEveryStep(*nodes)), grid)
         assert len(levels) > 2
         assert np.array_equal(once.snapshots[-1].values, every.snapshots[-1].values)
 
     def test_march_before_the_first_maturity_reuses_its_operator(
         self, set1_model, monkeypatch
     ):
-        from types import SimpleNamespace
-
-        surface = LocalVolSurface(
+        nodes = (
             np.array([0.5, 1.0]), np.array([0.8, 1.0, 1.2]),
             np.array([[0.25, 0.2, 0.18], [0.22, 0.19, 0.17]]),
         )
-        rebuilt = SimpleNamespace(strikes=surface.strikes, vol=surface.vol)
         grid = auto_grid(set1_model, 1.0, ds=0.02, dr=0.003, dt=0.01)
         levels = _count_operators(monkeypatch)
-        once = evolve(replace(set1_model, vol=surface.as_vol_function()), grid)
+        once = evolve(replace(set1_model, vol=SurfaceVol(*nodes)), grid)
         # one operator up to the first maturity, then one per step after it
         assert len(levels) == 50
         del levels[:]
-        every = evolve(replace(set1_model, vol=SurfaceVol(rebuilt)), grid)
+        every = evolve(replace(set1_model, vol=_RebuiltEveryStep(*nodes)), grid)
         assert len(levels) == 96
         assert np.array_equal(once.snapshots[-1].values, every.snapshots[-1].values)
 
@@ -416,12 +414,12 @@ class TestCalibrate:
         assert np.max(np.abs(wings - 0.2)) > 2e-3
 
     def test_calibrated_surface_reprices_through_the_solver(self, set1_model):
-        # close the loop: wrap the recovered surface as the model vol and
+        # close the loop: take the recovered surface as the model vol and
         # re-solve; prices should sit on the market within grid accuracy
         market = make_analytic_surface(set1_model, [0.5, 1.0], np.arange(0.8, 1.2001, 0.1))
         settings = CalibrationSettings(ds=0.015, dr=0.0025, dt=0.01)
         surface = calibrate(market, set1_model, settings).surface
-        model = replace(set1_model, vol=surface.as_vol_function())
+        model = replace(set1_model, vol=surface)
         grid = auto_grid(model, 1.0, ds=0.015, dr=0.0025, dt=0.01)
         field = evolve(model, grid, snapshot_times=[1.0]).snapshots[-1]
         prices = price_calls_from_pz(field, market.strikes)

@@ -73,6 +73,9 @@ class TestConfig:
             resolve_config({"model": {"vol": {"type": "constant", "nu": 0.2}}})
         with pytest.raises(ConfigError):
             resolve_config({"run": {"calibration": {"mode": "restart"}}})
+        for vol_type in ("lognormal", ["constant"]):
+            with pytest.raises(ConfigError, match="unknown vol type"):
+                resolve_config({"model": {"vol": {"type": vol_type}}})
 
     def test_readme_schema_lists_every_field(self):
         readme = (CONFIG_DIR.parent / "README.md").read_text()

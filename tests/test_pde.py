@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,24 +27,24 @@ from hybridlv.pde import (
 from .oracles import adi_step, integrate, lognormal_density
 
 
-class _TwoSlices:
-    """Vol surface that is flat up to t = 0.5 and skewed after it; it does
-    not say when it changes, so a solve rebuilds its operator every step."""
+class _TwoSlices(SurfaceVol):
+    """Vol surface that is flat up to t = 0.5 and skewed after it; it says
+    it may change at every step, so a solve rebuilds its operator every step."""
 
-    strikes = np.array([0.5, 1.0, 1.5])
+    def __init__(self):
+        super().__init__([0.5, 1.0], [0.5, 1.0, 1.5], [[0.2, 0.2, 0.2], [0.3, 0.22, 0.18]])
 
-    def vol(self, t, s):
-        row = [0.2, 0.2, 0.2] if t <= 0.5 else [0.3, 0.22, 0.18]
+    def value(self, t, s):
+        row = self.sigma[0] if t <= 0.5 else self.sigma[1]
         return np.interp(np.asarray(s, dtype=float), self.strikes, row)
+
+    def next_change(self, t):
+        return t
 
 
 class _TwoSlicesWithChange(_TwoSlices):
     def next_change(self, t):
         return 0.5 if t <= 0.5 else math.inf
-
-
-def _two_slice_model(base, surface):
-    return HybridModel(s0=base.s0, rate=base.rate, vol=SurfaceVol(surface), rho=base.rho)
 
 
 def _count_builds(monkeypatch):
@@ -134,8 +135,6 @@ class TestCoefficients:
         assert co.c6[i, j] == pytest.approx(2 * 0.02 - 0.5 - 0.04)
 
     def test_zero_correlation_kills_cross_term(self, set1_model):
-        from dataclasses import replace
-
         g = _unit_grid()
         co = build_coefficients(replace(set1_model, rho=0.0), g, 0.0)
         assert np.all(co.c5 == 0.0)
@@ -373,11 +372,11 @@ class TestEvolve:
         _assert_resume_is_exact(set1_model)
 
     def test_resume_agrees_with_single_march_under_piecewise_vol(self, set1_model):
-        _assert_resume_is_exact(_two_slice_model(set1_model, _TwoSlicesWithChange()))
+        _assert_resume_is_exact(replace(set1_model, vol=_TwoSlicesWithChange()))
 
     def test_cached_operator_matches_per_step_rebuild(self, set1_model, monkeypatch):
-        cached = _two_slice_model(set1_model, _TwoSlicesWithChange())
-        rebuilt = _two_slice_model(set1_model, _TwoSlices())
+        cached = replace(set1_model, vol=_TwoSlicesWithChange())
+        rebuilt = replace(set1_model, vol=_TwoSlices())
         g = auto_grid(cached, 1.0, ds=0.02, dr=0.003, dt=0.01)
         builds = _count_builds(monkeypatch)
         a = evolve(cached, g, snapshot_times=[0.5, 1.0])
@@ -411,13 +410,37 @@ class TestEvolve:
 
     def test_non_finite_march_raises_with_its_step(self, set1_model):
         # the explicit cross term at rho = 0.4 grows a checkerboard mode on
-        # this 710x293x202 grid until the field overflows
+        # this 710x293x202 grid until its raw mass turns negative
         g = auto_grid(set1_model, 1.0, ds=0.0039, dr=0.0013, dt=0.00495)
         assert (g.n_s, g.n_r, g.n_t) == (710, 293, 202)
         with pytest.raises(PdeBlowUpError) as blow_up:
             evolve(set1_model, g)
         assert blow_up.value.step == 198
         assert blow_up.value.t == pytest.approx(0.980198, abs=1e-6)
+        assert blow_up.value.raw_mass < 0
+        assert str(blow_up.value).startswith(
+            f"non-positive raw mass {blow_up.value.raw_mass:.6g} at step 198"
+        )
+
+    def test_nan_in_the_field_raises_with_its_step(self, set1_model, monkeypatch):
+        g = auto_grid(set1_model, 0.5, ds=0.03, dr=0.004, dt=0.02)
+        n0 = round(short_time_start(set1_model, g).t / g.dt)
+        steps = []
+        apply = _StepOperator.apply
+
+        def poisoned(op, values):
+            out = apply(op, values)
+            steps.append(n0 + len(steps) + 1)
+            if len(steps) == 3:
+                out[g.n_s // 2, g.n_r // 2] = np.nan
+            return out
+
+        monkeypatch.setattr(_StepOperator, "apply", poisoned)
+        with pytest.raises(PdeBlowUpError, match=r"^non-finite raw mass nan at step") as blow_up:
+            evolve(set1_model, g)
+        assert len(steps) == 3
+        assert blow_up.value.step == n0 + 3
+        assert blow_up.value.t == pytest.approx((n0 + 3) * g.dt)
 
     def test_nearly_deterministic_rates_reduce_to_one_dimension(self):
         rate = HullWhiteParams(a=0.5, sigma2=1e-8, theta=0.02, r0=0.02)
