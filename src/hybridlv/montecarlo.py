@@ -6,8 +6,10 @@ accumulated by the trapezoid rule along each path. Paths stream through in
 batches with per-batch deterministic substreams, so memory is independent
 of the path count and results are reproducible for a given seed and batch
 size. Antithetic pairs take one draw: both legs of a batch step together
-as one state, the mirror leg on the exact negation of the draw, so each
-normal is computed once and memory stays a few arrays of twice the batch.
+as one state, the mirror leg adding the negated shock (x + (-y) is x - y
+exactly), so each normal is computed once and memory stays a few arrays of
+twice the batch. Each normal is ndtri of u = k * 2**-53 + 2**-54, with k the
+generator's 53-bit integer, the midpoint of one of 2**53 equal cells.
 """
 
 from __future__ import annotations
@@ -53,8 +55,10 @@ class McConfig:
             raise InvalidInputError("need at least one path")
         if self.seed < 0:
             raise InvalidInputError(f"seed must be non-negative, got {self.seed!r}")
-        if self.dt_mc <= 0:
-            raise InvalidInputError("Euler step must be positive")
+        if not 0.0 < self.dt_mc < math.inf:
+            raise InvalidInputError(f"Euler step must be positive and finite, got {self.dt_mc!r}")
+        if self.batch_size < 1:
+            raise InvalidInputError(f"batch size must be at least 1, got {self.batch_size!r}")
 
 
 @dataclass(frozen=True)
@@ -86,11 +90,18 @@ def _check_aborted(bad: int, total: int) -> None:
         raise McAbortedError(f"{bad} of {total} paths were non-finite")
 
 
-def _normals(rng: np.random.Generator, shape) -> np.ndarray:
-    # Inverse-transform sampling keeps the antithetic mirror exact (the
-    # mirrored path is the exact negation of the draw).
-    u = (rng.integers(0, 1 << 53, size=shape).astype(np.float64) + 0.5) * 2.0**-53
-    return ndtri(u)
+def _normals(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with standard normals, in place.
+
+    ``rng.random`` gives k * 2**-53 for the 53-bit integer k of one 64-bit
+    output, so u = k * 2**-53 + 2**-54 is (2k + 1) * 2**-54 rounded once:
+    the same double as (k + 0.5) * 2**-53. The top cell, k = 2**53 - 1,
+    rounds to u = 1.0 and gives inf, a non-finite path with probability
+    2**-53 per draw.
+    """
+    rng.random(out=out)
+    out += 2.0**-54
+    return ndtri(out, out=out)
 
 
 def _batch_terminals(model: HybridModel, maturity: float, cfg: McConfig, rng, n: int):
@@ -98,9 +109,10 @@ def _batch_terminals(model: HybridModel, maturity: float, cfg: McConfig, rng, n:
 
     With antithetic pairing both legs advance as one state of 2n paths:
     rows 0..n-1 follow the draw, rows n..2n-1 its mirror. Each step draws
-    one (2, n) block of normals. A mirror row adds the negated shock, and
-    x + (-y) is x - y exactly, so it subtracts the shock computed from the
-    draw. The buffer operations follow the evaluation order of
+    one (2, n) block of normals into the batch's one draw buffer. A mirror
+    row adds the negated shock, and x + (-y) is x - y exactly, so it
+    subtracts the shock computed from the draw. The buffer operations
+    follow the evaluation order of
 
         spot:  s * exp((r - 0.5 * sig**2) * dt + sig * sqdt * z1)
         rate:  th + (r - th) * ea + sd * zr
@@ -120,6 +132,7 @@ def _batch_terminals(model: HybridModel, maturity: float, cfg: McConfig, rng, n:
     acc = np.zeros(m)
     work = np.empty(m)  # spot exponent, then the trapezoid term
     shock = np.empty(n)  # one leg's vol shock, then the rate shock
+    draws = np.empty((2, n))
     t = 0.0
     rho = model.rho
     rho_c = math.sqrt(1.0 - rho * rho)
@@ -127,7 +140,7 @@ def _batch_terminals(model: HybridModel, maturity: float, cfg: McConfig, rng, n:
     for _ in range(n_steps):
         dt = min(cfg.dt_mc, maturity - t)
         sqdt = math.sqrt(dt)
-        z1, zr = _normals(rng, (2, n))
+        z1, zr = _normals(rng, draws)
         zr *= rho_c
         np.multiply(rho, z1, out=shock)
         zr += shock

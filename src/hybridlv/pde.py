@@ -129,9 +129,11 @@ class Grid2D:
         ``maturities`` (one horizon or an increasing sequence), with the
         least step count >= round(t_end / dt) that puts each on a step."""
         mats = np.atleast_1d(np.asarray(maturities, dtype=float))
-        if (min(ds, dr, dt) <= 0 or mats.ndim != 1 or mats.size == 0 or mats[0] <= 0
-                or np.any(np.diff(mats) <= 0)):
-            raise InvalidInputError("need positive spacings and positive, increasing maturities")
+        if (not all(0.0 < h < math.inf for h in (ds, dr, dt)) or mats.ndim != 1
+                or mats.size == 0 or mats[0] <= 0 or np.any(np.diff(mats) <= 0)):
+            raise InvalidInputError(
+                f"need positive, finite spacings (got ds={ds!r}, dr={dr!r}, dt={dt!r}) "
+                "and positive, increasing maturities")
         n_s = max(8, int(round((s_max - s_min) / ds)) - 1)
         n_r = max(8, int(round((r_max - r_min) / dr)) - 1)
         n_t = _aligned_step_count(mats, dt)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
+from scipy.special import ndtri
 
 from hybridlv.analytic import bshw_call
 from hybridlv.errors import InvalidInputError, SingularSystemError
@@ -311,10 +312,15 @@ def restart_bootstrap(market, model, settings):
     return np.vstack(view.slices), entries
 
 
+def integer_route_normals(rng, shape):
+    """Normals ndtri((k + 0.5) * 2**-53) from 53-bit integers k drawn by
+    ``integers``: the bounded-integer route, independent of the engine's draw."""
+    k = rng.integers(0, 1 << 53, size=shape)
+    return ndtri((k.astype(np.float64) + 0.5) * 2.0**-53)
+
+
 def _two_pass_leg(model, maturity, cfg, rng, n, sign):
     """One antithetic leg stepped alone from ``sign`` times the draws."""
-    from hybridlv.montecarlo import _normals
-
     p = model.rate
     n_steps = max(1, int(math.ceil(maturity / cfg.dt_mc - 1e-12)))
     s = np.full(n, model.s0)
@@ -327,7 +333,7 @@ def _two_pass_leg(model, maturity, cfg, rng, n, sign):
     for _ in range(n_steps):
         dt = min(cfg.dt_mc, maturity - t)
         sqdt = math.sqrt(dt)
-        z = sign * _normals(rng, (2, n))
+        z = sign * integer_route_normals(rng, (2, n))
         z1 = z[0]
         zr = rho * z1 + rho_c * z[1]
         sig = np.asarray(model.vol.value(t, s))

@@ -464,6 +464,36 @@ class TestMainEntry:
         assert payload["error"] == "InvalidInputError"
         assert "seed must be non-negative" in payload["message"]
 
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf")])
+    def test_non_finite_mc_step_exits_3(self, fast_config, capsys, dt):
+        path, _ = fast_config
+        raw = yaml.safe_load(path.read_text())
+        raw["run"]["mc"]["dt"] = dt
+        path.write_text(yaml.safe_dump(raw))
+        assert cli.main(["price-mc", "--config", str(path)]) == 3
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "InvalidInputError"
+        assert "Euler step must be positive and finite" in payload["message"]
+
+    @pytest.mark.parametrize("command, keys, value", [
+        ("price-pde", ["grid", "ds"], float("nan")),
+        ("price-pde", ["grid", "dt"], float("nan")),
+        ("price-pde", ["grid", "dr"], float("inf")),
+        ("calibrate", ["run", "calibration", "dt"], float("nan")),
+    ])
+    def test_non_finite_grid_spacing_exits_3(self, fast_config, capsys, command, keys, value):
+        path, _ = fast_config
+        raw = yaml.safe_load(path.read_text())
+        block = raw
+        for key in keys[:-1]:
+            block = block.setdefault(key, {})
+        block[keys[-1]] = value
+        path.write_text(yaml.safe_dump(raw))
+        assert cli.main([command, "--config", str(path)]) == 3
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "InvalidInputError"
+        assert "need positive, finite spacings" in payload["message"]
+
     @pytest.mark.parametrize("command", ["price-analytic", "calibrate"])
     def test_model_without_volatility_exits_3(self, tmp_path, capsys, command):
         config = tmp_path / "still.yaml"

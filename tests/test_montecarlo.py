@@ -10,11 +10,12 @@ from hybridlv.models import ConstantVol, HullWhiteParams, HybridModel, zc_price
 from hybridlv.montecarlo import (
     McConfig,
     _iter_batches,
+    _normals,
     conditional_z_estimate,
     simulate_paths,
 )
 
-from .oracles import two_pass_batches
+from .oracles import integer_route_normals, two_pass_batches
 
 
 def _call_payoff(strike):
@@ -136,6 +137,46 @@ class TestSimulatePaths:
             McConfig(n_paths=0, dt_mc=0.01)
         with pytest.raises(InvalidInputError):
             McConfig(n_paths=10, dt_mc=-0.1)
+
+    @pytest.mark.parametrize(
+        "overrides, named",
+        [
+            (dict(batch_size=0), "batch size"),
+            (dict(batch_size=-3), "batch size"),
+            (dict(dt_mc=0.0), "Euler step"),
+            (dict(dt_mc=math.nan), "Euler step"),
+            (dict(dt_mc=math.inf), "Euler step"),
+        ],
+    )
+    def test_step_or_batch_that_cannot_run_rejected(self, overrides, named):
+        # a zero batch never finished the batch loop; a NaN step failed on
+        # int(nan) and an infinite one ran one step of the whole maturity
+        with pytest.raises(InvalidInputError, match=named):
+            McConfig(**{"n_paths": 10, "dt_mc": 0.1, **overrides})
+
+
+class TestNormals:
+    @pytest.mark.parametrize("n", [1, 1000, 65536])
+    @pytest.mark.parametrize("seed", [0, 11, 2024])
+    def test_draw_matches_the_bounded_integer_route(self, seed, n):
+        rng, twin = (np.random.Generator(np.random.PCG64(seed)) for _ in range(2))
+        buf = np.empty((2, n))
+        got = _normals(rng, buf)
+        assert got is buf
+        assert np.array_equal(got, integer_route_normals(twin, (2, n)))
+        # both routes consumed the stream alike
+        assert np.array_equal(rng.integers(0, 1 << 53, 8), twin.integers(0, 1 << 53, 8))
+
+    @pytest.mark.parametrize(
+        "k", [0, 1, 2**52 - 1, 2**52, 2**52 + 1, 2**53 - 2, 2**53 - 1]
+    )
+    def test_shifted_uniform_is_the_cell_midpoint(self, k):
+        # both sides round (2k + 1) * 2**-54 once, ties to even at k >= 2**52.
+        # k = 2**53 - 1 gives u = 1.0 on both routes and ndtri(1.0) = inf; the
+        # pair holding it is dropped as non-finite (probability 2**-53 a draw)
+        u = np.float64(k) * 2.0**-53 + 2.0**-54
+        assert u == (np.float64(k) + 0.5) * 2.0**-53
+        assert (u == 1.0) == (k == 2**53 - 1)
 
 
 class TestMomentsAgainstSimulation:
