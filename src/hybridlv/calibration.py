@@ -12,7 +12,11 @@ single vectorized pass: one suffix sum over the spot cells, read at each
 strike's cell plus the partial cell cut at the strike. Each march of the
 bootstrap runs under one vol slice, constant in time, and every slice (the
 seed at the first maturity included) is read off the market by one
-extractor: the Dupire value minus the corrective term at each strike.
+extractor, a whole maturity row at once: the Dupire value minus the
+corrective term at every strike. The market's sensitivities come in closed
+form from its model or, without one, from lattice differences whose C_KK
+takes three-point weights, exact for a parabola on uneven strikes. A
+single Dupire value (:func:`dupire_vol`) is read at a lattice node only.
 """
 
 from __future__ import annotations
@@ -72,6 +76,10 @@ class CallSurface:
         object.__setattr__(self, "maturities", np.asarray(self.maturities, dtype=float))
         object.__setattr__(self, "strikes", np.asarray(self.strikes, dtype=float))
         object.__setattr__(self, "prices", np.asarray(self.prices, dtype=float))
+        if not all(np.all(np.isfinite(a)) for a in (self.maturities, self.strikes, self.prices)):
+            raise InvalidInputError("maturities, strikes and prices must be finite")
+        if np.any(self.maturities <= 0) or np.any(self.strikes <= 0):
+            raise InvalidInputError("maturities and strikes must be positive")
         if np.any(np.diff(self.maturities) <= 0) or np.any(np.diff(self.strikes) <= 0):
             raise InvalidInputError("maturities and strikes must be strictly increasing")
         if self.prices.shape != (len(self.maturities), len(self.strikes)):
@@ -79,8 +87,11 @@ class CallSurface:
         if np.any(np.diff(self.prices, axis=1) > 1e-12):
             raise InvalidInputError("prices must be non-increasing in strike")
         if self.strikes.size >= 3:
-            second = np.diff(self.prices, n=2, axis=1)
-            if np.any(second < -1e-10):
+            # slope changes times the mean adjacent spacing: the second
+            # difference on an even lattice
+            h = np.diff(self.strikes)
+            bend = np.diff(np.diff(self.prices, axis=1) / h, axis=1) * (0.5 * (h[:-1] + h[1:]))
+            if np.any(bend < -1e-10):
                 raise InvalidInputError("prices must be convex in strike")
 
 
@@ -107,15 +118,6 @@ class CorrectiveTermCurve:
         object.__setattr__(self, "adj", np.asarray(self.adj, dtype=float))
         if self.strikes.shape != self.adj.shape:
             raise InvalidInputError("strike/value shape mismatch")
-
-    def interp(self, strike: float) -> float:
-        """Linear between nodes, clamped outside."""
-        return float(np.interp(strike, self.strikes, self.adj))
-
-    @classmethod
-    def zeros(cls, maturity: float, strikes) -> "CorrectiveTermCurve":
-        ks = np.asarray(strikes, dtype=float)
-        return cls(maturity, ks, np.zeros_like(ks))
 
 
 # ---------------------------------------------------------------------------
@@ -187,60 +189,63 @@ def price_calls_from_pz(field: Field2D, strikes) -> np.ndarray:
 # local-volatility extraction
 
 
-def _lattice_derivatives(surface: CallSurface, t: float, k: float):
-    """Finite differences on the price lattice; central inside, one-sided
-    at the edges."""
+def _node(axis: np.ndarray, x: float, name: str) -> int:
+    """Index of the lattice node ``x`` on ``axis``."""
+    i = int(np.argmin(np.abs(axis - x)))
+    if abs(axis[i] - x) > 1e-9 * max(1.0, abs(x)):
+        raise InvalidInputError(f"{name}={x!r} is not a node of the price lattice")
+    return i
+
+
+def _sensitivities(surface: CallSurface, i: int):
+    """C_T, C_K and C_KK at every strike of maturity row ``i``.
+
+    A surface with a model takes them in closed form; any other is
+    differenced on the lattice: central inside (C_KK with the three-point
+    weights of an uneven lattice), one-sided at the edges, where C_KK takes
+    the value of the neighbouring strike.
+    """
     mats, ks, prices = surface.maturities, surface.strikes, surface.prices
-    it = int(np.argmin(np.abs(mats - t)))
-    ik = int(np.argmin(np.abs(ks - k)))
-    if abs(mats[it] - t) > 1e-9 * max(1.0, abs(t)) or abs(ks[ik] - k) > 1e-9 * max(1.0, abs(k)):
-        raise InvalidInputError(
-            f"(T={t!r}, K={k!r}) must be nodes of the price lattice"
-        )
+    if surface.model is not None:
+        greeks = [bshw_call(surface.model, float(mats[i]), float(k)) for k in ks]
+        return tuple(np.array([getattr(g, n) for g in greeks]) for n in ("c_t", "c_k", "c_kk"))
     if len(mats) == 1:
         raise InvalidInputError("cannot difference a single-maturity lattice in T")
-    if 0 < it < len(mats) - 1:
-        c_t = (prices[it + 1, ik] - prices[it - 1, ik]) / (mats[it + 1] - mats[it - 1])
-    elif it == 0:
-        c_t = (prices[1, ik] - prices[0, ik]) / (mats[1] - mats[0])
-    else:
-        c_t = (prices[-1, ik] - prices[-2, ik]) / (mats[-1] - mats[-2])
     if len(ks) < 3:
         raise InvalidInputError("need at least 3 strikes to difference in K")
-    if 0 < ik < len(ks) - 1:
-        hk = ks[ik + 1] - ks[ik]
-        c_k = (prices[it, ik + 1] - prices[it, ik - 1]) / (ks[ik + 1] - ks[ik - 1])
-        c_kk = (prices[it, ik + 1] - 2 * prices[it, ik] + prices[it, ik - 1]) / hk**2
-    elif ik == 0:
-        hk = ks[1] - ks[0]
-        c_k = (prices[it, 1] - prices[it, 0]) / hk
-        c_kk = (prices[it, 2] - 2 * prices[it, 1] + prices[it, 0]) / hk**2
-    else:
-        hk = ks[-1] - ks[-2]
-        c_k = (prices[it, -1] - prices[it, -2]) / hk
-        c_kk = (prices[it, -1] - 2 * prices[it, -2] + prices[it, -3]) / hk**2
-    return float(c_t), float(c_k), float(c_kk)
+    lo, hi = max(i - 1, 0), min(i + 1, len(mats) - 1)
+    c_t = (prices[hi] - prices[lo]) / (mats[hi] - mats[lo])
+    row, j = prices[i], np.arange(len(ks))
+    jm, jp = np.maximum(j - 1, 0), np.minimum(j + 1, len(ks) - 1)
+    c_k = (row[jp] - row[jm]) / (ks[jp] - ks[jm])
+    h = np.diff(ks)
+    bend = 2 * np.diff(np.diff(row) / h) / (h[:-1] + h[1:])  # three-point C_KK, K_1..K_{n-2}
+    c_kk = bend[np.clip(j - 1, 0, len(ks) - 3)]
+    return c_t, c_k, c_kk
 
 
-def _surface_derivatives(surface: CallSurface, t: float, k: float):
-    if surface.model is not None:
-        pg = bshw_call(surface.model, t, k)
-        return pg.c_t, pg.c_k, pg.c_kk
-    return _lattice_derivatives(surface, t, k)
+def local_vol_stochastic_rates(
+    surface: CallSurface,
+    forward_curve: Callable[[float], float],
+    adj: np.ndarray | float,
+    t: float,
+):
+    """Local variances along the maturity row ``t`` (a lattice maturity).
 
-
-def _dupire_variance(surface, forward_curve, t, k):
-    """Deterministic-rates local variance and the C_KK it divides by."""
-    if t <= 0 or k <= 0:
-        raise InvalidInputError("need T > 0 and K > 0")
-    c_t, c_k, c_kk = _surface_derivatives(surface, t, k)
-    if c_kk <= EPS_FLOOR:
-        raise ButterflyDegenerateError(t, k, c_kk)
-    f = float(forward_curve(t))
-    var = (c_t + k * f * c_k) / (0.5 * k**2 * c_kk)
-    if var < 0:
-        raise NegativeVarianceError(t, k, var, 0.0, c_kk)
-    return float(var), c_kk
+    ``adj`` is Adj(K) at every strike, or 0.0. Returns the rows
+    ``(dupire, local, c_kk)``: the deterministic-rates Dupire variance
+    [C_T + K f C_K] / (K^2 C_KK / 2), the stochastic-rates variance
+    dupire - Adj(K) / (K C_KK / 2) and the C_KK both divide by. Both
+    variances read NaN where C_KK is at or below ``EPS_FLOOR``.
+    """
+    i = _node(surface.maturities, t, "T")
+    c_t, c_k, c_kk = _sensitivities(surface, i)
+    ks = surface.strikes
+    f = float(forward_curve(float(surface.maturities[i])))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dupire = np.where(c_kk > EPS_FLOOR, (c_t + ks * f * c_k) / (0.5 * ks**2 * c_kk), np.nan)
+        local = dupire - adj / (0.5 * ks * c_kk)
+    return dupire, local, c_kk
 
 
 def dupire_vol(
@@ -249,24 +254,18 @@ def dupire_vol(
     t: float,
     k: float,
 ) -> float:
-    """Deterministic-rates local variance [C_T + K f C_K] / (K^2 C_KK / 2)."""
-    return _dupire_variance(surface, forward_curve, t, k)[0]
+    """Deterministic-rates local variance at the lattice node (t, k).
 
-
-def local_vol_stochastic_rates(
-    surface: CallSurface,
-    forward_curve: Callable[[float], float],
-    adj: CorrectiveTermCurve,
-    t: float,
-    k: float,
-) -> float:
-    """Stochastic-rates local variance: Dupire minus Adj(K) / (K C_KK / 2)."""
-    dup, c_kk = _dupire_variance(surface, forward_curve, t, k)
-    a = adj.interp(k)
-    var = dup - a / (0.5 * k * c_kk)
-    if var < 0:
-        raise NegativeVarianceError(t, k, dup, a, c_kk)
-    return float(var)
+    Raises :class:`ButterflyDegenerateError` or :class:`NegativeVarianceError`
+    where the slice extractor would skip the strike or fail.
+    """
+    j = _node(surface.strikes, k, "K")
+    dupire, _, c_kk = local_vol_stochastic_rates(surface, forward_curve, 0.0, t)
+    if c_kk[j] <= EPS_FLOOR:
+        raise ButterflyDegenerateError(t, k, float(c_kk[j]))
+    if dupire[j] < 0:
+        raise NegativeVarianceError(t, k, float(dupire[j]), 0.0, float(c_kk[j]))
+    return float(dupire[j])
 
 
 # ---------------------------------------------------------------------------
@@ -323,36 +322,29 @@ class CalibrationResult:
     report: CalibrationReport
 
 
-def _slice(market, forward_curve, maturity, strikes, adj, report):
+def _slice(market, forward_curve, maturity, adj, report):
     """The local-vol slice at one maturity: the market's Dupire variance
     minus ``adj`` at every strike, and the strikes skipped on the way.
 
     A strike whose butterfly degenerates is skipped and takes the value of
-    the nearest usable strike; a negative variance at any strike, or no
-    usable strike at all, fails the calibration.
+    the nearest usable strike; a negative variance at any strike (the
+    Dupire one included), or no usable strike at all, fails the
+    calibration.
     """
-    vals = np.full(len(strikes), np.nan)
-    skipped, negative = [], []
-    for j, k in enumerate(strikes):
-        try:
-            vals[j] = math.sqrt(
-                local_vol_stochastic_rates(market, forward_curve, adj, maturity, float(k))
-            )
-        except ButterflyDegenerateError:
-            skipped.append(float(k))
-        except NegativeVarianceError:
-            negative.append(float(k))
-    if negative:
+    dupire, local, _ = local_vol_stochastic_rates(market, forward_curve, adj, maturity)
+    negative = (dupire < 0) | (local < 0)
+    if negative.any():
         raise CalibrationError(
             "negative local variance at "
-            + ", ".join(f"(T={maturity:g}, K={k:g})" for k in negative),
+            + ", ".join(f"(T={maturity:g}, K={k:g})" for k in market.strikes[negative]),
             report=report,
         )
-    usable = np.flatnonzero(~np.isnan(vals))
+    skipped = np.isnan(local)
+    usable = np.flatnonzero(~skipped)
     if usable.size == 0:
         raise CalibrationError(f"no usable strike at maturity {maturity:g}", report=report)
-    nearest = np.abs(np.arange(len(vals))[:, None] - usable[None, :]).argmin(axis=1)
-    return vals[usable[nearest]], skipped
+    nearest = np.abs(np.arange(len(local))[:, None] - usable[None, :]).argmin(axis=1)
+    return np.sqrt(local[usable[nearest]]), [float(k) for k in market.strikes[skipped]]
 
 
 def _march_under(model, strikes, values, grid, start):
@@ -404,11 +396,8 @@ def calibrate(
 
     use_adj = settings.use_corrective and rate.sigma2 > 0.0
     report = CalibrationReport()
-    t_1 = float(mats[0])
     # the T_1 iteration warns for the strikes the seed skips
-    slice_vals, _ = _slice(
-        market, forward_curve, t_1, strikes, CorrectiveTermCurve.zeros(t_1, strikes), report
-    )
+    slice_vals, _ = _slice(market, forward_curve, float(mats[0]), 0.0, report)
     slices = []
 
     checkpoint = None  # field at the previous maturity under its final slice
@@ -421,13 +410,10 @@ def calibrate(
             iterations += 1
             result = _march_under(model, strikes, slice_vals, grid_i, checkpoint)
             fld = result.snapshots[-1]
+            adj = 0.0
             if use_adj:
-                adj = corrective_terms(fld, forward_curve(float(maturity)), strikes)
-            else:
-                adj = CorrectiveTermCurve.zeros(float(maturity), strikes)
-            new_slice, skipped = _slice(
-                market, forward_curve, float(maturity), strikes, adj, report
-            )
+                adj = corrective_terms(fld, forward_curve(float(maturity)), strikes).adj
+            new_slice, skipped = _slice(market, forward_curve, float(maturity), adj, report)
             if skipped:
                 report.warnings.append(
                     f"T={maturity:g}: degenerate butterfly at K in {skipped}; flat-filled"

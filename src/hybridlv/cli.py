@@ -214,25 +214,24 @@ def _csv_numbers(path, lineno: int, line: str, width: int, exact: bool) -> list[
 def _read_market(path) -> cal.CallSurface:
     if not path:
         raise ConfigError("market=csv needs run.calibration.market_path")
-    rows = []
+    quotes = {}  # (T, K) -> price
     with open(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line or line.startswith("#") or line.lower().startswith("t,"):
                 continue
-            rows.append(tuple(_csv_numbers(path, lineno, line, 3, exact=True)))
-    if not rows:
+            t, k, price = _csv_numbers(path, lineno, line, 3, exact=True)
+            if (t, k) in quotes:
+                raise ConfigError(f"{path}, line {lineno}: repeated quote for (T={t:g}, K={k:g})")
+            quotes[(t, k)] = price
+    if not quotes:
         raise ConfigError(f"{path}: no T,K,price data rows")
-    mats = sorted({r[0] for r in rows})
-    ks = sorted({r[1] for r in rows})
-    prices = np.full((len(mats), len(ks)), np.nan)
-    index = {(t, k): p for t, k, p in rows}
-    for i, t in enumerate(mats):
-        for j, k in enumerate(ks):
-            prices[i, j] = index.get((t, k), np.nan)
-    if np.any(np.isnan(prices)):
+    mats = sorted({t for t, _ in quotes})
+    ks = sorted({k for _, k in quotes})
+    if len(quotes) != len(mats) * len(ks):
         raise ConfigError("market CSV is not a full (T, K) lattice")
-    return cal.CallSurface(np.asarray(mats), np.asarray(ks), prices)
+    prices = [[quotes[(t, k)] for k in ks] for t in mats]
+    return cal.CallSurface(np.asarray(mats), np.asarray(ks), np.asarray(prices))
 
 
 def _read_price_csv(path):

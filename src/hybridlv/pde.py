@@ -134,6 +134,10 @@ class Grid2D:
             raise InvalidInputError(
                 f"need positive, finite spacings (got ds={ds!r}, dr={dr!r}, dt={dt!r}) "
                 "and positive, increasing maturities")
+        if not all(math.isfinite(b) for b in (s_min, s_max, r_min, r_max)):
+            raise InvalidInputError(
+                f"need a finite box (got s_min={s_min!r}, s_max={s_max!r}, "
+                f"r_min={r_min!r}, r_max={r_max!r})")
         n_s = max(8, int(round((s_max - s_min) / ds)) - 1)
         n_r = max(8, int(round((r_max - r_min) / dr)) - 1)
         n_t = _aligned_step_count(mats, dt)

@@ -237,6 +237,29 @@ def aligned_step_count_by_search(maturities, dt, max_tries=200000):
     return None
 
 
+def lattice_sensitivities(surface, t, k):
+    """(C_T, C_K, C_KK) of a price lattice at its node (t, k), one node at
+    a time: C_T and C_K are the slopes of the chords through the
+    neighbouring nodes (one-sided at an edge), and C_KK is the second
+    derivative of the parabola through three neighbouring strikes, centred
+    on (t, k) or, at an edge strike, on its neighbour."""
+    mats, ks, p = list(surface.maturities), list(surface.strikes), surface.prices
+    i = min(range(len(mats)), key=lambda n: abs(mats[n] - t))
+    j = min(range(len(ks)), key=lambda n: abs(ks[n] - k))
+    lo, hi = max(i - 1, 0), min(i + 1, len(mats) - 1)
+    c_t = (p[hi, j] - p[lo, j]) / (mats[hi] - mats[lo])
+    lo, hi = max(j - 1, 0), min(j + 1, len(ks) - 1)
+    c_k = (p[i, hi] - p[i, lo]) / (ks[hi] - ks[lo])
+    c = min(max(j, 1), len(ks) - 2)
+    x0, x1, x2 = ks[c - 1], ks[c], ks[c + 1]
+    c_kk = 2.0 * (
+        p[i, c - 1] / ((x0 - x1) * (x0 - x2))
+        + p[i, c] / ((x1 - x0) * (x1 - x2))
+        + p[i, c + 1] / ((x2 - x0) * (x2 - x1))
+    )
+    return c_t, c_k, c_kk
+
+
 class _RestartView:
     """Bootstrap slices, piecewise constant in time, whose ``next_change(t)``
     is ``t``: a solve under it rebuilds its step operator at every step."""
@@ -282,8 +305,8 @@ def restart_bootstrap(market, model, settings):
     box_model = replace(model, vol=cal._ref_vol(market, fwd))
     box = auto_grid(box_model, t_max, settings.ds, settings.dr, settings.dt)
     use_adj = settings.use_corrective and model.rate.sigma2 > 0.0
-    seed = [math.sqrt(cal.dupire_vol(market, fwd, float(mats[0]), float(k))) for k in strikes]
-    view = _RestartView(strikes, np.array(seed))
+    seed, _, _ = cal.local_vol_stochastic_rates(market, fwd, 0.0, mats[0])
+    view = _RestartView(strikes, np.sqrt(seed))
     work_model = replace(model, vol=view)
     entries = []
     for maturity in mats:
@@ -294,14 +317,8 @@ def restart_bootstrap(market, model, settings):
             iterations += 1
             result = evolve(work_model, grid, snapshot_times=[t])
             field = result.at(t)
-            if use_adj:
-                adj = cal.corrective_terms(field, fwd(t), strikes)
-            else:
-                adj = cal.CorrectiveTermCurve.zeros(t, strikes)
-            vals = np.array([
-                math.sqrt(cal.local_vol_stochastic_rates(market, fwd, adj, t, float(k)))
-                for k in strikes
-            ])
+            adj = cal.corrective_terms(field, fwd(t), strikes).adj if use_adj else 0.0
+            vals = np.sqrt(cal.local_vol_stochastic_rates(market, fwd, adj, t)[1])
             update = float(np.max(np.abs(vals - slice_vals))) if slice_vals is not None else math.inf
             slice_vals = vals
             view.pending = vals

@@ -8,7 +8,6 @@ from hybridlv.analytic import analytic_pz, bshw_call
 from hybridlv.calibration import (
     CalibrationSettings,
     CallSurface,
-    CorrectiveTermCurve,
     calibrate,
     corrective_terms,
     dupire_vol,
@@ -16,7 +15,7 @@ from hybridlv.calibration import (
     make_analytic_surface,
     price_calls_from_pz,
 )
-from hybridlv.calibration import _strike_integrals
+from hybridlv.calibration import _sensitivities, _strike_integrals
 from hybridlv.errors import (
     ButterflyDegenerateError,
     CalibrationError,
@@ -36,8 +35,11 @@ from hybridlv.pde import Field2D, _aligned_step_count, auto_grid, evolve
 from .oracles import (
     aligned_step_count_by_search,
     corrective_term_closed_form,
+    lattice_sensitivities,
     restart_bootstrap,
 )
+
+UNEVEN_STRIKES = np.array([0.7, 0.8, 0.85, 0.9, 1.0, 1.05, 1.2, 1.3])
 
 
 def _count_operators(monkeypatch):
@@ -195,6 +197,36 @@ class TestPriceFromField:
         assert price == pytest.approx(expect, rel=2e-3)
 
 
+class TestCallSurface:
+    def test_exactly_convex_prices_on_uneven_strikes_pass(self, set1_model):
+        # their plain second differences go negative where the spacing grows
+        prices = np.array([[bshw_call(set1_model, 1.0, k).price for k in UNEVEN_STRIKES]])
+        assert np.min(np.diff(prices, n=2, axis=1)) < -1e-10
+        CallSurface(np.array([1.0]), UNEVEN_STRIKES, prices)
+
+    def test_concave_kink_on_uneven_strikes_fails(self):
+        prices = 1.5 - UNEVEN_STRIKES  # linear: convex, but only just
+        CallSurface(np.array([1.0]), UNEVEN_STRIKES, prices[None, :])
+        prices[3] += 1e-6
+        with pytest.raises(InvalidInputError, match="convex"):
+            CallSurface(np.array([1.0]), UNEVEN_STRIKES, prices[None, :])
+
+    @pytest.mark.parametrize("axis, index, value", [
+        ("prices", 2, math.nan), ("prices", 0, math.inf),
+        ("maturities", 1, math.inf), ("strikes", 0, math.nan),
+        ("maturities", 0, 0.0), ("strikes", 0, -0.1),
+    ])
+    def test_rejects_non_finite_or_non_positive_input(self, axis, index, value):
+        nodes = {
+            "maturities": np.array([0.5, 1.0]),
+            "strikes": np.array([0.9, 1.0, 1.1]),
+            "prices": np.array([[0.12, 0.05, 0.01], [0.15, 0.08, 0.03]]),
+        }
+        nodes[axis].flat[index] = value
+        with pytest.raises(InvalidInputError, match="finite|positive"):
+            CallSurface(**nodes)
+
+
 class TestDupire:
     def test_flat_deterministic_model_recovers_variance(self):
         rate = HullWhiteParams(a=0.5, sigma2=0.0, theta=0.02, r0=0.02)
@@ -210,32 +242,33 @@ class TestDupire:
         surf = make_analytic_surface(set1_model, [1.0], np.linspace(0.5, 1.5, 21))
         fwd = lambda t: forward_rate(set1_model.rate, t)  # noqa: E731
         field = _analytic_field(set1_model, 1.0, ds=0.008, dr=0.0015)
-        curve = corrective_terms(field, fwd(1.0), np.linspace(0.5, 1.5, 21))
-        var = local_vol_stochastic_rates(surf, fwd, curve, 1.0, 1.0)
-        assert math.sqrt(var) == pytest.approx(0.2, abs=1e-3)
+        curve = corrective_terms(field, fwd(1.0), surf.strikes)
+        _, local, _ = local_vol_stochastic_rates(surf, fwd, curve.adj, 1.0)
+        assert math.sqrt(local[10]) == pytest.approx(0.2, abs=1e-3)  # K = 1
 
     def test_positive_adjustment_lowers_local_variance(self, set1_model):
         surf = make_analytic_surface(set1_model, [1.0], np.linspace(0.5, 1.5, 21))
         fwd = lambda t: forward_rate(set1_model.rate, t)  # noqa: E731
         field = _analytic_field(set1_model, 1.0)
-        curve = corrective_terms(field, fwd(1.0), np.linspace(0.5, 1.5, 21))
-        dup = dupire_vol(surf, fwd, 1.0, 1.0)
-        var = local_vol_stochastic_rates(surf, fwd, curve, 1.0, 1.0)
-        assert var < dup
+        curve = corrective_terms(field, fwd(1.0), surf.strikes)
+        dup, local, _ = local_vol_stochastic_rates(surf, fwd, curve.adj, 1.0)
+        assert dup[10] == dupire_vol(surf, fwd, 1.0, 1.0)
+        assert local[10] < dup[10]
 
     def test_zero_rate_vol_equals_dupire_exactly(self, set1_model):
         surf = make_analytic_surface(set1_model, [1.0], np.linspace(0.7, 1.3, 13))
         fwd = lambda t: forward_rate(set1_model.rate, t)  # noqa: E731
-        zeros = CorrectiveTermCurve.zeros(1.0, np.linspace(0.7, 1.3, 13))
-        dup = dupire_vol(surf, fwd, 1.0, 1.0)
-        assert local_vol_stochastic_rates(surf, fwd, zeros, 1.0, 1.0) == dup
+        dup, local, _ = local_vol_stochastic_rates(surf, fwd, 0.0, 1.0)
+        assert np.array_equal(local, dup)
+        assert dup[6] == dupire_vol(surf, fwd, 1.0, 1.0)
 
     def test_one_surface_evaluation_per_node(self, set1_model, monkeypatch):
         import hybridlv.calibration as cal_mod
 
-        surf = make_analytic_surface(set1_model, [1.0], np.linspace(0.7, 1.3, 13))
+        ks = np.linspace(0.7, 1.3, 13)
+        surf = make_analytic_surface(set1_model, [0.5, 1.0], ks)
         fwd = lambda t: forward_rate(set1_model.rate, t)  # noqa: E731
-        curve = CorrectiveTermCurve(1.0, np.array([0.7, 1.3]), np.array([1e-3, 2e-3]))
+        adj = np.linspace(1e-3, 2e-3, 13)
         calls = []
 
         def counted(*args):
@@ -243,10 +276,41 @@ class TestDupire:
             return bshw_call(*args)
 
         monkeypatch.setattr(cal_mod, "bshw_call", counted)
-        var = local_vol_stochastic_rates(surf, fwd, curve, 1.0, 0.9)
-        assert len(calls) == 1
-        c_kk = bshw_call(set1_model, 1.0, 0.9).c_kk
-        assert var == dupire_vol(surf, fwd, 1.0, 0.9) - curve.interp(0.9) / (0.5 * 0.9 * c_kk)
+        dup, local, c_kk = local_vol_stochastic_rates(surf, fwd, adj, 1.0)
+        assert calls == [(set1_model, 1.0, k) for k in ks]
+        assert np.array_equal(c_kk, [bshw_call(set1_model, 1.0, k).c_kk for k in ks])
+        assert np.array_equal(local, dup - adj / (0.5 * ks * c_kk))
+
+    def test_dupire_vol_needs_lattice_nodes(self, set1_model):
+        surf = make_analytic_surface(set1_model, [0.5, 1.0], np.linspace(0.7, 1.3, 13))
+        fwd = lambda t: forward_rate(set1_model.rate, t)  # noqa: E731
+        with pytest.raises(InvalidInputError, match="K=0.92"):
+            dupire_vol(surf, fwd, 1.0, 0.92)
+        with pytest.raises(InvalidInputError, match="T=0.75"):
+            dupire_vol(surf, fwd, 0.75, 1.0)
+
+    def test_lattice_row_matches_the_scalar_oracle(self, set1_model):
+        mats = np.array([0.25, 0.4, 0.5, 0.8, 1.0])
+        prices = np.array([[bshw_call(set1_model, t, k).price for k in UNEVEN_STRIKES]
+                           for t in mats])
+        surf = CallSurface(mats, UNEVEN_STRIKES, prices)
+        for i, t in enumerate(mats):
+            want = np.array([lattice_sensitivities(surf, t, k) for k in UNEVEN_STRIKES]).T
+            np.testing.assert_allclose(_sensitivities(surf, i), want, rtol=1e-12, atol=0)
+
+    def test_three_point_curvature_is_exact_for_a_parabola(self):
+        prices = np.array([(2.0 - UNEVEN_STRIKES) ** 2 * scale for scale in (1.0, 1.5)])
+        surf = CallSurface(np.array([0.5, 1.0]), UNEVEN_STRIKES, prices)
+        for i, c_kk in enumerate((2.0, 3.0)):
+            np.testing.assert_allclose(_sensitivities(surf, i)[2], c_kk, rtol=1e-12)
+
+    def test_closed_form_row_is_bshw_call(self, set1_model):
+        surf = make_analytic_surface(set1_model, [0.5, 1.0], UNEVEN_STRIKES)
+        greeks = [bshw_call(set1_model, 0.5, k) for k in UNEVEN_STRIKES]
+        c_t, c_k, c_kk = _sensitivities(surf, 0)
+        assert np.array_equal(c_t, [g.c_t for g in greeks])
+        assert np.array_equal(c_k, [g.c_k for g in greeks])
+        assert np.array_equal(c_kk, [g.c_kk for g in greeks])
 
     def test_degenerate_butterfly_raises(self, set1_model):
         # far wing on a coarse external lattice: convexity underflows
@@ -260,14 +324,20 @@ class TestDupire:
             dupire_vol(surf, fwd, 0.2, 2.5)
 
     def test_negative_variance_carries_diagnostics(self, set1_model):
-        surf = make_analytic_surface(set1_model, [1.0], np.linspace(0.7, 1.3, 13))
+        # a lattice market (no model) with a calendar break at (T=0.5, K=1)
+        mats = [0.5, 0.51, 1.0]
+        ks = np.arange(0.8, 1.2001, 0.05)
+        prices = np.array([[bshw_call(set1_model, t, k).price for k in ks] for t in mats])
+        prices[0, 4] += 1e-3
+        surf = CallSurface(np.asarray(mats), ks, prices)
         fwd = lambda t: forward_rate(set1_model.rate, t)  # noqa: E731
-        huge = CorrectiveTermCurve(1.0, np.array([0.7, 1.3]), np.array([1.0, 1.0]))
+        dup, local, c_kk = local_vol_stochastic_rates(surf, fwd, 1.0, 0.5)
+        assert dup[4] < 0 and np.all(local < 0)
         with pytest.raises(NegativeVarianceError) as err:
-            local_vol_stochastic_rates(surf, fwd, huge, 1.0, 1.0)
-        assert err.value.maturity == 1.0
-        assert err.value.strike == 1.0
-        assert err.value.adjustment == 1.0
+            dupire_vol(surf, fwd, 0.5, ks[4])
+        assert (err.value.maturity, err.value.strike) == (0.5, ks[4])
+        assert (err.value.dupire_var, err.value.c_kk) == (dup[4], c_kk[4])
+        assert err.value.adjustment == 0.0
 
     def test_lattice_derivatives_recover_flat_vol(self):
         rate = HullWhiteParams(a=0.5, sigma2=0.0, theta=0.02, r0=0.02)
@@ -403,6 +473,25 @@ class TestCalibrate:
         for i in range(1, n):
             starts += [mats[i - 1]] * (slice_iterations + (i < n - 1))
         assert levels == pytest.approx(starts, abs=1e-12)
+
+    def test_uneven_strikes_closed_form_market(self, set1_model):
+        ks = [0.7, 0.8, 0.85, 0.9, 1.0, 1.2]
+        market = make_analytic_surface(set1_model, [0.25, 0.5, 0.75, 1.0], ks)
+        settings = CalibrationSettings(ds=0.02, dr=0.003, dt=0.01)
+        result = calibrate(market, set1_model, settings)
+        assert np.max(np.abs(result.surface.sigma - 0.2)) < 2.5e-3  # measured 1.90e-3
+
+    def test_uneven_lattice_market(self, set1_model):
+        # lattice-differenced (no model): the three-point C_KK and the chord
+        # C_K are first order where the spacing changes (K = 0.9 and 1.1),
+        # so those nodes read furthest off; the edge strikes are not gated
+        ks = np.array([0.8, 0.9, 0.95, 1.0, 1.05, 1.1, 1.2])
+        mats = np.round(np.arange(0.25, 1.0001, 0.05), 10)
+        prices = np.array([[bshw_call(set1_model, t, k).price for k in ks] for t in mats])
+        settings = CalibrationSettings(ds=0.02, dr=0.003, dt=0.01)
+        sigma = calibrate(CallSurface(mats, ks, prices), set1_model, settings).surface.sigma
+        assert np.max(np.abs(sigma[:, 1:-1] - 0.2)) < 2.5e-2  # measured 1.73e-2
+        assert np.max(np.abs(sigma[:, 2:-2] - 0.2)) < 3.5e-3  # even spacing: 2.6e-3
 
     def test_dropping_the_adjustment_skews_the_wings(self, set1_model):
         # ablation: a stochastic-rates market calibrated with the corrective

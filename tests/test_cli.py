@@ -261,6 +261,42 @@ run:
             "calibration report"
         )
 
+    def test_calibrate_csv_market(self, tmp_path):
+        # a flat closed-form lattice written as CSV: the CLI reads it without
+        # its model, so every derivative is differenced on the lattice
+        from hybridlv.analytic import bshw_call
+
+        roundtrip = CONFIG_DIR / "calibration_roundtrip.yaml"
+        model = load_config(roundtrip).build_model()
+        mats = np.round(np.arange(0.25, 1.0001, 0.05), 10)
+        ks = np.round(np.arange(0.7, 1.3001, 0.05), 10)
+        market = tmp_path / "market.csv"
+        market.write_text("T,K,price\n" + "".join(
+            f"{float(t)!r},{float(k)!r},{bshw_call(model, float(t), float(k)).price!r}\n"
+            for t in mats for k in ks
+        ))
+        config = tmp_path / "cal.yaml"
+        config.write_text(yaml.safe_dump({
+            "model": yaml.safe_load(roundtrip.read_text())["model"],
+            "run": {
+                "out_dir": str(tmp_path / "out"),
+                "calibration": {
+                    "market": "csv", "market_path": str(market),
+                    "ds": 0.02, "dr": 0.003, "dt": 0.01, "slice_iterations": 2,
+                },
+            },
+        }))
+        assert cli.main(["calibrate", "--config", str(config)]) == 0
+        rows = _load_rows(tmp_path / "out" / "local_vol_surface.csv")
+        assert np.allclose(rows[:, :2], [(t, k) for t in mats for k in ks], rtol=0, atol=1e-15)
+        sigma = rows[:, 2].reshape(len(mats), len(ks))
+        assert np.all(np.isfinite(sigma)) and np.all(sigma > 0)
+        assert np.max(np.abs(sigma[:, 1:-1] - 0.2)) < 2e-2  # measured 1.35e-2
+        # The edge strikes take one-sided lattice differences and read far
+        # off (ROADMAP item 8): this bounds today's 0.117 (K=0.7, T=0.25)
+        # against regression; it is not an accuracy claim.
+        assert np.max(np.abs(sigma[:, [0, -1]] - 0.2)) < 0.13
+
 
 class _FirstOperator(Exception):
     """Stops a command once its first step operator is built."""
@@ -534,6 +570,41 @@ class TestMainEntry:
         market.write_text("T,K,price\n")
         message = self._config_error(capsys, ["calibrate", "--config", str(config)])
         assert str(market) in message
+
+    def test_market_repeated_quote_exits_2(self, tmp_path, capsys):
+        config, market = self._market_config(tmp_path, "0.5,1.1,0.03\n0.5,1.0,0.0602\n")
+        message = self._config_error(capsys, ["calibrate", "--config", str(config)])
+        assert f"{market}, line 4" in message and "repeated" in message
+
+    def _input_error(self, capsys, argv):
+        assert cli.main(argv) == 3
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "InvalidInputError"
+        return payload["message"]
+
+    @pytest.mark.parametrize("price", ["nan", "inf"])
+    def test_market_non_finite_price_exits_3(self, tmp_path, capsys, price):
+        config, _ = self._market_config(tmp_path, f"0.5,1.1,{price}\n")
+        message = self._input_error(capsys, ["calibrate", "--config", str(config)])
+        assert "must be finite" in message
+
+    def test_market_non_positive_strike_exits_3(self, tmp_path, capsys):
+        config, _ = self._market_config(tmp_path, "0.5,0.0,0.5\n")
+        message = self._input_error(capsys, ["calibrate", "--config", str(config)])
+        assert "must be positive" in message
+
+    @pytest.mark.parametrize("grid", [
+        {"s_max_sigmas": float("nan")},
+        {"r_sigmas": float("inf")},
+        {"bounds": {"s_min": 0.01, "s_max": float("inf"), "r_min": -0.1, "r_max": 0.14}},
+    ])
+    def test_non_finite_grid_box_exits_3(self, fast_config, capsys, grid):
+        path, _ = fast_config
+        raw = yaml.safe_load(path.read_text())
+        raw["grid"].update(grid)
+        path.write_text(yaml.safe_dump(raw))
+        message = self._input_error(capsys, ["price-pde", "--config", str(path)])
+        assert "need a finite box" in message
 
     def test_zero_strike_step_exits_2(self, tmp_path, capsys):
         config = tmp_path / "zero_step.yaml"
