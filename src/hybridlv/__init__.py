@@ -4,7 +4,8 @@ The engine evolves the discounted joint density of (spot, rate) forward
 with a two-sweep ADI scheme, prices European calls and the stochastic-rates
 corrective terms by single-pass grid integration, and bootstraps local-vol
 surfaces maturity by maturity. Closed-form constant-vol results and a
-Monte Carlo simulator serve as independent cross-checks.
+Monte Carlo simulator (:mod:`hybridlv.montecarlo`, not imported here: it is
+the one module that loads scipy) serve as independent cross-checks.
 """
 
 from .analytic import (
@@ -39,7 +40,6 @@ from .models import (
     sde_coefficients,
     zc_price,
 )
-from .montecarlo import McConfig, McEstimate, conditional_z_estimate, simulate_paths
 from .pde import (
     AdiCoefficients,
     Field2D,

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import InvalidInputError, SingularCovarianceError
 from .models import ConstantVol, HybridModel, _b_factor, _rate_mean_var, forward_rate, zc_price
@@ -29,6 +28,12 @@ __all__ = [
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SQRT_2 = math.sqrt(2.0)
+
+
+def _ndtr(x: float) -> float:
+    """Standard normal distribution function of a scalar."""
+    return 0.5 * math.erfc(-x / _SQRT_2)
 
 
 def _npdf(x):
@@ -144,8 +149,9 @@ def bshw_moments(m: HybridModel, maturity: float) -> BshwMoments:
 def bshw_call(m: HybridModel, maturity: float, strike: float):
     """European call price and sensitivities under the constant-vol hybrid model.
 
-    The sensitivities need a positive total variance, so T <= 0 and a model
-    without any volatility are rejected.
+    ``maturity`` and ``strike`` are scalars. The sensitivities need a
+    positive total variance, so T <= 0 and a model without any volatility
+    are rejected.
     """
     _require_constant(m)
     if not (np.isfinite(strike) and strike > 0):
@@ -160,13 +166,13 @@ def bshw_call(m: HybridModel, maturity: float, strike: float):
     sq = math.sqrt(g)
     d1 = (math.log(m.s0 / strike) - math.log(zc) + 0.5 * g) / sq
     d2 = d1 - sq
-    price = m.s0 * ndtr(d1) - strike * zc * ndtr(d2)
+    price = m.s0 * _ndtr(d1) - strike * zc * _ndtr(d2)
     f = forward_rate(m.rate, t)
     # The strike slope is -ZC N(d2): the d1/d2 sensitivities cancel through
     # the identity S0 n(d1) = K ZC n(d2) and no forward-rate factor survives
     # (cross-checked against central differences in the test suite).
-    c_t = 0.5 * m.s0 * _npdf(d1) * sigma_hat_sq(m, t) / sq + strike * zc * f * ndtr(d2)
-    c_k = -zc * ndtr(d2)
+    c_t = 0.5 * m.s0 * _npdf(d1) * sigma_hat_sq(m, t) / sq + strike * zc * f * _ndtr(d2)
+    c_k = -zc * _ndtr(d2)
     c_kk = zc * _npdf(d2) / (strike * sq)
     return PriceAndGreeks(
         price=float(price),

@@ -20,17 +20,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import calibration as cal
-from . import montecarlo as mc
 from . import pde
 from .analytic import bshw_call
 from .config import ExperimentConfig, load_config
-from .errors import ConfigError, HybridLvError
+from .errors import ConfigError, HybridLvError, InvalidInputError
 from .models import forward_rate
 from .version import __version__
 
@@ -133,6 +133,8 @@ def _cmd_price_analytic(cfg, writer: _Writer):
 
 
 def _cmd_price_mc(cfg, writer: _Writer):
+    from . import montecarlo as mc  # the only command that needs scipy
+
     model = cfg.build_model()
     maturity = float(cfg.maturities()[-1])
     mb = cfg.run_block["mc"]
@@ -221,6 +223,10 @@ def _read_market(path) -> cal.CallSurface:
             if not line or line.startswith("#") or line.lower().startswith("t,"):
                 continue
             t, k, price = _csv_numbers(path, lineno, line, 3, exact=True)
+            if not (math.isfinite(t) and math.isfinite(k)):
+                raise InvalidInputError(
+                    f"{path}, line {lineno}: maturity and strike must be finite "
+                    f"(got T={t!r}, K={k!r})")
             if (t, k) in quotes:
                 raise ConfigError(f"{path}, line {lineno}: repeated quote for (T={t:g}, K={k:g})")
             quotes[(t, k)] = price

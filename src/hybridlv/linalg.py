@@ -1,25 +1,28 @@
 """Tridiagonal solves for the directional implicit sweeps.
 
 The interior systems carry homogeneous Dirichlet closures (x_0 = x_{n+1} = 0).
-A batch of lines, as one directional sweep of the ADI step needs, is factored
-by LAPACK ``gttrf`` (LU with partial pivoting) as one long system with zero
-couplings at the line breaks. Pivoting never crosses a break, so each line's
+A batch of lines, as one directional sweep of the ADI step needs, is
+factored in numpy by elimination without row interchanges, one row of
+every line per step: l_i = a_i / d_{i-1}, then d_i = b_i - l_i c_{i-1}.
+Where every line has |d_{i-1}| >= |a_i| at every row, LAPACK ``gttrf``
+swaps no row and these are its operations in its order. Each line's
 result is independent of the others and of how many lines share the batch.
-``gttrf`` also finds singular and non-finite lines, and its pivot vector says
-whether any line needed a row interchange.
 
 The solve then takes one of two paths:
 
-- No interchange (every sweep of a bundled configuration): the factors are
-  those of elimination without pivoting, and a line is solved by two
-  first-order recurrences. Run down one line, each is a serial chain of n
-  dependent steps, as in LAPACK ``gttrs``; here each runs as a two-level
-  blocked scan over fixed blocks of rows, and every step works on all
-  blocks of all lines at once (H. H. Wang, *A Parallel Method for
-  Tridiagonal Equations*, ACM TOMS 7(2), 1981).
-- Some line swapped rows: the batch keeps the pivoted factors and is solved
-  by ``gttrs``. The recurrences of the scan have no room for an
-  interchange, so this is the only path that solves such lines.
+- Every line kept its pivots, every pivot is finite and non-zero, and the
+  products of the scan stay finite (every sweep of a bundled
+  configuration): a line is solved by two first-order recurrences. Run
+  down one line, each is a serial chain of n dependent steps, as in LAPACK
+  ``gttrs``; here each runs as a two-level blocked scan over fixed blocks
+  of rows, and every step works on all blocks of all lines at once (H. H.
+  Wang, *A Parallel Method for Tridiagonal Equations*, ACM TOMS 7(2), 1981).
+- Otherwise the batch is factored again by LAPACK ``gttrf`` (LU with
+  partial pivoting) as one long system with zero couplings at the line
+  breaks, and solved by ``gttrs``. ``gttrf`` finds singular and non-finite
+  lines, and the recurrences of the scan have no room for an interchange,
+  so this is the only path that solves such lines. Only this path loads
+  ``scipy.linalg``.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import InvalidInputError, SingularSystemError
 
@@ -80,25 +82,26 @@ class _BlockedScan:
     buffers kept here, so one object serves one solve at a time.
     """
 
-    def __init__(self, lower: np.ndarray, upper: np.ndarray, inv_diag: np.ndarray):
-        """Lay out ``l``, ``e`` and ``1/d``, each (n, W) with a line per column."""
-        n, width = lower.shape
+    def __init__(self, lower: np.ndarray, coupling: np.ndarray, diag: np.ndarray):
+        """Lay out the factors of lines that are each a column of the (n, W)
+        arrays: ``l``, the upper couplings ``c`` and the pivots ``d``."""
+        n, width = diag.shape
         k, nb = _BLOCK, -(-n // _BLOCK)
-
-        def blocked(rows):
-            out = np.empty((k, nb, width))
-            _scatter(rows, out)
-            return out
-
-        self.lower = blocked(lower)
-        self.upper = blocked(upper)
-        self.inv_diag = blocked(inv_diag)
+        self.lower, self.upper, self.inv_diag = (np.empty((k, nb, width)) for _ in range(3))
+        _scatter(lower, self.lower)
+        _scatter(coupling, self.upper)
+        _scatter(diag, self.inv_diag)
+        # The last row's coupling is ignored; a padding row past n solves to 0.
+        self.upper[(n - 1) % k, (n - 1) // k] = 0.0
+        self.inv_diag[n - (nb - 1) * k:, nb - 1] = 1.0
         # fwd_weights[p] = prod_{m>p} (-l_m), bwd_weights[p] = prod_{m<p} (-e_m).
         self.fwd_weights = np.empty_like(self.lower)
         self.bwd_weights = np.empty_like(self.upper)
         self.fwd_weights[-1] = 1.0
         self.bwd_weights[0] = 1.0
         with np.errstate(over="ignore", invalid="ignore"):  # see ``finite``
+            self.upper /= self.inv_diag
+            np.divide(1.0, self.inv_diag, out=self.inv_diag)
             for p in range(k - 1, 0, -1):
                 np.multiply(self.fwd_weights[p], -self.lower[p], out=self.fwd_weights[p - 1])
             for p in range(1, k):
@@ -145,17 +148,56 @@ class _BlockedScan:
 class LineFactors:
     """Factors of a batch of tridiagonal lines.
 
-    ``scan`` holds the unpivoted factors when no line swapped rows; ``lu``
-    holds the LAPACK ``gttrf`` arrays otherwise (the lines laid out one
-    after another along their sweep direction as one long system whose
-    couplings are zero at every line break). ``axis`` and ``shape`` say how
-    to lay a right-hand side out.
+    ``scan`` holds the unpivoted factors when the blocked scan can solve
+    every line; ``lu`` holds the LAPACK ``gttrf`` arrays otherwise (the
+    lines laid out one after another along their sweep direction as one
+    long system whose couplings are zero at every line break). ``axis`` and
+    ``shape`` say how to lay a right-hand side out.
     """
 
     axis: int
     shape: tuple
     scan: _BlockedScan | None
     lu: tuple | None
+
+
+def _eliminate(a: np.ndarray, b: np.ndarray, c: np.ndarray):
+    """Eliminate without row interchanges; each line is a column of the
+    (n, W) arrays ``a``, ``b``, ``c``.
+
+    Returns the unit lower factor ``l`` (zero on the first row) and the
+    pivots ``d``, both (n, W) and C-contiguous, so each step of the
+    elimination works on one contiguous row of every line.
+    """
+    lower = np.array(a, order="C")
+    diag = np.array(b, order="C")
+    lower[0] = 0.0
+    slab = np.empty(diag.shape[1])
+    ls, ds, cs = list(lower), list(diag), list(c)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for i in range(1, len(ds)):
+            li = ls[i]
+            np.divide(li, ds[i - 1], out=li)
+            ds[i] -= np.multiply(li, cs[i - 1], out=slab)
+    return lower, diag
+
+
+def _gttrf(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple:
+    """LAPACK ``gttrf`` factors of the lines, each a column of (n, W) ``a``,
+    ``b``, ``c``, laid out one after another as one long system."""
+    from scipy.linalg.lapack import dgttrf
+
+    n = b.shape[0]
+    dl = a.T.flatten()[1:]
+    du = c.T.flatten()[:-1]
+    dl[n - 1::n] = 0.0
+    du[n - 1::n] = 0.0
+    dl, d, du, du2, ipiv, info = dgttrf(
+        dl, b.T.flatten(), du, overwrite_dl=1, overwrite_d=1, overwrite_du=1
+    )
+    if info != 0 or not np.all(np.isfinite(d)):
+        raise SingularSystemError("singular or non-finite line in a batched system")
+    return dl, d, du, du2, ipiv
 
 
 def thomas_prefactor(a: np.ndarray, b: np.ndarray, c: np.ndarray, axis: int) -> LineFactors:
@@ -167,35 +209,23 @@ def thomas_prefactor(a: np.ndarray, b: np.ndarray, c: np.ndarray, axis: int) -> 
     sides with the same matrix. Raises :class:`SingularSystemError` if any
     line is singular or meets a non-finite pivot.
 
-    The batch is solved by the blocked scan unless ``gttrf`` swapped rows in
-    some line or a product of the scan overflows (an upper coupling far
-    above its pivot); then it keeps the pivoted factors and ``gttrs``.
+    The batch is solved by the blocked scan unless ``gttrf`` would swap rows
+    in some line, a pivot is zero or not finite, or a product of the scan
+    overflows (an upper coupling far above its pivot); then it keeps the
+    pivoted factors of ``gttrf`` and ``gttrs``.
     """
     shape = b.shape
-    if axis == 0:
+    if axis == 1:
         a, b, c = a.T, b.T, c.T
-    n = b.shape[1]
-    dl = a.flatten()[1:]
-    du = c.flatten()[:-1]
-    dl[n - 1::n] = 0.0
-    du[n - 1::n] = 0.0
-    dl, d, du, du2, ipiv, info = dgttrf(
-        dl, b.flatten(), du, overwrite_dl=1, overwrite_d=1, overwrite_du=1
-    )
-    if info != 0 or not np.all(np.isfinite(d)):
-        raise SingularSystemError("singular or non-finite line in a batched system")
-    if np.array_equal(ipiv, np.arange(1, ipiv.size + 1)):
-        # Without interchanges these are the factors of plain elimination. Each
-        # line becomes a column; its line-break couplings are already zero.
-        def by_line(x):
-            return x.reshape(-1, n).T
-
-        scan = _BlockedScan(
-            by_line(np.append(0.0, dl)), by_line(np.append(du, 0.0) / d), by_line(1.0 / d)
-        )
+    lower, diag = _eliminate(a, b, c)
+    # Correctly rounded division keeps |l_i| = |a_i / d_{i-1}| <= 1 exactly
+    # when |d_{i-1}| >= |a_i|, gttrf's test for keeping row i - 1 as pivot
+    # row; a zero or NaN pivot leaves l_i infinite or NaN, which fails it too.
+    if np.abs(lower).max() <= 1.0 and np.isfinite(diag).all() and diag.all():
+        scan = _BlockedScan(lower, c, diag)
         if scan.finite:
             return LineFactors(axis, shape, scan, None)
-    return LineFactors(axis, shape, None, (dl, d, du, du2, ipiv))
+    return LineFactors(axis, shape, None, _gttrf(a, b, c))
 
 
 def thomas_apply(lu: LineFactors, f: np.ndarray) -> np.ndarray:
@@ -209,6 +239,8 @@ def thomas_apply(lu: LineFactors, f: np.ndarray) -> np.ndarray:
         else:
             lu.scan.solve(f.T, out.T)
         return out
+    from scipy.linalg.lapack import dgttrs
+
     if lu.axis == 0:
         f = f.T
     x, _ = dgttrs(*lu.lu, f.flatten(), overwrite_b=1)

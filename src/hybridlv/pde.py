@@ -199,7 +199,11 @@ def auto_grid(
     sigma_ref = float(np.asarray(model.vol.value(0.0, model.s0)))
     zc = zc_price(model.rate, t_end)
     s_min = 1e-4 * model.s0
-    s_max = model.s0 * math.exp(s_max_sigmas * sigma_ref * math.sqrt(t_end)) / zc
+    try:
+        growth = math.exp(s_max_sigmas * sigma_ref * math.sqrt(t_end))
+    except OverflowError:  # an infinite box, which from_spacings rejects
+        growth = math.inf
+    s_max = model.s0 * growth / zc
     mean_r, var_r = _rate_mean_var(model.rate, t_end)
     half = r_sigmas * math.sqrt(var_r)
     half = max(half, 12.0 * dr, 1e-3)

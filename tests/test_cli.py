@@ -606,6 +606,22 @@ class TestMainEntry:
         message = self._input_error(capsys, ["price-pde", "--config", str(path)])
         assert "need a finite box" in message
 
+    @pytest.mark.parametrize("row", ["nan,1.1,0.03", "0.5,nan,0.03", "inf,1.1,0.03"])
+    def test_market_non_finite_maturity_or_strike_exits_3(self, tmp_path, capsys, row):
+        # a NaN key never repeats, so only a check on the row names the line
+        config, market = self._market_config(tmp_path, row + "\n")
+        message = self._input_error(capsys, ["calibrate", "--config", str(config)])
+        assert f"{market}, line 3" in message and "must be finite" in message
+
+    def test_overflowing_grid_box_exits_3(self, fast_config, capsys):
+        # exp(1e4 * 0.2) overflows a float: the box is infinite, not an OverflowError
+        path, _ = fast_config
+        raw = yaml.safe_load(path.read_text())
+        raw["grid"]["s_max_sigmas"] = 1.0e4
+        path.write_text(yaml.safe_dump(raw))
+        message = self._input_error(capsys, ["price-pde", "--config", str(path)])
+        assert "need a finite box" in message and "s_max=inf" in message
+
     def test_zero_strike_step_exits_2(self, tmp_path, capsys):
         config = tmp_path / "zero_step.yaml"
         config.write_text(yaml.safe_dump({
@@ -622,3 +638,45 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "False"
+
+
+def _scipy_modules_after(code, *args):
+    """The scipy modules loaded by a fresh interpreter that runs ``code``."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code += "\nimport sys; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    done = subprocess.run([sys.executable, "-c", code, *args],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    return done.stdout.strip().splitlines()[-1]
+
+
+def test_package_import_loads_no_scipy():
+    # only price-mc needs scipy (montecarlo's ndtri); start-up must not pay for it
+    assert _scipy_modules_after("import hybridlv, hybridlv.cli") == "[]"
+
+
+def test_pde_commands_load_no_scipy(tmp_path):
+    fan = yaml.safe_load(FAST_BSHW.replace("PLACEHOLDER", str(tmp_path / "fan")))
+    fan["run"]["maturities"] = [0.5, 1.0]
+    cal = {
+        "model": {"rho": 0.0, "rate": {"a": 0.5, "sigma2": 0.0, "theta": 0.02, "r0": 0.02}},
+        "run": {
+            "out_dir": str(tmp_path / "cal"),
+            "maturities": [0.5, 1.0],
+            "strikes": {"start": 0.9, "stop": 1.1, "step": 0.05},
+            "calibration": {"ds": 0.02, "dr": 0.003, "dt": 0.02, "market": "analytic"},
+        },
+    }
+    (tmp_path / "fan.yaml").write_text(yaml.safe_dump(fan))
+    (tmp_path / "cal.yaml").write_text(yaml.safe_dump(cal))
+    code = (
+        "import sys\nfrom hybridlv import cli\n"
+        "for command, config in zip(sys.argv[1::2], sys.argv[2::2]):\n"
+        "    assert cli.main([command, '--config', config]) == 0, command"
+    )
+    argv = ["price-pde", tmp_path / "fan.yaml", "corrective-terms", tmp_path / "fan.yaml",
+            "calibrate", tmp_path / "cal.yaml"]
+    assert _scipy_modules_after(code, *map(str, argv)) == "[]"
+    assert (tmp_path / "fan" / "prices_pde.csv").is_file()
+    assert (tmp_path / "fan" / "corrective_terms.csv").is_file()
+    assert (tmp_path / "cal" / "local_vol_surface.csv").is_file()

@@ -4,6 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from scipy.linalg.lapack import dgttrf
+
+from hybridlv import linalg
 from hybridlv.errors import InvalidInputError, SingularSystemError
 from hybridlv.linalg import thomas_apply, thomas_prefactor
 
@@ -185,7 +188,9 @@ def test_batch_with_zero_elimination_pivot_is_solved(rng, axis, where):
     f = rng.uniform(-3, 3, (n, m))
     if axis == 1:
         a, b, c, f = a.T, b.T, c.T, f.T
-    x = _solve_batch(a, b, c, f, axis)
+    lu = thomas_prefactor(a, b, c, axis)
+    assert lu.scan is None
+    x = thomas_apply(lu, f)
     for la, lb, lc, lf, lx in zip(*(_lines(v, axis) for v in (a, b, c, f, x))):
         assert np.allclose(lx, dense_tridiagonal_solve(la, lb, lc, lf), rtol=1e-12, atol=1e-13)
 
@@ -217,3 +222,65 @@ def test_right_hand_side_of_another_shape_rejected():
     lu = thomas_prefactor(a, b, c, axis=1)
     with pytest.raises(InvalidInputError):
         thomas_apply(lu, np.ones((8, 4)))
+
+
+def _gttrf_factors(a, b, c):
+    """LAPACK's ``l``, ``d`` and pivot vector of lines that are each a
+    column of (n, W) ``a``, ``b``, ``c``, laid out as (n, W) too."""
+    n, width = b.shape
+    dl, du = a.T.flatten(), c.T.flatten()
+    dl[::n] = 0.0
+    du[n - 1::n] = 0.0
+    dl, d, _, _, ipiv, info = dgttrf(dl[1:], b.T.flatten(), du[:-1])
+    assert info == 0
+
+    def by_line(x):
+        return x.reshape(width, n).T
+
+    return by_line(np.append(0.0, dl)), by_line(d), by_line(ipiv)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("n", [15, 16, 17, 33])
+def test_numpy_factors_match_gttrf(rng, axis, n):
+    # |a|, |c| <= 1 under |b| >= 3 keep every pivot above 2: gttrf swaps no row.
+    m = 7
+    shape = (n, m) if axis == 0 else (m, n)
+    a, c = rng.uniform(-1, 1, shape), rng.uniform(-1, 1, shape)
+    b = rng.choice([-1.0, 1.0], shape) * rng.uniform(3.0, 5.0, shape)
+    lines = (a, b, c) if axis == 0 else (a.T, b.T, c.T)
+    lower, diag = linalg._eliminate(*lines)
+    want_l, want_d, ipiv = _gttrf_factors(*lines)
+    assert np.array_equal(ipiv.T.ravel(), np.arange(1, n * m + 1))
+    # The same operations in the same order; a LAPACK built with fused
+    # multiply-adds may round d_i once where numpy rounds twice.
+    for got, want in ((lower, want_l), (diag, want_d)):
+        assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want)))
+    # and these are the factors the scan solves with
+    lu = thomas_prefactor(a, b, c, axis)
+    stored = np.empty_like(lower)
+    linalg._gather(lu.scan.lower, stored)
+    assert np.array_equal(stored, lower)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_scan_is_taken_exactly_when_gttrf_keeps_every_pivot(rng, axis):
+    # Weakly dominant lines, some of which pivot, and one line whose every
+    # sub-diagonal entry ties its pivot (|d_{i-1}| = |a_i|, no swap in gttrf).
+    n, m = 20, 4
+    for _ in range(40):
+        shape = (n, m) if axis == 0 else (m, n)
+        a, c = rng.uniform(-1, 1, shape), rng.uniform(-1, 1, shape)
+        b = rng.choice([-1.0, 1.0], shape) * rng.uniform(0.9, 2.5, shape)
+        lines = [x if axis == 0 else x.T for x in (a, b, c)]
+        lines[0][:, 0], lines[1][:, 0], lines[2][:, 0] = 1.0, 1.0, 0.0
+        _, _, ipiv = _gttrf_factors(*lines)
+        kept = np.array_equal(ipiv.T.ravel(), np.arange(1, n * m + 1))
+        lu = thomas_prefactor(a, b, c, axis)
+        assert (lu.scan is not None) == kept
+        f = rng.uniform(-3, 3, shape)
+        x = thomas_apply(lu, f)
+        for la, lb, lc, lf, lx in zip(*(_lines(v, axis) for v in (a, b, c, f, x))):
+            la, lc = la.copy(), lc.copy()
+            la[0] = lc[-1] = 0.0
+            assert np.allclose(lx, dense_tridiagonal_solve(la, lb, lc, lf), rtol=1e-10, atol=1e-12)
