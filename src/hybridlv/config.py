@@ -10,6 +10,7 @@ to the exact configuration that produced them.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -161,20 +162,29 @@ class ExperimentConfig:
             ks = np.asarray([float(k) for k in block])
         else:
             start, stop, step = float(block["start"]), float(block["stop"]), float(block["step"])
+            for key, value in (("start", start), ("stop", stop), ("step", step)):
+                if not math.isfinite(value):
+                    raise ConfigError(f"run.strikes.{key} must be finite, got {value!r}")
             if not step > 0:
                 raise ConfigError(f"run.strikes.step must be positive, got {step!r}")
             n = int(round((stop - start) / step))
             ks = start + step * np.arange(n + 1)
+        if not np.isfinite(ks).all():
+            raise ConfigError(f"run.strikes must be finite, got {ks.tolist()}")
         if ks.size == 0 or np.any(np.diff(ks) <= 0):
             raise ConfigError("strike grid must be non-empty and increasing")
         return ks
 
     def maturities(self) -> list:
-        """``run.maturities`` if set, else ``[run.maturity]``; positive and increasing."""
+        """``run.maturities`` if set, else ``[run.maturity]``; finite, positive
+        and increasing."""
         rb = self.run_block
+        key = "run.maturities" if rb.get("maturities") else "run.maturity"
         mats = [float(t) for t in rb.get("maturities") or [rb["maturity"]]]
+        if not all(math.isfinite(t) for t in mats):
+            raise ConfigError(f"{key} must be finite, got {mats}")
         if mats[0] <= 0 or np.any(np.diff(mats) <= 0):
-            raise ConfigError(f"maturities must be positive and strictly increasing, got {mats}")
+            raise ConfigError(f"{key} must be positive and strictly increasing, got {mats}")
         return mats
 
 

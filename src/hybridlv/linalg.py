@@ -112,6 +112,13 @@ class _BlockedScan:
         self._incoming = np.empty((nb, width))
         self._ends = np.empty((nb, width))
         self._slab = np.empty((nb, width))
+        # Per-row and per-block views for the loops of ``solve``, built once.
+        x, inc, ends = tuple(self.work), tuple(self._incoming), tuple(self._ends)
+        l, e = tuple(self.lower), tuple(self.upper)
+        self._fwd_blocks = tuple(zip(self.fwd_carry[:-1], inc[:-1], inc[1:], ends[:-1]))
+        self._bwd_blocks = tuple(zip(self.bwd_carry[:0:-1], inc[:0:-1], inc[-2::-1], ends[:0:-1]))
+        self._fwd_rows = tuple(zip(l[1:], x[:-1], x[1:]))
+        self._bwd_rows = tuple(zip(e[-2::-1], x[:0:-1], x[-2::-1]))
 
     @property
     def finite(self) -> bool:
@@ -120,27 +127,25 @@ class _BlockedScan:
 
     def solve(self, f: np.ndarray, out: np.ndarray) -> None:
         """Solve for ``f`` into ``out``, both (n, W) with a line per column."""
-        x, l, e = self.work, self.lower, self.upper
-        inc, ends, slab = self._incoming, self._ends, self._slab
-        k, nb = x.shape[:2]
+        x, inc, ends, slab = self.work, self._incoming, self._ends, self._slab
         _scatter(f, x)
         np.einsum("pqw,pqw->qw", self.fwd_weights, x, out=ends)
         inc[0] = 0.0
-        for q in range(1, nb):
-            np.multiply(self.fwd_carry[q - 1], inc[q - 1], out=inc[q])
-            inc[q] += ends[q - 1]
-        x[0] -= np.multiply(l[0], inc, out=slab)
-        for p in range(1, k):
-            x[p] -= np.multiply(l[p], x[p - 1], out=slab)
+        for carry, prev, cur, end in self._fwd_blocks:
+            np.multiply(carry, prev, out=cur)
+            cur += end
+        x[0] -= np.multiply(self.lower[0], inc, out=slab)
+        for lp, prev, cur in self._fwd_rows:
+            cur -= np.multiply(lp, prev, out=slab)
         x *= self.inv_diag
         np.einsum("pqw,pqw->qw", self.bwd_weights, x, out=ends)
         inc[-1] = 0.0
-        for q in range(nb - 2, -1, -1):
-            np.multiply(self.bwd_carry[q + 1], inc[q + 1], out=inc[q])
-            inc[q] += ends[q + 1]
-        x[-1] -= np.multiply(e[-1], inc, out=slab)
-        for p in range(k - 2, -1, -1):
-            x[p] -= np.multiply(e[p], x[p + 1], out=slab)
+        for carry, nxt, cur, end in self._bwd_blocks:
+            np.multiply(carry, nxt, out=cur)
+            cur += end
+        x[-1] -= np.multiply(self.upper[-1], inc, out=slab)
+        for ep, nxt, cur in self._bwd_rows:
+            cur -= np.multiply(ep, nxt, out=slab)
         _gather(x, out)
 
 
@@ -228,12 +233,20 @@ def thomas_prefactor(a: np.ndarray, b: np.ndarray, c: np.ndarray, axis: int) -> 
     return LineFactors(axis, shape, None, _gttrf(a, b, c))
 
 
-def thomas_apply(lu: LineFactors, f: np.ndarray) -> np.ndarray:
-    """Solve every line of the batch factored in ``lu`` for right-hand side ``f``."""
+def thomas_apply(lu: LineFactors, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Solve every line of the batch factored in ``lu`` for right-hand side ``f``.
+
+    The solution goes into ``out`` when given (an array of the batch's shape,
+    of any strides, that does not overlap ``f``) and into a new array
+    otherwise; either is returned.
+    """
     if f.shape != lu.shape:
         raise InvalidInputError(f"right-hand side shape {f.shape} does not match {lu.shape}")
+    if out is not None and out.shape != lu.shape:
+        raise InvalidInputError(f"output shape {out.shape} does not match {lu.shape}")
     if lu.scan is not None:
-        out = np.empty(lu.shape)
+        if out is None:
+            out = np.empty(lu.shape)
         if lu.axis == 0:
             lu.scan.solve(f, out)
         else:
@@ -245,4 +258,8 @@ def thomas_apply(lu: LineFactors, f: np.ndarray) -> np.ndarray:
         f = f.T
     x, _ = dgttrs(*lu.lu, f.flatten(), overwrite_b=1)
     x = x.reshape(f.shape)
-    return x.T if lu.axis == 0 else x
+    x = x.T if lu.axis == 0 else x
+    if out is None:
+        return x
+    out[...] = x
+    return out

@@ -85,6 +85,20 @@ class ZEstimate:
     reliable: bool
 
 
+def _check_inputs(maturity: float, bandwidth: float | None = None, centers=()) -> None:
+    """Reject what no simulation can serve: a maturity or kernel bandwidth
+    that is not positive and finite, or a regression center whose spot is
+    not positive and finite or whose rate is not finite."""
+    if not 0.0 < maturity < math.inf:
+        raise InvalidInputError(f"maturity must be positive and finite, got {maturity!r}")
+    if bandwidth is not None and not 0.0 < bandwidth < math.inf:
+        raise InvalidInputError(f"bandwidth must be positive and finite, got {bandwidth!r}")
+    for s_c, r_c in centers:
+        if not (0.0 < s_c < math.inf and math.isfinite(r_c)):
+            raise InvalidInputError(
+                f"center {(s_c, r_c)!r} needs a positive, finite spot and a finite rate")
+
+
 def _check_aborted(bad: int, total: int) -> None:
     if bad > _ABORT_FRACTION * total:
         raise McAbortedError(f"{bad} of {total} paths were non-finite")
@@ -202,8 +216,7 @@ def simulate_paths(
     counted) produce non-finite values. A pair with a non-finite leg is
     dropped from the estimates.
     """
-    if maturity <= 0:
-        raise InvalidInputError("maturity must be positive")
+    _check_inputs(maturity)
     n_payoffs = len(payoffs)
     sums = np.zeros(n_payoffs)
     sq_sums = np.zeros(n_payoffs)
@@ -255,12 +268,8 @@ def conditional_z_estimate(
     more than 0.01% of paths are non-finite (a zero spot counts: its log
     is not finite).
     """
-    if bandwidth <= 0:
-        raise InvalidInputError("bandwidth must be positive")
     centers = [(float(a), float(b)) for a, b in centers]
-    for s_c, _ in centers:
-        if s_c <= 0:
-            raise InvalidInputError("center spot must be positive")
+    _check_inputs(maturity, bandwidth, centers)
     plain = replace(cfg, antithetic=False)
     n_c = len(centers)
     w_sum = np.zeros(n_c)

@@ -12,6 +12,16 @@ direction; the cross term stays explicit in both. Boundary values are held
 at zero on the truncated box, and after every full step the field is
 rescaled so its trapezoid mass matches the zero-coupon identity
 ``integral of the field = ZC(0, t)``.
+
+The explicit half of a step works on the padded layout: an
+(n_s + 2) x (n_r + 2) array, row-major, whose outer ring holds the zero
+boundary. The band is the flat run from node (1, 1) to node (n_s, n_r).
+Besides the interior nodes it crosses the ghost columns, the ring entries
+(i, n_r + 1) and (i + 1, 0) between one spot row and the next. With
+row = n_r + 2, the neighbour (i + di, j + dj) of every band entry is the
+band shifted by di * row + dj, so each stencil term is one contiguous pass
+over the band. The ghost entries compute values nobody reads: the weights
+are zero there, and the line solves take only the interior.
 """
 
 from __future__ import annotations
@@ -266,7 +276,9 @@ class AdiCoefficients:
 
     C1/C2 multiply the first S/r derivatives, C3/C4 the second ones
     (both are minus half the squared diffusions, hence never positive),
-    C5 the cross derivative and C6 the reaction term.
+    C5 the cross derivative and C6 the reaction term. Each is a read-only
+    (n_s, n_r) view: a coefficient that is constant along an axis (C3, C4
+    and C5 are) is its row or column broadcast, not a full copy.
     """
 
     t: float
@@ -292,28 +304,21 @@ def build_coefficients(model: HybridModel, grid: Grid2D, t: float) -> AdiCoeffic
     alpha = co.vol_r
     rho = model.rho
     shape = (grid.n_s, grid.n_r)
-    c1 = co.drift_s - 2.0 * s * sig**2 - 2.0 * s**2 * sig * sig_s
-    c2 = co.drift_r - rho * sig * alpha - rho * sig_s * s * alpha
-    c3 = np.broadcast_to(-0.5 * s**2 * sig**2, shape).copy()
-    c4 = np.broadcast_to(-0.5 * alpha**2, shape).copy()
-    c5 = np.broadcast_to(-rho * sig * s * alpha, shape).copy()
-    c6 = (
-        2.0 * r
-        + co.mu_r
-        - sig**2
-        - 4.0 * s * sig * sig_s
-        - sig_s**2 * s**2
-        - sig * sig_ss * s**2
-    )
-    return AdiCoefficients(
-        t=t,
-        c1=np.broadcast_to(c1, shape).copy(),
-        c2=np.broadcast_to(c2, shape).copy(),
-        c3=c3,
-        c4=c4,
-        c5=c5,
-        c6=np.broadcast_to(c6, shape).copy(),
-    )
+    # C1, C2 and C6 vary along both axes: each sum is accumulated in place,
+    # term by term from the left, in one full array of its own.
+    c1 = np.subtract(co.drift_s, 2.0 * s * sig**2, out=np.empty(shape))
+    c1 -= 2.0 * s**2 * sig * sig_s
+    c2 = np.subtract(co.drift_r, rho * sig * alpha, out=np.empty(shape))
+    c2 -= rho * sig_s * s * alpha
+    c3 = -0.5 * s**2 * sig**2
+    c4 = -0.5 * alpha**2
+    c5 = -rho * sig * s * alpha
+    c6 = np.subtract(2.0 * r + co.mu_r, sig**2, out=np.empty(shape))
+    c6 -= 4.0 * s * sig * sig_s
+    c6 -= sig_s**2 * s**2
+    c6 -= sig * sig_ss * s**2
+    c1, c2, c3, c4, c5, c6 = (np.broadcast_to(c, shape) for c in (c1, c2, c3, c4, c5, c6))
+    return AdiCoefficients(t=t, c1=c1, c2=c2, c3=c3, c4=c4, c5=c5, c6=c6)
 
 
 class _StepOperator:
@@ -329,6 +334,14 @@ class _StepOperator:
     (4/dt + c6) u* - f1, and f2 = (4/dt + c6) u* - f1 + wx * cross(u*). The
     identity is used within one step only; nothing crosses from one step to
     the next.
+
+    The explicit half of the step runs on the band of the padded layout (see
+    the module docstring). The field, the right-hand side and the weights
+    ``w1_c``, ``w1_jp``, ``w1_jm``, ``kappa`` and ``wx`` are bands of padded
+    arrays, the weights zero on the ghost columns. Each stencil neighbour is
+    then the band shifted by one flat offset, and each operation is one
+    contiguous pass. The S-sweep solves into the interior of the padded
+    field; the r-sweep returns a new array.
     """
 
     def __init__(self, coeffs: AdiCoefficients, grid: Grid2D, dt: float):
@@ -337,6 +350,21 @@ class _StepOperator:
         c1, c2, c3, c4, c5, c6 = (
             coeffs.c1, coeffs.c2, coeffs.c3, coeffs.c4, coeffs.c5, coeffs.c6,
         )
+        shape = (grid.n_s + 2, grid.n_r + 2)
+        row = shape[1]
+        first, last = row + 1, grid.n_s * row + grid.n_r  # nodes (1, 1) and (n_s, n_r)
+
+        def band(flat, di=0, dj=0):
+            """The band of ``flat`` shifted to the neighbour (i + di, j + dj)."""
+            offset = di * row + dj
+            return flat[first + offset:last + 1 + offset]
+
+        def padded_weight(ufunc, *args):
+            """``ufunc(*args)`` on the interior nodes, zero on the ghosts, as a band."""
+            out = np.zeros(shape)
+            ufunc(*args, out=out[1:-1, 1:-1])
+            return band(out.ravel())
+
         two_dt = 2.0 / dt
         # Implicit sweep along S: a x_{i-1} + b x_i + c x_{i+1} = f1.
         self.lu1 = thomas_prefactor(
@@ -345,10 +373,6 @@ class _StepOperator:
             c1 / (2 * ds) + c3 / ds2,
             axis=0,
         )
-        # Explicit r-direction weights feeding f1.
-        self.w1_c = two_dt + 2 * c4 / dr2
-        self.w1_jp = -(c2 / (2 * dr) + c4 / dr2)
-        self.w1_jm = c2 / (2 * dr) - c4 / dr2
         # Implicit sweep along r: d x_{j-1} + e x_j + f x_{j+1} = f2.
         self.lu2 = thomas_prefactor(
             -c2 / (2 * dr) + c4 / dr2,
@@ -356,35 +380,47 @@ class _StepOperator:
             c2 / (2 * dr) + c4 / dr2,
             axis=1,
         )
+        # The padded arrays are allocated once both factorisations have freed
+        # their temporaries, so the heap does not grow around the holes.
+        # Explicit r-direction weights feeding f1.
+        self.w1_c = padded_weight(np.add, two_dt, 2 * c4 / dr2)
+        self.w1_jp = padded_weight(np.negative, c2 / (2 * dr) + c4 / dr2)
+        self.w1_jm = padded_weight(np.subtract, c2 / (2 * dr), c4 / dr2)
         # f2 = kappa * u* - f1 + wx * cross(u*), see the class docstring.
-        self.kappa = 2 * two_dt + c6
-        self.wx = -c5 / (4 * ds * dr)
-        self._pad = np.zeros((grid.n_s + 2, grid.n_r + 2))
-        self._rhs = np.empty((grid.n_s, grid.n_r))
-        self._tmp = np.empty((grid.n_s, grid.n_r))
+        self.kappa = padded_weight(np.add, 2 * two_dt, c6)
+        self.wx = padded_weight(np.divide, -c5, 4 * ds * dr)
+        pad = np.zeros(shape)
+        rhs = np.empty(shape)
+        flat = pad.ravel()
+        self._inner, self._rhs_inner = pad[1:-1, 1:-1], rhs[1:-1, 1:-1]
+        self._u, self._rhs = band(flat), band(rhs.ravel())
+        self._jp, self._jm = band(flat, 0, 1), band(flat, 0, -1)
+        # the cross stencil's corners (+1, +1), (-1, -1), (-1, +1), (+1, -1)
+        self._corners = tuple(band(flat, di, dj) for di, dj in ((1, 1), (-1, -1), (-1, 1), (1, -1)))
+        self._tmp = np.empty(self._u.size)
 
-    def _cross_term(self, padded, out):
-        """``out = wx * cross(padded)``, the explicit mixed-derivative term."""
-        np.add(padded[2:, 2:], padded[:-2, :-2], out=out)
-        out -= padded[:-2, 2:]
-        out -= padded[2:, :-2]
+    def _cross_term(self, out):
+        """``out = wx * cross(u)`` on the band, the explicit mixed-derivative term."""
+        pp, mm, mp, pm = self._corners
+        np.add(pp, mm, out=out)
+        out -= mp
+        out -= pm
         out *= self.wx
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        pad, rhs, tmp = self._pad, self._rhs, self._tmp
-        inner = pad[1:-1, 1:-1]
-        inner[...] = values
-        np.multiply(values, self.w1_c, out=rhs)
-        rhs += np.multiply(pad[1:-1, 2:], self.w1_jp, out=tmp)
-        rhs += np.multiply(pad[1:-1, :-2], self.w1_jm, out=tmp)
-        self._cross_term(pad, tmp)
+        u, rhs, tmp = self._u, self._rhs, self._tmp
+        self._inner[...] = values
+        np.multiply(u, self.w1_c, out=rhs)
+        rhs += np.multiply(self._jp, self.w1_jp, out=tmp)
+        rhs += np.multiply(self._jm, self.w1_jm, out=tmp)
+        self._cross_term(tmp)
         rhs += tmp
-        inner[...] = thomas_apply(self.lu1, rhs)
-        np.multiply(inner, self.kappa, out=tmp)
+        thomas_apply(self.lu1, self._rhs_inner, out=self._inner)
+        np.multiply(u, self.kappa, out=tmp)
         np.subtract(tmp, rhs, out=rhs)
-        self._cross_term(pad, tmp)
+        self._cross_term(tmp)
         rhs += tmp
-        return thomas_apply(self.lu2, rhs)
+        return thomas_apply(self.lu2, self._rhs_inner)
 
 
 @dataclass
@@ -517,7 +553,7 @@ def evolve(
         diag.target_mass.append(target)
         diag.post_mass.append(float(grid.ds * grid.dr * values.sum()))
         diag.negative_fraction.append(
-            float(np.mean(values < -_NEGATIVE_FLOOR * values.max()))
+            np.count_nonzero(values < -_NEGATIVE_FLOOR * values.max()) / values.size
         )
         diag.negative_mass_ratio.append(neg_sum / target)
         if (n + 1) in wanted:

@@ -8,7 +8,8 @@ closed-form price, a full-grid trapezoid instead of the single-pass
 marginal integrals, and Gaussian-calculus identities for the corrective
 term. Expected values in the tests are frozen from these oracles.
 :func:`adi_step` is the one exception: it runs the production step
-operator once, for tests that check a single step.
+operator once, for tests that check a single step. :func:`slice_step`
+shares the production line solves and checks only the explicit stencils.
 """
 
 import math
@@ -20,6 +21,7 @@ from scipy.special import ndtri
 
 from hybridlv.analytic import bshw_call
 from hybridlv.errors import InvalidInputError, SingularSystemError
+from hybridlv.linalg import thomas_apply, thomas_prefactor
 from hybridlv.models import SurfaceVol
 from hybridlv.pde import Field2D, _StepOperator
 
@@ -89,6 +91,51 @@ def adi_step(field, coeffs, dt):
     """Advance the field by one full step (two directional half-sweeps)."""
     op = _StepOperator(coeffs, field.grid, dt)
     return Field2D(field.grid, op.apply(field.values), t=field.t + dt)
+
+
+def slice_step(coeffs, grid, dt, values):
+    """One full step with the explicit stencils on 2-d slices of the padded
+    field, and allocating solves.
+
+    The weights, the operations and their order per node are those of the
+    band passes of ``_StepOperator``; only the memory walk differs (numpy
+    runs a strided 2-d slice one row at a time).
+    """
+    ds, dr = grid.ds, grid.dr
+    ds2, dr2 = ds * ds, dr * dr
+    c1, c2, c3, c4, c5, c6 = (
+        coeffs.c1, coeffs.c2, coeffs.c3, coeffs.c4, coeffs.c5, coeffs.c6,
+    )
+    two_dt = 2.0 / dt
+    lu1 = thomas_prefactor(
+        -c1 / (2 * ds) + c3 / ds2, two_dt - 2 * c3 / ds2 + c6, c1 / (2 * ds) + c3 / ds2, axis=0
+    )
+    lu2 = thomas_prefactor(
+        -c2 / (2 * dr) + c4 / dr2, two_dt - 2 * c4 / dr2 + c6, c2 / (2 * dr) + c4 / dr2, axis=1
+    )
+    w1_c = two_dt + 2 * c4 / dr2
+    w1_jp = -(c2 / (2 * dr) + c4 / dr2)
+    w1_jm = c2 / (2 * dr) - c4 / dr2
+    kappa = 2 * two_dt + c6
+    wx = -c5 / (4 * ds * dr)
+
+    def cross(padded):
+        out = padded[2:, 2:] + padded[:-2, :-2]
+        out -= padded[:-2, 2:]
+        out -= padded[2:, :-2]
+        out *= wx
+        return out
+
+    pad = np.zeros((grid.n_s + 2, grid.n_r + 2))
+    pad[1:-1, 1:-1] = values
+    rhs = values * w1_c
+    rhs += pad[1:-1, 2:] * w1_jp
+    rhs += pad[1:-1, :-2] * w1_jm
+    rhs += cross(pad)
+    pad[1:-1, 1:-1] = thomas_apply(lu1, rhs)
+    rhs = pad[1:-1, 1:-1] * kappa - rhs
+    rhs += cross(pad)
+    return thomas_apply(lu2, rhs)
 
 
 def integrate(field, weight):

@@ -556,6 +556,31 @@ class TestMainEntry:
         message = self._config_error(capsys, ["price-pde", "--config", str(path)])
         assert "maturities" in message
 
+    @pytest.mark.parametrize("command, run, named", [
+        ("price-mc", {"maturity": float("nan")}, "run.maturity must be finite"),
+        ("price-pde", {"maturity": float("inf")}, "run.maturity must be finite"),
+        ("corrective-terms", {"maturities": [float("nan"), 1.0]}, "run.maturities must be finite"),
+        ("corrective-terms", {"maturities": [0.5, float("inf")]}, "run.maturities must be finite"),
+        ("price-analytic", {"strikes": {"start": float("nan")}}, "run.strikes.start must be finite"),
+        ("price-analytic", {"strikes": {"stop": float("inf")}}, "run.strikes.stop must be finite"),
+        ("price-analytic", {"strikes": {"step": float("inf")}}, "run.strikes.step must be finite"),
+        ("price-analytic", {"strikes": [0.9, float("nan")]}, "run.strikes must be finite"),
+    ])
+    def test_non_finite_maturity_or_strike_range_exits_2(self, fast_config, capsys,
+                                                          command, run, named):
+        # NaN passed the ordering tests; inf overflowed the strike count or
+        # made a NaN strike from step * 0
+        path, _ = fast_config
+        raw = yaml.safe_load(path.read_text())
+        for key, value in run.items():
+            if isinstance(value, dict):
+                raw["run"][key] = {**raw["run"][key], **value}
+            else:
+                raw["run"][key] = value
+        path.write_text(yaml.safe_dump(raw))
+        message = self._config_error(capsys, [command, "--config", str(path)])
+        assert named in message
+
     def test_maturities_off_every_uniform_step_exit_3(self, fast_config, capsys):
         path, _ = fast_config
         raw = yaml.safe_load(path.read_text())

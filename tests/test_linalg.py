@@ -224,6 +224,39 @@ def test_right_hand_side_of_another_shape_rejected():
         thomas_apply(lu, np.ones((8, 4)))
 
 
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("route", ["scan", "gttrs"])
+def test_solve_into_strided_out_matches_allocating_route(rng, axis, route):
+    # The right-hand side and the output are interiors of padded arrays, as
+    # the step operator passes them; line 4 of the gttrs batch pivots.
+    n, m = 35, 7
+    shape = (n, m) if axis == 0 else (m, n)
+    a, c = rng.uniform(-1, 1, shape), rng.uniform(-1, 1, shape)
+    b = np.abs(a) + np.abs(c) + 1.5
+    if route == "gttrs":
+        weak = (slice(None), 4) if axis == 0 else (4, slice(None))
+        b[weak] = rng.uniform(-0.1, 0.1, n)
+        a[weak] = rng.choice([-1.0, 1.0], n) * rng.uniform(2.0, 3.0, n)
+    lu = thomas_prefactor(a, b, c, axis)
+    assert (lu.scan is None) == (route == "gttrs")
+    f_pad = rng.uniform(-3, 3, (shape[0] + 2, shape[1] + 2))
+    out_pad = np.full_like(f_pad, 7.0)
+    f, out = f_pad[1:-1, 1:-1], out_pad[1:-1, 1:-1]
+    want = thomas_apply(lu, f.copy())
+    assert thomas_apply(lu, f, out=out) is out
+    assert np.array_equal(out, want)
+    ring = np.ones(out_pad.shape, dtype=bool)
+    ring[1:-1, 1:-1] = False
+    assert np.all(out_pad[ring] == 7.0)
+
+
+def test_output_of_another_shape_rejected():
+    a, b, c = np.zeros((4, 8)), np.ones((4, 8)), np.zeros((4, 8))
+    lu = thomas_prefactor(a, b, c, axis=1)
+    with pytest.raises(InvalidInputError, match="output shape"):
+        thomas_apply(lu, np.ones((4, 8)), out=np.empty((8, 4)))
+
+
 def _gttrf_factors(a, b, c):
     """LAPACK's ``l``, ``d`` and pivot vector of lines that are each a
     column of (n, W) ``a``, ``b``, ``c``, laid out as (n, W) too."""

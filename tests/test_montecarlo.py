@@ -132,6 +132,13 @@ class TestSimulatePaths:
                 for got, want in zip(terminals, minus):
                     assert np.array_equal(got[n:], want)
 
+    @pytest.mark.parametrize("maturity", [0.0, -1.0, math.nan, math.inf])
+    def test_maturity_that_cannot_run_rejected(self, set1_model, maturity):
+        # NaN and inf used to fail in int() with ValueError or OverflowError
+        cfg = McConfig(n_paths=10, dt_mc=0.1)
+        with pytest.raises(InvalidInputError, match="maturity must be positive and finite"):
+            simulate_paths(set1_model, maturity, cfg, [_call_payoff(1.0)])
+
     def test_invalid_config_rejected(self):
         with pytest.raises(InvalidInputError):
             McConfig(n_paths=0, dt_mc=0.01)
@@ -273,3 +280,20 @@ class TestConditionalZ:
         cfg = McConfig(n_paths=100, dt_mc=0.1)
         with pytest.raises(InvalidInputError):
             conditional_z_estimate(set1_model, 1.0, cfg, [(1.0, 0.02)], 0.0)
+
+    @pytest.mark.parametrize("maturity, centers, bandwidth, named", [
+        (math.nan, [(1.0, 0.02)], 0.05, "maturity"),
+        (math.inf, [(1.0, 0.02)], 0.05, "maturity"),
+        (-1.0, [(1.0, 0.02)], 0.05, "maturity"),
+        (1.0, [(1.0, 0.02)], math.nan, "bandwidth"),
+        (1.0, [(1.0, 0.02)], math.inf, "bandwidth"),
+        (1.0, [(1.0, math.nan)], 0.05, "center"),
+        (1.0, [(math.inf, 0.02)], 0.05, "center"),
+        (1.0, [(0.0, 0.02)], 0.05, "center"),
+    ])
+    def test_bad_kernel_inputs_rejected(self, set1_model, maturity, centers, bandwidth, named):
+        # a negative maturity failed in math.sqrt, a NaN bandwidth or center
+        # rate returned a NaN estimate
+        cfg = McConfig(n_paths=100, dt_mc=0.1)
+        with pytest.raises(InvalidInputError, match=named):
+            conditional_z_estimate(set1_model, maturity, cfg, centers, bandwidth)

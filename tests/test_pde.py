@@ -24,7 +24,7 @@ from hybridlv.pde import (
     short_time_start,
 )
 
-from .oracles import adi_step, integrate, lognormal_density
+from .oracles import adi_step, integrate, lognormal_density, slice_step
 
 
 class _TwoSlices(SurfaceVol):
@@ -309,6 +309,44 @@ class TestAdiStep:
         assert out.mass() / field.mass() == pytest.approx(
             zc_price(set1_model.rate, g.dt), abs=5e-3
         )
+
+
+class TestBandStep:
+    """The band passes of the step operator against :func:`slice_step`."""
+
+    @staticmethod
+    def _model(kind, set1_model, hyperbolic_model):
+        if kind == "hyperbolic":
+            return hyperbolic_model
+        if kind == "surface":
+            surface = SurfaceVol([0.5, 1.0], [0.6, 1.0, 1.4], [[0.3, 0.2, 0.15], [0.28, 0.21, 0.17]])
+            return replace(set1_model, vol=surface)
+        if kind == "rho0":
+            return replace(set1_model, rho=0.0)
+        return set1_model
+
+    @pytest.mark.parametrize("kind, n_s, n_r", [
+        ("constant", 40, 35),
+        ("hyperbolic", 40, 35),
+        ("surface", 40, 35),
+        ("rho0", 40, 35),
+        ("constant", 8, 8),
+    ])
+    def test_matches_slice_step_bit_for_bit(self, set1_model, hyperbolic_model, rng,
+                                            kind, n_s, n_r):
+        model = self._model(kind, set1_model, hyperbolic_model)
+        g = _unit_grid(n_s=n_s, n_r=n_r)
+        co = build_coefficients(model, g, 0.0)
+        op = _StepOperator(co, g, g.dt)
+        values = rng.uniform(0.0, 1.0, (n_s, n_r))
+        first = op.apply(values)
+        kept = first.copy()
+        second = op.apply(first)
+        # the second apply reuses the operator's buffers, not the first result
+        assert np.array_equal(first, kept)
+        once = slice_step(co, g, g.dt, values)
+        assert np.array_equal(first, once)
+        assert np.array_equal(second, slice_step(co, g, g.dt, once))
 
 
 class TestEvolve:
