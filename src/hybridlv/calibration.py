@@ -377,10 +377,7 @@ def calibrate(
     a checkpoint. The march for T_{i+1}, and each of its slice iterations,
     resumes from that checkpoint: the same floating-point operations as a
     restart from t=0 under the fixed slices, at the cost of the open
-    interval alone. All maturities therefore share the short-time start t0
-    of the first maturity's march; a restart per maturity would differ
-    only where that start's ``n_t // 4`` cap binds on the first grid but
-    not on a later one. The report's mass drift and negative fraction are
+    interval alone. The report's mass drift and negative fraction are
     maxima over (0, T_i], carried forward across checkpoints.
     """
     settings = settings or CalibrationSettings()
@@ -403,7 +400,7 @@ def calibrate(
     checkpoint = None  # field at the previous maturity under its final slice
     drift_before = neg_before = 0.0  # maxima over the checkpointed marches
     for i, maturity in enumerate(mats):
-        grid_i = box.with_horizon(float(maturity), int(round(maturity / box.dt)))
+        grid_i = replace(box, maturities=box.maturities[:i + 1], steps=box.steps[:i + 1])
         iterations = 0
         max_update = math.inf
         while iterations < settings.slice_iterations and max_update > SLICE_TOLERANCE:

@@ -201,16 +201,20 @@ def _cmd_calibrate(cfg, writer: _Writer):
 
 def _csv_numbers(path, lineno: int, line: str, width: int, exact: bool) -> list[float]:
     """The first ``width`` numbers of a CSV data row; a row with fewer fields
-    (or, if ``exact``, more) or a non-number is a :class:`ConfigError`."""
+    (or, if ``exact``, more) or a non-number is a :class:`ConfigError`, a
+    non-finite number an :class:`InvalidInputError`."""
     parts = line.split(",")
     if len(parts) < width or (exact and len(parts) > width):
         raise ConfigError(
             f"{path}, line {lineno}: expected {width} comma-separated fields, got {len(parts)}"
         )
     try:
-        return [float(x) for x in parts[:width]]
+        numbers = [float(x) for x in parts[:width]]
     except ValueError as exc:
         raise ConfigError(f"{path}, line {lineno}: {exc}") from None
+    if not all(map(math.isfinite, numbers)):
+        raise InvalidInputError(f"{path}, line {lineno}: numbers must be finite, got {numbers}")
+    return numbers
 
 
 def _read_market(path) -> cal.CallSurface:
@@ -223,10 +227,6 @@ def _read_market(path) -> cal.CallSurface:
             if not line or line.startswith("#") or line.lower().startswith("t,"):
                 continue
             t, k, price = _csv_numbers(path, lineno, line, 3, exact=True)
-            if not (math.isfinite(t) and math.isfinite(k)):
-                raise InvalidInputError(
-                    f"{path}, line {lineno}: maturity and strike must be finite "
-                    f"(got T={t!r}, K={k!r})")
             if (t, k) in quotes:
                 raise ConfigError(f"{path}, line {lineno}: repeated quote for (T={t:g}, K={k:g})")
             quotes[(t, k)] = price
@@ -245,7 +245,7 @@ def _read_price_csv(path):
     with open(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
-            if not line or line.startswith("#") or line[0].isalpha():
+            if not line or line.startswith("#") or line.lower().startswith("k,"):
                 continue
             k, price = _csv_numbers(path, lineno, line, 2, exact=False)
             ks.append(k)

@@ -22,6 +22,8 @@ from .models import ConstantVol, HullWhiteParams, HybridModel, HyperbolicVol
 
 __all__ = ["ExperimentConfig", "load_config", "resolve_config"]
 
+MAX_STRIKES = 100_000  # most strikes a run.strikes range may hold
+
 # each model.vol type: its class and the defaults of its fields
 _VOL_TYPES = {
     "constant": (ConstantVol, {"sigma1": 0.2}),
@@ -167,7 +169,10 @@ class ExperimentConfig:
                     raise ConfigError(f"run.strikes.{key} must be finite, got {value!r}")
             if not step > 0:
                 raise ConfigError(f"run.strikes.step must be positive, got {step!r}")
-            n = int(round((stop - start) / step))
+            span = (stop - start) / step  # round(span) + 1 strikes; inf on overflow
+            if not span < MAX_STRIKES - 0.5:
+                raise ConfigError(f"run.strikes holds more than {MAX_STRIKES} strikes")
+            n = int(round(span))
             ks = start + step * np.arange(n + 1)
         if not np.isfinite(ks).all():
             raise ConfigError(f"run.strikes must be finite, got {ks.tolist()}")

@@ -27,8 +27,7 @@ are zero there, and the line solves take only the interior.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
-from fractions import Fraction
+from dataclasses import dataclass, field as dataclass_field, replace
 from typing import Sequence
 
 import numpy as np
@@ -56,40 +55,16 @@ _START_CELLS = 2.0
 # of the sweeps leaves values near -1e-15 relative, which are not negativity.
 _NEGATIVE_FLOOR = 1e-10
 
-# How far the aligned step count may exceed round(t_max / dt).
-_MAX_EXTRA_STEPS = 200_000
-
-
-def _aligned_step_count(maturities, dt: float) -> int:
-    """Smallest step count n >= round(t_max / dt) putting every maturity on
-    the lattice t_max * k / n (to 1e-9 of a step).
-
-    Each T / t_max is read as its nearest fraction with a denominator up to
-    the largest allowed n, and n is the least multiple of the lcm of those
-    denominators at or above the requested count. Distinct fractions with
-    such denominators lie further apart than 1e-9, so no smaller allowed n
-    aligns every maturity.
-    """
-    mats = np.asarray(maturities, dtype=float)
-    t_max = float(mats[-1])
-    n_min = max(1, int(round(t_max / dt)))
-    limit = n_min + _MAX_EXTRA_STEPS
-    lcm = 1
-    for m in mats:
-        lcm = math.lcm(lcm, Fraction(float(m) / t_max).limit_denominator(limit).denominator)
-    n_total = lcm * -(-n_min // lcm)
-    steps = mats / t_max * n_total
-    if n_total >= limit or not np.all(np.abs(steps - np.round(steps)) < 1e-9):
-        raise InvalidInputError("could not align the maturities with a uniform step")
-    return n_total
-
 
 @dataclass(frozen=True)
 class Grid2D:
-    """Uniform truncated (S, r) lattice with a uniform time step.
+    """Uniform truncated (S, r) lattice and the time steps of a march.
 
     ``n_s`` and ``n_r`` count interior nodes; the boundary nodes at the box
-    edges carry the fixed Dirichlet value 0 and are not stored.
+    edges carry the fixed Dirichlet value 0 and are not stored. The march
+    ends at each of ``maturities`` (a tuple) in turn: the interval
+    (T_{i-1}, T_i], with T_0 = 0, takes ``steps[i]`` equal steps, so every
+    maturity is a step time.
     """
 
     s_min: float
@@ -98,8 +73,8 @@ class Grid2D:
     r_max: float
     n_s: int
     n_r: int
-    t_end: float
-    n_t: int
+    maturities: tuple
+    steps: tuple
 
     def __post_init__(self):
         if not (self.s_min > 0 and self.s_max > self.s_min):
@@ -108,8 +83,9 @@ class Grid2D:
             raise InvalidInputError("need r_min < r_max")
         if self.n_s < 8 or self.n_r < 8:
             raise InvalidInputError("need at least 8 interior nodes per direction")
-        if self.n_t < 1 or self.t_end <= 0:
-            raise InvalidInputError("need t_end > 0 and n_t >= 1")
+        if (len(self.steps) != len(self.maturities) or min(self.steps, default=0) < 1
+                or not np.all(np.diff(self.maturities, prepend=0.0) > 0)):
+            raise InvalidInputError("need positive, increasing maturities, each with steps")
 
     @property
     def ds(self) -> float:
@@ -120,8 +96,17 @@ class Grid2D:
         return (self.r_max - self.r_min) / (self.n_r + 1)
 
     @property
+    def t_end(self) -> float:
+        return self.maturities[-1]
+
+    @property
+    def n_t(self) -> int:
+        return sum(self.steps)
+
+    @property
     def dt(self) -> float:
-        return self.t_end / self.n_t
+        """The step of the first interval."""
+        return self.maturities[0] / self.steps[0]
 
     @property
     def s_nodes(self) -> np.ndarray:
@@ -131,13 +116,22 @@ class Grid2D:
     def r_nodes(self) -> np.ndarray:
         return self.r_min + self.dr * np.arange(1, self.n_r + 1)
 
+    @property
+    def t_nodes(self) -> np.ndarray:
+        """The n_t + 1 step times from 0: step k of interval i ends at
+        T_{i-1} + k (T_i - T_{i-1}) / steps[i], its last step at T_i itself."""
+        ends = (0.0,) + tuple(self.maturities)
+        return np.concatenate([[0.0]] + [
+            np.append(t0 + (t1 - t0) / n * np.arange(1, n), t1)
+            for t0, t1, n in zip(ends, ends[1:], self.steps)])
+
     @classmethod
     def from_spacings(cls, s_min: float, s_max: float, r_min: float, r_max: float,
                       maturities, ds: float, dr: float, dt: float) -> "Grid2D":
         """Grid on the given box with node counts rounded from the requested
-        spacings (at least 8 interior nodes), ending at the last of
-        ``maturities`` (one horizon or an increasing sequence), with the
-        least step count >= round(t_end / dt) that puts each on a step."""
+        spacings (at least 8 interior nodes), marching to each of
+        ``maturities`` (one horizon or an increasing sequence) in turn: each
+        interval takes max(1, round(length / dt)) equal steps."""
         mats = np.atleast_1d(np.asarray(maturities, dtype=float))
         if (not all(0.0 < h < math.inf for h in (ds, dr, dt)) or mats.ndim != 1
                 or mats.size == 0 or mats[0] <= 0 or np.any(np.diff(mats) <= 0)):
@@ -150,12 +144,13 @@ class Grid2D:
                 f"r_min={r_min!r}, r_max={r_max!r})")
         n_s = max(8, int(round((s_max - s_min) / ds)) - 1)
         n_r = max(8, int(round((r_max - r_min) / dr)) - 1)
-        n_t = _aligned_step_count(mats, dt)
-        return cls(s_min, s_max, r_min, r_max, n_s, n_r, float(mats[-1]), n_t)
+        ends = [0.0] + mats.tolist()
+        steps = tuple(max(1, int(round((t1 - t0) / dt))) for t0, t1 in zip(ends, ends[1:]))
+        return cls(s_min, s_max, r_min, r_max, n_s, n_r, tuple(ends[1:]), steps)
 
     def with_horizon(self, t_end: float, n_t: int) -> "Grid2D":
-        return Grid2D(self.s_min, self.s_max, self.r_min, self.r_max,
-                      self.n_s, self.n_r, t_end, n_t)
+        """This box marching to ``t_end`` in ``n_t`` equal steps."""
+        return replace(self, maturities=(t_end,), steps=(n_t,))
 
 
 @dataclass
@@ -229,7 +224,8 @@ def short_time_start(model: HybridModel, grid: Grid2D) -> Field2D:
     later field with the kernel and biases prices by about half the kernel
     variance times the price convexity), the march starts at the first time
     step t0 = k*dt at which the model's own short-horizon Gaussian density
-    is resolvable on the mesh. The start field matches the one-step
+    is resolvable on the mesh, capped at a quarter of the first interval
+    (k <= steps[0] // 4, at least 1). The start field matches the one-step
     mean/covariance of (S, r), carries the first-order pathwise discount
     tilt, and is normalised to ZC(0, t0).
     """
@@ -242,7 +238,7 @@ def short_time_start(model: HybridModel, grid: Grid2D) -> Field2D:
     else:
         t_needed = dt
     k = max(1, int(math.ceil(t_needed / dt - 1e-12)))
-    k = min(k, max(1, grid.n_t // 4))
+    k = min(k, max(1, grid.steps[0] // 4))
     t0 = k * dt
 
     mean_s = model.s0 * math.exp(p.r0 * t0)
@@ -474,16 +470,18 @@ def evolve(
 
     The march starts fresh from the model-consistent short-time start
     (:func:`short_time_start`), or, given ``start``, resumes from a
-    previously evolved field on this grid's box and nodes (its horizon may
-    differ) whose time must sit on this grid's step lattice. Either start
-    is taken as it is: the short-time start is normalised onto ZC(0, t0)
-    and a march left the resumed field on the discount identity, so
-    resuming at ``t`` repeats bit for bit the steps a single march would
-    take from ``t`` (on the same step size).
+    previously evolved field on this grid's box and nodes (its maturities
+    may differ) whose time must be one of this grid's step times. Either
+    start is taken as it is: the short-time start is normalised onto
+    ZC(0, t0) and a march left the resumed field on the discount identity,
+    so resuming at ``t`` repeats bit for bit the steps a single march on
+    this grid would take from ``t``. Snapshots are taken at step times from
+    the start on, by default at the horizon alone.
 
     One prefactored step operator serves every step until the local vol
-    next changes (``model.vol.next_change``): the whole march for a
-    time-independent vol, or one interval of a piecewise-constant one.
+    next changes (``model.vol.next_change``) or the step size does: the
+    whole march for a time-independent vol on equal steps, or one interval
+    of a piecewise-constant one.
 
     After every step the raw trapezoid mass is recorded and the field is
     rescaled onto the discount identity ZC(0, t). A raw mass that is
@@ -491,9 +489,8 @@ def evolve(
     raw-to-target ratio off by more than 20% is surfaced as a divergence
     warning.
     """
-    dt = grid.dt
     if start is not None:
-        if start.grid.with_horizon(grid.t_end, grid.n_t) != grid:
+        if replace(start.grid, maturities=grid.maturities, steps=grid.steps) != grid:
             raise InvalidInputError("resume field does not lie on this grid's box and nodes")
         field = start.copy()
         mode = "resume"
@@ -501,23 +498,20 @@ def evolve(
         field = short_time_start(model, grid)
         mode = "short-time"
 
-    n0 = int(round(field.t / dt))
-    if abs(n0 * dt - field.t) > 1e-9 * max(1.0, grid.t_end):
-        raise InvalidInputError(f"start time {field.t!r} is not on the step lattice")
-    if n0 > grid.n_t:
-        raise InvalidInputError("start time is beyond the grid horizon")
+    times = grid.t_nodes
 
-    wanted = []
-    if snapshot_times is not None:
-        for ts in snapshot_times:
-            n = int(round(ts / dt))
-            if abs(n * dt - ts) > 1e-7 * max(1.0, grid.t_end) or not (n0 <= n <= grid.n_t):
-                raise InvalidInputError(
-                    f"snapshot time {ts!r} is not a step multiple within the march"
-                )
-            wanted.append(n)
-    else:
-        wanted = [grid.n_t]
+    def step_at(t, first=0):
+        """Index of the step time ``t``, at or after step ``first``."""
+        n = first + int(np.abs(times[first:] - t).argmin())
+        if not abs(times[n] - t) <= 1e-9 * max(1.0, grid.t_end):
+            raise InvalidInputError(
+                f"time {t!r} is not a step time of the march from {times[first]:g} to {grid.t_end:g}")
+        return n
+
+    n0 = step_at(field.t)
+    wanted = {grid.n_t} if snapshot_times is None else {step_at(t, n0) for t in snapshot_times}
+    sizes = np.repeat(np.diff(grid.maturities, prepend=0.0) / grid.steps, grid.steps).tolist()
+    times = times.tolist()
 
     diag = EvolveDiagnostics(start_mode=mode, start_time=field.t)
     m0 = field.mass()
@@ -528,14 +522,14 @@ def evolve(
     if n0 in wanted:
         snapshots[n0] = field.copy()
 
-    valid_until = -math.inf
+    valid_until, op_size = -math.inf, None
     values = field.values
     for n in range(n0, grid.n_t):
-        t_next = (n + 1) * dt
-        if n * dt > valid_until:
+        t, t_next, h = times[n], times[n + 1], sizes[n]
+        if t > valid_until or h != op_size:
             op = None  # release the old operator before building its successor
-            op = _StepOperator(build_coefficients(model, grid, n * dt), grid, dt)
-            valid_until = model.vol.next_change(n * dt)
+            op = _StepOperator(build_coefficients(model, grid, t), grid, h)
+            valid_until, op_size = model.vol.next_change(t), h
         values = op.apply(values)
         raw = float(grid.ds * grid.dr * values.sum())
         # a NaN or inf anywhere in the field leaves the sum non-finite
@@ -559,5 +553,5 @@ def evolve(
         if (n + 1) in wanted:
             snapshots[n + 1] = Field2D(grid, values.copy(), t=t_next)
 
-    ordered = [snapshots[n] for n in sorted(set(wanted))]
+    ordered = [snapshots[n] for n in sorted(wanted)]
     return EvolveResult(snapshots=ordered, diagnostics=diag)

@@ -270,20 +270,6 @@ def corrective_term_closed_form(s0, a, sigma2, theta, r0, sigma1, rho, maturity,
     return zc * cov[0, 1] * phi / sd_y
 
 
-def aligned_step_count_by_search(maturities, dt, max_tries=200000):
-    """Step count by trial: from round(t_max/dt) upward until every maturity
-    sits within 1e-9 of a step; ``None`` if none does within ``max_tries``."""
-    mats = np.asarray(maturities, dtype=float)
-    t_max = float(mats[-1])
-    n_total = max(1, int(round(t_max / dt)))
-    for _ in range(max_tries):
-        steps = mats / t_max * n_total
-        if np.all(np.abs(steps - np.round(steps)) < 1e-9):
-            return n_total
-        n_total += 1
-    return None
-
-
 def lattice_sensitivities(surface, t, k):
     """(C_T, C_K, C_KK) of a price lattice at its node (t, k), one node at
     a time: C_T and C_K are the slopes of the chords through the
@@ -346,19 +332,17 @@ def restart_bootstrap(market, model, settings):
     from hybridlv.pde import auto_grid, evolve
 
     mats, strikes = market.maturities, market.strikes
-    t_max = float(mats[-1])
     fwd = lambda t: forward_rate(model.rate, t)  # noqa: E731
-    n_total = aligned_step_count_by_search(mats, settings.dt)
     box_model = replace(model, vol=cal._ref_vol(market, fwd))
-    box = auto_grid(box_model, t_max, settings.ds, settings.dr, settings.dt)
+    box = auto_grid(box_model, mats, settings.ds, settings.dr, settings.dt)
     use_adj = settings.use_corrective and model.rate.sigma2 > 0.0
     seed, _, _ = cal.local_vol_stochastic_rates(market, fwd, 0.0, mats[0])
     view = _RestartView(strikes, np.sqrt(seed))
     work_model = replace(model, vol=view)
     entries = []
-    for maturity in mats:
+    for i, maturity in enumerate(mats):
         t = float(maturity)
-        grid = box.with_horizon(t, int(round(maturity / t_max * n_total)))
+        grid = replace(box, maturities=box.maturities[:i + 1], steps=box.steps[:i + 1])
         slice_vals, update, iterations = None, math.inf, 0
         while iterations < settings.slice_iterations and update > cal.SLICE_TOLERANCE:
             iterations += 1

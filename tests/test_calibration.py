@@ -30,10 +30,9 @@ from hybridlv.models import (
     forward_rate,
     zc_price,
 )
-from hybridlv.pde import Field2D, _aligned_step_count, auto_grid, evolve
+from hybridlv.pde import Field2D, auto_grid, evolve
 
 from .oracles import (
-    aligned_step_count_by_search,
     corrective_term_closed_form,
     lattice_sensitivities,
     restart_bootstrap,
@@ -433,6 +432,33 @@ class TestCalibrate:
         assert np.max(np.abs(result.surface.sigma - 0.2)) < 5e-3
         assert len(result.report.entries) == 2
 
+    def test_monthly_maturities_march_about_t_over_dt(self, set1_model, monkeypatch):
+        # One- and two-month quotes to four decimals: one lattice through all
+        # of them would need 10000 steps of 1e-4 to reach T = 1
+        import hybridlv.calibration as cal_mod
+
+        mats = [0.0833, 0.1667, 0.25, 0.5, 1.0]
+        market = make_analytic_surface(set1_model, mats, np.arange(0.8, 1.2001, 0.05))
+        grids = []
+        original = cal_mod.evolve
+
+        def recorded(model, grid, *args, **kwargs):
+            grids.append(grid)
+            return original(model, grid, *args, **kwargs)
+
+        monkeypatch.setattr(cal_mod, "evolve", recorded)
+        result = calibrate(market, set1_model, CalibrationSettings(ds=0.015, dr=0.0025, dt=0.005))
+        assert grids[-1].t_end == 1.0
+        assert max(g.n_t for g in grids) <= 201
+        assert np.max(np.abs(result.surface.sigma - 0.2)) < 5e-3  # measured 8.8e-4
+
+    def test_maturity_off_every_uniform_lattice(self, set1_model):
+        mats = [0.1234567891, 1.0]
+        market = make_analytic_surface(set1_model, mats, np.arange(0.9, 1.1001, 0.05))
+        result = calibrate(market, set1_model, CalibrationSettings(ds=0.02, dr=0.003, dt=0.01))
+        assert np.array_equal(result.surface.maturities, mats)
+        assert np.max(np.abs(result.surface.sigma - 0.2)) < 5e-3
+
     @pytest.mark.parametrize(
         "slice_iterations, use_corrective", [(1, True), (2, True), (1, False)]
     )
@@ -550,28 +576,3 @@ class TestCalibrate:
         with pytest.raises(CalibrationError, match=r"^negative local variance at \(T=0\.5, K=1\)$"):
             calibrate(market, set1_model, CalibrationSettings(ds=0.02, dr=0.003, dt=0.01))
         assert calls == []
-
-
-class TestStepAlignment:
-    @pytest.mark.parametrize("mats, dt", [
-        ([1.0], 0.005),
-        ([0.25, 0.5, 0.75, 1.0], 0.005),
-        ([0.5, 1.0], 0.03),
-        ([0.1, 0.3], 0.007),
-        ([1.0 / 3.0, 1.0], 0.01),
-        ([0.2, 0.7, 1.3], 0.011),
-        ([0.37, 1.11], 0.0125),
-    ])
-    def test_matches_the_search(self, mats, dt):
-        want = aligned_step_count_by_search(mats, dt)
-        assert want is not None
-        assert _aligned_step_count(mats, dt) == want
-
-    def test_no_alignment_raises(self, set1_model):
-        mats = [0.1234567891, 1.0]
-        assert aligned_step_count_by_search(mats, 0.01) is None
-        with pytest.raises(InvalidInputError):
-            _aligned_step_count(mats, 0.01)
-        market = make_analytic_surface(set1_model, mats, np.arange(0.9, 1.1001, 0.05))
-        with pytest.raises(InvalidInputError):
-            calibrate(market, set1_model, CalibrationSettings(ds=0.02, dr=0.003, dt=0.01))

@@ -9,7 +9,7 @@ import pytest
 import yaml
 
 from hybridlv import cli
-from hybridlv.config import load_config, resolve_config
+from hybridlv.config import MAX_STRIKES, load_config, resolve_config
 from hybridlv.errors import ConfigError
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -321,32 +321,65 @@ class TestBundledConfigs:
     @staticmethod
     def _first_operator(name, tmp_path, monkeypatch):
         """Run the config's PDE command up to its first step operator; returns
-        the operator and the grid it marches on."""
+        the operator."""
         import hybridlv.pde as pde_mod
 
         class FirstOperator(pde_mod._StepOperator):
             def __init__(self, coeffs, grid, dt):
                 super().__init__(coeffs, grid, dt)
-                raise _FirstOperator(self, grid)
+                raise _FirstOperator(self)
 
         monkeypatch.setattr(pde_mod, "_StepOperator", FirstOperator)
         config = CONFIG_DIR / f"{name}.yaml"
         with pytest.raises(_FirstOperator) as stop:
             cli.run(_BUNDLED_PDE_COMMANDS[name], config_path=str(config), out_dir=str(tmp_path))
-        return stop.value.args
+        return stop.value.args[0]
 
     @pytest.mark.parametrize("name", sorted(_BUNDLED_PDE_COMMANDS))
     def test_first_operator_takes_the_blocked_scan(self, name, tmp_path, monkeypatch):
         # A scheme change that makes gttrf swap rows would silently send every
         # sweep back to the serial LAPACK solve.
-        op, _ = self._first_operator(name, tmp_path, monkeypatch)
+        op = self._first_operator(name, tmp_path, monkeypatch)
         assert op.lu1.scan is not None and op.lu2.scan is not None
+
+    @staticmethod
+    def _marches(name, tmp_path, monkeypatch):
+        """Run the config's PDE command; returns, per march, the times it
+        stepped to and the number of step operators it built."""
+        import hybridlv.calibration as cal_mod
+        import hybridlv.pde as pde_mod
+
+        marches, builds = [], []
+        build, march = pde_mod.build_coefficients, pde_mod.evolve
+
+        def counted(model, grid, t):
+            builds.append(t)
+            return build(model, grid, t)
+
+        def recorded(model, grid, *args, **kwargs):
+            builds.clear()
+            result = march(model, grid, *args, **kwargs)
+            marches.append((result.diagnostics.times, len(builds)))
+            return result
+
+        monkeypatch.setattr(pde_mod, "build_coefficients", counted)
+        monkeypatch.setattr(pde_mod, "evolve", recorded)
+        monkeypatch.setattr(cal_mod, "evolve", recorded)
+        config = CONFIG_DIR / f"{name}.yaml"
+        assert cli.run(_BUNDLED_PDE_COMMANDS[name], config_path=str(config),
+                       out_dir=str(tmp_path)) == 0
+        return marches
 
     @pytest.mark.parametrize("name", sorted(_BUNDLED_PDE_COMMANDS))
     def test_every_maturity_is_a_step_of_the_march(self, name, tmp_path, monkeypatch):
-        _, grid = self._first_operator(name, tmp_path, monkeypatch)
-        steps = np.asarray(load_config(CONFIG_DIR / f"{name}.yaml").maturities()) / grid.dt
-        assert np.all(np.abs(steps - np.round(steps)) < 1e-9)
+        stepped = {t for times, _ in self._marches(name, tmp_path, monkeypatch) for t in times}
+        assert set(load_config(CONFIG_DIR / f"{name}.yaml").maturities()) <= stepped
+
+    @pytest.mark.parametrize("name", sorted(
+        name for name, command in _BUNDLED_PDE_COMMANDS.items() if command != "calibrate"))
+    def test_march_builds_one_step_operator(self, name, tmp_path, monkeypatch):
+        # the fan's quarters share one step size, so one operator serves them all
+        assert [builds for _, builds in self._marches(name, tmp_path, monkeypatch)] == [1]
 
     def test_reference_pipeline_meets_price_bound(self, tmp_path):
         import pathlib
@@ -581,14 +614,59 @@ class TestMainEntry:
         message = self._config_error(capsys, [command, "--config", str(path)])
         assert named in message
 
-    def test_maturities_off_every_uniform_step_exit_3(self, fast_config, capsys):
-        path, _ = fast_config
+    def test_maturities_on_no_common_lattice_exit_0(self, fast_config):
+        # no uniform step count puts both on a step; each interval takes its own
+        path, out = fast_config
         raw = yaml.safe_load(path.read_text())
         raw["run"]["maturities"] = [0.1234567891, 1.0]
         path.write_text(yaml.safe_dump(raw))
-        assert cli.main(["corrective-terms", "--config", str(path)]) == 3
-        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert payload["error"] == "InvalidInputError" and "align" in payload["message"]
+        assert cli.main(["corrective-terms", "--config", str(path)]) == 0
+        rows = _load_rows(out / "corrective_terms.csv")
+        assert rows[:, 0].tolist() == [0.1234567891] * 7 + [1.0] * 7
+        assert np.all(np.isfinite(rows[:, 2]))
+
+    @pytest.mark.parametrize("strikes", [
+        {"start": 0.5, "stop": 1.0e+20, "step": 1.0},
+        {"start": 0.5, "stop": 1.5, "step": 5e-324},
+        {"start": 1.0, "stop": 100001.0, "step": 1.0},
+    ])
+    def test_strike_range_beyond_the_cap_exits_2(self, fast_config, capsys, strikes):
+        # the first ended in "ValueError: Maximum allowed size exceeded" (exit 1)
+        path, _ = fast_config
+        raw = yaml.safe_load(path.read_text())
+        raw["run"]["strikes"] = strikes
+        path.write_text(yaml.safe_dump(raw))
+        message = self._config_error(capsys, ["price-analytic", "--config", str(path)])
+        assert "run.strikes" in message and str(MAX_STRIKES) in message
+
+    def test_strike_range_at_the_cap_accepted(self):
+        cfg = resolve_config({"run": {"strikes": {"start": 1.0, "stop": 100000.0, "step": 1.0}}})
+        assert cfg.strikes().size == MAX_STRIKES
+
+    @pytest.mark.parametrize("rows, line", [
+        ("1.0,0.08\nnan,0.3\n", 3),
+        ("1.0,nan\n", 2),
+        ("# note\n1.0,0.08\n1.1,inf\n", 4),
+    ])
+    def test_compare_non_finite_strike_or_price_exits_3(self, tmp_path, capsys, rows, line):
+        # a row starting with a letter was skipped, and a NaN price gave
+        # max_abs_diff=nan with exit 0
+        left, right = tmp_path / "left.csv", tmp_path / "right.csv"
+        left.write_text("K,price\n" + rows)
+        right.write_text("K,price\n1.0,0.08\n1.1,0.04\n")
+        message = self._input_error(capsys, [
+            "compare", "--out", str(tmp_path / "out"), "--left", str(left), "--right", str(right),
+        ])
+        assert f"{left}, line {line}" in message and "must be finite" in message
+
+    def test_compare_letter_row_is_data(self, tmp_path, capsys):
+        left, right = tmp_path / "left.csv", tmp_path / "right.csv"
+        left.write_text("K,price\n1.0,0.08\nstrike,0.3\n")
+        right.write_text("k,price\n1.0,0.08\n")
+        message = self._config_error(capsys, [
+            "compare", "--out", str(tmp_path / "out"), "--left", str(left), "--right", str(right),
+        ])
+        assert f"{left}, line 3" in message and "strike" in message
 
     def test_market_without_data_rows_exits_2(self, tmp_path, capsys):
         config, market = self._market_config(tmp_path, "")

@@ -76,7 +76,7 @@ def _assert_resume_is_exact(model):
 
 def _unit_grid(n_s=9, n_r=9, t_end=1.0, n_t=10):
     # spot nodes 0.6 .. 1.4 step 0.1, rate nodes 0.004 .. 0.036 step 0.004
-    return Grid2D(0.5, 1.5, 0.0, 0.04, n_s, n_r, t_end, n_t)
+    return Grid2D(0.5, 1.5, 0.0, 0.04, n_s, n_r, (t_end,), (n_t,))
 
 
 class TestGrid:
@@ -90,11 +90,15 @@ class TestGrid:
 
     def test_validation(self):
         with pytest.raises(InvalidInputError):
-            Grid2D(-0.1, 1.0, 0.0, 0.1, 9, 9, 1.0, 10)
+            Grid2D(-0.1, 1.0, 0.0, 0.1, 9, 9, (1.0,), (10,))
         with pytest.raises(InvalidInputError):
-            Grid2D(0.1, 1.0, 0.0, 0.1, 4, 9, 1.0, 10)
+            Grid2D(0.1, 1.0, 0.0, 0.1, 4, 9, (1.0,), (10,))
         with pytest.raises(InvalidInputError):
-            Grid2D(0.1, 1.0, 0.2, 0.1, 9, 9, 1.0, 10)
+            Grid2D(0.1, 1.0, 0.2, 0.1, 9, 9, (1.0,), (10,))
+        for maturities, steps in [((0.5, 0.5), (5, 5)), ((0.5, 1.0), (5, 0)), ((1.0,), (5, 5)),
+                                  ((math.nan,), (5,)), ((), ())]:
+            with pytest.raises(InvalidInputError, match="maturities"):
+                Grid2D(0.1, 1.0, 0.0, 0.1, 9, 9, maturities, steps)
 
     def test_auto_grid_hits_requested_spacings(self, set1_model):
         g = auto_grid(set1_model, 1.0, ds=0.0156, dr=0.0026, dt=0.0099)
@@ -108,12 +112,26 @@ class TestGrid:
         mats = [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0]
         one = auto_grid(set1_model, 2.0, ds=0.0156, dr=0.0026, dt=0.0099)
         fan = auto_grid(set1_model, mats, ds=0.0156, dr=0.0026, dt=0.0099)
-        # 202 steps of 0.0099 would put 0.25 at step 25.25; 208 is the least
-        # count above 202 with every quarter on a step
-        assert (one.n_t, fan.n_t) == (202, 208)
-        assert fan == one.with_horizon(2.0, 208)
-        steps = np.asarray(mats) / fan.dt
-        assert np.all(np.abs(steps - np.round(steps)) < 1e-9)
+        # each quarter takes round(0.25 / 0.0099) = 25 steps of exactly 0.01
+        assert (one.n_t, fan.n_t, fan.steps) == (202, 200, (25,) * 8)
+        assert fan.maturities == tuple(mats) and fan.dt == 0.01
+        assert replace(fan, maturities=(2.0,), steps=(202,)) == one
+        assert set(mats) <= set(fan.t_nodes)
+
+    def test_intervals_take_their_own_steps(self):
+        g = Grid2D.from_spacings(0.01, 3.0, -0.1, 0.14, [0.1234567891, 0.5, 1.0], 0.02, 0.003, 0.01)
+        assert g.steps == (12, 38, 50) and g.n_t == 100
+        assert g.dt == 0.1234567891 / 12
+        nodes = g.t_nodes
+        assert nodes.size == 101 and nodes[0] == 0.0 and np.all(np.diff(nodes) > 0)
+        assert [nodes[12], nodes[50], nodes[100]] == [0.1234567891, 0.5, 1.0]
+        assert nodes[13] == 0.1234567891 + (0.5 - 0.1234567891) / 38
+        sizes = np.repeat([0.1234567891 / 12, (0.5 - 0.1234567891) / 38, 0.01], [12, 38, 50])
+        assert np.allclose(np.diff(nodes), sizes, rtol=0, atol=1e-15)
+        # a one-interval grid: step k ends at k * dt
+        one = g.with_horizon(1.0, 101)
+        assert (one.maturities, one.steps) == ((1.0,), (101,))
+        assert np.array_equal(one.t_nodes[:-1], np.arange(101) * (1.0 / 101))
 
     @pytest.mark.parametrize("mats", [[1.0, 0.5], [0.5, 0.5], [0.0, 1.0], []])
     def test_maturities_must_be_positive_and_increasing(self, set1_model, mats):
@@ -392,7 +410,8 @@ class TestEvolve:
     def test_resume_from_another_box_rejected(self, set1_model):
         g = auto_grid(set1_model, 1.0, ds=0.02, dr=0.003, dt=0.01)
         first = evolve(set1_model, g, snapshot_times=[0.5]).snapshots[0]
-        wider = Grid2D(g.s_min, 2.0 * g.s_max, g.r_min, g.r_max, g.n_s, g.n_r, g.t_end, g.n_t)
+        wider = Grid2D(g.s_min, 2.0 * g.s_max, g.r_min, g.r_max, g.n_s, g.n_r,
+                       g.maturities, g.steps)
         moved = Field2D(wider, first.values, t=first.t)
         with pytest.raises(InvalidInputError, match="box"):
             evolve(set1_model, g, start=moved)
@@ -431,6 +450,17 @@ class TestEvolve:
         builds = _count_builds(monkeypatch)
         evolve(hyperbolic_model, g)
         assert len(builds) == 1
+
+    def test_operator_rebuilt_where_the_step_size_changes(self, set1_model, monkeypatch):
+        g = replace(auto_grid(set1_model, [0.25, 1.0], ds=0.03, dr=0.004, dt=0.01), steps=(25, 50))
+        builds = _count_builds(monkeypatch)
+        full = evolve(set1_model, g, snapshot_times=[0.25, 1.0])
+        assert builds[1:] == [0.25]
+        assert full.diagnostics.times[-51:-49] == [0.25, 0.25 + 0.75 / 50]
+        # the march to 0.25 on the first interval alone, resumed on both
+        first = evolve(set1_model, replace(g, maturities=(0.25,), steps=(25,))).snapshots[-1]
+        resumed = evolve(set1_model, g, start=first)
+        assert np.array_equal(resumed.snapshots[-1].values, full.at(1.0).values)
 
     def test_bad_snapshot_time_rejected(self, set1_model):
         g = auto_grid(set1_model, 1.0, ds=0.02, dr=0.003, dt=0.01)
@@ -511,6 +541,15 @@ class TestShortTimeStart:
         field = short_time_start(set1_model, g)
         sd_s = set1_model.s0 * 0.2 * math.sqrt(field.t)
         assert sd_s >= 2.0 * g.ds
+
+    def test_first_maturity_before_the_resolvable_start(self, set1_model):
+        # two cells of spot deviation need t = 0.0243, three steps of 0.01;
+        # the start stays within the first quarter of the first interval
+        g = auto_grid(set1_model, [0.02, 1.0], ds=0.0156, dr=0.0026, dt=0.01)
+        res = evolve(set1_model, g, snapshot_times=[0.02, 1.0])
+        assert res.diagnostics.start_time == 0.01
+        assert [snap.t for snap in res.snapshots] == [0.02, 1.0]
+        assert res.at(1.0).mass() == pytest.approx(zc_price(set1_model.rate, 1.0), rel=1e-12)
 
 
 class TestIntegrate:
