@@ -295,6 +295,7 @@ class MaturityDiagnostics:
     skipped_strikes: list
     iterations: int
     max_slice_update: float
+    reprice_err: float | None = None  # the last maturity has no checkpoint
 
 
 @dataclass
@@ -309,6 +310,7 @@ class CalibrationReport:
                 f"T={e.maturity:<8.4g} mass_drift={e.mass_drift:+.3e} "
                 f"neg_frac={e.negative_fraction:.3e} iterations={e.iterations} "
                 f"slice_update={e.max_slice_update:.3e} "
+                f"reprice_err={'n/a' if e.reprice_err is None else f'{e.reprice_err:.3e}'} "
                 f"skipped={','.join(f'{k:g}' for k in e.skipped_strikes) or 'none'}"
             )
         for w in self.warnings:
@@ -379,6 +381,11 @@ def calibrate(
     restart from t=0 under the fixed slices, at the cost of the open
     interval alone. The report's mass drift and negative fraction are
     maxima over (0, T_i], carried forward across checkpoints.
+
+    A checkpoint is the field a solve under the returned surface reaches at
+    T_i, so its call prices against the market row are the report's
+    repricing error, at no extra march. The last maturity has no checkpoint
+    and reports none.
     """
     settings = settings or CalibrationSettings()
     mats = market.maturities
@@ -421,20 +428,21 @@ def calibrate(
 
         mass_drift = max(drift_before, result.diagnostics.max_ratio_deviation())
         neg_frac = max(neg_before, max(result.diagnostics.negative_fraction, default=0.0))
-        report.entries.append(
-            MaturityDiagnostics(
-                maturity=float(maturity),
-                mass_drift=mass_drift,
-                negative_fraction=neg_frac,
-                skipped_strikes=skipped,
-                iterations=iterations,
-                max_slice_update=0.0 if math.isinf(max_update) else max_update,
-            )
+        entry = MaturityDiagnostics(
+            maturity=float(maturity),
+            mass_drift=mass_drift,
+            negative_fraction=neg_frac,
+            skipped_strikes=skipped,
+            iterations=iterations,
+            max_slice_update=0.0 if math.isinf(max_update) else max_update,
         )
+        report.entries.append(entry)
         slices.append(slice_vals)
         if i < len(mats) - 1:
             fixed = _march_under(model, strikes, slice_vals, grid_i, checkpoint)
             checkpoint = fixed.snapshots[-1]
+            repriced = price_calls_from_pz(checkpoint, strikes)
+            entry.reprice_err = float(np.max(np.abs(repriced - market.prices[i])))
             drift_before = max(drift_before, fixed.diagnostics.max_ratio_deviation())
             neg_before = max(neg_before, max(fixed.diagnostics.negative_fraction, default=0.0))
 

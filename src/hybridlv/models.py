@@ -7,8 +7,10 @@ mean-reverting (Hull-White) process, correlated through the Brownian drivers:
     dr(t)      = a (theta - r(t)) dt + sigma2 (rho dW1 + sqrt(1-rho^2) dW2)
 
 This module holds the parameter containers, the local-volatility function
-family (constant, hyperbolic skew, interpolated surface) together with their
-spatial derivatives, and the discount-curve analytics of the rate model.
+family (constant, hyperbolic skew, and the calibrated surface: one slice
+per maturity interval, constant in time, linear in strike) together with
+their spatial derivatives, and the discount-curve analytics of the rate
+model.
 
 Every local-volatility function answers ``next_change(t)``: the last time
 up to which ``value`` and ``derivatives`` stay exactly what they are at
@@ -180,8 +182,12 @@ class HyperbolicVol:
 
 @dataclass(frozen=True)
 class SurfaceVol:
-    """Local volatility on calibrated sigma(T, K) nodes: linear in T
-    between maturities, linear in K between strikes, flat outside.
+    """Local volatility on calibrated sigma(T, K) nodes, the surface the
+    maturity bootstrap marches: slice i on [T_{i-1}, T_i), constant in time
+    (the first slice before T_1, the last from T_N on), linear in K between
+    strikes and flat outside them. A time within the solver's step-time
+    tolerance, 1e-9 max(1, T_i), below T_i already reads slice i+1, so a
+    step that starts on a maturity marches under the next slice.
 
     Spatial derivatives are central differences on the interpolant with a
     step of one strike spacing (floored at 1e-4 S, the interpolant is
@@ -196,21 +202,30 @@ class SurfaceVol:
         object.__setattr__(self, "maturities", np.asarray(self.maturities, dtype=float))
         object.__setattr__(self, "strikes", np.asarray(self.strikes, dtype=float))
         object.__setattr__(self, "sigma", np.asarray(self.sigma, dtype=float))
+        for name, axis in (("maturities", self.maturities), ("strikes", self.strikes)):
+            if axis.ndim != 1 or axis.size == 0 or not np.all(np.isfinite(axis)):
+                raise InvalidInputError(f"{name} must be a non-empty 1-d array of finite numbers")
+            if np.any(np.diff(axis) <= 0):
+                raise InvalidInputError(f"{name} must be strictly increasing")
+        if self.maturities[0] <= 0:
+            raise InvalidInputError("maturities must be positive")
         if self.sigma.shape != (len(self.maturities), len(self.strikes)):
             raise InvalidInputError("sigma lattice shape mismatch")
         if np.any(~np.isfinite(self.sigma)) or np.any(self.sigma < 0):
             raise InvalidInputError("sigma nodes must be finite and non-negative")
 
+    def _switches(self) -> np.ndarray:
+        """The times from which slices 1..N-1 (0-based) serve: each
+        maturity but the last, less the step-time tolerance."""
+        mats = self.maturities[:-1]
+        return mats - 1e-9 * np.maximum(1.0, mats)
+
+    def _slice_index(self, t: float) -> int:
+        """Row of ``sigma`` that serves time ``t``."""
+        return int(np.searchsorted(self._switches(), t, side="right"))
+
     def value(self, t, s):
-        mats = self.maturities
-        t_clamped = min(max(float(t), mats[0]), mats[-1])
-        if len(mats) == 1:
-            row = self.sigma[0]
-        else:
-            j = int(np.searchsorted(mats, t_clamped, side="right") - 1)
-            j = min(max(j, 0), len(mats) - 2)
-            w = (t_clamped - mats[j]) / (mats[j + 1] - mats[j])
-            row = (1.0 - w) * self.sigma[j] + w * self.sigma[j + 1]
+        row = self.sigma[self._slice_index(t)]
         return np.interp(np.asarray(s, dtype=float), self.strikes, row)
 
     def derivatives(self, t, s):
@@ -225,13 +240,11 @@ class SurfaceVol:
         return sig, sig_s, sig_ss
 
     def next_change(self, t: float) -> float:
-        """Constant in time with one maturity or from the last one on, and
-        up to the first maturity (``value`` clamps t to it); between
-        maturities the interpolation moves with every ``t``."""
-        mats = self.maturities
-        if len(mats) == 1 or t >= mats[-1]:
-            return math.inf
-        return float(max(t, mats[0]))
+        """The last time before the maturity that ends ``t``'s slice, or
+        infinity in the last slice."""
+        switches = self._switches()
+        i = self._slice_index(t)
+        return math.inf if i == len(switches) else math.nextafter(float(switches[i]), -math.inf)
 
 
 LocalVolFunction = Union[ConstantVol, HyperbolicVol, SurfaceVol]

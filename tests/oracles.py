@@ -10,6 +10,8 @@ term. Expected values in the tests are frozen from these oracles.
 :func:`adi_step` is the one exception: it runs the production step
 operator once, for tests that check a single step. :func:`slice_step`
 shares the production line solves and checks only the explicit stencils.
+:class:`RebuiltEveryStep` shares the production surface and drops only its
+operator caching.
 """
 
 import math
@@ -291,6 +293,15 @@ def lattice_sensitivities(surface, t, k):
         + p[i, c + 1] / ((x2 - x0) * (x2 - x1))
     )
     return c_t, c_k, c_kk
+
+
+class RebuiltEveryStep(SurfaceVol):
+    """A :class:`SurfaceVol` that says it may change at every ``t``: a
+    solve under it rebuilds its step operator at every step, the direct
+    route that operator caching must reproduce."""
+
+    def next_change(self, t):
+        return t
 
 
 class _RestartView:

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hybridlv.analytic import analytic_pz, bshw_call
 from hybridlv.calibration import (
@@ -33,6 +35,7 @@ from hybridlv.models import (
 from hybridlv.pde import Field2D, auto_grid, evolve
 
 from .oracles import (
+    RebuiltEveryStep,
     corrective_term_closed_form,
     lattice_sensitivities,
     restart_bootstrap,
@@ -351,21 +354,14 @@ class TestDupire:
             assert math.sqrt(var) == pytest.approx(0.2, abs=2e-3)
 
 
-class _RebuiltEveryStep(SurfaceVol):
-    """The same surface, saying it may change at every ``t``: a solve
-    under it rebuilds its step operator at every step."""
-
-    def next_change(self, t):
-        return t
-
-
 class TestSurfaceVol:
-    def test_bilinear_interpolation_and_flat_extrapolation(self):
+    def test_slice_per_interval_linear_in_strike_flat_outside(self):
         surf = SurfaceVol(
             np.array([0.5, 1.0]), np.array([0.8, 1.2]),
             np.array([[0.2, 0.3], [0.4, 0.5]]),
         )
-        assert surf.value(0.75, 1.0) == pytest.approx(0.35)
+        assert surf.value(0.75, 1.0) == pytest.approx(0.45)  # slice 2 on [0.5, 1)
+        assert surf.value(0.25, 1.0) == pytest.approx(0.25)
         assert surf.value(0.25, 0.5) == pytest.approx(0.2)  # flat in both axes
         assert surf.value(2.0, 2.0) == pytest.approx(0.5)
 
@@ -373,16 +369,63 @@ class TestSurfaceVol:
         with pytest.raises(InvalidInputError):
             SurfaceVol(np.array([1.0]), np.array([1.0, 1.1]), np.array([[0.2, -0.1]]))
 
+    @pytest.mark.parametrize("maturities, strikes", [
+        ([1.0, 0.5], [0.8, 1.2]),  # decreasing maturities
+        ([0.5, 0.5], [0.8, 1.2]),  # repeated maturity
+        ([math.nan, 1.0], [0.8, 1.2]),
+        ([0.5, math.inf], [0.8, 1.2]),
+        ([0.0, 1.0], [0.8, 1.2]),
+        ([-0.5, 1.0], [0.8, 1.2]),
+        ([[0.5, 1.0]], [0.8, 1.2]),  # not 1-d
+        ([0.5, 1.0], [1.2, 0.8]),  # decreasing strikes
+        ([0.5, 1.0], [0.8, math.nan]),
+    ])
+    def test_rejects_malformed_axes(self, maturities, strikes):
+        sigma = np.full((2, 2), 0.2)
+        with pytest.raises(InvalidInputError):
+            SurfaceVol(maturities, strikes, sigma)
+
     def test_next_change(self):
         ks = np.array([0.8, 1.2])
         one = SurfaceVol(np.array([0.5]), ks, np.array([[0.2, 0.3]]))
         assert one.next_change(0.0) == math.inf
         assert one.next_change(0.7) == math.inf
         two = SurfaceVol(np.array([0.5, 1.0]), ks, np.array([[0.2, 0.3], [0.4, 0.5]]))
-        assert two.next_change(0.25) == 0.5
-        assert two.next_change(0.75) == 0.75
-        assert two.next_change(1.0) == math.inf
+        # the last time before 0.5 that still reads the first slice
+        assert 0.5 - 2e-9 < two.next_change(0.25) < 0.5 - 1e-9
+        assert two.next_change(0.5) == math.inf
+        assert two.next_change(0.75) == math.inf
         assert two.next_change(2.0) == math.inf
+        three = SurfaceVol(np.array([0.5, 1.0, 1.5]), ks, np.full((3, 2), 0.2))
+        assert three.next_change(0.75) == three.next_change(0.5) == math.nextafter(1.0 - 1e-9, 0.0)
+        assert three.next_change(1.0) == math.inf
+
+    @given(
+        maturities=st.lists(st.floats(0.01, 10.0), min_size=1, max_size=6, unique=True).map(sorted),
+        times=st.lists(st.floats(0.0, 12.0), max_size=20),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_value_and_next_change_agree(self, maturities, times):
+        mats = np.asarray(maturities)
+        tol = 1e-9 * np.maximum(1.0, mats)
+        assume(np.all(np.diff(mats) > 4 * tol[1:]))
+        levels = 0.1 + 0.01 * np.arange(len(mats))
+        surf = SurfaceVol(mats, [0.8, 1.2], np.repeat(levels[:, None], 2, axis=1))
+        edges = [m + d for m in maturities for d in (0.0, -1e-12, 1e-12, -0.5e-9 * max(1.0, m))]
+        for t in [0.0] + times + edges:
+            level = surf.value(t, 1.0)
+            until = surf.next_change(t)
+            assert until >= t
+            if until < math.inf:
+                assert surf.value(until, 1.0) == level
+                assert surf.value(math.nextafter(until, math.inf), 1.0) != level
+            else:
+                assert level == levels[-1]
+        # a step that starts on T_i, or within the tolerance below it, reads slice i+1
+        for i, m in enumerate(maturities[:-1]):
+            for t in (m, m - 1e-12, m - 0.5e-9 * max(1.0, m), m + 1e-12):
+                assert surf.value(t, 1.0) == levels[i + 1]
+            assert surf.value(m - 2e-9 * max(1.0, m), 1.0) == levels[i]
 
     def test_one_maturity_march_builds_one_operator_and_matches_rebuilds(
         self, set1_model, monkeypatch
@@ -392,7 +435,7 @@ class TestSurfaceVol:
         levels = _count_operators(monkeypatch)
         once = evolve(replace(set1_model, vol=SurfaceVol(*nodes)), grid)
         assert len(levels) == 1
-        every = evolve(replace(set1_model, vol=_RebuiltEveryStep(*nodes)), grid)
+        every = evolve(replace(set1_model, vol=RebuiltEveryStep(*nodes)), grid)
         assert len(levels) > 2
         assert np.array_equal(once.snapshots[-1].values, every.snapshots[-1].values)
 
@@ -406,10 +449,10 @@ class TestSurfaceVol:
         grid = auto_grid(set1_model, 1.0, ds=0.02, dr=0.003, dt=0.01)
         levels = _count_operators(monkeypatch)
         once = evolve(replace(set1_model, vol=SurfaceVol(*nodes)), grid)
-        # one operator up to the first maturity, then one per step after it
-        assert len(levels) == 50
+        # one operator per slice, the second built on the first maturity
+        assert len(levels) == 2 and levels[1] == 0.5
         del levels[:]
-        every = evolve(replace(set1_model, vol=_RebuiltEveryStep(*nodes)), grid)
+        every = evolve(replace(set1_model, vol=RebuiltEveryStep(*nodes)), grid)
         assert len(levels) == 96
         assert np.array_equal(once.snapshots[-1].values, every.snapshots[-1].values)
 
@@ -478,6 +521,42 @@ class TestCalibrate:
         got = [(e.mass_drift, e.negative_fraction, e.iterations) for e in result.report.entries]
         assert got == entries
         assert [e.iterations for e in result.report.entries] == [slice_iterations] * 3
+
+    def test_solve_under_the_surface_passes_through_the_checkpoints(self, set1_model, monkeypatch):
+        # The returned surface is the model the bootstrap marched: a solve
+        # under it on calibrate's box reaches every checkpoint bit for bit,
+        # with one step operator per slice, and the report's repricing error
+        # is read off those checkpoints.
+        import hybridlv.calibration as cal_mod
+
+        mats = [0.25, 0.5, 0.75, 1.0]
+        market = make_analytic_surface(set1_model, mats, np.arange(0.8, 1.2001, 0.1))
+        settings = CalibrationSettings(ds=0.02, dr=0.003, dt=0.025)
+        checkpoints = []  # every march after the first resumes from one
+        original = cal_mod._march_under
+
+        def spied(model, strikes, values, grid, start):
+            if start is not None and not any(start is c for c in checkpoints):
+                checkpoints.append(start)
+            return original(model, strikes, values, grid, start)
+
+        monkeypatch.setattr(cal_mod, "_march_under", spied)
+        result = calibrate(market, set1_model, settings)
+        assert [c.t for c in checkpoints] == mats[:-1]
+
+        fwd = lambda t: forward_rate(set1_model.rate, t)  # noqa: E731
+        box_model = replace(set1_model, vol=cal_mod._ref_vol(market, fwd))
+        box = auto_grid(box_model, mats, settings.ds, settings.dr, settings.dt)
+        levels = _count_operators(monkeypatch)
+        solve = evolve(replace(set1_model, vol=result.surface), box, snapshot_times=mats[:-1])
+        assert len(levels) == len(mats) and levels[1:] == mats[:-1]
+        for snap, checkpoint in zip(solve.snapshots, checkpoints, strict=True):
+            assert np.array_equal(snap.values, checkpoint.values)
+
+        errs = [e.reprice_err for e in result.report.entries]
+        assert errs[-1] is None
+        for err, checkpoint, row in zip(errs, checkpoints, market.prices):
+            assert err == np.max(np.abs(price_calls_from_pz(checkpoint, market.strikes) - row))
 
     @pytest.mark.parametrize("mats, slice_iterations", [
         ([0.25, 0.5, 0.75], 1),

@@ -257,9 +257,12 @@ run:
         assert cli.run("calibrate", config_path=str(path)) == 0
         rows = _load_rows(tmp_path / "out" / "local_vol_surface.csv")
         assert np.allclose(rows[:, 2], 0.2, atol=1e-6)
-        assert (tmp_path / "out" / "calibration_report.txt").read_text().startswith(
-            "calibration report"
-        )
+        report = (tmp_path / "out" / "calibration_report.txt").read_text()
+        assert report.startswith("calibration report")
+        # each maturity but the last is repriced off its checkpoint
+        reprice = [w.split("=")[1] for w in report.split() if w.startswith("reprice_err=")]
+        assert len(reprice) == 2 and reprice[1] == "n/a"
+        assert 0.0 < float(reprice[0]) < 1e-3
 
     def test_calibrate_csv_market(self, tmp_path):
         # a flat closed-form lattice written as CSV: the CLI reads it without

@@ -24,27 +24,11 @@ from hybridlv.pde import (
     short_time_start,
 )
 
-from .oracles import adi_step, integrate, lognormal_density, slice_step
+from .oracles import RebuiltEveryStep, adi_step, integrate, lognormal_density, slice_step
 
 
-class _TwoSlices(SurfaceVol):
-    """Vol surface that is flat up to t = 0.5 and skewed after it; it says
-    it may change at every step, so a solve rebuilds its operator every step."""
-
-    def __init__(self):
-        super().__init__([0.5, 1.0], [0.5, 1.0, 1.5], [[0.2, 0.2, 0.2], [0.3, 0.22, 0.18]])
-
-    def value(self, t, s):
-        row = self.sigma[0] if t <= 0.5 else self.sigma[1]
-        return np.interp(np.asarray(s, dtype=float), self.strikes, row)
-
-    def next_change(self, t):
-        return t
-
-
-class _TwoSlicesWithChange(_TwoSlices):
-    def next_change(self, t):
-        return 0.5 if t <= 0.5 else math.inf
+# flat up to t = 0.5, skewed from it on
+_TWO_SLICES = ([0.5, 1.0], [0.5, 1.0, 1.5], [[0.2, 0.2, 0.2], [0.3, 0.22, 0.18]])
 
 
 def _count_builds(monkeypatch):
@@ -429,16 +413,16 @@ class TestEvolve:
         _assert_resume_is_exact(set1_model)
 
     def test_resume_agrees_with_single_march_under_piecewise_vol(self, set1_model):
-        _assert_resume_is_exact(replace(set1_model, vol=_TwoSlicesWithChange()))
+        _assert_resume_is_exact(replace(set1_model, vol=SurfaceVol(*_TWO_SLICES)))
 
     def test_cached_operator_matches_per_step_rebuild(self, set1_model, monkeypatch):
-        cached = replace(set1_model, vol=_TwoSlicesWithChange())
-        rebuilt = replace(set1_model, vol=_TwoSlices())
+        cached = replace(set1_model, vol=SurfaceVol(*_TWO_SLICES))
+        rebuilt = replace(set1_model, vol=RebuiltEveryStep(*_TWO_SLICES))
         g = auto_grid(cached, 1.0, ds=0.02, dr=0.003, dt=0.01)
         builds = _count_builds(monkeypatch)
         a = evolve(cached, g, snapshot_times=[0.5, 1.0])
         assert len(builds) == 2
-        assert builds[1] == pytest.approx(0.51)
+        assert builds[1] == pytest.approx(0.5)
         builds.clear()
         b = evolve(rebuilt, g, snapshot_times=[0.5, 1.0])
         assert len(builds) == len(b.diagnostics.times)
