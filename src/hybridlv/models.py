@@ -136,8 +136,10 @@ class ConstantVol:
             raise InvalidInputError(f"sigma1 must be >= 0, got {self.sigma1!r}")
 
     def value(self, t, s):
-        """``sigma1`` broadcast to the shape of ``s`` as a read-only view."""
-        return np.broadcast_to(float(self.sigma1), np.shape(s))
+        """``sigma1`` as one float, whatever the shape of ``s``: the vol is
+        the same at every spot, so a caller stepping many paths forms its
+        vol terms once (callers that need an array broadcast it)."""
+        return float(self.sigma1)
 
     def derivatives(self, t, s):
         arr = np.asarray(s, dtype=float)

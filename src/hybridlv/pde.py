@@ -541,13 +541,16 @@ def evolve(
                 f"raw mass drift {raw / target - 1.0:+.2%} at t={t_next:.6g}"
             )
         values *= target / raw
-        neg_sum = float(-values[values < 0.0].sum()) * grid.ds * grid.dr
+        negatives = values[values < 0.0]
+        neg_sum = float(-negatives.sum()) * grid.ds * grid.dr
         diag.times.append(t_next)
         diag.raw_mass.append(raw)
         diag.target_mass.append(target)
         diag.post_mass.append(float(grid.ds * grid.dr * values.sum()))
+        # the mass is positive, so the peak is and every node under the
+        # floor is among the negatives
         diag.negative_fraction.append(
-            np.count_nonzero(values < -_NEGATIVE_FLOOR * values.max()) / values.size
+            np.count_nonzero(negatives < -_NEGATIVE_FLOOR * values.max()) / values.size
         )
         diag.negative_mass_ratio.append(neg_sum / target)
         if (n + 1) in wanted:

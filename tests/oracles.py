@@ -24,7 +24,7 @@ from scipy.special import ndtri
 from hybridlv.analytic import bshw_call
 from hybridlv.errors import InvalidInputError, SingularSystemError
 from hybridlv.linalg import thomas_apply, thomas_prefactor
-from hybridlv.models import SurfaceVol
+from hybridlv.models import SurfaceVol, zc_price
 from hybridlv.pde import Field2D, _StepOperator
 
 _PIVOT_FLOOR = 1e-300
@@ -138,6 +138,20 @@ def slice_step(coeffs, grid, dt, values):
     rhs = pad[1:-1, 1:-1] * kappa - rhs
     rhs += cross(pad)
     return thomas_apply(lu2, rhs)
+
+
+def step_health(snapshots, rate):
+    """Per-step (negative_fraction, negative_mass_ratio) of a march, by
+    their definitions, from one snapshot per step: the share of all nodes
+    below -1e-10 times the field's peak (a full-field count), and the mass
+    of all negative values over ZC(0, t)."""
+    fractions, ratios = [], []
+    for snap in snapshots:
+        v = snap.values
+        fractions.append(np.count_nonzero(v < -1e-10 * v.max()) / v.size)
+        neg_mass = float(-v[v < 0.0].sum()) * snap.grid.ds * snap.grid.dr
+        ratios.append(neg_mass / zc_price(rate, snap.t))
+    return fractions, ratios
 
 
 def integrate(field, weight):

@@ -6,7 +6,7 @@ import pytest
 
 from hybridlv.analytic import analytic_z, bshw_call, bshw_moments
 from hybridlv.errors import InvalidInputError, McAbortedError, NoDataError
-from hybridlv.models import ConstantVol, HullWhiteParams, HybridModel, zc_price
+from hybridlv.models import ConstantVol, HullWhiteParams, HybridModel, SurfaceVol, zc_price
 from hybridlv.montecarlo import (
     McConfig,
     _iter_batches,
@@ -131,6 +131,21 @@ class TestSimulatePaths:
             else:
                 for got, want in zip(terminals, minus):
                     assert np.array_equal(got[n:], want)
+
+    @pytest.mark.parametrize("antithetic", [True, False])
+    def test_scalar_vol_steps_like_a_flat_per_path_vol(self, set1_model, antithetic):
+        # ConstantVol.value is one float and the stepper forms its vol terms
+        # once per step; a flat SurfaceVol gives one vol per path
+        flat = replace(set1_model, vol=SurfaceVol([0.5, 1.0], [0.8, 1.2], [[0.2, 0.2], [0.2, 0.2]]))
+        assert np.ndim(set1_model.vol.value(0.0, np.ones(3))) == 0
+        assert np.shape(flat.vol.value(0.0, np.ones(3))) == (3,)
+        cfg = McConfig(n_paths=2500, dt_mc=1.0 / 50.0, seed=17, batch_size=1000, antithetic=antithetic)
+        for (got, n), (want, n_flat) in zip(_iter_batches(set1_model, 1.0, cfg), _iter_batches(flat, 1.0, cfg)):
+            assert n == n_flat
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+        payoffs = [_call_payoff(0.9), _call_payoff(1.1)]
+        assert simulate_paths(set1_model, 1.0, cfg, payoffs) == simulate_paths(flat, 1.0, cfg, payoffs)
 
     @pytest.mark.parametrize("maturity", [0.0, -1.0, math.nan, math.inf])
     def test_maturity_that_cannot_run_rejected(self, set1_model, maturity):
@@ -268,7 +283,8 @@ class TestConditionalZ:
             return s, r, acc
 
         monkeypatch.setattr(mc_mod, "_batch_terminals", poisoned)
-        cfg = McConfig(n_paths=20000, dt_mc=0.1, seed=4)
+        # one batch, so the poison hits 2 paths in all
+        cfg = McConfig(n_paths=20000, dt_mc=0.1, seed=4, batch_size=20000)
         run = lambda: mc_mod.conditional_z_estimate(set1_model, 1.0, cfg, [(1.0, 0.02)], 0.05)  # noqa: E731
         if aborts:
             with pytest.raises(McAbortedError):

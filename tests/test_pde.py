@@ -24,7 +24,14 @@ from hybridlv.pde import (
     short_time_start,
 )
 
-from .oracles import RebuiltEveryStep, adi_step, integrate, lognormal_density, slice_step
+from .oracles import (
+    RebuiltEveryStep,
+    adi_step,
+    integrate,
+    lognormal_density,
+    slice_step,
+    step_health,
+)
 
 
 # flat up to t = 0.5, skewed from it on
@@ -390,6 +397,33 @@ class TestEvolve:
         expected = np.mean(end < -1e-10 * end.max())
         assert 0.005 < expected < 0.2
         assert res.diagnostics.negative_fraction[-1] == expected
+
+    @pytest.mark.parametrize("case", ["round-off", "lobe"])
+    def test_step_health_matches_its_definition(self, set1_model, case):
+        # evolve counts the fraction among the negatives it already gathers
+        # for their mass; the oracle counts over the whole field
+        if case == "round-off":
+            # the bshw_rho_pos grid: round-off negatives, none under the floor
+            g = auto_grid(set1_model, 0.25, ds=0.0156, dr=0.0026, dt=0.0099)
+            start = short_time_start(set1_model, g)
+        else:
+            g = auto_grid(set1_model, 0.04, ds=0.02, dr=0.003, dt=0.01)
+            s = g.s_nodes[:, None]
+            r = g.r_nodes[None, :]
+            bump = np.exp(-((s - 0.95) ** 2 + (r - 0.02) ** 2) / 0.002)
+            lobe = np.exp(-((s - 1.12) ** 2 + (r - 0.02) ** 2) / 0.001)
+            start = Field2D(g, bump - 0.3 * lobe, t=0.0)
+        steps = [t for t in g.t_nodes if t > start.t]
+        res = evolve(set1_model, g, snapshot_times=steps, start=start)
+        fractions, ratios = step_health(res.snapshots, set1_model.rate)
+        assert len(fractions) == len(res.diagnostics.times) == len(steps)
+        assert res.diagnostics.negative_fraction == fractions
+        assert res.diagnostics.negative_mass_ratio == ratios
+        assert min(ratios) > 0.0  # every step leaves negatives
+        if case == "round-off":
+            assert max(fractions) == 0.0
+        else:
+            assert min(fractions) > 0.0
 
     def test_resume_from_another_box_rejected(self, set1_model):
         g = auto_grid(set1_model, 1.0, ds=0.02, dr=0.003, dt=0.01)
