@@ -294,7 +294,7 @@ class MaturityDiagnostics:
     negative_fraction: float
     skipped_strikes: list
     iterations: int
-    max_slice_update: float
+    max_slice_update: float | None  # None after one iteration: nothing to compare
     reprice_err: float | None = None  # the last maturity has no checkpoint
 
 
@@ -304,13 +304,16 @@ class CalibrationReport:
     warnings: list = dataclass_field(default_factory=list)
 
     def format_text(self) -> str:
+        def _fmt_opt(value):  # n/a where nothing was measured
+            return "n/a" if value is None else f"{value:.3e}"
+
         lines = ["calibration report", "==================="]
         for e in self.entries:
             lines.append(
                 f"T={e.maturity:<8.4g} mass_drift={e.mass_drift:+.3e} "
                 f"neg_frac={e.negative_fraction:.3e} iterations={e.iterations} "
-                f"slice_update={e.max_slice_update:.3e} "
-                f"reprice_err={'n/a' if e.reprice_err is None else f'{e.reprice_err:.3e}'} "
+                f"slice_update={_fmt_opt(e.max_slice_update)} "
+                f"reprice_err={_fmt_opt(e.reprice_err)} "
                 f"skipped={','.join(f'{k:g}' for k in e.skipped_strikes) or 'none'}"
             )
         for w in self.warnings:
@@ -434,7 +437,7 @@ def calibrate(
             negative_fraction=neg_frac,
             skipped_strikes=skipped,
             iterations=iterations,
-            max_slice_update=0.0 if math.isinf(max_update) else max_update,
+            max_slice_update=None if math.isinf(max_update) else max_update,
         )
         report.entries.append(entry)
         slices.append(slice_vals)

@@ -14,6 +14,11 @@ Every CSV artifact starts with a ``# config=<hash>`` comment carrying the
 digest of the resolved configuration; rerunning a command with the same
 config and seed reproduces the bytes exactly. The PDE commands read their
 fields at the configured maturities, each on a step of the march.
+
+``run.maturities`` is the one horizon field: ``solve-pde``,
+``corrective-terms`` and ``calibrate`` on an analytic market take each
+entry, the ``price-*`` commands the last. ``run.calibration.market`` is
+``analytic`` or the path of a ``T,K,price`` CSV lattice.
 """
 
 from __future__ import annotations
@@ -176,10 +181,8 @@ def _cmd_calibrate(cfg, writer: _Writer):
     maturities = cfg.maturities()
     if cb["market"] == "analytic":
         market = cal.make_analytic_surface(model, maturities, strikes)
-    elif cb["market"] == "csv":
-        market = _read_market(cb["market_path"])
     else:
-        raise ConfigError(f"unknown market source {cb['market']!r}")
+        market = _read_market(cb["market"])
     settings = cal.CalibrationSettings(
         ds=float(cb["ds"]),
         dr=float(cb["dr"]),
@@ -218,8 +221,6 @@ def _csv_numbers(path, lineno: int, line: str, width: int, exact: bool) -> list[
 
 
 def _read_market(path) -> cal.CallSurface:
-    if not path:
-        raise ConfigError("market=csv needs run.calibration.market_path")
     quotes = {}  # (T, K) -> price
     with open(path) as handle:
         for lineno, line in enumerate(handle, start=1):

@@ -47,8 +47,7 @@ _DEFAULTS = {
     },
     "run": {
         "out_dir": "out",
-        "maturity": 1.0,
-        "maturities": None,
+        "maturities": [1.0],
         "strikes": {"start": 0.5, "stop": 1.5, "step": 0.05},
         "mc": {"n_paths": 100000, "dt": 1.0 / 300.0, "antithetic": True, "seed": 12345},
         "calibration": {
@@ -58,7 +57,6 @@ _DEFAULTS = {
             "slice_iterations": 1,
             "use_corrective": True,
             "market": "analytic",
-            "market_path": None,
         },
     },
 }
@@ -181,15 +179,13 @@ class ExperimentConfig:
         return ks
 
     def maturities(self) -> list:
-        """``run.maturities`` if set, else ``[run.maturity]``; finite, positive
-        and increasing."""
-        rb = self.run_block
-        key = "run.maturities" if rb.get("maturities") else "run.maturity"
-        mats = [float(t) for t in rb.get("maturities") or [rb["maturity"]]]
+        """``run.maturities``: non-empty, finite, positive and increasing."""
+        mats = [float(t) for t in self.run_block["maturities"]]
         if not all(math.isfinite(t) for t in mats):
-            raise ConfigError(f"{key} must be finite, got {mats}")
-        if mats[0] <= 0 or np.any(np.diff(mats) <= 0):
-            raise ConfigError(f"{key} must be positive and strictly increasing, got {mats}")
+            raise ConfigError(f"run.maturities must be finite, got {mats}")
+        if not mats or mats[0] <= 0 or np.any(np.diff(mats) <= 0):
+            raise ConfigError("run.maturities must be a non-empty, positive and strictly "
+                              f"increasing list, got {mats}")
         return mats
 
 
@@ -211,19 +207,12 @@ def resolve_config(data: dict | None) -> ExperimentConfig:
         base = {"type": vol_type, **_VOL_TYPES[vol_type][1]}
         merged["model"]["vol"] = _merge(base, vol, "model.vol.")
     rb = merged["run"]
-    mats = rb["maturities"]
-    if mats is not None and not (isinstance(mats, list) and mats):
-        raise ConfigError(f"run.maturities must be null or a non-empty list, got {mats!r}")
     if not isinstance(rb["strikes"], (list, dict)):
         raise ConfigError("run.strikes must be a list or a mapping of start, stop and step, "
                           f"got {rb['strikes']!r}")
     for key in ("strikes", "maturities"):
         for value in rb[key] if isinstance(rb[key], list) else ():
             _check_number(f"run.{key}", value)
-    market_path = rb["calibration"]["market_path"]
-    if market_path is not None and not isinstance(market_path, str):
-        raise ConfigError(f"run.calibration.market_path must be null or a string, "
-                          f"got {market_path!r}")
     _check_bounds(merged["grid"]["bounds"])
     return ExperimentConfig(raw=merged)
 

@@ -134,10 +134,11 @@ class Grid2D:
         interval takes max(1, round(length / dt)) equal steps."""
         mats = np.atleast_1d(np.asarray(maturities, dtype=float))
         if (not all(0.0 < h < math.inf for h in (ds, dr, dt)) or mats.ndim != 1
-                or mats.size == 0 or mats[0] <= 0 or np.any(np.diff(mats) <= 0)):
+                or mats.size == 0 or not np.isfinite(mats).all()
+                or mats[0] <= 0 or np.any(np.diff(mats) <= 0)):
             raise InvalidInputError(
                 f"need positive, finite spacings (got ds={ds!r}, dr={dr!r}, dt={dt!r}) "
-                "and positive, increasing maturities")
+                "and finite, positive, increasing maturities")
         if not all(math.isfinite(b) for b in (s_min, s_max, r_min, r_max)):
             raise InvalidInputError(
                 f"need a finite box (got s_min={s_min!r}, s_max={s_max!r}, "

@@ -35,7 +35,7 @@ grid:
   dt: 0.01
 run:
   out_dir: PLACEHOLDER
-  maturity: 1.0
+  maturities: [1.0]
   strikes: {start: 0.7, stop: 1.3, step: 0.1}
   mc: {n_paths: 20000, dt: 0.01, antithetic: true, seed: 7}
 """
@@ -89,7 +89,7 @@ class TestConfig:
 
         from hybridlv.calibration import CalibrationSettings
 
-        keys = set(resolve_config({}).run_block["calibration"]) - {"market", "market_path"}
+        keys = set(resolve_config({}).run_block["calibration"]) - {"market"}
         assert {f.name for f in fields(CalibrationSettings)} == keys
 
     def test_digest_tracks_content(self):
@@ -260,9 +260,28 @@ run:
         report = (tmp_path / "out" / "calibration_report.txt").read_text()
         assert report.startswith("calibration report")
         # each maturity but the last is repriced off its checkpoint
-        reprice = [w.split("=")[1] for w in report.split() if w.startswith("reprice_err=")]
+        reprice = self._report_values(report, "reprice_err")
         assert len(reprice) == 2 and reprice[1] == "n/a"
         assert 0.0 < float(reprice[0]) < 1e-3
+        # one slice iteration measures no update; a second one does
+        assert self._report_values(report, "slice_update") == ["n/a", "n/a"]
+        path.write_text(path.read_text().replace("dt: 0.02}", "dt: 0.02, slice_iterations: 2}"))
+        assert cli.run("calibrate", config_path=str(path)) == 0
+        report = (tmp_path / "out" / "calibration_report.txt").read_text()
+        assert self._report_values(report, "iterations") == ["2", "2"]
+        assert all(v >= 0.0 for v in map(float, self._report_values(report, "slice_update")))
+
+    @staticmethod
+    def _report_values(report, name):
+        return [w.split("=")[1] for w in report.split() if w.startswith(name + "=")]
+
+    def test_single_horizon_commands_take_the_last_maturity(self, fast_config):
+        path, out = fast_config
+        raw = yaml.safe_load(path.read_text())
+        raw["run"]["maturities"] = [0.5, 1.0]
+        path.write_text(yaml.safe_dump(raw))
+        assert cli.run("price-analytic", config_path=str(path)) == 0
+        assert (out / "prices_analytic.csv").read_text().splitlines()[1] == "# T=1"
 
     def test_calibrate_csv_market(self, tmp_path):
         # a flat closed-form lattice written as CSV: the CLI reads it without
@@ -284,7 +303,7 @@ run:
             "run": {
                 "out_dir": str(tmp_path / "out"),
                 "calibration": {
-                    "market": "csv", "market_path": str(market),
+                    "market": str(market),
                     "ds": 0.02, "dr": 0.003, "dt": 0.01, "slice_iterations": 2,
                 },
             },
@@ -434,7 +453,7 @@ class TestMainEntry:
         config.write_text(yaml.safe_dump({
             "run": {
                 "out_dir": str(tmp_path / "out"),
-                "calibration": {"market": "csv", "market_path": str(market)},
+                "calibration": {"market": str(market)},
             },
         }))
         return config, market
@@ -465,10 +484,19 @@ class TestMainEntry:
         assert stop.value.code == 2
         assert "--threads" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("block, key, value", [("grid", "kernel", 400.0), ("run", "threads", 2)])
+    @pytest.mark.parametrize("block, key, value", [
+        ("grid", "kernel", 400.0),
+        ("run", "threads", 2),
+        ("run", "maturity", 1.0),
+        ("run", "calibration.market_path", "market.csv"),
+    ])
     def test_removed_config_field_exits_2(self, tmp_path, capsys, block, key, value):
         data = {"run": {"out_dir": str(tmp_path / "out")}}
-        data.setdefault(block, {})[key] = value
+        *parents, leaf = key.split(".")
+        node = data.setdefault(block, {})
+        for name in parents:
+            node = node.setdefault(name, {})
+        node[leaf] = value
         config = tmp_path / "removed.yaml"
         config.write_text(yaml.safe_dump(data))
         message = self._config_error(capsys, ["price-analytic", "--config", str(config)])
@@ -516,8 +544,6 @@ class TestMainEntry:
         ({"mc": {"n_paths": "1e3"}}, "run.mc.n_paths"),
         ({"mc": {"seed": True}}, "run.mc.seed"),
         ({"calibration": {"slice_iterations": 2.9}}, "run.calibration.slice_iterations"),
-        ({"calibration": {"market": "csv", "market_path": 7}}, "run.calibration.market_path"),
-        ({"calibration": {"market": "csv", "market_path": 0}}, "run.calibration.market_path"),
     ])
     def test_mistyped_run_field_exits_2(self, tmp_path, capsys, run, named):
         config = tmp_path / "mistyped.yaml"
@@ -593,8 +619,8 @@ class TestMainEntry:
         assert "maturities" in message
 
     @pytest.mark.parametrize("command, run, named", [
-        ("price-mc", {"maturity": float("nan")}, "run.maturity must be finite"),
-        ("price-pde", {"maturity": float("inf")}, "run.maturity must be finite"),
+        ("price-mc", {"maturities": [float("nan")]}, "run.maturities must be finite"),
+        ("price-pde", {"maturities": [float("inf")]}, "run.maturities must be finite"),
         ("corrective-terms", {"maturities": [float("nan"), 1.0]}, "run.maturities must be finite"),
         ("corrective-terms", {"maturities": [0.5, float("inf")]}, "run.maturities must be finite"),
         ("price-analytic", {"strikes": {"start": float("nan")}}, "run.strikes.start must be finite"),

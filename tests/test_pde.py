@@ -124,7 +124,8 @@ class TestGrid:
         assert (one.maturities, one.steps) == ((1.0,), (101,))
         assert np.array_equal(one.t_nodes[:-1], np.arange(101) * (1.0 / 101))
 
-    @pytest.mark.parametrize("mats", [[1.0, 0.5], [0.5, 0.5], [0.0, 1.0], []])
+    @pytest.mark.parametrize("mats", [[1.0, 0.5], [0.5, 0.5], [0.0, 1.0], [],
+                                      [math.nan], [0.5, math.nan], [math.inf]])
     def test_maturities_must_be_positive_and_increasing(self, set1_model, mats):
         with pytest.raises(InvalidInputError):
             Grid2D.from_spacings(0.01, 3.0, -0.1, 0.14, mats, 0.02, 0.003, 0.01)
