@@ -177,10 +177,9 @@ def _cmd_corrective_terms(cfg, writer: _Writer):
 def _cmd_calibrate(cfg, writer: _Writer):
     model = cfg.build_model()
     cb = cfg.run_block["calibration"]
-    strikes = cfg.strikes()
-    maturities = cfg.maturities()
     if cb["market"] == "analytic":
-        market = cal.make_analytic_surface(model, maturities, strikes)
+        strikes = cfg.strikes()
+        market = cal.make_analytic_surface(model, cfg.maturities(), strikes)
     else:
         market = _read_market(cb["market"])
     settings = cal.CalibrationSettings(

@@ -9,6 +9,7 @@ to the exact configuration that produced them.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -96,9 +97,10 @@ def _check_number(name: str, value) -> None:
 
 def _merge(defaults, override, path=""):
     """``override`` over ``defaults``; a value takes the type of its default
-    (an integer default takes only an integer, a float default any number)."""
+    (an integer default takes only an integer, a float default any number).
+    The result shares no mutable value with ``defaults``."""
     if override is None:
-        return defaults
+        return copy.deepcopy(defaults)
     name = path[:-1]
     if isinstance(defaults, int) and not isinstance(defaults, bool):
         if not isinstance(override, int) or isinstance(override, bool):
@@ -110,12 +112,11 @@ def _merge(defaults, override, path=""):
             raise ConfigError(f"{name} must be a {type(defaults).__name__}, got {override!r}")
     if not isinstance(override, dict) or not isinstance(defaults, dict):
         return override
-    out = dict(defaults)
-    for key, value in override.items():
+    for key in override:
         if key not in defaults:
             raise ConfigError(f"unknown config field {path + key!r}")
-        out[key] = _merge(defaults.get(key), value, path + key + ".")
-    return out
+    return {key: _merge(value, override.get(key), path + key + ".")
+            for key, value in defaults.items()}
 
 
 @dataclass

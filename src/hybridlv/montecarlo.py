@@ -20,11 +20,20 @@ it from L3 on every step. A per-path vol adds its vol array and the
 temporaries of its formula, several more arrays of 2 * 16384 doubles. A
 constant vol is one number (``ConstantVol.value`` returns a float), so its
 vol terms are formed once per step instead of once per path.
+
+Batches step on every core in the process's affinity mask, in rounds of
+one batch per core: the calling thread steps the first batch of a round and
+a pool of one thread per other core steps the rest. A batch's terminals do
+not depend on the thread that steps it, and the rounds are reduced in batch
+order, so every estimate has the same bits at any worker count. Each extra
+worker holds one more batch state. With one core, or one batch, the batches
+step in the calling thread, with no pool.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -56,7 +65,8 @@ class McConfig:
     ``batch_size`` counts draws (pairs with ``antithetic`` on) per batch;
     each batch has its own substream, so results depend on it. The default
     keeps a constant-vol batch's stepping state in a 2 MiB L2 cache (see the
-    module notes).
+    module notes). Results do not depend on how many cores step the
+    batches.
     """
 
     n_paths: int
@@ -201,21 +211,48 @@ def _batch_terminals(model: HybridModel, maturity: float, cfg: McConfig, rng, n:
     return s, r, acc
 
 
+def _workers() -> int:
+    """The cores this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
+def _one_batch(model: HybridModel, maturity: float, cfg: McConfig, index: int):
+    """((s, r, acc), n) of batch ``index``: its ``n`` draws come from its own
+    substream, and every batch but the last holds ``batch_size``."""
+    n = min(cfg.batch_size, cfg.n_paths - index * cfg.batch_size)
+    seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(index,))
+    rng = np.random.Generator(np.random.PCG64(seq))
+    return _batch_terminals(model, maturity, cfg, rng, n), n
+
+
 def _iter_batches(model: HybridModel, maturity: float, cfg: McConfig):
     """Yield ((s, r, acc), n) per batch of ``n`` draws in fixed order.
 
     Each batch has its own substream of the seed. With antithetic pairing
     the terminal arrays hold 2n paths, the mirrors in the second half.
+
+    With w = min(cores, batches) > 1 workers, the batches step in rounds of
+    w: batches 2..w of a round go to a pool of w - 1 threads while this
+    thread steps batch 1, and the round is yielded in batch order. An
+    exception raised by a batch is re-raised here; leaving the generator
+    (a consumer that raises or stops early) waits for the round's pool
+    batches and joins the pool threads.
     """
-    remaining = cfg.n_paths
-    batch_index = 0
-    while remaining > 0:
-        n = min(cfg.batch_size, remaining)
-        seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(batch_index,))
-        rng = np.random.Generator(np.random.PCG64(seq))
-        yield _batch_terminals(model, maturity, cfg, rng, n), n
-        remaining -= n
-        batch_index += 1
+    n_batches = -(-cfg.n_paths // cfg.batch_size)
+    workers = min(_workers(), n_batches)
+    if workers == 1:
+        for index in range(n_batches):
+            yield _one_batch(model, maturity, cfg, index)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers - 1) as pool:
+        for first in range(0, n_batches, workers):
+            rest = [pool.submit(_one_batch, model, maturity, cfg, index)
+                    for index in range(first + 1, min(first + workers, n_batches))]
+            yield _one_batch(model, maturity, cfg, first)
+            for future in rest:
+                yield future.result()
 
 
 def simulate_paths(

@@ -111,6 +111,17 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.yaml")
 
+    def test_cli_overrides_leave_the_defaults_alone(self, tmp_path):
+        # --seed and --out used to land in the module's defaults, so every
+        # later config resolved to that seed and output directory
+        config = tmp_path / "rho.yaml"
+        config.write_text(yaml.safe_dump({"model": {"rho": 0.1}}))
+        out = tmp_path / "out"
+        assert cli.run("price-analytic", config_path=str(config), out_dir=str(out), seed=99) == 0
+        run = resolve_config({}).run_block
+        assert run["mc"]["seed"] == 12345
+        assert run["out_dir"] == "out"
+
 
 class TestCommands:
     def test_price_analytic_echoes_and_stamps(self, fast_config, capsys):
@@ -283,15 +294,14 @@ run:
         assert cli.run("price-analytic", config_path=str(path)) == 0
         assert (out / "prices_analytic.csv").read_text().splitlines()[1] == "# T=1"
 
-    def test_calibrate_csv_market(self, tmp_path):
-        # a flat closed-form lattice written as CSV: the CLI reads it without
-        # its model, so every derivative is differenced on the lattice
+    @staticmethod
+    def _csv_market_config(tmp_path, mats, ks, slice_iterations, run=None):
+        """A flat closed-form lattice written as CSV and a round-trip config
+        calibrating to it; ``run`` adds fields to the run block."""
         from hybridlv.analytic import bshw_call
 
         roundtrip = CONFIG_DIR / "calibration_roundtrip.yaml"
         model = load_config(roundtrip).build_model()
-        mats = np.round(np.arange(0.25, 1.0001, 0.05), 10)
-        ks = np.round(np.arange(0.7, 1.3001, 0.05), 10)
         market = tmp_path / "market.csv"
         market.write_text("T,K,price\n" + "".join(
             f"{float(t)!r},{float(k)!r},{bshw_call(model, float(t), float(k)).price!r}\n"
@@ -304,10 +314,19 @@ run:
                 "out_dir": str(tmp_path / "out"),
                 "calibration": {
                     "market": str(market),
-                    "ds": 0.02, "dr": 0.003, "dt": 0.01, "slice_iterations": 2,
+                    "ds": 0.02, "dr": 0.003, "dt": 0.01, "slice_iterations": slice_iterations,
                 },
+                **(run or {}),
             },
         }))
+        return config
+
+    def test_calibrate_csv_market(self, tmp_path):
+        # a flat closed-form lattice written as CSV: the CLI reads it without
+        # its model, so every derivative is differenced on the lattice
+        mats = np.round(np.arange(0.25, 1.0001, 0.05), 10)
+        ks = np.round(np.arange(0.7, 1.3001, 0.05), 10)
+        config = self._csv_market_config(tmp_path, mats, ks, 2)
         assert cli.main(["calibrate", "--config", str(config)]) == 0
         rows = _load_rows(tmp_path / "out" / "local_vol_surface.csv")
         assert np.allclose(rows[:, :2], [(t, k) for t in mats for k in ks], rtol=0, atol=1e-15)
@@ -318,6 +337,19 @@ run:
         # off (ROADMAP item 8): this bounds today's 0.117 (K=0.7, T=0.25)
         # against regression; it is not an accuracy claim.
         assert np.max(np.abs(sigma[:, [0, -1]] - 0.2)) < 0.13
+
+    def test_csv_market_leaves_the_run_lattice_unread(self, tmp_path):
+        # the CSV brings its own lattice: a strike range or maturity list
+        # that could not run used to fail the command with exit 2
+        mats = [0.25, 0.5]
+        ks = np.round(np.arange(0.8, 1.2001, 0.1), 10)
+        config = self._csv_market_config(tmp_path, mats, ks, 1, run={
+            "strikes": {"start": 0.7, "stop": 1.3, "step": 0},
+            "maturities": [1.0, 0.5],
+        })
+        assert cli.main(["calibrate", "--config", str(config)]) == 0
+        rows = _load_rows(tmp_path / "out" / "local_vol_surface.csv")
+        assert np.allclose(rows[:, :2], [(t, k) for t in mats for k in ks], rtol=0, atol=1e-15)
 
 
 class _FirstOperator(Exception):

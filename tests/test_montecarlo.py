@@ -1,4 +1,5 @@
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -313,3 +314,171 @@ class TestConditionalZ:
         cfg = McConfig(n_paths=100, dt_mc=0.1)
         with pytest.raises(InvalidInputError, match=named):
             conditional_z_estimate(set1_model, maturity, cfg, centers, bandwidth)
+
+
+@pytest.fixture
+def force_workers(monkeypatch):
+    """Set the core count the batch loop reads."""
+    import hybridlv.montecarlo as mc_mod
+
+    def force(count):
+        monkeypatch.setattr(mc_mod, "_workers", lambda: count)
+
+    return force
+
+
+class _Boom(Exception):
+    pass
+
+
+class TestWorkers:
+    # 4500 draws in batches of 1000: five batches, the last one of 500
+    CFG = McConfig(n_paths=4500, dt_mc=1.0 / 50.0, seed=11, batch_size=1000)
+
+    @pytest.mark.parametrize("antithetic", [True, False])
+    @pytest.mark.parametrize("model_name", ["set1_model", "hyperbolic_model"])
+    def test_every_worker_count_gives_the_same_bits(self, request, force_workers, model_name, antithetic):
+        model = request.getfixturevalue(model_name)
+        cfg = replace(self.CFG, antithetic=antithetic)
+        payoffs = [_call_payoff(0.9), _call_payoff(1.1), lambda s, r, acc: np.exp(-acc)]
+        force_workers(1)
+        serial = list(_iter_batches(model, 1.0, cfg))
+        serial_est = simulate_paths(model, 1.0, cfg, payoffs)
+        assert [n for _, n in serial] == [1000, 1000, 1000, 1000, 500]
+        for workers in (2, 3):
+            force_workers(workers)
+            batches = list(_iter_batches(model, 1.0, cfg))
+            assert [n for _, n in batches] == [n for _, n in serial]
+            for (got, _), (want, _) in zip(batches, serial):
+                for a, b in zip(got, want):
+                    assert np.array_equal(a, b)
+            assert simulate_paths(model, 1.0, cfg, payoffs) == serial_est
+
+    def test_conditional_z_same_with_two_workers(self, set1_model, force_workers):
+        centers = [(1.0, 0.02), (0.9, 0.03)]
+        force_workers(1)
+        serial = conditional_z_estimate(set1_model, 1.0, self.CFG, centers, 0.05)
+        force_workers(2)
+        assert conditional_z_estimate(set1_model, 1.0, self.CFG, centers, 0.05) == serial
+
+    @pytest.mark.parametrize(
+        "workers, n_paths, pool_batches",
+        [(1, 4500, []), (2, 4500, [1, 3]), (3, 4500, [1, 2, 4]), (4, 1000, [])],
+    )
+    def test_calling_thread_steps_the_first_batch_of_each_round(
+        self, set1_model, force_workers, monkeypatch, workers, n_paths, pool_batches
+    ):
+        # one core or one batch: every batch steps in the calling thread
+        import hybridlv.montecarlo as mc_mod
+
+        original = mc_mod._one_batch
+        stepped = []
+
+        def recording(model, maturity, cfg, index):
+            stepped.append((index, threading.current_thread() is threading.main_thread()))
+            return original(model, maturity, cfg, index)
+
+        monkeypatch.setattr(mc_mod, "_one_batch", recording)
+        force_workers(workers)
+        cfg = replace(self.CFG, n_paths=n_paths)
+        assert len(list(_iter_batches(set1_model, 1.0, cfg))) == -(-n_paths // 1000)
+        assert sorted(index for index, main in stepped if not main) == pool_batches
+        assert sorted(index for index, _ in stepped) == list(range(-(-n_paths // 1000)))
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize(
+        "legs, pairs, aborts",
+        [("both", 15, True), ("both", 10, False), ("plus", 15, False)],
+    )
+    def test_abort_counts_paths_poisoned_on_a_pool_thread(
+        self, set1_model, force_workers, monkeypatch, workers, legs, pairs, aborts
+    ):
+        # the single-batch poison test on six batches, poisoning the last
+        # (partial) one, which a pool thread steps at two and three workers
+        import hybridlv.montecarlo as mc_mod
+
+        original = mc_mod._batch_terminals
+
+        def poisoned(model, maturity, cfg, rng, n):
+            s, r, acc = original(model, maturity, cfg, rng, n)
+            if n == 10_000:
+                s[:pairs] = np.nan
+                if legs == "both":
+                    acc[n : n + pairs] = np.inf
+            return s, r, acc
+
+        monkeypatch.setattr(mc_mod, "_batch_terminals", poisoned)
+        force_workers(workers)
+        cfg = McConfig(n_paths=100_000, dt_mc=0.1, seed=3, batch_size=18_000)
+        run = lambda: mc_mod.simulate_paths(set1_model, 1.0, cfg, [_call_payoff(1.0)])  # noqa: E731
+        if aborts:
+            with pytest.raises(McAbortedError, match="30 of 200000"):
+                run()
+        else:
+            assert run()[0].n_effective == cfg.n_paths - pairs
+
+    @pytest.mark.parametrize("poisoned_paths, aborts", [(slice(None, None, 2), True), (slice(0, 2), False)])
+    def test_conditional_z_aborts_on_paths_poisoned_on_a_pool_thread(
+        self, set1_model, force_workers, monkeypatch, poisoned_paths, aborts
+    ):
+        # 20k paths in six batches, the last one of 2000: the limit is 2 paths
+        import hybridlv.montecarlo as mc_mod
+
+        original = mc_mod._batch_terminals
+
+        def poisoned(model, maturity, cfg, rng, n):
+            s, r, acc = original(model, maturity, cfg, rng, n)
+            if n == 2000:
+                r[poisoned_paths] = np.nan
+            return s, r, acc
+
+        monkeypatch.setattr(mc_mod, "_batch_terminals", poisoned)
+        force_workers(2)
+        cfg = McConfig(n_paths=20000, dt_mc=0.1, seed=4, batch_size=3600)
+        run = lambda: mc_mod.conditional_z_estimate(set1_model, 1.0, cfg, [(1.0, 0.02)], 0.05)  # noqa: E731
+        if aborts:
+            with pytest.raises(McAbortedError):
+                run()
+        else:
+            assert run()[0].reliable
+
+    def test_pool_thread_error_reaches_the_caller(self, set1_model, force_workers, monkeypatch):
+        import hybridlv.montecarlo as mc_mod
+
+        original = mc_mod._batch_terminals
+        raised = []
+
+        def failing(model, maturity, cfg, rng, n):
+            if threading.current_thread() is not threading.main_thread():
+                raised.append(_Boom("batch failed"))
+                raise raised[-1]
+            return original(model, maturity, cfg, rng, n)
+
+        monkeypatch.setattr(mc_mod, "_batch_terminals", failing)
+        force_workers(2)
+        before = threading.active_count()
+        with pytest.raises(_Boom) as info:
+            simulate_paths(set1_model, 1.0, self.CFG, [_call_payoff(1.0)])
+        assert info.value is raised[0]
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("fail_on_call", [None, 2])
+    def test_no_thread_outlives_the_call(self, set1_model, force_workers, fail_on_call):
+        # a payoff that raises leaves the batch loop mid-round
+        calls = []
+
+        def payoff(s, r, acc):
+            calls.append(None)
+            if len(calls) == fail_on_call:
+                raise _Boom("payoff failed")
+            return np.exp(-acc)
+
+        force_workers(3)
+        before = threading.active_count()
+        if fail_on_call is None:
+            simulate_paths(set1_model, 1.0, self.CFG, [payoff])
+            assert len(calls) == 5
+        else:
+            with pytest.raises(_Boom):
+                simulate_paths(set1_model, 1.0, self.CFG, [payoff])
+        assert threading.active_count() == before
