@@ -21,19 +21,21 @@ temporaries of its formula, several more arrays of 2 * 16384 doubles. A
 constant vol is one number (``ConstantVol.value`` returns a float), so its
 vol terms are formed once per step instead of once per path.
 
-Batches step on every core in the process's affinity mask, in rounds of
-one batch per core: the calling thread steps the first batch of a round and
-a pool of one thread per other core steps the rest. A batch's terminals do
-not depend on the thread that steps it, and the rounds are reduced in batch
-order, so every estimate has the same bits at any worker count. Each extra
-worker holds one more batch state. With one core, or one batch, the batches
-step in the calling thread, with no pool.
+Batches step on every core in the process's affinity mask (every core
+where the OS reports no mask), in rounds of one batch per core: the calling
+thread steps the first batch of a round and a pool of one thread per other
+core steps the rest. A batch's terminals do not depend on the thread that
+steps it, and the rounds are reduced in batch order, so every estimate has
+the same bits at any worker count. Each extra worker holds one more batch
+state. With one core, or one batch, every batch
+steps in the calling thread and no thread is started.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -212,8 +214,12 @@ def _batch_terminals(model: HybridModel, maturity: float, cfg: McConfig, rng, n:
 
 
 def _workers() -> int:
-    """The cores this process may run on."""
-    return len(os.sched_getaffinity(0))
+    """The cores this process may run on: its affinity mask where the OS
+    reports one (Linux), else the machine's core count."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    if affinity is not None:
+        return len(affinity(0))
+    return os.cpu_count() or 1
 
 
 def _one_batch(model: HybridModel, maturity: float, cfg: McConfig, index: int):
@@ -231,22 +237,17 @@ def _iter_batches(model: HybridModel, maturity: float, cfg: McConfig):
     Each batch has its own substream of the seed. With antithetic pairing
     the terminal arrays hold 2n paths, the mirrors in the second half.
 
-    With w = min(cores, batches) > 1 workers, the batches step in rounds of
-    w: batches 2..w of a round go to a pool of w - 1 threads while this
-    thread steps batch 1, and the round is yielded in batch order. An
-    exception raised by a batch is re-raised here; leaving the generator
-    (a consumer that raises or stops early) waits for the round's pool
-    batches and joins the pool threads.
+    With w = min(cores, batches) workers, the batches step in rounds of w:
+    batches 2..w of a round go to a pool of w - 1 threads while this thread
+    steps batch 1, and the round is yielded in batch order. With one worker
+    nothing is submitted, so the pool starts no thread. An exception raised
+    by a batch is re-raised here; leaving the generator (a consumer that
+    raises or stops early) waits for the round's pool batches and joins the
+    pool threads.
     """
     n_batches = -(-cfg.n_paths // cfg.batch_size)
     workers = min(_workers(), n_batches)
-    if workers == 1:
-        for index in range(n_batches):
-            yield _one_batch(model, maturity, cfg, index)
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(workers - 1) as pool:
+    with ThreadPoolExecutor(max(workers - 1, 1)) as pool:
         for first in range(0, n_batches, workers):
             rest = [pool.submit(_one_batch, model, maturity, cfg, index)
                     for index in range(first + 1, min(first + workers, n_batches))]

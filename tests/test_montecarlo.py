@@ -368,22 +368,42 @@ class TestWorkers:
     def test_calling_thread_steps_the_first_batch_of_each_round(
         self, set1_model, force_workers, monkeypatch, workers, n_paths, pool_batches
     ):
-        # one core or one batch: every batch steps in the calling thread
+        # one core or one batch: every batch steps in the calling thread,
+        # and no thread is started
         import hybridlv.montecarlo as mc_mod
 
         original = mc_mod._one_batch
         stepped = []
+        counts = []
 
         def recording(model, maturity, cfg, index):
             stepped.append((index, threading.current_thread() is threading.main_thread()))
+            counts.append(threading.active_count())
             return original(model, maturity, cfg, index)
 
         monkeypatch.setattr(mc_mod, "_one_batch", recording)
         force_workers(workers)
         cfg = replace(self.CFG, n_paths=n_paths)
+        before = threading.active_count()
         assert len(list(_iter_batches(set1_model, 1.0, cfg))) == -(-n_paths // 1000)
         assert sorted(index for index, main in stepped if not main) == pool_batches
         assert sorted(index for index, _ in stepped) == list(range(-(-n_paths // 1000)))
+        if not pool_batches:
+            assert set(counts) == {before}
+
+    def test_without_an_affinity_mask_the_core_count_is_read(self, set1_model, monkeypatch):
+        # os.sched_getaffinity exists on Linux only
+        import os
+
+        import hybridlv.montecarlo as mc_mod
+
+        payoffs = [_call_payoff(1.0)]
+        want = simulate_paths(set1_model, 1.0, self.CFG, payoffs)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        for cores, workers in ((3, 3), (None, 1)):
+            monkeypatch.setattr(os, "cpu_count", lambda: cores)
+            assert mc_mod._workers() == workers
+            assert simulate_paths(set1_model, 1.0, self.CFG, payoffs) == want
 
     @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize(
