@@ -74,13 +74,12 @@ class PriceAndGreeks:
 
 
 def integrated_variance(m: HybridModel, maturity: float) -> float:
-    """Integrated effective variance g(T) of the discounted-spot lognormal."""
+    """Integrated effective variance g(T) of the discounted-spot lognormal
+    (exactly 0.0 at T = 0)."""
     _require_constant(m)
     if maturity < 0:
         raise InvalidInputError(f"maturity must be >= 0, got {maturity!r}")
     t = float(maturity)
-    if t == 0.0:
-        return 0.0
     a, s2 = m.rate.a, m.rate.sigma2
     s1, rho = m.vol.sigma1, m.rho
     ea = math.exp(-a * t)
@@ -103,7 +102,8 @@ def bshw_moments(m: HybridModel, maturity: float) -> BshwMoments:
 
     The cross entries carry the coupling of the integrated rate into the
     log spot (Y contains R), so cov(Y, r) and cov(Y, R) each pick up an
-    integrated-rate term on top of the direct driver correlation.
+    integrated-rate term on top of the direct driver correlation. At T = 0
+    they give log S0, r0 and zero (co)variances exactly.
     """
     _require_constant(m)
     if maturity < 0:
@@ -112,17 +112,6 @@ def bshw_moments(m: HybridModel, maturity: float) -> BshwMoments:
     p = m.rate
     a, s2, r0, th = p.a, p.sigma2, p.r0, float(p.theta)
     s1, rho = m.vol.sigma1, m.rho
-    if t == 0.0:
-        return BshwMoments(
-            mu_y=math.log(m.s0),
-            mu_r=r0,
-            mu_R=0.0,
-            sigma_y=0.0,
-            sigma_r=0.0,
-            sigma_R=0.0,
-            sigma_yr=np.zeros((2, 2)),
-            sigma_yrR=np.zeros(2),
-        )
     ea = math.exp(-a * t)
     e2a = math.exp(-2 * a * t)
     b = (1.0 - ea) / a
@@ -185,18 +174,45 @@ def bshw_call(m: HybridModel, maturity: float, strike: float):
     )
 
 
-def _conditional_discount_terms(mom: BshwMoments):
-    """Coefficients of the conditional mean/variance of R given (Y, r)."""
+def _yr_determinant(mom: BshwMoments) -> float:
+    """Determinant of the covariance of (log S, r); a numerically singular
+    one raises :class:`SingularCovarianceError`."""
     cov = mom.sigma_yr
     det = cov[0, 0] * cov[1, 1] - cov[0, 1] ** 2
     if det <= 1e-300:
         raise SingularCovarianceError(
             f"covariance of (log S, r) is numerically singular (det={det:.3e})"
         )
-    inv = np.array([[cov[1, 1], -cov[0, 1]], [-cov[0, 1], cov[0, 0]]]) / det
+    return det
+
+
+def _conditional_discount_terms(mom: BshwMoments):
+    """Coefficients of the conditional mean/variance of R given (Y, r)."""
+    cov = mom.sigma_yr
+    inv = np.array([[cov[1, 1], -cov[0, 1]], [-cov[0, 1], cov[0, 0]]]) / _yr_determinant(mom)
     coeff = inv @ mom.sigma_yrR
     resid_var = mom.sigma_R - float(mom.sigma_yrR @ coeff)
     return coeff, resid_var
+
+
+def _projection(m: HybridModel, maturity: float, s, r):
+    """(s as an array, moments, log S - mu_y, r - mu_r, Z) at the states
+    (s, r); with sigma2 = 0, Z is the discount factor in the states' shape."""
+    _require_constant(m)
+    if maturity <= 0:
+        raise InvalidInputError(f"maturity must be > 0, got {maturity!r}")
+    s_arr = np.asarray(s, dtype=float)
+    r_arr = np.asarray(r, dtype=float)
+    if np.any(s_arr <= 0):
+        raise InvalidInputError("spot must be positive")
+    mom = bshw_moments(m, maturity)
+    dy = np.log(s_arr) - mom.mu_y
+    dr = r_arr - mom.mu_r
+    if m.rate.sigma2 == 0.0:
+        return s_arr, mom, dy, dr, np.full(np.broadcast(s_arr, r_arr).shape, math.exp(-mom.mu_R))
+    coeff, resid_var = _conditional_discount_terms(mom)
+    z = np.exp(-mom.mu_R - coeff[0] * dy - coeff[1] * dr + 0.5 * resid_var)
+    return s_arr, mom, dy, dr, z
 
 
 def analytic_z(m: HybridModel, maturity: float, s, r):
@@ -204,50 +220,26 @@ def analytic_z(m: HybridModel, maturity: float, s, r):
 
     Z(T, S, r) = E[exp(-R(T)) | log S(T), r(T)], evaluated from the joint
     Gaussian law; with deterministic rates this collapses to the plain
-    discount factor.
+    discount factor. A float comes back for scalar ``s`` and ``r``; with
+    deterministic rates also for any 0-d input.
     """
-    _require_constant(m)
-    if maturity <= 0:
-        raise InvalidInputError(f"maturity must be > 0, got {maturity!r}")
-    s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr <= 0):
-        raise InvalidInputError("spot must be positive")
-    mom = bshw_moments(m, maturity)
+    z = _projection(m, maturity, s, r)[-1]
     if m.rate.sigma2 == 0.0:
-        # R(T) is deterministic: the conditional expectation is the constant
-        # discount factor whatever the conditioning state.
-        out = np.full(np.broadcast(s_arr, np.asarray(r)).shape, math.exp(-mom.mu_R))
-        return float(out) if out.ndim == 0 else out
-    coeff, resid_var = _conditional_discount_terms(mom)
-    y = np.log(s_arr)
-    r_arr = np.asarray(r, dtype=float)
-    expo = -mom.mu_R - coeff[0] * (y - mom.mu_y) - coeff[1] * (r_arr - mom.mu_r) + 0.5 * resid_var
-    out = np.exp(expo)
-    return float(out) if np.isscalar(s) and np.isscalar(r) else out
+        return float(z) if z.ndim == 0 else z
+    return float(z) if np.isscalar(s) and np.isscalar(r) else z
 
 
 def analytic_pz(m: HybridModel, maturity: float, s, r):
     """Discounted joint density: density of (S(T), r(T)) times analytic_z.
 
     The joint density of (S, r) is the bivariate Gaussian of (log S, r)
-    divided by S (change of variables).
+    divided by S (change of variables). It needs a non-singular covariance,
+    so deterministic rates raise :class:`SingularCovarianceError`.
     """
-    _require_constant(m)
-    if maturity <= 0:
-        raise InvalidInputError(f"maturity must be > 0, got {maturity!r}")
-    s_arr = np.asarray(s, dtype=float)
-    r_arr = np.asarray(r, dtype=float)
-    if np.any(s_arr <= 0):
-        raise InvalidInputError("spot must be positive")
-    mom = bshw_moments(m, maturity)
-    coeff, resid_var = _conditional_discount_terms(mom)
+    s_arr, mom, dy, dr, z = _projection(m, maturity, s, r)
+    det = _yr_determinant(mom)
     cov = mom.sigma_yr
-    det = cov[0, 0] * cov[1, 1] - cov[0, 1] ** 2
-    y = np.log(s_arr)
-    dy = y - mom.mu_y
-    dr = r_arr - mom.mu_r
     quad_form = (cov[1, 1] * dy**2 - 2.0 * cov[0, 1] * dy * dr + cov[0, 0] * dr**2) / det
     density = np.exp(-0.5 * quad_form) / (2.0 * math.pi * math.sqrt(det) * s_arr)
-    z = np.exp(-mom.mu_R - coeff[0] * dy - coeff[1] * dr + 0.5 * resid_var)
     out = density * z
     return float(out) if np.isscalar(s) and np.isscalar(r) else out

@@ -100,7 +100,8 @@ def _cmd_solve_pde(cfg, writer: _Writer):
     for snap in result.snapshots:
         s, r = np.meshgrid(snap.grid.s_nodes, snap.grid.r_nodes, indexing="ij")
         rows = zip(np.full(s.size, snap.t), s.ravel(), r.ravel(), snap.values.ravel())
-        writer.csv(f"pz_t{snap.t:.6g}.csv", "t,S,r,pz", rows)
+        # the shortest digits that read back as t, so no two maturities share a file
+        writer.csv(f"pz_t{np.format_float_positional(snap.t, trim='-')}.csv", "t,S,r,pz", rows)
     writer.csv(
         "mass_diagnostics.csv",
         "step,t,raw_mass,target_zc,ratio,neg_fraction,neg_mass_ratio",
@@ -241,23 +242,25 @@ def _read_market(path) -> cal.CallSurface:
 
 
 def _read_price_csv(path):
-    ks, prices = [], []
+    """Join keys (strikes rounded to 9 decimals) and prices of a K,price CSV;
+    a strike whose key repeats is a :class:`ConfigError`."""
+    quotes = {}  # key -> price
     with open(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line or line.startswith("#") or line.lower().startswith("k,"):
                 continue
             k, price = _csv_numbers(path, lineno, line, 2, exact=False)
-            ks.append(k)
-            prices.append(price)
-    return np.asarray(ks), np.asarray(prices)
+            key = float(np.round(k, 9))
+            if key in quotes:
+                raise ConfigError(f"{path}, line {lineno}: repeated strike K={k:g} (to 9 decimals)")
+            quotes[key] = price
+    return np.asarray(list(quotes), dtype=float), np.asarray(list(quotes.values()), dtype=float)
 
 
 def _cmd_compare(left: str, right: str, writer: _Writer):
-    k_l, p_l = _read_price_csv(left)
-    k_r, p_r = _read_price_csv(right)
-    key_l = np.round(k_l, 9)
-    key_r = np.round(k_r, 9)
+    key_l, p_l = _read_price_csv(left)
+    key_r, p_r = _read_price_csv(right)
     common, idx_l, idx_r = np.intersect1d(key_l, key_r, return_indices=True)
     if common.size == 0:
         raise ConfigError("no common strikes to compare")

@@ -3,15 +3,16 @@
 Stepping is log-Euler for the spot (no negative spots) and the exact
 Gaussian transition for the mean-reverting rate. The integrated rate is
 accumulated by the trapezoid rule along each path. Paths stream through in
-batches with per-batch deterministic substreams, so memory is independent
-of the path count and results are reproducible for a given seed and batch
-size. Antithetic pairs take one draw: both legs of a batch step together
-as one state, the mirror leg adding the negated shock (x + (-y) is x - y
-exactly), so each normal is computed once and memory stays a few arrays of
-twice the batch. Each normal is ndtri of u = k * 2**-53 + 2**-54, with k the
-generator's 53-bit integer, the midpoint of one of 2**53 equal cells.
+batches of ``_BATCH_SIZE`` draws with per-batch deterministic substreams, so
+memory is independent of the path count and results are reproducible for a
+given seed. Antithetic pairs take one draw: both legs of a batch step
+together as one state, the mirror leg adding the negated shock (x + (-y) is
+x - y exactly), so each normal is computed once and memory stays a few
+arrays of twice the batch. Each normal is ndtri of u = k * 2**-53 + 2**-54,
+with k the generator's 53-bit integer, the midpoint of one of 2**53 equal
+cells.
 
-The default batch of 16384 pairs is sized for a 2 MiB per-core L2 cache.
+The batch of 16384 pairs is sized for a 2 MiB per-core L2 cache.
 Under a constant vol a batch's stepping state (spot, rate, new rate,
 integrated rate and one work array at 2 * 16384 doubles each, the
 (2, 16384) draw buffer and one shock array) is about 1.7 MB and stays in
@@ -27,8 +28,8 @@ thread steps the first batch of a round and a pool of one thread per other
 core steps the rest. A batch's terminals do not depend on the thread that
 steps it, and the rounds are reduced in batch order, so every estimate has
 the same bits at any worker count. Each extra worker holds one more batch
-state. With one core, or one batch, every batch
-steps in the calling thread and no thread is started.
+state. With one core, or one batch, every batch steps in the calling thread
+and no thread is started.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ __all__ = [
 ]
 
 _ABORT_FRACTION = 1e-4
+_BATCH_SIZE = 16384  # draws (pairs with antithetic pairing) per batch
 
 
 @dataclass(frozen=True)
@@ -62,30 +64,23 @@ class McConfig:
 
     With ``antithetic`` on, each drawn path is mirrored, so 2 * n_paths
     paths are simulated and estimates use the pair means as the independent
-    samples.
-
-    ``batch_size`` counts draws (pairs with ``antithetic`` on) per batch;
-    each batch has its own substream, so results depend on it. The default
-    keeps a constant-vol batch's stepping state in a 2 MiB L2 cache (see the
-    module notes). Results do not depend on how many cores step the
-    batches.
+    samples; a standard error needs at least two. The draws step in fixed
+    batches of ``_BATCH_SIZE``, each with its own substream of ``seed``, and
+    results do not depend on how many cores step them.
     """
 
     n_paths: int
     dt_mc: float
     seed: int = 0
     antithetic: bool = True
-    batch_size: int = 16384
 
     def __post_init__(self):
-        if self.n_paths < 1:
-            raise InvalidInputError("need at least one path")
+        if self.n_paths < 2:
+            raise InvalidInputError(f"need at least two paths, got {self.n_paths!r}")
         if self.seed < 0:
             raise InvalidInputError(f"seed must be non-negative, got {self.seed!r}")
         if not 0.0 < self.dt_mc < math.inf:
             raise InvalidInputError(f"Euler step must be positive and finite, got {self.dt_mc!r}")
-        if self.batch_size < 1:
-            raise InvalidInputError(f"batch size must be at least 1, got {self.batch_size!r}")
 
 
 @dataclass(frozen=True)
@@ -124,11 +119,6 @@ def _check_inputs(maturity: float, bandwidth: float | None = None, centers=()) -
         if not (0.0 < s_c < math.inf and math.isfinite(r_c)):
             raise InvalidInputError(
                 f"center {(s_c, r_c)!r} needs a positive, finite spot and a finite rate")
-
-
-def _check_aborted(bad: int, total: int) -> None:
-    if bad > _ABORT_FRACTION * total:
-        raise McAbortedError(f"{bad} of {total} paths were non-finite")
 
 
 def _normals(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
@@ -224,8 +214,8 @@ def _workers() -> int:
 
 def _one_batch(model: HybridModel, maturity: float, cfg: McConfig, index: int):
     """((s, r, acc), n) of batch ``index``: its ``n`` draws come from its own
-    substream, and every batch but the last holds ``batch_size``."""
-    n = min(cfg.batch_size, cfg.n_paths - index * cfg.batch_size)
+    substream, and every batch but the last holds ``_BATCH_SIZE``."""
+    n = min(_BATCH_SIZE, cfg.n_paths - index * _BATCH_SIZE)
     seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(index,))
     rng = np.random.Generator(np.random.PCG64(seq))
     return _batch_terminals(model, maturity, cfg, rng, n), n
@@ -245,7 +235,7 @@ def _iter_batches(model: HybridModel, maturity: float, cfg: McConfig):
     raises or stops early) waits for the round's pool batches and joins the
     pool threads.
     """
-    n_batches = -(-cfg.n_paths // cfg.batch_size)
+    n_batches = -(-cfg.n_paths // _BATCH_SIZE)
     workers = min(_workers(), n_batches)
     with ThreadPoolExecutor(max(workers - 1, 1)) as pool:
         for first in range(0, n_batches, workers):
@@ -256,6 +246,33 @@ def _iter_batches(model: HybridModel, maturity: float, cfg: McConfig):
                 yield future.result()
 
 
+def _kept_paths(model: HybridModel, maturity: float, cfg: McConfig):
+    """Yield ((s, r, acc), kept) per batch, the terminals of its ``kept``
+    kept draws (mirrors in the second half with antithetic pairing).
+
+    A path is kept when its spot is positive and finite and its rate and
+    integrated rate are finite, a pair when both legs are. After the last
+    batch, :class:`McAbortedError` is raised when more than 0.01% of the
+    simulated paths were not kept.
+    """
+    n_legs = 2 if cfg.antithetic else 1
+    dropped = 0
+    for (s, r, acc), n in _iter_batches(model, maturity, cfg):
+        ok = (s > 0) & np.isfinite(s) & np.isfinite(r) & np.isfinite(acc)
+        dropped += len(s) - int(np.count_nonzero(ok))
+        if cfg.antithetic:
+            ok = ok[:n] & ok[n:]
+        kept = int(np.count_nonzero(ok))
+        if kept < n:
+            keep = np.tile(ok, n_legs)
+            s, r, acc = s[keep], r[keep], acc[keep]
+        yield (s, r, acc), kept
+    total = n_legs * cfg.n_paths
+    if dropped > _ABORT_FRACTION * total:
+        raise McAbortedError(
+            f"{dropped} of {total} paths were non-finite or had a zero spot")
+
+
 def simulate_paths(
     model: HybridModel,
     maturity: float,
@@ -264,27 +281,17 @@ def simulate_paths(
 ) -> list[McEstimate]:
     """Estimate E[payoff(S_T, r_T, int r)] for each payoff function.
 
-    Accumulation is streaming in fixed batch order; a run aborts when more
-    than 0.01% of the simulated paths (both legs of every antithetic pair
-    counted) produce non-finite values. A pair with a non-finite leg is
-    dropped from the estimates.
+    Accumulation is streaming in fixed batch order over the kept paths and
+    pairs of ``_kept_paths``; a run aborts when more than 0.01% of the
+    simulated paths (both legs of every antithetic pair counted) are not
+    kept, so at least two samples remain.
     """
     _check_inputs(maturity)
     n_payoffs = len(payoffs)
     sums = np.zeros(n_payoffs)
     sq_sums = np.zeros(n_payoffs)
     n_units = 0
-    aborted = 0
-    n_legs = 2 if cfg.antithetic else 1
-    for (s, r, acc), n in _iter_batches(model, maturity, cfg):
-        ok = np.isfinite(s) & np.isfinite(r) & np.isfinite(acc)
-        aborted += len(s) - int(np.count_nonzero(ok))
-        if cfg.antithetic:
-            ok = ok[:n] & ok[n:]
-        kept = int(np.count_nonzero(ok))
-        if kept < n:
-            keep = np.tile(ok, n_legs)
-            s, r, acc = s[keep], r[keep], acc[keep]
+    for (s, r, acc), kept in _kept_paths(model, maturity, cfg):
         n_units += kept
         for idx, payoff in enumerate(payoffs):
             vals = np.asarray(payoff(s, r, acc), dtype=float)
@@ -292,13 +299,11 @@ def simulate_paths(
                 vals = 0.5 * (vals[:kept] + vals[kept:])
             sums[idx] += vals.sum()
             sq_sums[idx] += (vals * vals).sum()
-    _check_aborted(aborted, n_legs * cfg.n_paths)
     out = []
     for idx in range(n_payoffs):
         mean = sums[idx] / n_units
         var = max(sq_sums[idx] / n_units - mean * mean, 0.0)
-        if n_units > 1:
-            var *= n_units / (n_units - 1)
+        var *= n_units / (n_units - 1)
         se = math.sqrt(var / n_units)
         out.append(McEstimate(mean=float(mean), standard_error=float(se), n_effective=n_units))
     return out
@@ -317,9 +322,8 @@ def conditional_z_estimate(
     common bandwidth. Sampling is plain (kernel weights break the pair
     symmetry, so antithetic mirroring is disabled to keep the error
     estimate honest); centers whose effective sample size falls below 100
-    are flagged unreliable. As in ``simulate_paths``, a run aborts when
-    more than 0.01% of paths are non-finite (a zero spot counts: its log
-    is not finite).
+    are flagged unreliable. Only kept paths enter, and a run aborts as in
+    ``simulate_paths``.
     """
     centers = [(float(a), float(b)) for a, b in centers]
     _check_inputs(maturity, bandwidth, centers)
@@ -331,11 +335,7 @@ def conditional_z_estimate(
     w2z_sum = np.zeros(n_c)
     w2z2_sum = np.zeros(n_c)
     inv_h2 = 1.0 / bandwidth**2
-    dropped = 0
-    for (s, r, acc), _ in _iter_batches(model, maturity, plain):
-        ok = np.isfinite(s) & np.isfinite(r) & np.isfinite(acc) & (s > 0)
-        dropped += len(s) - int(np.count_nonzero(ok))
-        s, r, acc = s[ok], r[ok], acc[ok]
+    for (s, r, acc), _ in _kept_paths(model, maturity, plain):
         y = np.log(s)
         z = np.exp(-acc)
         for idx, (s_c, r_c) in enumerate(centers):
@@ -346,7 +346,6 @@ def conditional_z_estimate(
             w2_sum[idx] += w2.sum()
             w2z_sum[idx] += (w2 * z).sum()
             w2z2_sum[idx] += (w2 * z * z).sum()
-    _check_aborted(dropped, cfg.n_paths)
     out = []
     for idx, center in enumerate(centers):
         if w_sum[idx] <= 0.0:

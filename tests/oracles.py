@@ -21,6 +21,7 @@ import numpy as np
 from scipy.integrate import quad, solve_ivp
 from scipy.special import ndtri
 
+from hybridlv import montecarlo
 from hybridlv.analytic import bshw_call
 from hybridlv.errors import InvalidInputError, SingularSystemError
 from hybridlv.linalg import thomas_apply, thomas_prefactor
@@ -429,7 +430,7 @@ def two_pass_batches(model, maturity, cfg):
     """
     remaining, batch_index = cfg.n_paths, 0
     while remaining > 0:
-        n = min(cfg.batch_size, remaining)
+        n = min(montecarlo._BATCH_SIZE, remaining)
         seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(batch_index,))
         plus = _two_pass_leg(model, maturity, cfg, np.random.Generator(np.random.PCG64(seq)), n, +1.0)
         minus = None

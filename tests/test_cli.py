@@ -180,6 +180,17 @@ class TestCommands:
         mass = (out / "mass_diagnostics.csv").read_text().splitlines()
         assert mass[3] == "step,t,raw_mass,target_zc,ratio,neg_fraction,neg_mass_ratio"
 
+    def test_close_maturities_get_a_snapshot_each(self, fast_config):
+        # "%.6g" named both pz_t0.5.csv, and the second overwrote the first
+        path, out = fast_config
+        raw = yaml.safe_load(path.read_text())
+        raw["run"]["maturities"] = [0.5, 0.5000001]
+        path.write_text(yaml.safe_dump(raw))
+        assert cli.run("solve-pde", config_path=str(path)) == 0
+        snaps = sorted(p.name for p in out.glob("pz_t*.csv"))
+        assert snaps == ["pz_t0.5.csv", "pz_t0.5000001.csv"]
+        assert _load_rows(out / "pz_t0.5000001.csv")[0, 0] == 0.5000001
+
     def test_solve_pde_snapshot_is_row_major(self, fast_config, monkeypatch):
         import hybridlv.pde as pde_mod
 
@@ -605,6 +616,17 @@ class TestMainEntry:
         assert payload["error"] == "InvalidInputError"
         assert "Euler step must be positive and finite" in payload["message"]
 
+    def test_one_mc_path_exits_3(self, fast_config, capsys):
+        # one sample has no standard error; price-mc wrote se = 0
+        path, _ = fast_config
+        raw = yaml.safe_load(path.read_text())
+        raw["run"]["mc"]["n_paths"] = 1
+        path.write_text(yaml.safe_dump(raw))
+        assert cli.main(["price-mc", "--config", str(path)]) == 3
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "InvalidInputError"
+        assert "at least two paths" in payload["message"]
+
     @pytest.mark.parametrize("command, keys, value", [
         ("price-pde", ["grid", "ds"], float("nan")),
         ("price-pde", ["grid", "dt"], float("nan")),
@@ -719,6 +741,20 @@ class TestMainEntry:
             "compare", "--out", str(tmp_path / "out"), "--left", str(left), "--right", str(right),
         ])
         assert f"{left}, line {line}" in message and "must be finite" in message
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_compare_repeated_strike_exits_2(self, tmp_path, capsys, side):
+        # the join kept the first quote of K = 1.0 and reported
+        # max_abs_diff=0 with exit 0
+        files = {name: tmp_path / f"{name}.csv" for name in ("left", "right")}
+        other = "right" if side == "left" else "left"
+        files[side].write_text("K,price\n1.0,0.1\n1.0000000001,0.2\n")
+        files[other].write_text("K,price\n1.0,0.1\n")
+        message = self._config_error(capsys, [
+            "compare", "--out", str(tmp_path / "out"),
+            "--left", str(files["left"]), "--right", str(files["right"]),
+        ])
+        assert f"{files[side]}, line 3" in message and "repeated strike" in message
 
     def test_compare_letter_row_is_data(self, tmp_path, capsys):
         left, right = tmp_path / "left.csv", tmp_path / "right.csv"

@@ -85,7 +85,7 @@ class TestSimulatePaths:
         [("both", 15, True), ("both", 10, False), ("plus", 15, False)],
     )
     def test_abort_counts_non_finite_paths_of_each_leg(
-        self, set1_model, monkeypatch, legs, pairs, aborts
+        self, set1_model, monkeypatch, force_batch_size, legs, pairs, aborts
     ):
         # 100k pairs are 200k paths, so the 0.01% limit is 20 paths
         import hybridlv.montecarlo as mc_mod
@@ -100,7 +100,8 @@ class TestSimulatePaths:
             return s, r, acc
 
         monkeypatch.setattr(mc_mod, "_batch_terminals", poisoned)
-        cfg = McConfig(n_paths=100_000, dt_mc=0.1, seed=3, batch_size=100_000)
+        force_batch_size(100_000)
+        cfg = McConfig(n_paths=100_000, dt_mc=0.1, seed=3)
         run = lambda: mc_mod.simulate_paths(set1_model, 1.0, cfg, [_call_payoff(1.0)])  # noqa: E731
         if aborts:
             with pytest.raises(McAbortedError, match="30 of 200000"):
@@ -108,22 +109,50 @@ class TestSimulatePaths:
         else:
             assert run()[0].n_effective == cfg.n_paths - pairs
 
+    @pytest.mark.parametrize("zeros, aborts", [(30, True), (10, False)])
+    def test_a_zero_spot_is_not_kept(self, set1_model, monkeypatch, force_batch_size, zeros, aborts):
+        # log-Euler reaches a zero spot only by underflow; it is dropped and
+        # counted like a non-finite path (200k paths: the limit is 20)
+        import hybridlv.montecarlo as mc_mod
+
+        original = mc_mod._batch_terminals
+
+        def zeroed(model, maturity, cfg, rng, n):
+            s, r, acc = original(model, maturity, cfg, rng, n)
+            s[:zeros] = 0.0
+            return s, r, acc
+
+        def payoff(s, r, acc):
+            assert np.all(s > 0)
+            return np.exp(-acc)
+
+        monkeypatch.setattr(mc_mod, "_batch_terminals", zeroed)
+        force_batch_size(100_000)
+        cfg = McConfig(n_paths=100_000, dt_mc=0.1, seed=3)
+        run = lambda: mc_mod.simulate_paths(set1_model, 1.0, cfg, [payoff])  # noqa: E731
+        if aborts:
+            with pytest.raises(McAbortedError, match="30 of 200000 paths .* zero spot"):
+                run()
+        else:
+            assert run()[0].n_effective == cfg.n_paths - zeros
+
     @pytest.mark.parametrize(
         "model_name, overrides",
         [
             ("set1_model", {}),
             ("hyperbolic_model", {}),
-            ("set1_model", dict(n_paths=2500, batch_size=1000)),
+            ("set1_model", dict(n_paths=2500)),
             ("set1_model", dict(antithetic=False)),
         ],
         ids=["log-exact", "hyperbolic", "ragged-batches", "plain"],
     )
-    def test_one_draw_stepper_matches_two_pass_route(self, request, model_name, overrides):
+    def test_one_draw_stepper_matches_two_pass_route(self, request, force_batch_size, model_name, overrides):
         model = request.getfixturevalue(model_name)
-        cfg = replace(McConfig(n_paths=1500, dt_mc=1.0 / 50.0, seed=11, batch_size=1000), **overrides)
+        force_batch_size(1000)
+        cfg = replace(McConfig(n_paths=1500, dt_mc=1.0 / 50.0, seed=11), **overrides)
         batches = list(_iter_batches(model, 1.0, cfg))
         reference = list(two_pass_batches(model, 1.0, cfg))
-        assert len(batches) == len(reference) == -(-cfg.n_paths // cfg.batch_size)
+        assert len(batches) == len(reference) == -(-cfg.n_paths // 1000)
         for (terminals, n), (plus, minus) in zip(batches, reference):
             for got, want in zip(terminals, plus):
                 assert np.array_equal(got[:n], want)
@@ -134,13 +163,14 @@ class TestSimulatePaths:
                     assert np.array_equal(got[n:], want)
 
     @pytest.mark.parametrize("antithetic", [True, False])
-    def test_scalar_vol_steps_like_a_flat_per_path_vol(self, set1_model, antithetic):
+    def test_scalar_vol_steps_like_a_flat_per_path_vol(self, set1_model, force_batch_size, antithetic):
         # ConstantVol.value is one float and the stepper forms its vol terms
         # once per step; a flat SurfaceVol gives one vol per path
         flat = replace(set1_model, vol=SurfaceVol([0.5, 1.0], [0.8, 1.2], [[0.2, 0.2], [0.2, 0.2]]))
         assert np.ndim(set1_model.vol.value(0.0, np.ones(3))) == 0
         assert np.shape(flat.vol.value(0.0, np.ones(3))) == (3,)
-        cfg = McConfig(n_paths=2500, dt_mc=1.0 / 50.0, seed=17, batch_size=1000, antithetic=antithetic)
+        force_batch_size(1000)
+        cfg = McConfig(n_paths=2500, dt_mc=1.0 / 50.0, seed=17, antithetic=antithetic)
         for (got, n), (want, n_flat) in zip(_iter_batches(set1_model, 1.0, cfg), _iter_batches(flat, 1.0, cfg)):
             assert n == n_flat
             for a, b in zip(got, want):
@@ -164,16 +194,17 @@ class TestSimulatePaths:
     @pytest.mark.parametrize(
         "overrides, named",
         [
-            (dict(batch_size=0), "batch size"),
-            (dict(batch_size=-3), "batch size"),
+            (dict(n_paths=1), "at least two paths"),
+            (dict(n_paths=0), "at least two paths"),
             (dict(dt_mc=0.0), "Euler step"),
             (dict(dt_mc=math.nan), "Euler step"),
             (dict(dt_mc=math.inf), "Euler step"),
         ],
     )
     def test_step_or_batch_that_cannot_run_rejected(self, overrides, named):
-        # a zero batch never finished the batch loop; a NaN step failed on
-        # int(nan) and an infinite one ran one step of the whole maturity
+        # one path reported a standard error of 0, though one sample has
+        # none; a NaN step failed on int(nan) and an infinite one ran one
+        # step of the whole maturity
         with pytest.raises(InvalidInputError, match=named):
             McConfig(**{"n_paths": 10, "dt_mc": 0.1, **overrides})
 
@@ -272,7 +303,9 @@ class TestConditionalZ:
             conditional_z_estimate(set1_model, 1.0, cfg, [(60.0, 3.0)], 0.005)
 
     @pytest.mark.parametrize("poisoned_paths, aborts", [(slice(None, None, 2), True), (slice(0, 2), False)])
-    def test_aborts_on_widespread_non_finite_paths(self, set1_model, monkeypatch, poisoned_paths, aborts):
+    def test_aborts_on_widespread_non_finite_paths(
+        self, set1_model, monkeypatch, force_batch_size, poisoned_paths, aborts
+    ):
         # 20k paths: the 0.01% limit is 2 paths
         import hybridlv.montecarlo as mc_mod
 
@@ -285,7 +318,8 @@ class TestConditionalZ:
 
         monkeypatch.setattr(mc_mod, "_batch_terminals", poisoned)
         # one batch, so the poison hits 2 paths in all
-        cfg = McConfig(n_paths=20000, dt_mc=0.1, seed=4, batch_size=20000)
+        force_batch_size(20000)
+        cfg = McConfig(n_paths=20000, dt_mc=0.1, seed=4)
         run = lambda: mc_mod.conditional_z_estimate(set1_model, 1.0, cfg, [(1.0, 0.02)], 0.05)  # noqa: E731
         if aborts:
             with pytest.raises(McAbortedError):
@@ -317,6 +351,17 @@ class TestConditionalZ:
 
 
 @pytest.fixture
+def force_batch_size(monkeypatch):
+    """Set the draws per batch the batch loop and the two-pass oracle read."""
+    import hybridlv.montecarlo as mc_mod
+
+    def force(size):
+        monkeypatch.setattr(mc_mod, "_BATCH_SIZE", size)
+
+    return force
+
+
+@pytest.fixture
 def force_workers(monkeypatch):
     """Set the core count the batch loop reads."""
     import hybridlv.montecarlo as mc_mod
@@ -333,7 +378,11 @@ class _Boom(Exception):
 
 class TestWorkers:
     # 4500 draws in batches of 1000: five batches, the last one of 500
-    CFG = McConfig(n_paths=4500, dt_mc=1.0 / 50.0, seed=11, batch_size=1000)
+    CFG = McConfig(n_paths=4500, dt_mc=1.0 / 50.0, seed=11)
+
+    @pytest.fixture(autouse=True)
+    def _batches_of_1000(self, force_batch_size):
+        force_batch_size(1000)
 
     @pytest.mark.parametrize("antithetic", [True, False])
     @pytest.mark.parametrize("model_name", ["set1_model", "hyperbolic_model"])
@@ -411,7 +460,7 @@ class TestWorkers:
         [("both", 15, True), ("both", 10, False), ("plus", 15, False)],
     )
     def test_abort_counts_paths_poisoned_on_a_pool_thread(
-        self, set1_model, force_workers, monkeypatch, workers, legs, pairs, aborts
+        self, set1_model, force_workers, force_batch_size, monkeypatch, workers, legs, pairs, aborts
     ):
         # the single-batch poison test on six batches, poisoning the last
         # (partial) one, which a pool thread steps at two and three workers
@@ -429,7 +478,8 @@ class TestWorkers:
 
         monkeypatch.setattr(mc_mod, "_batch_terminals", poisoned)
         force_workers(workers)
-        cfg = McConfig(n_paths=100_000, dt_mc=0.1, seed=3, batch_size=18_000)
+        force_batch_size(18_000)
+        cfg = McConfig(n_paths=100_000, dt_mc=0.1, seed=3)
         run = lambda: mc_mod.simulate_paths(set1_model, 1.0, cfg, [_call_payoff(1.0)])  # noqa: E731
         if aborts:
             with pytest.raises(McAbortedError, match="30 of 200000"):
@@ -439,7 +489,7 @@ class TestWorkers:
 
     @pytest.mark.parametrize("poisoned_paths, aborts", [(slice(None, None, 2), True), (slice(0, 2), False)])
     def test_conditional_z_aborts_on_paths_poisoned_on_a_pool_thread(
-        self, set1_model, force_workers, monkeypatch, poisoned_paths, aborts
+        self, set1_model, force_workers, force_batch_size, monkeypatch, poisoned_paths, aborts
     ):
         # 20k paths in six batches, the last one of 2000: the limit is 2 paths
         import hybridlv.montecarlo as mc_mod
@@ -454,7 +504,8 @@ class TestWorkers:
 
         monkeypatch.setattr(mc_mod, "_batch_terminals", poisoned)
         force_workers(2)
-        cfg = McConfig(n_paths=20000, dt_mc=0.1, seed=4, batch_size=3600)
+        force_batch_size(3600)
+        cfg = McConfig(n_paths=20000, dt_mc=0.1, seed=4)
         run = lambda: mc_mod.conditional_z_estimate(set1_model, 1.0, cfg, [(1.0, 0.02)], 0.05)  # noqa: E731
         if aborts:
             with pytest.raises(McAbortedError):
