@@ -220,13 +220,10 @@ def analytic_z(m: HybridModel, maturity: float, s, r):
 
     Z(T, S, r) = E[exp(-R(T)) | log S(T), r(T)], evaluated from the joint
     Gaussian law; with deterministic rates this collapses to the plain
-    discount factor. A float comes back for scalar ``s`` and ``r``; with
-    deterministic rates also for any 0-d input.
+    discount factor. A float comes back whenever the result is 0-d.
     """
     z = _projection(m, maturity, s, r)[-1]
-    if m.rate.sigma2 == 0.0:
-        return float(z) if z.ndim == 0 else z
-    return float(z) if np.isscalar(s) and np.isscalar(r) else z
+    return float(z) if np.ndim(z) == 0 else z
 
 
 def analytic_pz(m: HybridModel, maturity: float, s, r):
@@ -234,7 +231,8 @@ def analytic_pz(m: HybridModel, maturity: float, s, r):
 
     The joint density of (S, r) is the bivariate Gaussian of (log S, r)
     divided by S (change of variables). It needs a non-singular covariance,
-    so deterministic rates raise :class:`SingularCovarianceError`.
+    so deterministic rates raise :class:`SingularCovarianceError`. A float
+    comes back whenever the result is 0-d.
     """
     s_arr, mom, dy, dr, z = _projection(m, maturity, s, r)
     det = _yr_determinant(mom)
@@ -242,4 +240,4 @@ def analytic_pz(m: HybridModel, maturity: float, s, r):
     quad_form = (cov[1, 1] * dy**2 - 2.0 * cov[0, 1] * dy * dr + cov[0, 0] * dr**2) / det
     density = np.exp(-0.5 * quad_form) / (2.0 * math.pi * math.sqrt(det) * s_arr)
     out = density * z
-    return float(out) if np.isscalar(s) and np.isscalar(r) else out
+    return float(out) if np.ndim(out) == 0 else out

@@ -34,7 +34,7 @@ from .errors import (
     InvalidInputError,
     NegativeVarianceError,
 )
-from .models import ConstantVol, HybridModel, SurfaceVol, forward_rate
+from .models import ConstantVol, HybridModel, SurfaceVol, forward_rate, lattice_axis, nearest_node
 from .pde import Field2D, auto_grid, evolve
 
 __all__ = [
@@ -73,15 +73,11 @@ class CallSurface:
     model: HybridModel | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "maturities", np.asarray(self.maturities, dtype=float))
-        object.__setattr__(self, "strikes", np.asarray(self.strikes, dtype=float))
+        object.__setattr__(self, "maturities", lattice_axis(self.maturities, "maturities"))
+        object.__setattr__(self, "strikes", lattice_axis(self.strikes, "strikes"))
         object.__setattr__(self, "prices", np.asarray(self.prices, dtype=float))
-        if not all(np.all(np.isfinite(a)) for a in (self.maturities, self.strikes, self.prices)):
-            raise InvalidInputError("maturities, strikes and prices must be finite")
-        if np.any(self.maturities <= 0) or np.any(self.strikes <= 0):
-            raise InvalidInputError("maturities and strikes must be positive")
-        if np.any(np.diff(self.maturities) <= 0) or np.any(np.diff(self.strikes) <= 0):
-            raise InvalidInputError("maturities and strikes must be strictly increasing")
+        if not np.all(np.isfinite(self.prices)):
+            raise InvalidInputError("prices must be finite")
         if self.prices.shape != (len(self.maturities), len(self.strikes)):
             raise InvalidInputError("price lattice shape mismatch")
         if np.any(np.diff(self.prices, axis=1) > 1e-12):
@@ -99,8 +95,8 @@ def make_analytic_surface(
     model: HybridModel, maturities: Sequence[float], strikes: Sequence[float]
 ) -> CallSurface:
     """Closed-form call surface for a constant-vol hybrid model."""
-    mats = np.asarray(maturities, dtype=float)
-    ks = np.asarray(strikes, dtype=float)
+    mats = lattice_axis(maturities, "maturities")
+    ks = lattice_axis(strikes, "strikes")
     prices = np.array([[bshw_call(model, t, k).price for k in ks] for t in mats])
     return CallSurface(mats, ks, prices, model=model)
 
@@ -133,11 +129,7 @@ def _strike_integrals(s_full: np.ndarray, marginal: np.ndarray, strikes):
     model. One suffix sum of whole-cell integrals serves every strike, which
     adds the partial cell cut at its own position.
     """
-    ks = np.asarray(strikes, dtype=float)
-    if ks.ndim != 1 or ks.size == 0:
-        raise InvalidInputError("need a non-empty strike array")
-    if not np.all(np.diff(ks) > 0):
-        raise InvalidInputError("strikes must be strictly increasing")
+    ks = lattice_axis(strikes, "strikes")
     if not (s_full[0] < ks[0] and ks[-1] < s_full[-1]):
         raise InvalidInputError("strikes must lie inside the grid box")
     h = s_full[1] - s_full[0]
@@ -191,8 +183,8 @@ def price_calls_from_pz(field: Field2D, strikes) -> np.ndarray:
 
 def _node(axis: np.ndarray, x: float, name: str) -> int:
     """Index of the lattice node ``x`` on ``axis``."""
-    i = int(np.argmin(np.abs(axis - x)))
-    if abs(axis[i] - x) > 1e-9 * max(1.0, abs(x)):
+    i = nearest_node(axis, x)
+    if i is None:
         raise InvalidInputError(f"{name}={x!r} is not a node of the price lattice")
     return i
 
@@ -403,7 +395,7 @@ def calibrate(
 
     use_adj = settings.use_corrective and rate.sigma2 > 0.0
     report = CalibrationReport()
-    # the T_1 iteration warns for the strikes the seed skips
+    # the T_1 slice warns for the strikes the seed skips
     slice_vals, _ = _slice(market, forward_curve, float(mats[0]), 0.0, report)
     slices = []
 
@@ -421,14 +413,14 @@ def calibrate(
             if use_adj:
                 adj = corrective_terms(fld, forward_curve(float(maturity)), strikes).adj
             new_slice, skipped = _slice(market, forward_curve, float(maturity), adj, report)
-            if skipped:
-                report.warnings.append(
-                    f"T={maturity:g}: degenerate butterfly at K in {skipped}; flat-filled"
-                )
             if iterations > 1:
                 max_update = float(np.max(np.abs(new_slice - slice_vals)))
             slice_vals = new_slice
 
+        if skipped:  # once per maturity, for the strikes its final slice skipped
+            report.warnings.append(
+                f"T={maturity:g}: degenerate butterfly at K in {skipped}; flat-filled"
+            )
         mass_drift = max(drift_before, result.diagnostics.max_ratio_deviation())
         neg_frac = max(neg_before, max(result.diagnostics.negative_fraction, default=0.0))
         entry = MaturityDiagnostics(

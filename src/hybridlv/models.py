@@ -15,6 +15,11 @@ model.
 Every local-volatility function answers ``next_change(t)``: the last time
 up to which ``value`` and ``derivatives`` stay exactly what they are at
 ``t``. The grid solver keeps one prefactored operator for that long.
+
+It also holds the two lattice rules the solver and the calibration share:
+what a maturity or strike axis is (:func:`lattice_axis`), and how close a
+value must come to a lattice node to be that node (:func:`node_tolerance`,
+:func:`nearest_node`).
 """
 
 from __future__ import annotations
@@ -40,6 +45,28 @@ __all__ = [
     "hyperbolic_vol",
     "sde_coefficients",
 ]
+
+
+def lattice_axis(values, name: str) -> np.ndarray:
+    """``values`` as a 1-d, non-empty, finite, positive, strictly increasing float axis."""
+    axis = np.asarray(values, dtype=float)
+    if axis.ndim != 1 or axis.size == 0 or not np.isfinite(axis).all():
+        raise InvalidInputError(f"{name} must be a non-empty 1-d array of finite numbers")
+    if not (axis[0] > 0 and (np.diff(axis) > 0).all()):
+        raise InvalidInputError(f"{name} must be positive and strictly increasing")
+    return axis
+
+
+def node_tolerance(node):
+    """1e-9 max(1, |node|): a value that close to a lattice node is that node."""
+    return 1e-9 * np.maximum(1.0, np.abs(node))
+
+
+def nearest_node(axis, x) -> int | None:
+    """Index of the node of ``axis`` that ``x`` is, the nearest in tolerance, or None."""
+    gaps = np.abs(np.asarray(axis, dtype=float) - x)
+    near = np.flatnonzero(gaps <= node_tolerance(axis))
+    return int(near[gaps[near].argmin()]) if near.size else None
 
 
 def _b_factor(a: float, t) -> float:
@@ -187,9 +214,9 @@ class SurfaceVol:
     """Local volatility on calibrated sigma(T, K) nodes, the surface the
     maturity bootstrap marches: slice i on [T_{i-1}, T_i), constant in time
     (the first slice before T_1, the last from T_N on), linear in K between
-    strikes and flat outside them. A time within the solver's step-time
-    tolerance, 1e-9 max(1, T_i), below T_i already reads slice i+1, so a
-    step that starts on a maturity marches under the next slice.
+    strikes and flat outside them. A time within :func:`node_tolerance` of
+    T_i below it already reads slice i+1, so a step that starts on a
+    maturity marches under the next slice.
 
     Spatial derivatives are central differences on the interpolant with a
     step of one strike spacing (floored at 1e-4 S, the interpolant is
@@ -201,16 +228,9 @@ class SurfaceVol:
     sigma: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "maturities", np.asarray(self.maturities, dtype=float))
-        object.__setattr__(self, "strikes", np.asarray(self.strikes, dtype=float))
+        object.__setattr__(self, "maturities", lattice_axis(self.maturities, "maturities"))
+        object.__setattr__(self, "strikes", lattice_axis(self.strikes, "strikes"))
         object.__setattr__(self, "sigma", np.asarray(self.sigma, dtype=float))
-        for name, axis in (("maturities", self.maturities), ("strikes", self.strikes)):
-            if axis.ndim != 1 or axis.size == 0 or not np.all(np.isfinite(axis)):
-                raise InvalidInputError(f"{name} must be a non-empty 1-d array of finite numbers")
-            if np.any(np.diff(axis) <= 0):
-                raise InvalidInputError(f"{name} must be strictly increasing")
-        if self.maturities[0] <= 0:
-            raise InvalidInputError("maturities must be positive")
         if self.sigma.shape != (len(self.maturities), len(self.strikes)):
             raise InvalidInputError("sigma lattice shape mismatch")
         if np.any(~np.isfinite(self.sigma)) or np.any(self.sigma < 0):
@@ -218,9 +238,9 @@ class SurfaceVol:
 
     def _switches(self) -> np.ndarray:
         """The times from which slices 1..N-1 (0-based) serve: each
-        maturity but the last, less the step-time tolerance."""
+        maturity but the last, less its node tolerance."""
         mats = self.maturities[:-1]
-        return mats - 1e-9 * np.maximum(1.0, mats)
+        return mats - node_tolerance(mats)
 
     def _slice_index(self, t: float) -> int:
         """Row of ``sigma`` that serves time ``t``."""

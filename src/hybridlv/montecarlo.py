@@ -35,6 +35,7 @@ and no thread is started.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -75,6 +76,10 @@ class McConfig:
     antithetic: bool = True
 
     def __post_init__(self):
+        for name in ("n_paths", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise InvalidInputError(f"{name} must be an integer, got {value!r}")
         if self.n_paths < 2:
             raise InvalidInputError(f"need at least two paths, got {self.n_paths!r}")
         if self.seed < 0:

@@ -34,7 +34,8 @@ import numpy as np
 
 from .errors import InvalidInputError, PdeBlowUpError
 from .linalg import thomas_apply, thomas_prefactor
-from .models import HybridModel, _rate_mean_var, sde_coefficients, zc_price
+from .models import (
+    HybridModel, _rate_mean_var, lattice_axis, nearest_node, sde_coefficients, zc_price)
 
 __all__ = [
     "Grid2D",
@@ -83,9 +84,9 @@ class Grid2D:
             raise InvalidInputError("need r_min < r_max")
         if self.n_s < 8 or self.n_r < 8:
             raise InvalidInputError("need at least 8 interior nodes per direction")
-        if (len(self.steps) != len(self.maturities) or min(self.steps, default=0) < 1
-                or not np.all(np.diff(self.maturities, prepend=0.0) > 0)):
-            raise InvalidInputError("need positive, increasing maturities, each with steps")
+        lattice_axis(self.maturities, "maturities")
+        if len(self.steps) != len(self.maturities) or min(self.steps) < 1:
+            raise InvalidInputError("need at least one step for each of the maturities")
 
     @property
     def ds(self) -> float:
@@ -132,13 +133,10 @@ class Grid2D:
         spacings (at least 8 interior nodes), marching to each of
         ``maturities`` (one horizon or an increasing sequence) in turn: each
         interval takes max(1, round(length / dt)) equal steps."""
-        mats = np.atleast_1d(np.asarray(maturities, dtype=float))
-        if (not all(0.0 < h < math.inf for h in (ds, dr, dt)) or mats.ndim != 1
-                or mats.size == 0 or not np.isfinite(mats).all()
-                or mats[0] <= 0 or np.any(np.diff(mats) <= 0)):
+        if not all(0.0 < h < math.inf for h in (ds, dr, dt)):
             raise InvalidInputError(
-                f"need positive, finite spacings (got ds={ds!r}, dr={dr!r}, dt={dt!r}) "
-                "and finite, positive, increasing maturities")
+                f"need positive, finite spacings (got ds={ds!r}, dr={dr!r}, dt={dt!r})")
+        mats = lattice_axis(np.atleast_1d(maturities), "maturities")
         if not all(math.isfinite(b) for b in (s_min, s_max, r_min, r_max)):
             raise InvalidInputError(
                 f"need a finite box (got s_min={s_min!r}, s_max={s_max!r}, "
@@ -455,10 +453,10 @@ class EvolveResult:
     diagnostics: EvolveDiagnostics
 
     def at(self, t: float) -> Field2D:
-        for snap in self.snapshots:
-            if abs(snap.t - t) <= 1e-9 * max(1.0, abs(t)):
-                return snap
-        raise KeyError(f"no snapshot stored at t={t!r}")
+        i = nearest_node([snap.t for snap in self.snapshots], t)
+        if i is None:
+            raise KeyError(f"no snapshot stored at t={t!r}")
+        return self.snapshots[i]
 
 
 def evolve(
@@ -503,11 +501,11 @@ def evolve(
 
     def step_at(t, first=0):
         """Index of the step time ``t``, at or after step ``first``."""
-        n = first + int(np.abs(times[first:] - t).argmin())
-        if not abs(times[n] - t) <= 1e-9 * max(1.0, grid.t_end):
+        n = nearest_node(times[first:], t)
+        if n is None:
             raise InvalidInputError(
                 f"time {t!r} is not a step time of the march from {times[first]:g} to {grid.t_end:g}")
-        return n
+        return first + n
 
     n0 = step_at(field.t)
     wanted = {grid.n_t} if snapshot_times is None else {step_at(t, n0) for t in snapshot_times}

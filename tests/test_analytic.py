@@ -195,6 +195,16 @@ class TestAnalyticZ:
         with pytest.raises(InvalidInputError):
             analytic_z(set1_model, 0.0, 1.0, 0.02)
 
+    @pytest.mark.parametrize("sigma2", [0.0, 0.04])
+    @pytest.mark.parametrize("s, r", [(1.05, 0.03), (np.array(1.05), np.array(0.03)),
+                                      (np.float64(1.05), 0.03)])
+    def test_zero_d_result_is_a_float(self, sigma2, s, r):
+        # 0-d arrays gave numpy.float64 with sigma2 > 0 and float with sigma2 = 0
+        assert type(analytic_z(_model(sigma2=sigma2), 1.0, s, r)) is float
+        if sigma2 > 0:
+            assert type(analytic_pz(_model(sigma2=sigma2), 1.0, s, r)) is float
+        assert np.shape(analytic_z(_model(sigma2=sigma2), 1.0, np.array([s]), r)) == (1,)
+
 
 class TestAnalyticPz:
     def test_integrates_to_discount_factor(self, set1_model):

@@ -579,6 +579,20 @@ class TestCalibrate:
             starts += [mats[i - 1]] * (slice_iterations + (i < n - 1))
         assert levels == pytest.approx(starts, abs=1e-12)
 
+    @pytest.mark.parametrize("slice_iterations", [1, 2])
+    def test_skipped_strike_warns_once_per_maturity(self, set1_model, slice_iterations):
+        # the butterfly at K = 0.2 is flatter than EPS_FLOOR; every slice
+        # iteration used to repeat the warning
+        ks = np.concatenate([[0.2], np.round(np.arange(0.7, 1.3001, 0.1), 10)])
+        market = make_analytic_surface(set1_model, [0.25, 0.5], ks)
+        settings = CalibrationSettings(ds=0.02, dr=0.003, dt=0.025,
+                                       slice_iterations=slice_iterations)
+        report = calibrate(market, set1_model, settings).report
+        assert [e.skipped_strikes for e in report.entries] == [[0.2], [0.2]]
+        assert report.warnings == [
+            f"T={t}: degenerate butterfly at K in [0.2]; flat-filled" for t in (0.25, 0.5)
+        ]
+
     def test_uneven_strikes_closed_form_market(self, set1_model):
         ks = [0.7, 0.8, 0.85, 0.9, 1.0, 1.2]
         market = make_analytic_surface(set1_model, [0.25, 0.5, 0.75, 1.0], ks)

@@ -6,17 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from hybridlv.calibration import CallSurface, dupire_vol, make_analytic_surface
 from hybridlv.errors import InvalidInputError
 from hybridlv.models import (
     ConstantVol,
     HullWhiteParams,
     HybridModel,
     HyperbolicVol,
+    SurfaceVol,
     forward_rate,
     hyperbolic_vol,
+    node_tolerance,
     sde_coefficients,
     zc_price,
 )
+from hybridlv.pde import Grid2D, auto_grid, evolve
 
 from .oracles import zc_by_affine_ode
 
@@ -166,3 +170,70 @@ class TestModelValidation:
     def test_positive_spot(self):
         with pytest.raises(InvalidInputError):
             HybridModel(s0=0.0, rate=HW1, vol=ConstantVol(0.2), rho=0.0)
+
+
+MALFORMED_AXES = {
+    "empty": [],
+    "2-d": [[0.5, 1.0]],
+    "nan": [0.5, math.nan],
+    "inf": [1.0, math.inf],
+    "zero-first": [0.0, 1.0],
+    "negative-first": [-0.5, 1.0],
+    "repeated": [0.5, 0.5],
+}
+_OK = [0.5, 1.0, 1.5]
+_MODEL = HybridModel(s0=1.0, rate=HW1, vol=ConstantVol(0.2), rho=0.4)
+# (axis name, constructor taking that axis), every other input well formed
+AXIS_CONSTRUCTORS = {
+    "CallSurface-maturities": ("maturities", lambda m: CallSurface(m, _OK, np.full((len(m), 3), 0.1))),
+    "CallSurface-strikes": ("strikes", lambda k: CallSurface(_OK, k, np.full((3, len(k)), 0.1))),
+    "SurfaceVol-maturities": ("maturities", lambda m: SurfaceVol(m, _OK, np.full((len(m), 3), 0.2))),
+    "SurfaceVol-strikes": ("strikes", lambda k: SurfaceVol(_OK, k, np.full((3, len(k)), 0.2))),
+    "make_analytic_surface-maturities": (
+        "maturities", lambda m: make_analytic_surface(_MODEL, m, _OK)),
+    "make_analytic_surface-strikes": ("strikes", lambda k: make_analytic_surface(_MODEL, _OK, k)),
+    "Grid2D": ("maturities", lambda m: Grid2D(0.1, 2.0, -0.05, 0.1, 9, 9, m, (5,) * len(m))),
+    "Grid2D.from_spacings": (
+        "maturities", lambda m: Grid2D.from_spacings(0.1, 2.0, -0.05, 0.1, m, 0.05, 0.01, 0.1)),
+}
+NEAR_NODE = {"+0.5 tol": (0.5, True), "-0.5 tol": (-0.5, True),
+             "+2 tol": (2.0, False), "-2 tol": (-2.0, False), "nan": (math.nan, False)}
+
+
+@pytest.fixture(scope="module")
+def node_lookups():
+    """name -> (node, lookup of a value on that node's axis, error off it)."""
+    grid = auto_grid(_MODEL, [0.5, 4.0], ds=0.05, dr=0.01, dt=0.1)
+    march = evolve(_MODEL, grid, snapshot_times=[0.5, 4.0])
+    surf = make_analytic_surface(_MODEL, [0.5, 2.0], [0.8, 1.0, 1.2, 1.5])
+    fwd = lambda t: forward_rate(HW1, t)  # noqa: E731
+    return {
+        # the tolerance is the node's, not the horizon's: 2e-9 off 0.5 is
+        # no step time of this march to 4
+        "snapshot time": (0.5, lambda t: evolve(_MODEL, grid, snapshot_times=[t]).snapshots[0].t,
+                          InvalidInputError),
+        "EvolveResult.at": (4.0, lambda t: march.at(t).t, KeyError),
+        "Dupire T": (2.0, lambda t: dupire_vol(surf, fwd, t, 1.5), InvalidInputError),
+        "Dupire K": (1.5, lambda k: dupire_vol(surf, fwd, 2.0, k), InvalidInputError),
+    }
+
+
+class TestLatticeRules:
+    @pytest.mark.parametrize("nodes", MALFORMED_AXES.values(), ids=MALFORMED_AXES.keys())
+    @pytest.mark.parametrize("axis, build", AXIS_CONSTRUCTORS.values(), ids=AXIS_CONSTRUCTORS.keys())
+    def test_malformed_axis_rejected_by_every_constructor(self, axis, build, nodes):
+        # an empty or 2-d CallSurface axis used to pass and fail later in
+        # calibrate, and Grid2D took an infinite maturity
+        with pytest.raises(InvalidInputError, match=axis):
+            build(nodes)
+
+    @pytest.mark.parametrize("offset, found", NEAR_NODE.values(), ids=NEAR_NODE.keys())
+    @pytest.mark.parametrize("lookup", ["snapshot time", "EvolveResult.at", "Dupire T", "Dupire K"])
+    def test_a_value_within_the_tolerance_is_the_node(self, node_lookups, lookup, offset, found):
+        node, look, error = node_lookups[lookup]
+        near = node + offset * node_tolerance(node)
+        if found:
+            assert look(near) == look(node)
+        else:
+            with pytest.raises(error):
+                look(near)

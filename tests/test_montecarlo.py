@@ -199,12 +199,17 @@ class TestSimulatePaths:
             (dict(dt_mc=0.0), "Euler step"),
             (dict(dt_mc=math.nan), "Euler step"),
             (dict(dt_mc=math.inf), "Euler step"),
+            (dict(n_paths=1000.0), "n_paths must be an integer"),
+            (dict(n_paths=2.5), "n_paths must be an integer"),
+            (dict(n_paths=True), "n_paths must be an integer"),
+            (dict(seed=1.5), "seed must be an integer"),
         ],
     )
     def test_step_or_batch_that_cannot_run_rejected(self, overrides, named):
         # one path reported a standard error of 0, though one sample has
         # none; a NaN step failed on int(nan) and an infinite one ran one
-        # step of the whole maturity
+        # step of the whole maturity; a float path count or seed failed with
+        # TypeError in the batch loop or the seed sequence
         with pytest.raises(InvalidInputError, match=named):
             McConfig(**{"n_paths": 10, "dt_mc": 0.1, **overrides})
 
