@@ -4,7 +4,8 @@ With a flat equity volatility the pair (log-spot, short rate) together with
 the integrated rate is jointly Gaussian, which gives closed forms for
 European calls, their maturity/strike sensitivities, and the projection of
 the pathwise discount factor onto the terminal state. These are the oracles
-the grid solver is validated against.
+the grid solver is validated against. Horizons and spots pass the rules of
+:mod:`hybridlv.models`; the call and the projection need T > 0 on top.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, SingularCovarianceError
-from .models import ConstantVol, HybridModel, _b_factor, _rate_mean_var, forward_rate, zc_price
+from .models import (ConstantVol, HybridModel, _b_factor, _horizon, _positive_spots,
+                     _rate_mean_var, forward_rate, zc_price)
 
 __all__ = [
     "BshwMoments",
@@ -75,18 +77,8 @@ class PriceAndGreeks:
 
 def integrated_variance(m: HybridModel, maturity: float) -> float:
     """Integrated effective variance g(T) of the discounted-spot lognormal
-    (exactly 0.0 at T = 0)."""
-    _require_constant(m)
-    if maturity < 0:
-        raise InvalidInputError(f"maturity must be >= 0, got {maturity!r}")
-    t = float(maturity)
-    a, s2 = m.rate.a, m.rate.sigma2
-    s1, rho = m.vol.sigma1, m.rho
-    ea = math.exp(-a * t)
-    e2a = math.exp(-2 * a * t)
-    cross = 2.0 * rho * s1 * s2 / a * (t + (ea - 1.0) / a)
-    rate_part = s2**2 / a**2 * (t - (3.0 - 4.0 * ea + e2a) / (2 * a))
-    return s1**2 * t + cross + rate_part
+    (exactly 0.0 at T = 0): the variance of log S(T)."""
+    return bshw_moments(m, maturity).sigma_y
 
 
 def sigma_hat_sq(m: HybridModel, t: float) -> float:
@@ -106,9 +98,7 @@ def bshw_moments(m: HybridModel, maturity: float) -> BshwMoments:
     they give log S0, r0 and zero (co)variances exactly.
     """
     _require_constant(m)
-    if maturity < 0:
-        raise InvalidInputError(f"maturity must be >= 0, got {maturity!r}")
-    t = float(maturity)
+    t = _horizon(maturity)
     p = m.rate
     a, s2, r0, th = p.a, p.sigma2, p.r0, float(p.theta)
     s1, rho = m.vol.sigma1, m.rho
@@ -199,12 +189,10 @@ def _projection(m: HybridModel, maturity: float, s, r):
     """(s as an array, moments, log S - mu_y, r - mu_r, Z) at the states
     (s, r); with sigma2 = 0, Z is the discount factor in the states' shape."""
     _require_constant(m)
-    if maturity <= 0:
+    if not maturity > 0:
         raise InvalidInputError(f"maturity must be > 0, got {maturity!r}")
-    s_arr = np.asarray(s, dtype=float)
+    s_arr = _positive_spots(s)
     r_arr = np.asarray(r, dtype=float)
-    if np.any(s_arr <= 0):
-        raise InvalidInputError("spot must be positive")
     mom = bshw_moments(m, maturity)
     dy = np.log(s_arr) - mom.mu_y
     dr = r_arr - mom.mu_r

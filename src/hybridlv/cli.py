@@ -117,9 +117,9 @@ def _cmd_solve_pde(cfg, writer: _Writer):
 def _cmd_price_pde(cfg, writer: _Writer):
     model = cfg.build_model()
     maturity = float(cfg.maturities()[-1])
+    strikes = cfg.strikes()
     grid = _build_grid(cfg, model, maturity)
     result = pde.evolve(model, grid)
-    strikes = cfg.strikes()
     prices = cal.price_calls_from_pz(result.snapshots[-1], strikes)
     writer.csv("prices_pde.csv", "K,price", zip(strikes, prices),
                comments=[f"T={maturity:.17g}"])
@@ -164,9 +164,9 @@ def _cmd_price_mc(cfg, writer: _Writer):
 def _cmd_corrective_terms(cfg, writer: _Writer):
     model = cfg.build_model()
     times = cfg.maturities()
+    strikes = cfg.strikes()
     grid = _build_grid(cfg, model, times)
     result = pde.evolve(model, grid, snapshot_times=times)
-    strikes = cfg.strikes()
     rows = []
     for t, snap in zip(times, result.snapshots):
         curve = cal.corrective_terms(snap, forward_rate(model.rate, t), strikes)
@@ -220,17 +220,27 @@ def _csv_numbers(path, lineno: int, line: str, width: int, exact: bool) -> list[
     return numbers
 
 
-def _read_market(path) -> cal.CallSurface:
-    quotes = {}  # (T, K) -> price
+def _read_quotes(path, header: str, width: int, exact: bool, key, repeated) -> dict:
+    """{key(*numbers): last number} over the :func:`_csv_numbers` rows of a CSV,
+    past blank lines, ``#`` comments and a ``header`` line; a repeated key is
+    a :class:`ConfigError` saying ``repeated(*numbers)``."""
+    quotes = {}
     with open(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
-            if not line or line.startswith("#") or line.lower().startswith("t,"):
+            if not line or line.startswith("#") or line.lower().startswith(header):
                 continue
-            t, k, price = _csv_numbers(path, lineno, line, 3, exact=True)
-            if (t, k) in quotes:
-                raise ConfigError(f"{path}, line {lineno}: repeated quote for (T={t:g}, K={k:g})")
-            quotes[(t, k)] = price
+            numbers = _csv_numbers(path, lineno, line, width, exact)
+            quote = key(*numbers)
+            if quote in quotes:
+                raise ConfigError(f"{path}, line {lineno}: {repeated(*numbers)}")
+            quotes[quote] = numbers[-1]
+    return quotes
+
+
+def _read_market(path) -> cal.CallSurface:
+    quotes = _read_quotes(path, "t,", 3, True, lambda t, k, _: (t, k),  # (T, K) -> price
+                          lambda t, k, _: f"repeated quote for (T={t:g}, K={k:g})")
     if not quotes:
         raise ConfigError(f"{path}: no T,K,price data rows")
     mats = sorted({t for t, _ in quotes})
@@ -244,17 +254,8 @@ def _read_market(path) -> cal.CallSurface:
 def _read_price_csv(path):
     """Join keys (strikes rounded to 9 decimals) and prices of a K,price CSV;
     a strike whose key repeats is a :class:`ConfigError`."""
-    quotes = {}  # key -> price
-    with open(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line or line.startswith("#") or line.lower().startswith("k,"):
-                continue
-            k, price = _csv_numbers(path, lineno, line, 2, exact=False)
-            key = float(np.round(k, 9))
-            if key in quotes:
-                raise ConfigError(f"{path}, line {lineno}: repeated strike K={k:g} (to 9 decimals)")
-            quotes[key] = price
+    quotes = _read_quotes(path, "k,", 2, False, lambda k, _: float(np.round(k, 9)),
+                          lambda k, _: f"repeated strike K={k:g} (to 9 decimals)")
     return np.asarray(list(quotes), dtype=float), np.asarray(list(quotes.values()), dtype=float)
 
 

@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .errors import ConfigError
-from .models import ConstantVol, HullWhiteParams, HybridModel, HyperbolicVol
+from .errors import ConfigError, InvalidInputError
+from .models import ConstantVol, HullWhiteParams, HybridModel, HyperbolicVol, lattice_axis
 
 __all__ = ["ExperimentConfig", "load_config", "resolve_config"]
 
@@ -88,6 +88,15 @@ def _check_bounds(bounds) -> None:
     if offending:
         raise ConfigError(f"grid.bounds takes exactly the numbers {_BOX_EDGES}; "
                           f"offending keys {offending}")
+
+
+def _run_axis(key: str, values) -> np.ndarray:
+    """``run.<key>`` as a :func:`lattice_axis`, else a ConfigError naming the key."""
+    try:
+        return lattice_axis(values, f"run.{key}")
+    except InvalidInputError:
+        raise ConfigError(f"run.{key} must be finite, positive and strictly increasing, "
+                          f"got {np.asarray(values, dtype=float).tolist()}") from None
 
 
 def _check_number(name: str, value) -> None:
@@ -160,34 +169,22 @@ class ExperimentConfig:
     def strikes(self) -> np.ndarray:
         block = self.run_block["strikes"]
         if isinstance(block, (list, tuple)):
-            ks = np.asarray([float(k) for k in block])
-        else:
-            start, stop, step = float(block["start"]), float(block["stop"]), float(block["step"])
-            for key, value in (("start", start), ("stop", stop), ("step", step)):
-                if not math.isfinite(value):
-                    raise ConfigError(f"run.strikes.{key} must be finite, got {value!r}")
-            if not step > 0:
-                raise ConfigError(f"run.strikes.step must be positive, got {step!r}")
-            span = (stop - start) / step  # round(span) + 1 strikes; inf on overflow
-            if not span < MAX_STRIKES - 0.5:
-                raise ConfigError(f"run.strikes holds more than {MAX_STRIKES} strikes")
-            n = int(round(span))
-            ks = start + step * np.arange(n + 1)
-        if not np.isfinite(ks).all():
-            raise ConfigError(f"run.strikes must be finite, got {ks.tolist()}")
-        if ks.size == 0 or np.any(np.diff(ks) <= 0):
-            raise ConfigError("strike grid must be non-empty and increasing")
-        return ks
+            return _run_axis("strikes", [float(k) for k in block])
+        start, stop, step = float(block["start"]), float(block["stop"]), float(block["step"])
+        for key, value in (("start", start), ("stop", stop), ("step", step)):
+            if not math.isfinite(value):
+                raise ConfigError(f"run.strikes.{key} must be finite, got {value!r}")
+        if not step > 0:
+            raise ConfigError(f"run.strikes.step must be positive, got {step!r}")
+        span = (stop - start) / step  # round(span) + 1 strikes; inf on overflow
+        if not span < MAX_STRIKES - 0.5:
+            raise ConfigError(f"run.strikes holds more than {MAX_STRIKES} strikes")
+        n = int(round(span))
+        return _run_axis("strikes", start + step * np.arange(n + 1))
 
     def maturities(self) -> list:
         """``run.maturities``: non-empty, finite, positive and increasing."""
-        mats = [float(t) for t in self.run_block["maturities"]]
-        if not all(math.isfinite(t) for t in mats):
-            raise ConfigError(f"run.maturities must be finite, got {mats}")
-        if not mats or mats[0] <= 0 or np.any(np.diff(mats) <= 0):
-            raise ConfigError("run.maturities must be a non-empty, positive and strictly "
-                              f"increasing list, got {mats}")
-        return mats
+        return _run_axis("maturities", [float(t) for t in self.run_block["maturities"]]).tolist()
 
 
 def resolve_config(data: dict | None) -> ExperimentConfig:

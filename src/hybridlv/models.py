@@ -16,6 +16,10 @@ Every local-volatility function answers ``next_change(t)``: the last time
 up to which ``value`` and ``derivatives`` stay exactly what they are at
 ``t``. The grid solver keeps one prefactored operator for that long.
 
+Each input is checked once, where it enters: a vol's parameters when it is
+built, a closed-form horizon as finite and >= 0, a spot as positive (NaN is
+not). A vol evaluates solver and path states without checks.
+
 It also holds the two lattice rules the solver and the calibration share:
 what a maturity or strike axis is (:func:`lattice_axis`), and how close a
 value must come to a lattice node to be that node (:func:`node_tolerance`,
@@ -69,6 +73,21 @@ def nearest_node(axis, x) -> int | None:
     return int(near[gaps[near].argmin()]) if near.size else None
 
 
+def _horizon(maturity) -> float:
+    """``maturity`` as a float horizon of the closed forms: finite and >= 0."""
+    if not (np.isfinite(maturity) and maturity >= 0):
+        raise InvalidInputError(f"maturity must be finite and >= 0, got {maturity!r}")
+    return float(maturity)
+
+
+def _positive_spots(s) -> np.ndarray:
+    """``s`` as a float array whose every spot is positive (NaN is not)."""
+    arr = np.asarray(s, dtype=float)
+    if not np.all(arr > 0):
+        raise InvalidInputError("spot must be positive")
+    return arr
+
+
 def _b_factor(a: float, t) -> float:
     """Bond duration factor (1 - exp(-a t)) / a."""
     return (1.0 - np.exp(-a * t)) / a
@@ -106,11 +125,10 @@ def _rate_mean_var(p: HullWhiteParams, t: float):
 def zc_price(p: HullWhiteParams, maturity: float) -> float:
     """Zero-coupon bond price ZC(0, T) = E[exp(-int_0^T r)], in affine
     closed form."""
-    if not np.isfinite(maturity) or maturity < 0:
-        raise InvalidInputError(f"maturity must be >= 0, got {maturity!r}")
-    if maturity == 0.0:
+    t = _horizon(maturity)
+    if t == 0.0:
         return 1.0
-    a, s2, t = p.a, p.sigma2, float(maturity)
+    a, s2 = p.a, p.sigma2
     b = _b_factor(a, t)
     log_a = (p.theta - s2**2 / (2 * a**2)) * (b - t) - s2**2 / (4 * a) * b**2
     return float(np.exp(log_a - b * p.r0))
@@ -118,9 +136,7 @@ def zc_price(p: HullWhiteParams, maturity: float) -> float:
 
 def forward_rate(p: HullWhiteParams, maturity: float) -> float:
     """Instantaneous forward rate f(0, T) = -d/dT log ZC(0, T), in closed form."""
-    if not np.isfinite(maturity) or maturity < 0:
-        raise InvalidInputError(f"maturity must be >= 0, got {maturity!r}")
-    a, s2, t = p.a, p.sigma2, float(maturity)
+    a, s2, t = p.a, p.sigma2, _horizon(maturity)
     ea = np.exp(-a * t)
     th = p.theta
     return float(
@@ -132,23 +148,8 @@ def forward_rate(p: HullWhiteParams, maturity: float) -> float:
 
 
 def hyperbolic_vol(nu: float, beta: float, s):
-    """Hyperbolic local-volatility function.
-
-    sigma(S) = nu * [ (1-beta+beta^2)/beta
-                      + (beta-1)/(beta S) * (sqrt(S^2 + beta^2 (1-S)^2) - beta) ]
-
-    Strictly positive for all S > 0; reduces to the flat level ``nu`` at
-    beta = 1 and produces a downward skew for beta < 1.
-    """
-    if not (np.isfinite(nu) and nu > 0):
-        raise InvalidInputError(f"volatility level must be positive, got {nu!r}")
-    if not (0.0 < beta <= 1.0):
-        raise InvalidInputError(f"skew parameter must be in (0, 1], got {beta!r}")
-    arr = np.asarray(s, dtype=float)
-    if np.any(arr <= 0):
-        raise InvalidInputError("spot must be positive")
-    g = np.sqrt(arr**2 + beta**2 * (1.0 - arr) ** 2)
-    val = nu * ((1.0 - beta + beta**2) / beta + (beta - 1.0) / (beta * arr) * (g - beta))
+    """:class:`HyperbolicVol` at the positive spots ``s``; a float for a scalar ``s``."""
+    val = HyperbolicVol(nu, beta).value(0.0, _positive_spots(s))
     return float(val) if np.isscalar(s) else val
 
 
@@ -179,7 +180,15 @@ class ConstantVol:
 
 @dataclass(frozen=True)
 class HyperbolicVol:
-    """Hyperbolic skew local volatility with level ``nu`` and skew ``beta``."""
+    """Hyperbolic skew local volatility with level ``nu`` and skew ``beta``:
+
+        sigma(S) = nu [(1-beta+beta^2)/beta + (beta-1)/(beta S) (g(S) - beta)],
+        g(S) = sqrt(S^2 + beta^2 (1-S)^2),
+
+    positive for S > 0, flat at beta = 1 and skewed down for beta < 1. ``nu``
+    and ``beta`` are checked when the vol is built; ``value`` and
+    ``derivatives`` take any state unchecked (:func:`hyperbolic_vol` checks spots).
+    """
 
     nu: float
     beta: float
@@ -190,14 +199,18 @@ class HyperbolicVol:
         if not (0.0 < self.beta <= 1.0):
             raise InvalidInputError(f"beta must be in (0, 1], got {self.beta!r}")
 
+    def _sigma_g(self, s):
+        """(S, sigma(S), g(S)) at the spots ``s``, S as a float array."""
+        x, nu, beta = np.asarray(s, dtype=float), self.nu, self.beta
+        g = np.sqrt(x**2 + beta**2 * (1.0 - x) ** 2)
+        return x, nu * ((1.0 - beta + beta**2) / beta + (beta - 1.0) / (beta * x) * (g - beta)), g
+
     def value(self, t, s):
-        return hyperbolic_vol(self.nu, self.beta, np.asarray(s, dtype=float))
+        return self._sigma_g(s)[1]
 
     def derivatives(self, t, s):
-        arr = np.asarray(s, dtype=float)
-        sig = hyperbolic_vol(self.nu, self.beta, arr)
+        arr, sig, g = self._sigma_g(s)
         nu, beta = self.nu, self.beta
-        g = np.sqrt(arr**2 + beta**2 * (1.0 - arr) ** 2)
         gp = (arr - beta**2 * (1.0 - arr)) / g
         gpp = (1.0 + beta**2) / g - (arr - beta**2 * (1.0 - arr)) ** 2 / g**3
         k = nu * (beta - 1.0) / beta
@@ -311,10 +324,8 @@ def sde_coefficients(m: HybridModel, t: float, s, r) -> SdeCoefficients:
     ``s`` and ``r`` may be scalars or broadcastable arrays (e.g. a spot
     column and a rate row to produce full grids).
     """
-    s_arr = np.asarray(s, dtype=float)
+    s_arr = _positive_spots(s)
     r_arr = np.asarray(r, dtype=float)
-    if np.any(s_arr <= 0):
-        raise InvalidInputError("spot must be positive")
     sig, sig_s, sig_ss = m.vol.derivatives(t, s_arr)
     p = m.rate
     alpha = np.full_like(r_arr, p.sigma2)

@@ -140,6 +140,7 @@ def _normals(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     return ndtri(out, out=out)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _batch_terminals(model: HybridModel, maturity: float, cfg: McConfig, rng, n: int):
     """Terminal (S, r, trapezoid integral of r) of one batch of ``n`` draws.
 
@@ -157,7 +158,8 @@ def _batch_terminals(model: HybridModel, maturity: float, cfg: McConfig, rng, n:
     get stepped alone from its own leg's draws. ``sig * sig * 0.5`` and
     ``sig * sqdt`` are formed at the rank ``value`` returns: once per step
     for a vol that is one number, once per path otherwise, in the same order,
-    so the bits are the same.
+    so the bits are the same. A path that runs to a zero, infinite or NaN
+    state steps on without a warning; :func:`_kept_paths` drops it.
     """
     p = model.rate
     n_steps = max(1, int(math.ceil(maturity / cfg.dt_mc - 1e-12)))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -194,6 +195,9 @@ class TestAnalyticZ:
             analytic_z(set1_model, 1.0, -1.0, 0.02)
         with pytest.raises(InvalidInputError):
             analytic_z(set1_model, 0.0, 1.0, 0.02)
+        # a NaN spot passed the "<= 0" test and gave a NaN projection
+        with pytest.raises(InvalidInputError, match="spot must be positive"):
+            analytic_z(set1_model, 1.0, np.array([1.0, math.nan]), 0.02)
 
     @pytest.mark.parametrize("sigma2", [0.0, 0.04])
     @pytest.mark.parametrize("s, r", [(1.05, 0.03), (np.array(1.05), np.array(0.03)),
@@ -204,6 +208,26 @@ class TestAnalyticZ:
         if sigma2 > 0:
             assert type(analytic_pz(_model(sigma2=sigma2), 1.0, s, r)) is float
         assert np.shape(analytic_z(_model(sigma2=sigma2), 1.0, np.array([s]), r)) == (1,)
+
+
+HORIZON_ORACLES = {
+    "bshw_moments": bshw_moments,
+    "integrated_variance": integrated_variance,
+    "analytic_z": lambda m, t: analytic_z(m, t, 1.0, 0.02),
+    "analytic_pz": lambda m, t: analytic_pz(m, t, 1.0, 0.02),
+}
+
+
+class TestHorizonRule:
+    @pytest.mark.parametrize("maturity", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", sorted(HORIZON_ORACLES))
+    def test_non_finite_horizon_rejected(self, set1_model, name, maturity):
+        # NaN and inf passed the "< 0" tests: the moments came back NaN or
+        # inf, and the projection NaN with RuntimeWarnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="maturity must be"):
+                HORIZON_ORACLES[name](set1_model, maturity)
 
 
 class TestAnalyticPz:

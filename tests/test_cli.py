@@ -697,6 +697,16 @@ class TestMainEntry:
         message = self._config_error(capsys, [command, "--config", str(path)])
         assert named in message
 
+    @pytest.mark.parametrize("command", ["price-pde", "price-analytic", "price-mc"])
+    def test_non_positive_strikes_exit_2(self, fast_config, capsys, command):
+        # price-mc priced them with exit 0; price-pde and price-analytic exited 3
+        path, _ = fast_config
+        raw = yaml.safe_load(path.read_text())
+        raw["run"]["strikes"] = [-0.5, 0.0, 1.0]
+        path.write_text(yaml.safe_dump(raw))
+        message = self._config_error(capsys, [command, "--config", str(path)])
+        assert "run.strikes must be finite, positive and strictly increasing" in message
+
     def test_maturities_on_no_common_lattice_exit_0(self, fast_config):
         # no uniform step count puts both on a step; each interval takes its own
         path, out = fast_config

@@ -116,6 +116,18 @@ class TestHyperbolicVol:
             hyperbolic_vol(0.2, 0.5, -1.0)
         with pytest.raises(InvalidInputError):
             hyperbolic_vol(-0.2, 0.5, 1.0)
+        # NaN passed the "<= 0" test and gave a NaN vol
+        with pytest.raises(InvalidInputError, match="spot must be positive"):
+            hyperbolic_vol(0.2, 0.5, math.nan)
+
+    def test_vol_evaluates_states_unchecked(self):
+        # the parameters are checked once, when the vol is built; a state
+        # that is not a positive spot gives a vol that is not finite
+        states = np.array([0.0, math.inf, math.nan, 1.0])
+        with np.errstate(all="ignore"):
+            sig = HyperbolicVol(nu=0.2, beta=0.5).value(0.0, states)
+        assert not np.isfinite(sig[:3]).any()
+        assert sig[3] == hyperbolic_vol(0.2, 0.5, 1.0)
 
 
 class TestVolDerivatives:
@@ -160,6 +172,9 @@ class TestSdeCoefficients:
     def test_rejects_non_positive_spot(self, set1_model):
         with pytest.raises(InvalidInputError):
             sde_coefficients(set1_model, 0.0, -1.0, 0.02)
+        # NaN passed the "<= 0" test and gave NaN coefficients
+        with pytest.raises(InvalidInputError, match="spot must be positive"):
+            sde_coefficients(set1_model, 0.0, np.array([1.0, math.nan]), 0.02)
 
 
 class TestModelValidation:

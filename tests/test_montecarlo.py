@@ -1,13 +1,22 @@
+import itertools
 import math
 import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from hybridlv.analytic import analytic_z, bshw_call, bshw_moments
 from hybridlv.errors import InvalidInputError, McAbortedError, NoDataError
-from hybridlv.models import ConstantVol, HullWhiteParams, HybridModel, SurfaceVol, zc_price
+from hybridlv.models import (
+    ConstantVol,
+    HullWhiteParams,
+    HybridModel,
+    HyperbolicVol,
+    SurfaceVol,
+    zc_price,
+)
 from hybridlv.montecarlo import (
     McConfig,
     _iter_batches,
@@ -135,6 +144,30 @@ class TestSimulatePaths:
                 run()
         else:
             assert run()[0].n_effective == cfg.n_paths - zeros
+
+    @pytest.mark.parametrize("vol", [ConstantVol(0.2), HyperbolicVol(nu=0.2, beta=0.5)],
+                             ids=["constant", "hyperbolic"])
+    def test_one_infinite_normal_drops_one_pair(self, set2_model, monkeypatch, vol):
+        # the hyperbolic vol rescanned every spot and raised "spot must be
+        # positive"; the constant vol warned "invalid value encountered in
+        # multiply". The pair is dropped like any non-finite path.
+        import hybridlv.montecarlo as mc_mod
+
+        calls = itertools.count()
+
+        def one_infinite(u, out):
+            z = ndtri(u, out=out)
+            if next(calls) == 0:
+                z[0, 0] = math.inf
+            return z
+
+        monkeypatch.setattr(mc_mod, "ndtri", one_infinite)
+        model = replace(set2_model, vol=vol)
+        cfg = McConfig(n_paths=20000, dt_mc=0.02, seed=3)
+        est = simulate_paths(model, 1.0, cfg, [_call_payoff(1.0)])[0]
+        assert next(calls) > 1
+        assert est.n_effective == 19999
+        assert math.isfinite(est.mean)
 
     @pytest.mark.parametrize(
         "model_name, overrides",
