@@ -36,7 +36,6 @@ from .models import (
     HyperbolicVol,
     SurfaceVol,
     forward_rate,
-    hyperbolic_vol,
     sde_coefficients,
     zc_price,
 )

@@ -135,9 +135,7 @@ def bshw_call(m: HybridModel, maturity: float, strike: float):
     _require_constant(m)
     if not (np.isfinite(strike) and strike > 0):
         raise InvalidInputError(f"strike must be positive, got {strike!r}")
-    if not maturity > 0:
-        raise InvalidInputError(f"maturity must be > 0, got {maturity!r}")
-    t = float(maturity)
+    t = _horizon(maturity, positive=True)
     g = integrated_variance(m, t)
     if g <= 0.0:
         raise InvalidInputError(f"zero total variance at T={t!r}: the call has no sensitivities")
@@ -189,8 +187,7 @@ def _projection(m: HybridModel, maturity: float, s, r):
     """(s as an array, moments, log S - mu_y, r - mu_r, Z) at the states
     (s, r); with sigma2 = 0, Z is the discount factor in the states' shape."""
     _require_constant(m)
-    if not maturity > 0:
-        raise InvalidInputError(f"maturity must be > 0, got {maturity!r}")
+    _horizon(maturity, positive=True)
     s_arr = _positive_spots(s)
     r_arr = np.asarray(r, dtype=float)
     mom = bshw_moments(m, maturity)

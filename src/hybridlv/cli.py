@@ -12,13 +12,15 @@ compare           join two price CSVs and report the discrepancy
 
 Every CSV artifact starts with a ``# config=<hash>`` comment carrying the
 digest of the resolved configuration; rerunning a command with the same
-config and seed reproduces the bytes exactly. The PDE commands read their
-fields at the configured maturities, each on a step of the march.
+config and seed reproduces the bytes exactly.
 
-``run.maturities`` is the one horizon field: ``solve-pde``,
-``corrective-terms`` and ``calibrate`` on an analytic market take each
-entry, the ``price-*`` commands the last. ``run.calibration.market`` is
-``analytic`` or the path of a ``T,K,price`` CSV lattice.
+``run.maturities`` is the one horizon field. ``solve-pde``, ``price-pde``
+and ``corrective-terms`` march one grid through every entry, each entry on
+a step, and read their fields from that one march: ``price-pde`` prices
+the last, so it reads the field ``solve-pde`` writes there. ``calibrate``
+on an analytic market takes each entry, ``price-analytic`` and
+``price-mc`` the last. ``run.calibration.market`` is ``analytic`` or the
+path of a ``T,K,price`` CSV lattice.
 """
 
 from __future__ import annotations
@@ -71,9 +73,10 @@ class _Writer:
         return path
 
 
-def _build_grid(cfg: ExperimentConfig, model, maturities) -> pde.Grid2D:
-    """The configured grid; every maturity lies on a step."""
+def _build_grid(cfg: ExperimentConfig, model) -> pde.Grid2D:
+    """The configured grid; every configured maturity lies on a step."""
     gb = cfg.grid_block
+    maturities = cfg.maturities()
     spacings = [float(gb[key]) for key in ("ds", "dr", "dt")]
     if gb["bounds"] == "auto":
         return pde.auto_grid(model, maturities, *spacings,
@@ -92,11 +95,19 @@ def _mass_rows(diag: pde.EvolveDiagnostics):
         )
 
 
-def _cmd_solve_pde(cfg, writer: _Writer):
+def _march(cfg):
+    """The model and its march on the configured grid, with a snapshot at
+    every configured maturity; the march's warnings go to stderr. Every PDE
+    command reads its fields from this one march."""
     model = cfg.build_model()
-    times = cfg.maturities()
-    grid = _build_grid(cfg, model, times)
-    result = pde.evolve(model, grid, snapshot_times=times)
+    result = pde.evolve(model, _build_grid(cfg, model), snapshot_times=cfg.maturities())
+    for warning in result.diagnostics.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+    return model, result
+
+
+def _cmd_solve_pde(cfg, writer: _Writer):
+    _, result = _march(cfg)
     for snap in result.snapshots:
         s, r = np.meshgrid(snap.grid.s_nodes, snap.grid.r_nodes, indexing="ij")
         rows = zip(np.full(s.size, snap.t), s.ravel(), r.ravel(), snap.values.ravel())
@@ -109,20 +120,16 @@ def _cmd_solve_pde(cfg, writer: _Writer):
         comments=[f"start_mode={result.diagnostics.start_mode}",
                   f"start_time={result.diagnostics.start_time:.17g}"],
     )
-    for warning in result.diagnostics.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
     return 0
 
 
 def _cmd_price_pde(cfg, writer: _Writer):
-    model = cfg.build_model()
-    maturity = float(cfg.maturities()[-1])
     strikes = cfg.strikes()
-    grid = _build_grid(cfg, model, maturity)
-    result = pde.evolve(model, grid)
-    prices = cal.price_calls_from_pz(result.snapshots[-1], strikes)
+    _, result = _march(cfg)
+    field = result.snapshots[-1]
+    prices = cal.price_calls_from_pz(field, strikes)
     writer.csv("prices_pde.csv", "K,price", zip(strikes, prices),
-               comments=[f"T={maturity:.17g}"])
+               comments=[f"T={field.t:.17g}"])
     return 0
 
 
@@ -162,15 +169,12 @@ def _cmd_price_mc(cfg, writer: _Writer):
 
 
 def _cmd_corrective_terms(cfg, writer: _Writer):
-    model = cfg.build_model()
-    times = cfg.maturities()
     strikes = cfg.strikes()
-    grid = _build_grid(cfg, model, times)
-    result = pde.evolve(model, grid, snapshot_times=times)
+    model, result = _march(cfg)
     rows = []
-    for t, snap in zip(times, result.snapshots):
-        curve = cal.corrective_terms(snap, forward_rate(model.rate, t), strikes)
-        rows.extend((t, k, a) for k, a in zip(curve.strikes, curve.adj))
+    for snap in result.snapshots:
+        curve = cal.corrective_terms(snap, forward_rate(model.rate, snap.t), strikes)
+        rows.extend((snap.t, k, a) for k, a in zip(curve.strikes, curve.adj))
     writer.csv("corrective_terms.csv", "T,K,adj", rows)
     return 0
 

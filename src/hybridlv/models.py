@@ -17,8 +17,9 @@ up to which ``value`` and ``derivatives`` stay exactly what they are at
 ``t``. The grid solver keeps one prefactored operator for that long.
 
 Each input is checked once, where it enters: a vol's parameters when it is
-built, a closed-form horizon as finite and >= 0, a spot as positive (NaN is
-not). A vol evaluates solver and path states without checks.
+built, a closed-form horizon as finite and >= 0 (the horizon of a call, a
+discount projection or a simulation as finite and > 0), a spot as positive
+(NaN is not). A vol evaluates solver and path states without checks.
 
 It also holds the two lattice rules the solver and the calibration share:
 what a maturity or strike axis is (:func:`lattice_axis`), and how close a
@@ -46,7 +47,6 @@ __all__ = [
     "SdeCoefficients",
     "zc_price",
     "forward_rate",
-    "hyperbolic_vol",
     "sde_coefficients",
 ]
 
@@ -73,10 +73,13 @@ def nearest_node(axis, x) -> int | None:
     return int(near[gaps[near].argmin()]) if near.size else None
 
 
-def _horizon(maturity) -> float:
-    """``maturity`` as a float horizon of the closed forms: finite and >= 0."""
-    if not (np.isfinite(maturity) and maturity >= 0):
-        raise InvalidInputError(f"maturity must be finite and >= 0, got {maturity!r}")
+def _horizon(maturity, positive: bool = False) -> float:
+    """``maturity`` as a float horizon: finite and >= 0 for the closed forms,
+    finite and > 0 if ``positive``, for a call, a discount projection or a
+    simulation."""
+    if not (np.isfinite(maturity) and (maturity > 0 if positive else maturity >= 0)):
+        bound = ">" if positive else ">="
+        raise InvalidInputError(f"maturity must be finite and {bound} 0, got {maturity!r}")
     return float(maturity)
 
 
@@ -147,12 +150,6 @@ def forward_rate(p: HullWhiteParams, maturity: float) -> float:
     )
 
 
-def hyperbolic_vol(nu: float, beta: float, s):
-    """:class:`HyperbolicVol` at the positive spots ``s``; a float for a scalar ``s``."""
-    val = HyperbolicVol(nu, beta).value(0.0, _positive_spots(s))
-    return float(val) if np.isscalar(s) else val
-
-
 @dataclass(frozen=True)
 class ConstantVol:
     """Flat lognormal volatility."""
@@ -187,7 +184,7 @@ class HyperbolicVol:
 
     positive for S > 0, flat at beta = 1 and skewed down for beta < 1. ``nu``
     and ``beta`` are checked when the vol is built; ``value`` and
-    ``derivatives`` take any state unchecked (:func:`hyperbolic_vol` checks spots).
+    ``derivatives`` take any state unchecked.
     """
 
     nu: float

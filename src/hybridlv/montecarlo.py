@@ -45,7 +45,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import InvalidInputError, McAbortedError, NoDataError
-from .models import HybridModel
+from .models import HybridModel, _horizon
 
 __all__ = [
     "McConfig",
@@ -116,8 +116,7 @@ def _check_inputs(maturity: float, bandwidth: float | None = None, centers=()) -
     """Reject what no simulation can serve: a maturity or kernel bandwidth
     that is not positive and finite, or a regression center whose spot is
     not positive and finite or whose rate is not finite."""
-    if not 0.0 < maturity < math.inf:
-        raise InvalidInputError(f"maturity must be positive and finite, got {maturity!r}")
+    _horizon(maturity, positive=True)
     if bandwidth is not None and not 0.0 < bandwidth < math.inf:
         raise InvalidInputError(f"bandwidth must be positive and finite, got {bandwidth!r}")
     for s_c, r_c in centers:

@@ -147,10 +147,6 @@ class Grid2D:
         steps = tuple(max(1, int(round((t1 - t0) / dt))) for t0, t1 in zip(ends, ends[1:]))
         return cls(s_min, s_max, r_min, r_max, n_s, n_r, tuple(ends[1:]), steps)
 
-    def with_horizon(self, t_end: float, n_t: int) -> "Grid2D":
-        """This box marching to ``t_end`` in ``n_t`` equal steps."""
-        return replace(self, maturities=(t_end,), steps=(n_t,))
-
 
 @dataclass
 class Field2D:
@@ -432,7 +428,6 @@ class EvolveDiagnostics:
     times: list = dataclass_field(default_factory=list)
     raw_mass: list = dataclass_field(default_factory=list)
     target_mass: list = dataclass_field(default_factory=list)
-    post_mass: list = dataclass_field(default_factory=list)
     negative_fraction: list = dataclass_field(default_factory=list)
     negative_mass_ratio: list = dataclass_field(default_factory=list)
     warnings: list = dataclass_field(default_factory=list)
@@ -545,7 +540,6 @@ def evolve(
         diag.times.append(t_next)
         diag.raw_mass.append(raw)
         diag.target_mass.append(target)
-        diag.post_mass.append(float(grid.ds * grid.dr * values.sum()))
         # the mass is positive, so the peak is and every node under the
         # floor is among the negatives
         diag.negative_fraction.append(

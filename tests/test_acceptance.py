@@ -29,7 +29,7 @@ from hybridlv.models import (
     zc_price,
 )
 from hybridlv.montecarlo import McConfig, conditional_z_estimate, simulate_paths
-from hybridlv.pde import auto_grid, evolve
+from hybridlv.pde import auto_grid, evolve, short_time_start
 
 from .oracles import TridiagonalSystem, bshw_greeks_fd_check, integrate, solve_tridiagonal
 
@@ -55,6 +55,12 @@ PRICE_STRIKES = np.round(np.arange(0.5, 1.5001, 0.05), 10)
 FAN_TIMES = [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0]
 
 
+def _every_step(model, grid):
+    """The step times after the short-time start: a snapshot at each is the
+    field, and so the mass, of every step of the march."""
+    return [t for t in grid.t_nodes if t > short_time_start(model, grid).t]
+
+
 def _l1_to_closed_form(model, field):
     g = field.grid
     s, r = np.meshgrid(g.s_nodes, g.r_nodes, indexing="ij")
@@ -67,7 +73,7 @@ def _l1_to_closed_form(model, field):
 def set1_run():
     grid = auto_grid(SET1, 1.0, ds=0.0156, dr=0.0026, dt=0.0099)
     started = time.perf_counter()
-    result = evolve(SET1, grid, snapshot_times=[1.0])
+    result = evolve(SET1, grid, snapshot_times=_every_step(SET1, grid))
     elapsed = time.perf_counter() - started
     return grid, result, elapsed
 
@@ -81,7 +87,7 @@ def set1_half_run():
 @pytest.fixture(scope="module")
 def set2_run():
     grid = auto_grid(SET2, 2.0, ds=0.025, dr=0.0037, dt=0.019)
-    result = evolve(SET2, grid, snapshot_times=[2.0])
+    result = evolve(SET2, grid, snapshot_times=_every_step(SET2, grid))
     return grid, result
 
 
@@ -93,13 +99,15 @@ def set2_half_run():
 
 @pytest.fixture(scope="module")
 def set1_fan_run():
-    grid = auto_grid(SET1, 2.0, ds=0.0156, dr=0.0026, dt=0.0099).with_horizon(2.0, 200)
+    grid = replace(auto_grid(SET1, 2.0, ds=0.0156, dr=0.0026, dt=0.0099),
+                   maturities=(2.0,), steps=(200,))
     return grid, evolve(SET1, grid, snapshot_times=FAN_TIMES)
 
 
 @pytest.fixture(scope="module")
 def set2_fan_run():
-    grid = auto_grid(SET2, 2.0, ds=0.025, dr=0.0037, dt=0.019).with_horizon(2.0, 104)
+    grid = replace(auto_grid(SET2, 2.0, ds=0.025, dr=0.0037, dt=0.019),
+                   maturities=(2.0,), steps=(104,))
     return grid, evolve(SET2, grid, snapshot_times=FAN_TIMES)
 
 
@@ -148,7 +156,9 @@ def test_criterion_04_mass_identity_and_drift(set1_run, set2_run):
     worst_drift = 0.0
     for _, result in (set1_run[:2], set2_run):
         diag = result.diagnostics
-        post = np.asarray(diag.post_mass)
+        # one snapshot per step (see the fixtures)
+        assert [field.t for field in result.snapshots] == diag.times
+        post = np.array([field.mass() for field in result.snapshots])
         target = np.asarray(diag.target_mass)
         worst_post = max(worst_post, float(np.max(np.abs(post / target - 1.0))))
         worst_drift = max(worst_drift, diag.max_ratio_deviation())

@@ -105,7 +105,7 @@ class TestCall:
             assert pg.price == pytest.approx(bs_call_textbook(1.0, k, 0.03, 0.2, 1.5), rel=1e-12)
 
     def test_zero_maturity_or_variance_raises(self, set1_model):
-        with pytest.raises(InvalidInputError, match="maturity must be > 0, got 0.0"):
+        with pytest.raises(InvalidInputError, match="maturity must be finite and > 0, got 0.0"):
             bshw_call(set1_model, 0.0, 0.8)
         with pytest.raises(InvalidInputError, match=r"zero total variance at T=1\.0"):
             bshw_call(_model(sigma2=0.0, sigma1=0.0), 1.0, 0.8)

@@ -297,6 +297,50 @@ run:
     def _report_values(report, name):
         return [w.split("=")[1] for w in report.split() if w.startswith(name + "=")]
 
+    def test_price_pde_prices_the_solve_pde_field(self, fast_config, monkeypatch):
+        # one march per config: price-pde prices the field solve-pde writes
+        import hybridlv.calibration as cal_mod
+        import hybridlv.pde as pde_mod
+
+        path, out = fast_config
+        raw = yaml.safe_load(path.read_text())
+        raw["grid"] = {"ds": 0.04, "dr": 0.006, "dt": 0.03}
+        raw["run"]["maturities"] = [0.5, 1.0]
+        path.write_text(yaml.safe_dump(raw))
+        results = []
+        original = pde_mod.evolve
+
+        def recorded(*args, **kwargs):
+            results.append(original(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(pde_mod, "evolve", recorded)
+        assert cli.run("price-pde", config_path=str(path)) == 0
+        assert cli.run("solve-pde", config_path=str(path)) == 0
+        field = results[-1].at(1.0)
+        strikes = load_config(path).strikes()
+        want = np.column_stack([strikes, cal_mod.price_calls_from_pz(field, strikes)])
+        assert (out / "prices_pde.csv").read_text().splitlines()[1] == "# T=1"
+        assert np.array_equal(_load_rows(out / "prices_pde.csv"), want)
+
+    @pytest.mark.parametrize("command", ["solve-pde", "price-pde", "corrective-terms"])
+    def test_pde_commands_print_the_march_warnings(self, fast_config, monkeypatch, capsys,
+                                                   command):
+        # every PDE command prints its march's warnings
+        import hybridlv.pde as pde_mod
+
+        original = pde_mod.evolve
+
+        def warned(*args, **kwargs):
+            result = original(*args, **kwargs)
+            result.diagnostics.warnings.append("raw mass drift +25.00% at t=1")
+            return result
+
+        monkeypatch.setattr(pde_mod, "evolve", warned)
+        path, _ = fast_config
+        assert cli.run(command, config_path=str(path)) == 0
+        assert capsys.readouterr().err.splitlines() == ["warning: raw mass drift +25.00% at t=1"]
+
     def test_single_horizon_commands_take_the_last_maturity(self, fast_config):
         path, out = fast_config
         raw = yaml.safe_load(path.read_text())

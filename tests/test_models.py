@@ -15,7 +15,6 @@ from hybridlv.models import (
     HyperbolicVol,
     SurfaceVol,
     forward_rate,
-    hyperbolic_vol,
     node_tolerance,
     sde_coefficients,
     zc_price,
@@ -80,24 +79,28 @@ class TestForwardRate:
         assert forward_rate(HW1, t) == pytest.approx(fd, rel=1e-6)
 
 
+def _hyperbolic(nu, beta, s):
+    return HyperbolicVol(nu, beta).value(0.0, s)
+
+
 class TestHyperbolicVol:
     def test_beta_one_is_flat(self):
         for s in (0.1, 0.77, 1.0, 5.0):
-            assert hyperbolic_vol(0.2, 1.0, s) == pytest.approx(0.2, rel=1e-14)
+            assert _hyperbolic(0.2, 1.0, s) == pytest.approx(0.2, rel=1e-14)
 
     def test_unit_spot_gives_level(self):
         for beta in (0.2, 0.5, 0.8, 1.0):
-            assert hyperbolic_vol(0.31, beta, 1.0) == pytest.approx(0.31, rel=1e-12)
+            assert _hyperbolic(0.31, beta, 1.0) == pytest.approx(0.31, rel=1e-12)
 
     def test_half_spot_value_and_skew(self):
-        got = hyperbolic_vol(0.2, 0.5, 0.5)
+        got = _hyperbolic(0.2, 0.5, 0.5)
         assert got == pytest.approx(0.276393202250, abs=1e-12)
-        assert got > hyperbolic_vol(0.2, 0.5, 1.0)
+        assert got > _hyperbolic(0.2, 0.5, 1.0)
 
     @pytest.mark.parametrize("beta", [0.2, 0.5, 0.8, 1.0])
     def test_positive_and_continuous(self, beta):
         s = np.linspace(1e-6, 10.0, 4001)
-        vals = hyperbolic_vol(0.2, beta, s)
+        vals = _hyperbolic(0.2, beta, s)
         assert np.all(vals > 0)
         assert np.all(np.isfinite(vals))
         # no jumps on the sampling resolution
@@ -106,19 +109,14 @@ class TestHyperbolicVol:
     @pytest.mark.parametrize("beta", [0.2, 0.5, 0.8])
     def test_decreasing_below_beta_one(self, beta):
         s = np.linspace(1e-3, 2.0, 800)
-        vals = hyperbolic_vol(0.2, beta, s)
+        vals = _hyperbolic(0.2, beta, s)
         assert np.all(np.diff(vals) < 0)
 
     def test_domain_errors(self):
-        with pytest.raises(InvalidInputError):
-            hyperbolic_vol(0.2, 0.0, 1.0)
-        with pytest.raises(InvalidInputError):
-            hyperbolic_vol(0.2, 0.5, -1.0)
-        with pytest.raises(InvalidInputError):
-            hyperbolic_vol(-0.2, 0.5, 1.0)
-        # NaN passed the "<= 0" test and gave a NaN vol
-        with pytest.raises(InvalidInputError, match="spot must be positive"):
-            hyperbolic_vol(0.2, 0.5, math.nan)
+        with pytest.raises(InvalidInputError, match=r"beta must be in \(0, 1\]"):
+            HyperbolicVol(0.2, 0.0)
+        with pytest.raises(InvalidInputError, match="nu must be positive"):
+            HyperbolicVol(-0.2, 0.5)
 
     def test_vol_evaluates_states_unchecked(self):
         # the parameters are checked once, when the vol is built; a state
@@ -127,7 +125,7 @@ class TestHyperbolicVol:
         with np.errstate(all="ignore"):
             sig = HyperbolicVol(nu=0.2, beta=0.5).value(0.0, states)
         assert not np.isfinite(sig[:3]).any()
-        assert sig[3] == hyperbolic_vol(0.2, 0.5, 1.0)
+        assert sig[3] == _hyperbolic(0.2, 0.5, 1.0)
 
 
 class TestVolDerivatives:
@@ -136,11 +134,11 @@ class TestVolDerivatives:
         vol = HyperbolicVol(nu=0.2, beta=0.5)
         _, sig_s, sig_ss = vol.derivatives(0.0, s)
         h = 1e-5 * s
-        fd_s = (hyperbolic_vol(0.2, 0.5, s + h) - hyperbolic_vol(0.2, 0.5, s - h)) / (2 * h)
+        fd_s = (_hyperbolic(0.2, 0.5, s + h) - _hyperbolic(0.2, 0.5, s - h)) / (2 * h)
         fd_ss = (
-            hyperbolic_vol(0.2, 0.5, s + h)
-            - 2 * hyperbolic_vol(0.2, 0.5, s)
-            + hyperbolic_vol(0.2, 0.5, s - h)
+            _hyperbolic(0.2, 0.5, s + h)
+            - 2 * _hyperbolic(0.2, 0.5, s)
+            + _hyperbolic(0.2, 0.5, s - h)
         ) / h**2
         assert float(sig_s) == pytest.approx(fd_s, rel=1e-6)
         assert float(sig_ss) == pytest.approx(fd_ss, rel=1e-4)

@@ -215,7 +215,7 @@ class TestSimulatePaths:
     def test_maturity_that_cannot_run_rejected(self, set1_model, maturity):
         # NaN and inf used to fail in int() with ValueError or OverflowError
         cfg = McConfig(n_paths=10, dt_mc=0.1)
-        with pytest.raises(InvalidInputError, match="maturity must be positive and finite"):
+        with pytest.raises(InvalidInputError, match="maturity must be finite and > 0"):
             simulate_paths(set1_model, maturity, cfg, [_call_payoff(1.0)])
 
     def test_invalid_config_rejected(self):

@@ -120,7 +120,7 @@ class TestGrid:
         sizes = np.repeat([0.1234567891 / 12, (0.5 - 0.1234567891) / 38, 0.01], [12, 38, 50])
         assert np.allclose(np.diff(nodes), sizes, rtol=0, atol=1e-15)
         # a one-interval grid: step k ends at k * dt
-        one = g.with_horizon(1.0, 101)
+        one = replace(g, maturities=(1.0,), steps=(101,))
         assert (one.maturities, one.steps) == ((1.0,), (101,))
         assert np.array_equal(one.t_nodes[:-1], np.arange(101) * (1.0 / 101))
 
@@ -362,8 +362,10 @@ class TestBandStep:
 class TestEvolve:
     def test_mass_identity_every_step(self, set1_model):
         g = auto_grid(set1_model, 0.5, ds=0.02, dr=0.003, dt=0.01)
-        res = evolve(set1_model, g, snapshot_times=[0.25, 0.5])
-        post = np.asarray(res.diagnostics.post_mass)
+        steps = [t for t in g.t_nodes if t > short_time_start(set1_model, g).t]
+        res = evolve(set1_model, g, snapshot_times=steps)
+        assert [snap.t for snap in res.snapshots] == res.diagnostics.times
+        post = np.array([snap.mass() for snap in res.snapshots])
         target = np.asarray(res.diagnostics.target_mass)
         assert np.max(np.abs(post / target - 1.0)) < 1e-12
         for snap in res.snapshots:
@@ -435,7 +437,7 @@ class TestEvolve:
         with pytest.raises(InvalidInputError, match="box"):
             evolve(set1_model, g, start=moved)
         # only the horizon may differ from the grid the field was marched on
-        longer = evolve(set1_model, g.with_horizon(2.0, 2 * g.n_t), start=first)
+        longer = evolve(set1_model, replace(g, maturities=(2.0,), steps=(2 * g.n_t,)), start=first)
         assert longer.snapshots[-1].t == pytest.approx(2.0)
 
     def test_deterministic_rerun_is_bit_identical(self, set2_model):
