@@ -35,7 +35,7 @@ from .errors import (
     NegativeVarianceError,
 )
 from .models import ConstantVol, HybridModel, SurfaceVol, forward_rate, lattice_axis, nearest_node
-from .pde import Field2D, auto_grid, evolve
+from .pde import Field2D, Grid2D, auto_grid, evolve
 
 __all__ = [
     "CallSurface",
@@ -150,16 +150,21 @@ def _strike_integrals(s_full: np.ndarray, marginal: np.ndarray, strikes):
     return m0, m1
 
 
+def _spot_marginal(g: Grid2D, density: np.ndarray):
+    """The spot nodes of ``g`` with both box edges, and the integral over r
+    of ``density`` (values on the interior nodes) on them, zero at the edges."""
+    s_full = np.concatenate([[g.s_min], g.s_nodes, [g.s_max]])
+    return s_full, np.pad(g.dr * density.sum(axis=1), 1)
+
+
 def corrective_terms(field: Field2D, f0t: float, strikes) -> CorrectiveTermCurve:
     """Adj(K) = integral of (r - f(0,T)) over {S > K} against the field.
 
     Each strike reads the zeroth-moment suffix integral of the weighted
     spot marginal, so the whole curve costs a single traversal of the grid.
     """
-    g = field.grid
-    s_full = np.concatenate([[g.s_min], g.s_nodes, [g.s_max]])
-    marginal = np.pad(g.dr * (field.values * (g.r_nodes - f0t)).sum(axis=1), 1)
-    m0, _ = _strike_integrals(s_full, marginal, strikes)
+    weighted = field.values * (field.grid.r_nodes - f0t)
+    m0, _ = _strike_integrals(*_spot_marginal(field.grid, weighted), strikes)
     return CorrectiveTermCurve(maturity=field.t, strikes=strikes, adj=m0)
 
 
@@ -170,10 +175,7 @@ def price_calls_from_pz(field: Field2D, strikes) -> np.ndarray:
     marginal, split as a first-moment and a zeroth-moment suffix integral
     (partial cells at the strike cut), one pass for all strikes.
     """
-    g = field.grid
-    s_full = np.concatenate([[g.s_min], g.s_nodes, [g.s_max]])
-    marginal = np.pad(g.dr * field.values.sum(axis=1), 1)
-    m0, m1 = _strike_integrals(s_full, marginal, strikes)
+    m0, m1 = _strike_integrals(*_spot_marginal(field.grid, field.values), strikes)
     return m1 - np.asarray(strikes, dtype=float) * m0
 
 

@@ -8,13 +8,14 @@ mean-reverting (Hull-White) process, correlated through the Brownian drivers:
 
 This module holds the parameter containers, the local-volatility function
 family (constant, hyperbolic skew, and the calibrated surface: one slice
-per maturity interval, constant in time, linear in strike) together with
-their spatial derivatives, and the discount-curve analytics of the rate
-model.
+per maturity interval, constant in time, linear in strike) and the
+discount-curve analytics of the rate model. A local vol gives its
+``value`` and nothing else: the grid solver reads sigma at its nodes and
+differences the terms that carry it.
 
 Every local-volatility function answers ``next_change(t)``: the last time
-up to which ``value`` and ``derivatives`` stay exactly what they are at
-``t``. The grid solver keeps one prefactored operator for that long.
+up to which ``value`` stays exactly what it is at ``t``. The grid solver
+keeps one prefactored operator for that long.
 
 Each input is checked once, where it enters: a vol's parameters when it is
 built, a closed-form horizon as finite and >= 0 (the horizon of a call, a
@@ -166,11 +167,6 @@ class ConstantVol:
         vol terms once (callers that need an array broadcast it)."""
         return float(self.sigma1)
 
-    def derivatives(self, t, s):
-        arr = np.asarray(s, dtype=float)
-        z = np.zeros_like(arr)
-        return np.full_like(arr, self.sigma1), z, z
-
     def next_change(self, t: float) -> float:
         return math.inf
 
@@ -183,8 +179,8 @@ class HyperbolicVol:
         g(S) = sqrt(S^2 + beta^2 (1-S)^2),
 
     positive for S > 0, flat at beta = 1 and skewed down for beta < 1. ``nu``
-    and ``beta`` are checked when the vol is built; ``value`` and
-    ``derivatives`` take any state unchecked.
+    and ``beta`` are checked when the vol is built; ``value`` takes any
+    state unchecked.
     """
 
     nu: float
@@ -196,24 +192,10 @@ class HyperbolicVol:
         if not (0.0 < self.beta <= 1.0):
             raise InvalidInputError(f"beta must be in (0, 1], got {self.beta!r}")
 
-    def _sigma_g(self, s):
-        """(S, sigma(S), g(S)) at the spots ``s``, S as a float array."""
+    def value(self, t, s):
         x, nu, beta = np.asarray(s, dtype=float), self.nu, self.beta
         g = np.sqrt(x**2 + beta**2 * (1.0 - x) ** 2)
-        return x, nu * ((1.0 - beta + beta**2) / beta + (beta - 1.0) / (beta * x) * (g - beta)), g
-
-    def value(self, t, s):
-        return self._sigma_g(s)[1]
-
-    def derivatives(self, t, s):
-        arr, sig, g = self._sigma_g(s)
-        nu, beta = self.nu, self.beta
-        gp = (arr - beta**2 * (1.0 - arr)) / g
-        gpp = (1.0 + beta**2) / g - (arr - beta**2 * (1.0 - arr)) ** 2 / g**3
-        k = nu * (beta - 1.0) / beta
-        sig_s = k * (gp * arr - g + beta) / arr**2
-        sig_ss = k * (gpp * arr**2 - 2.0 * arr * gp + 2.0 * (g - beta)) / arr**3
-        return sig, sig_s, sig_ss
+        return nu * ((1.0 - beta + beta**2) / beta + (beta - 1.0) / (beta * x) * (g - beta))
 
     def next_change(self, t: float) -> float:
         return math.inf
@@ -227,10 +209,6 @@ class SurfaceVol:
     strikes and flat outside them. A time within :func:`node_tolerance` of
     T_i below it already reads slice i+1, so a step that starts on a
     maturity marches under the next slice.
-
-    Spatial derivatives are central differences on the interpolant with a
-    step of one strike spacing (floored at 1e-4 S, the interpolant is
-    piecewise linear so smaller steps see no curvature).
     """
 
     maturities: np.ndarray
@@ -259,17 +237,6 @@ class SurfaceVol:
     def value(self, t, s):
         row = self.sigma[self._slice_index(t)]
         return np.interp(np.asarray(s, dtype=float), self.strikes, row)
-
-    def derivatives(self, t, s):
-        arr = np.asarray(s, dtype=float)
-        spacing = float(np.median(np.diff(self.strikes))) if self.strikes.size >= 2 else 1e-2
-        h = np.maximum(spacing, 1e-4 * np.abs(arr))
-        up = self.value(t, arr + h)
-        dn = self.value(t, np.maximum(arr - h, 1e-12))
-        sig = self.value(t, arr)
-        sig_s = (up - dn) / (2.0 * h)
-        sig_ss = (up - 2.0 * sig + dn) / h**2
-        return sig, sig_s, sig_ss
 
     def next_change(self, t: float) -> float:
         """The last time before the maturity that ends ``t``'s slice, or
@@ -300,38 +267,28 @@ class HybridModel:
 
 @dataclass(frozen=True)
 class SdeCoefficients:
-    """Drift/volatility values and the spatial derivatives the solver needs.
-
-    The Hull-White rate volatility ``vol_r`` is constant in r, so it has no
-    r-derivatives to carry.
-    """
+    """Drift and volatility values of the SDE: ``drift_s`` = r S and
+    ``vol_s`` = sigma(t, S) (in the shape of the spots) for the spot,
+    ``drift_r`` = a (theta - r) and ``vol_r`` = sigma2 for the rate."""
 
     drift_s: np.ndarray
     vol_s: np.ndarray
     drift_r: np.ndarray
     vol_r: np.ndarray
-    sigma_s: np.ndarray
-    sigma_ss: np.ndarray
-    mu_r: float
 
 
 def sde_coefficients(m: HybridModel, t: float, s, r) -> SdeCoefficients:
-    """Evaluate the SDE coefficient functions and their derivatives.
+    """Evaluate the SDE coefficient functions.
 
     ``s`` and ``r`` may be scalars or broadcastable arrays (e.g. a spot
     column and a rate row to produce full grids).
     """
     s_arr = _positive_spots(s)
     r_arr = np.asarray(r, dtype=float)
-    sig, sig_s, sig_ss = m.vol.derivatives(t, s_arr)
     p = m.rate
-    alpha = np.full_like(r_arr, p.sigma2)
     return SdeCoefficients(
         drift_s=r_arr * s_arr,
-        vol_s=sig,
+        vol_s=np.broadcast_to(m.vol.value(t, s_arr), s_arr.shape),
         drift_r=p.a * (p.theta - r_arr),
-        vol_r=alpha,
-        sigma_s=sig_s,
-        sigma_ss=sig_ss,
-        mu_r=-p.a,
+        vol_r=np.full_like(r_arr, p.sigma2),
     )

@@ -3,15 +3,21 @@
 The evolved quantity is the product of the risk-neutral density of
 (S(t), r(t)) with the projection of the pathwise discount factor on the
 terminal state. It satisfies a Fokker-Planck-type equation with an extra
-reaction term; expanding the divergence form gives first/second/cross
-derivative coefficients C1..C6 which the two-sweep alternating-direction
-implicit scheme (a Peaceman-Rachford splitting) consumes directly.
+reaction term,
 
-Half-step 1 treats the spot direction implicitly, half-step 2 the rate
-direction; the cross term stays explicit in both. Boundary values are held
-at zero on the truncated box, and after every full step the field is
-rescaled so its trapezoid mass matches the zero-coupon identity
-``integral of the field = ZC(0, t)``.
+    u_t = 1/2 d_SS(sigma^2 S^2 u) + d_Sr(rho sigma S alpha u) + 1/2 alpha^2 u_rr
+          - d_r(a (theta - r) u) - r S u_S - 2 r u,
+
+whose diffusion, cross and rate-drift terms are differenced as written, in
+divergence form: each reads its coefficient at the nodes of its stencil,
+so the operator needs sigma at the nodes and no derivative of it. The spot
+drift stays advective (its -r u is folded into the reaction 2 r). The
+two-sweep alternating-direction implicit scheme (a Peaceman-Rachford
+splitting) takes the spot terms implicitly in half-step 1 and the rate
+terms in half-step 2, the reaction implicitly in both; the cross term stays
+explicit in both. Boundary values are held at zero on the truncated box,
+and after every full step the field is rescaled so its trapezoid mass
+matches the zero-coupon identity ``integral of the field = ZC(0, t)``.
 
 The explicit half of a step works on the padded layout: an
 (n_s + 2) x (n_r + 2) array, row-major, whose outer ring holds the zero
@@ -263,53 +269,37 @@ def short_time_start(model: HybridModel, grid: Grid2D) -> Field2D:
 
 @dataclass(frozen=True)
 class AdiCoefficients:
-    """Per-node PDE coefficients at one time level.
+    """Node values of the terms of the forward equation at one time level:
 
-    C1/C2 multiply the first S/r derivatives, C3/C4 the second ones
-    (both are minus half the squared diffusions, hence never positive),
-    C5 the cross derivative and C6 the reaction term. Each is a read-only
-    (n_s, n_r) view: a coefficient that is constant along an axis (C3, C4
-    and C5 are) is its row or column broadcast, not a full copy.
+        u_t = 1/2 d_SS(diff_s u) + d_Sr(cross u) + 1/2 diff_r u_rr
+              - d_r(drift_r u) - drift_s u_S - reaction u,
+
+    with diff_s = sigma^2 S^2, cross = rho sigma S alpha, diff_r = alpha^2,
+    drift_r = a (theta - r), drift_s = r S and reaction = 2 r. Each is a
+    read-only (n_s, n_r) view: a term that is constant along an axis (all
+    but ``drift_s`` and ``cross`` are) is its row or column broadcast, not a
+    full copy.
     """
 
     t: float
-    c1: np.ndarray
-    c2: np.ndarray
-    c3: np.ndarray
-    c4: np.ndarray
-    c5: np.ndarray
-    c6: np.ndarray
+    diff_s: np.ndarray
+    cross: np.ndarray
+    diff_r: np.ndarray
+    drift_s: np.ndarray
+    drift_r: np.ndarray
+    reaction: np.ndarray
 
 
 def build_coefficients(model: HybridModel, grid: Grid2D, t: float) -> AdiCoefficients:
-    """Evaluate C1..C6 on the interior nodes at time level ``t``.
-
-    The Hull-White rate volatility ``alpha`` is constant in r, so every
-    term of the expansion that carries its r-derivatives is zero and left
-    out.
-    """
+    """Evaluate the terms of the forward equation on the interior nodes at
+    time level ``t``, from the SDE coefficients alone."""
     s = grid.s_nodes[:, None]
     r = grid.r_nodes[None, :]
     co = sde_coefficients(model, t, s, r)
-    sig, sig_s, sig_ss = co.vol_s, co.sigma_s, co.sigma_ss
-    alpha = co.vol_r
-    rho = model.rho
+    spot_vol = co.vol_s * s  # sigma S
+    terms = (spot_vol**2, model.rho * spot_vol * co.vol_r, co.vol_r**2, co.drift_s, co.drift_r, 2.0 * r)
     shape = (grid.n_s, grid.n_r)
-    # C1, C2 and C6 vary along both axes: each sum is accumulated in place,
-    # term by term from the left, in one full array of its own.
-    c1 = np.subtract(co.drift_s, 2.0 * s * sig**2, out=np.empty(shape))
-    c1 -= 2.0 * s**2 * sig * sig_s
-    c2 = np.subtract(co.drift_r, rho * sig * alpha, out=np.empty(shape))
-    c2 -= rho * sig_s * s * alpha
-    c3 = -0.5 * s**2 * sig**2
-    c4 = -0.5 * alpha**2
-    c5 = -rho * sig * s * alpha
-    c6 = np.subtract(2.0 * r + co.mu_r, sig**2, out=np.empty(shape))
-    c6 -= 4.0 * s * sig * sig_s
-    c6 -= sig_s**2 * s**2
-    c6 -= sig * sig_ss * s**2
-    c1, c2, c3, c4, c5, c6 = (np.broadcast_to(c, shape) for c in (c1, c2, c3, c4, c5, c6))
-    return AdiCoefficients(t=t, c1=c1, c2=c2, c3=c3, c4=c4, c5=c5, c6=c6)
+    return AdiCoefficients(t, *(np.broadcast_to(x, shape) for x in terms))
 
 
 class _StepOperator:
@@ -318,13 +308,19 @@ class _StepOperator:
     Only the factors of the two implicit sweeps and the explicit weights are
     kept; the implicit stencils themselves are dropped once factored.
 
-    The second half-step's right-hand side needs no second S stencil. With
-    A1 the 3-point S stencil, the half-step value u* solves
-    (2/dt + A1 + c6) u* = f1, and the explicit S terms of half-step 2 are
-    (2/dt - A1) u*, the zero Dirichlet ring included. They therefore equal
-    (4/dt + c6) u* - f1, and f2 = (4/dt + c6) u* - f1 + wx * cross(u*). The
-    identity is used within one step only; nothing crosses from one step to
-    the next.
+    With half = 1/2 diff / h^2 on each axis, the S stencil A1 of node i
+    reads -(half_{i-1} + drift_s / (2 ds)), 2 half_i and drift_s / (2 ds) -
+    half_{i+1} on nodes i-1, i, i+1, and the r stencil A2 reads
+    -(half + drift_r_{j-1} / (2 dr)), 2 half and drift_r_{j+1} / (2 dr) -
+    half on nodes j-1, j, j+1 (A1 and A2 are minus the spatial operator, a
+    neighbour's coefficient taken at the neighbour).
+
+    The second half-step's right-hand side needs no second S stencil. The
+    half-step value u* solves (2/dt + A1 + reaction) u* = f1, and the
+    explicit S terms of half-step 2 are (2/dt - A1) u*, the zero Dirichlet
+    ring included. They therefore equal (4/dt + reaction) u* - f1, and
+    f2 = (4/dt + reaction) u* - f1 + cross(u*). The identity is used within
+    one step only; nothing crosses from one step to the next.
 
     The explicit half of the step runs on the band of the padded layout (see
     the module docstring). The field, the right-hand side and the weights
@@ -337,10 +333,6 @@ class _StepOperator:
 
     def __init__(self, coeffs: AdiCoefficients, grid: Grid2D, dt: float):
         ds, dr = grid.ds, grid.dr
-        ds2, dr2 = ds * ds, dr * dr
-        c1, c2, c3, c4, c5, c6 = (
-            coeffs.c1, coeffs.c2, coeffs.c3, coeffs.c4, coeffs.c5, coeffs.c6,
-        )
         shape = (grid.n_s + 2, grid.n_r + 2)
         row = shape[1]
         first, last = row + 1, grid.n_s * row + grid.n_r  # nodes (1, 1) and (n_s, n_r)
@@ -357,46 +349,59 @@ class _StepOperator:
             return band(out.ravel())
 
         two_dt = 2.0 / dt
+        reaction = coeffs.reaction
+        # 1/2 diff_s / ds^2 with a zero row past each end of the S lines
+        half_s = np.pad(coeffs.diff_s * (0.5 / (ds * ds)), ((1, 1), (0, 0)))
+        adv_s = coeffs.drift_s / (2 * ds)
         # Implicit sweep along S: a x_{i-1} + b x_i + c x_{i+1} = f1.
         self.lu1 = thomas_prefactor(
-            -c1 / (2 * ds) + c3 / ds2,
-            two_dt - 2 * c3 / ds2 + c6,
-            c1 / (2 * ds) + c3 / ds2,
+            -(half_s[:-2] + adv_s),
+            two_dt + 2 * half_s[1:-1] + reaction,
+            adv_s - half_s[2:],
             axis=0,
         )
+        half_r = coeffs.diff_r * (0.5 / (dr * dr))
+        # drift_r / (2 dr) with a zero column past each end of the r lines
+        adv_r = np.pad(coeffs.drift_r / (2 * dr), ((0, 0), (1, 1)))
         # Implicit sweep along r: d x_{j-1} + e x_j + f x_{j+1} = f2.
         self.lu2 = thomas_prefactor(
-            -c2 / (2 * dr) + c4 / dr2,
-            two_dt - 2 * c4 / dr2 + c6,
-            c2 / (2 * dr) + c4 / dr2,
+            -(half_r + adv_r[:, :-2]),
+            two_dt + 2 * half_r + reaction,
+            adv_r[:, 2:] - half_r,
             axis=1,
         )
         # The padded arrays are allocated once both factorisations have freed
         # their temporaries, so the heap does not grow around the holes.
-        # Explicit r-direction weights feeding f1.
-        self.w1_c = padded_weight(np.add, two_dt, 2 * c4 / dr2)
-        self.w1_jp = padded_weight(np.negative, c2 / (2 * dr) + c4 / dr2)
-        self.w1_jm = padded_weight(np.subtract, c2 / (2 * dr), c4 / dr2)
-        # f2 = kappa * u* - f1 + wx * cross(u*), see the class docstring.
-        self.kappa = padded_weight(np.add, 2 * two_dt, c6)
-        self.wx = padded_weight(np.divide, -c5, 4 * ds * dr)
+        # Explicit r-direction weights feeding f1: 2/dt - A2.
+        self.w1_c = padded_weight(np.subtract, two_dt, 2 * half_r)
+        self.w1_jp = padded_weight(np.subtract, half_r, adv_r[:, 2:])
+        self.w1_jm = padded_weight(np.add, half_r, adv_r[:, :-2])
+        # f2 = kappa * u* - f1 + cross(u*), see the class docstring.
+        self.kappa = padded_weight(np.add, 2 * two_dt, reaction)
+        self.wx = padded_weight(np.divide, coeffs.cross, 4 * ds * dr)
         pad = np.zeros(shape)
         rhs = np.empty(shape)
+        # scratch, and the field scaled by wx whose corners the cross term
+        # reads: its ring stays zero and wx zeroes its ghost columns
+        scratch = np.zeros(shape)
         flat = pad.ravel()
         self._inner, self._rhs_inner = pad[1:-1, 1:-1], rhs[1:-1, 1:-1]
         self._u, self._rhs = band(flat), band(rhs.ravel())
         self._jp, self._jm = band(flat, 0, 1), band(flat, 0, -1)
+        self._tmp = band(scratch.ravel())
         # the cross stencil's corners (+1, +1), (-1, -1), (-1, +1), (+1, -1)
-        self._corners = tuple(band(flat, di, dj) for di, dj in ((1, 1), (-1, -1), (-1, 1), (1, -1)))
-        self._tmp = np.empty(self._u.size)
+        self._corners = tuple(
+            band(scratch.ravel(), di, dj) for di, dj in ((1, 1), (-1, -1), (-1, 1), (1, -1)))
 
-    def _cross_term(self, out):
-        """``out = wx * cross(u)`` on the band, the explicit mixed-derivative term."""
+    def _add_cross_term(self, rhs):
+        """``rhs += cross(wx * u)`` on the band, the explicit mixed-derivative
+        term: the r-difference of each neighbour row, times that row's weight."""
+        np.multiply(self._u, self.wx, out=self._tmp)
         pp, mm, mp, pm = self._corners
-        np.add(pp, mm, out=out)
-        out -= mp
-        out -= pm
-        out *= self.wx
+        rhs += pp
+        rhs += mm
+        rhs -= mp
+        rhs -= pm
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         u, rhs, tmp = self._u, self._rhs, self._tmp
@@ -404,13 +409,11 @@ class _StepOperator:
         np.multiply(u, self.w1_c, out=rhs)
         rhs += np.multiply(self._jp, self.w1_jp, out=tmp)
         rhs += np.multiply(self._jm, self.w1_jm, out=tmp)
-        self._cross_term(tmp)
-        rhs += tmp
+        self._add_cross_term(rhs)
         thomas_apply(self.lu1, self._rhs_inner, out=self._inner)
         np.multiply(u, self.kappa, out=tmp)
         np.subtract(tmp, rhs, out=rhs)
-        self._cross_term(tmp)
-        rhs += tmp
+        self._add_cross_term(rhs)
         return thomas_apply(self.lu2, self._rhs_inner)
 
 

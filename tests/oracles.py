@@ -2,7 +2,8 @@
 
 Everything here is built from a different route than the production code:
 dense linear algebra and a scalar Thomas loop instead of the batched line
-solves, ODE/quadrature integration instead of closed forms, textbook
+solves, a node-by-node assembly of the forward operator instead of the
+band weights, ODE/quadrature integration instead of closed forms, textbook
 Black-Scholes with the stdlib error function, finite differences of the
 closed-form price, a full-grid trapezoid instead of the single-pass
 marginal integrals, and Gaussian-calculus identities for the corrective
@@ -11,13 +12,15 @@ term. Expected values in the tests are frozen from these oracles.
 operator once, for tests that check a single step. :func:`slice_step`
 shares the production line solves and checks only the explicit stencils.
 :class:`RebuiltEveryStep` shares the production surface and drops only its
-operator caching.
+operator caching. :func:`rate_marginal` is a closed form of its own, checked
+against ``analytic_pz`` integrated over the spot.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.integrate import quad, solve_ivp
 from scipy.special import ndtri
 
@@ -25,7 +28,7 @@ from hybridlv import montecarlo
 from hybridlv.analytic import bshw_call
 from hybridlv.errors import InvalidInputError, SingularSystemError
 from hybridlv.linalg import thomas_apply, thomas_prefactor
-from hybridlv.models import SurfaceVol, zc_price
+from hybridlv.models import SurfaceVol, _rate_mean_var, zc_price
 from hybridlv.pde import Field2D, _StepOperator
 
 _PIVOT_FLOOR = 1e-300
@@ -105,40 +108,102 @@ def slice_step(coeffs, grid, dt, values):
     runs a strided 2-d slice one row at a time).
     """
     ds, dr = grid.ds, grid.dr
-    ds2, dr2 = ds * ds, dr * dr
-    c1, c2, c3, c4, c5, c6 = (
-        coeffs.c1, coeffs.c2, coeffs.c3, coeffs.c4, coeffs.c5, coeffs.c6,
-    )
     two_dt = 2.0 / dt
+    reaction = coeffs.reaction
+    half_s = np.pad(coeffs.diff_s * (0.5 / (ds * ds)), ((1, 1), (0, 0)))
+    adv_s = coeffs.drift_s / (2 * ds)
     lu1 = thomas_prefactor(
-        -c1 / (2 * ds) + c3 / ds2, two_dt - 2 * c3 / ds2 + c6, c1 / (2 * ds) + c3 / ds2, axis=0
+        -(half_s[:-2] + adv_s), two_dt + 2 * half_s[1:-1] + reaction, adv_s - half_s[2:], axis=0
     )
+    half_r = coeffs.diff_r * (0.5 / (dr * dr))
+    adv_r = np.pad(coeffs.drift_r / (2 * dr), ((0, 0), (1, 1)))
     lu2 = thomas_prefactor(
-        -c2 / (2 * dr) + c4 / dr2, two_dt - 2 * c4 / dr2 + c6, c2 / (2 * dr) + c4 / dr2, axis=1
+        -(half_r + adv_r[:, :-2]), two_dt + 2 * half_r + reaction, adv_r[:, 2:] - half_r, axis=1
     )
-    w1_c = two_dt + 2 * c4 / dr2
-    w1_jp = -(c2 / (2 * dr) + c4 / dr2)
-    w1_jm = c2 / (2 * dr) - c4 / dr2
-    kappa = 2 * two_dt + c6
-    wx = -c5 / (4 * ds * dr)
+    w1_c = two_dt - 2 * half_r
+    w1_jp = half_r - adv_r[:, 2:]
+    w1_jm = half_r + adv_r[:, :-2]
+    kappa = 2 * two_dt + reaction
+    wx = np.pad(coeffs.cross / (4 * ds * dr), 1)
 
-    def cross(padded):
-        out = padded[2:, 2:] + padded[:-2, :-2]
-        out -= padded[:-2, 2:]
-        out -= padded[2:, :-2]
-        out *= wx
-        return out
+    def add_cross(rhs, padded):
+        scaled = padded * wx
+        rhs += scaled[2:, 2:]
+        rhs += scaled[:-2, :-2]
+        rhs -= scaled[:-2, 2:]
+        rhs -= scaled[2:, :-2]
 
     pad = np.zeros((grid.n_s + 2, grid.n_r + 2))
     pad[1:-1, 1:-1] = values
     rhs = values * w1_c
     rhs += pad[1:-1, 2:] * w1_jp
     rhs += pad[1:-1, :-2] * w1_jm
-    rhs += cross(pad)
+    add_cross(rhs, pad)
     pad[1:-1, 1:-1] = thomas_apply(lu1, rhs)
     rhs = pad[1:-1, 1:-1] * kappa - rhs
-    rhs += cross(pad)
+    add_cross(rhs, pad)
     return thomas_apply(lu2, rhs)
+
+
+def flux_operator(coeffs, grid):
+    """The spatial operator of the forward equation on the interior nodes,
+    assembled node by node from its divergence-form stencils.
+
+    Returns the sparse matrices ``(spot, rate, cross, reaction)`` over the
+    nodes in row-major order (node (i, j) is row i n_r + j): spot is
+    1/2 d_SS(diff_s u) - drift_s u_S, rate is 1/2 diff_r u_rr -
+    d_r(drift_r u), cross is d_Sr(cross u) and reaction the diagonal of
+    ``coeffs.reaction``, so u_t = (spot + rate + cross - reaction) u. The
+    terms in divergence form (the S diffusion, the cross term, the rate
+    drift) take their coefficient at the stencil node it multiplies, the
+    spot drift and the rate diffusion at the centre node. A neighbour on the
+    box boundary holds u = 0 and drops out.
+    """
+    n_s, n_r, ds, dr = grid.n_s, grid.n_r, grid.ds, grid.dr
+    diff_s, cross, diff_r, drift_s, drift_r = (
+        np.pad(np.asarray(x), 1)
+        for x in (coeffs.diff_s, coeffs.cross, coeffs.diff_r, coeffs.drift_s, coeffs.drift_r))
+    entries = {name: ([], [], []) for name in ("spot", "rate", "cross")}
+
+    def put(name, node, i, j, weight):
+        """Add ``weight`` times the value at interior node (i, j), 1-based."""
+        if 1 <= i <= n_s and 1 <= j <= n_r:
+            rows, cols, vals = entries[name]
+            rows.append(node)
+            cols.append((i - 1) * n_r + j - 1)
+            vals.append(weight)
+
+    for i in range(1, n_s + 1):
+        for j in range(1, n_r + 1):
+            node = (i - 1) * n_r + j - 1
+            for di in (-1, 0, 1):
+                # (D_{i+di} u_{i+di} weighted 1, -2, 1) / (2 ds^2)
+                put("spot", node, i + di, j, (0.5 if di else -1.0) * diff_s[i + di, j] / ds**2)
+                put("rate", node, i, j + di, (0.5 if di else -1.0) * diff_r[i, j] / dr**2)
+                if di:
+                    put("spot", node, i + di, j, -di * drift_s[i, j] / (2 * ds))
+                    put("rate", node, i, j + di, -di * drift_r[i, j + di] / (2 * dr))
+                    for dj in (-1, 1):
+                        put("cross", node, i + di, j + dj,
+                            di * dj * cross[i + di, j + dj] / (4 * ds * dr))
+    shape = (n_s * n_r, n_s * n_r)
+    spot, rate, mixed = (
+        sparse.csr_matrix((vals, (rows, cols)), shape=shape)
+        for rows, cols, vals in entries.values())
+    reaction = sparse.diags(np.broadcast_to(coeffs.reaction, (n_s, n_r)).ravel(), format="csr")
+    return spot, rate, mixed, reaction
+
+
+def rate_marginal(rate, maturity, r):
+    """Integral over S of the discounted joint density at the rates ``r``:
+    ZC(0, T) times the Gaussian density of mean m - c and variance v, where
+    (m, v) are the mean and variance of r(T) and c = sigma2^2 (1 -
+    exp(-a T))^2 / (2 a^2) is the covariance of r(T) with the integrated
+    rate, the shift of the T-forward measure. It holds for every local vol."""
+    mean, var = _rate_mean_var(rate, maturity)
+    shift = rate.sigma2**2 * (1.0 - math.exp(-rate.a * maturity)) ** 2 / (2.0 * rate.a**2)
+    z = (np.asarray(r, dtype=float) - (mean - shift)) ** 2 / var
+    return zc_price(rate, maturity) * np.exp(-0.5 * z) / math.sqrt(2.0 * math.pi * var)
 
 
 def step_health(snapshots, rate):
@@ -336,9 +401,6 @@ class _RestartView:
                 row = values
                 break
         return np.interp(np.asarray(s, dtype=float), self.strikes, row)
-
-    def derivatives(self, t, s):
-        return SurfaceVol.derivatives(self, t, s)
 
     def next_change(self, t):
         return t

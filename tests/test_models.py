@@ -128,34 +128,6 @@ class TestHyperbolicVol:
         assert sig[3] == _hyperbolic(0.2, 0.5, 1.0)
 
 
-class TestVolDerivatives:
-    @pytest.mark.parametrize("s", [0.5, 1.0, 1.5])
-    def test_hyperbolic_slope_matches_differences(self, s):
-        vol = HyperbolicVol(nu=0.2, beta=0.5)
-        _, sig_s, sig_ss = vol.derivatives(0.0, s)
-        h = 1e-5 * s
-        fd_s = (_hyperbolic(0.2, 0.5, s + h) - _hyperbolic(0.2, 0.5, s - h)) / (2 * h)
-        fd_ss = (
-            _hyperbolic(0.2, 0.5, s + h)
-            - 2 * _hyperbolic(0.2, 0.5, s)
-            + _hyperbolic(0.2, 0.5, s - h)
-        ) / h**2
-        assert float(sig_s) == pytest.approx(fd_s, rel=1e-6)
-        assert float(sig_ss) == pytest.approx(fd_ss, rel=1e-4)
-
-    def test_beta_one_has_zero_derivatives(self):
-        vol = HyperbolicVol(nu=0.2, beta=1.0)
-        _, sig_s, sig_ss = vol.derivatives(0.0, np.array([0.5, 1.0, 2.0]))
-        assert np.all(sig_s == 0.0)
-        assert np.all(sig_ss == 0.0)
-
-    def test_constant_vol_derivatives(self):
-        sig, sig_s, sig_ss = ConstantVol(0.2).derivatives(0.0, np.array([0.5, 1.5]))
-        assert np.all(sig == 0.2)
-        assert np.all(sig_s == 0.0)
-        assert np.all(sig_ss == 0.0)
-
-
 class TestSdeCoefficients:
     def test_constant_vol_point_values(self, set1_model):
         co = sde_coefficients(set1_model, 0.0, 1.0, 0.02)
@@ -163,9 +135,14 @@ class TestSdeCoefficients:
         assert float(co.vol_s) == pytest.approx(0.2)
         assert float(co.drift_r) == pytest.approx(0.0, abs=1e-15)
         assert float(co.vol_r) == pytest.approx(0.04)
-        assert float(co.sigma_s) == 0.0
-        assert float(co.sigma_ss) == 0.0
-        assert co.mu_r == pytest.approx(-0.5)
+
+    def test_vol_takes_the_shape_of_the_spots(self, set1_model, hyperbolic_model):
+        # a constant vol gives one float; the coefficients broadcast it
+        s, r = np.array([[0.5], [1.0], [1.5]]), np.array([[0.01, 0.02]])
+        for model in (set1_model, hyperbolic_model):
+            co = sde_coefficients(model, 0.0, s, r)
+            assert co.vol_s.shape == (3, 1)
+            assert np.array_equal(co.vol_s, np.broadcast_to(model.vol.value(0.0, s), (3, 1)))
 
     def test_rejects_non_positive_spot(self, set1_model):
         with pytest.raises(InvalidInputError):
