@@ -346,10 +346,19 @@ def _slice(market, forward_curve, maturity, adj, report):
     return np.sqrt(local[usable[nearest]]), [float(k) for k in market.strikes[skipped]]
 
 
-def _march_under(model, strikes, values, grid, start):
-    """March to the grid horizon under one slice, constant in time."""
+def _march_under(model, strikes, values, grid, start, checkpoint_at=None):
+    """March to the grid horizon under one slice, constant in time, keeping
+    the field there and, given ``checkpoint_at``, first the field at that
+    step time."""
     model = replace(model, vol=SurfaceVol([grid.t_end], strikes, values[None, :]))
-    return evolve(model, grid, start=start)
+    times = [grid.t_end] if checkpoint_at is None else [checkpoint_at, grid.t_end]
+    return evolve(model, grid, snapshot_times=times, start=start)
+
+
+def _worst(diag, steps):
+    """The largest mass drift and negative fraction over ``steps`` of a march."""
+    drift = float(np.max(np.abs(diag.mass_ratios[steps] - 1.0), initial=0.0))
+    return drift, max(diag.negative_fraction[steps], default=0.0)
 
 
 def calibrate(
@@ -360,24 +369,27 @@ def calibrate(
     """Maturity-by-maturity bootstrap of the local-volatility surface.
 
     One box, whose steps hold every maturity (:func:`auto_grid`), serves
-    them all. Every march covers one interval (T_{i-1}, T_i] under one
-    slice, constant in time, and builds one step operator. The solve for
-    T_i runs under the latest slice extended flat, which keeps it free of
-    look-ahead: the previous maturity's final slice (the market Dupire
-    slice at T_1 for the first interval), then in each further slice
-    iteration the slice the last one produced. The corrective terms are
-    read off the evolved field, and the slice follows from the Dupire value
-    minus the rate adjustment. Every slice, the seed included, comes from
-    one extractor, so a negative Dupire variance at T_1 fails before the
-    first march.
+    them all. Each slice iteration for T_i marches (T_{i-1}, T_i] under one
+    slice, constant in time, which keeps it free of look-ahead: the
+    previous maturity's final slice extended flat (the market Dupire slice
+    at T_1 for the first interval), then in each further slice iteration
+    the slice the last one produced. The corrective terms are read off the
+    evolved field, and the slice follows from the Dupire value minus the
+    rate adjustment. Every slice, the seed included, comes from one
+    extractor, so a negative Dupire variance at T_1 fails before the first
+    march.
 
     Once a slice is fixed, it governs every step of its interval: the
     interval is marched once more under it and the field at T_i is kept as
-    a checkpoint. The march for T_{i+1}, and each of its slice iterations,
-    resumes from that checkpoint: the same floating-point operations as a
-    restart from t=0 under the fixed slices, at the cost of the open
-    interval alone. The report's mass drift and negative fraction are
-    maxima over (0, T_i], carried forward across checkpoints.
+    a checkpoint. That re-march and the first slice iteration for T_{i+1}
+    run under the same slice, so they are one march, from the checkpoint
+    at T_{i-1} to T_{i+1} with a snapshot at T_i: one march, and one step
+    operator, per slice iteration. Each further slice iteration for
+    T_{i+1} resumes from the checkpoint at T_i: the same floating-point
+    operations as a restart from t=0 under the fixed slices, at the cost
+    of the open interval alone. The report's mass drift and negative
+    fraction are maxima over (0, T_i], carried forward across checkpoints,
+    and every march's mass-drift warnings join the report's warnings.
 
     A checkpoint is the field a solve under the returned surface reaches at
     T_i, so its call prices against the market row are the report's
@@ -401,15 +413,30 @@ def calibrate(
     slice_vals, _ = _slice(market, forward_curve, float(mats[0]), 0.0, report)
     slices = []
 
-    checkpoint = None  # field at the previous maturity under its final slice
-    drift_before = neg_before = 0.0  # maxima over the checkpointed marches
+    checkpoint = None  # the field at the latest checkpointed maturity
+    drift_before = neg_before = 0.0  # maxima over the steps up to it
     for i, maturity in enumerate(mats):
         grid_i = replace(box, maturities=box.maturities[:i + 1], steps=box.steps[:i + 1])
         iterations = 0
         max_update = math.inf
         while iterations < settings.slice_iterations and max_update > SLICE_TOLERANCE:
             iterations += 1
-            result = _march_under(model, strikes, slice_vals, grid_i, checkpoint)
+            split = 0  # the steps of ``result`` before T_{i-1}
+            if iterations == 1 and i > 0:
+                # slice i-1 is final: re-march its interval under it, keep
+                # the checkpoint at T_{i-1} and run on to T_i
+                result = _march_under(
+                    model, strikes, slice_vals, grid_i, checkpoint, float(mats[i - 1]))
+                checkpoint = result.snapshots[0]
+                split = result.diagnostics.times.index(checkpoint.t) + 1
+                repriced = price_calls_from_pz(checkpoint, strikes)
+                report.entries[-1].reprice_err = float(
+                    np.max(np.abs(repriced - market.prices[i - 1])))
+                drift, neg = _worst(result.diagnostics, slice(split))
+                drift_before, neg_before = max(drift_before, drift), max(neg_before, neg)
+            else:
+                result = _march_under(model, strikes, slice_vals, grid_i, checkpoint)
+            report.warnings.extend(result.diagnostics.warnings)
             fld = result.snapshots[-1]
             adj = 0.0
             if use_adj:
@@ -423,25 +450,16 @@ def calibrate(
             report.warnings.append(
                 f"T={maturity:g}: degenerate butterfly at K in {skipped}; flat-filled"
             )
-        mass_drift = max(drift_before, result.diagnostics.max_ratio_deviation())
-        neg_frac = max(neg_before, max(result.diagnostics.negative_fraction, default=0.0))
-        entry = MaturityDiagnostics(
+        drift, neg = _worst(result.diagnostics, slice(split, None))
+        report.entries.append(MaturityDiagnostics(
             maturity=float(maturity),
-            mass_drift=mass_drift,
-            negative_fraction=neg_frac,
+            mass_drift=max(drift_before, drift),
+            negative_fraction=max(neg_before, neg),
             skipped_strikes=skipped,
             iterations=iterations,
             max_slice_update=None if math.isinf(max_update) else max_update,
-        )
-        report.entries.append(entry)
+        ))
         slices.append(slice_vals)
-        if i < len(mats) - 1:
-            fixed = _march_under(model, strikes, slice_vals, grid_i, checkpoint)
-            checkpoint = fixed.snapshots[-1]
-            repriced = price_calls_from_pz(checkpoint, strikes)
-            entry.reprice_err = float(np.max(np.abs(repriced - market.prices[i])))
-            drift_before = max(drift_before, fixed.diagnostics.max_ratio_deviation())
-            neg_before = max(neg_before, max(fixed.diagnostics.negative_fraction, default=0.0))
 
     surface = SurfaceVol(mats.copy(), strikes.copy(), np.vstack(slices))
     return CalibrationResult(surface=surface, report=report)

@@ -36,7 +36,7 @@ import numpy as np
 from . import calibration as cal
 from . import pde
 from .analytic import bshw_call
-from .config import ExperimentConfig, load_config
+from .config import ExperimentConfig, _digest, load_config
 from .errors import ConfigError, HybridLvError, InvalidInputError
 from .models import forward_rate
 from .version import __version__
@@ -321,12 +321,14 @@ def run(
         cfg.raw["run"]["out_dir"] = str(out_dir)
     out = Path(cfg.run_block["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
+    # Render the resolved configuration once: echo it before doing any
+    # work, save it, and stamp its digest on every artifact.
     resolved = cfg.to_yaml()
-    # Echo the fully resolved configuration before doing any work.
-    print(f"# resolved config (digest {cfg.digest()})")
+    digest = _digest(resolved)
+    print(f"# resolved config (digest {digest})")
     print(resolved, end="")
     (out / "resolved_config.yaml").write_text(resolved)
-    writer = _Writer(out, cfg.digest())
+    writer = _Writer(out, digest)
     status = _COMMANDS[command](cfg, writer)
     for path in writer.written:
         print(f"wrote {path}")

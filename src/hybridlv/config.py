@@ -128,6 +128,11 @@ def _merge(defaults, override, path=""):
             for key, value in defaults.items()}
 
 
+def _digest(resolved: str) -> str:
+    """The 12-hex digest of a resolved config's YAML text."""
+    return hashlib.sha256(resolved.encode()).hexdigest()[:12]
+
+
 @dataclass
 class ExperimentConfig:
     """Resolved experiment configuration."""
@@ -150,7 +155,7 @@ class ExperimentConfig:
         return yaml.safe_dump(self.raw, sort_keys=True, default_flow_style=False)
 
     def digest(self) -> str:
-        return hashlib.sha256(self.to_yaml().encode()).hexdigest()[:12]
+        return _digest(self.to_yaml())
 
     def build_model(self) -> HybridModel:
         mb = self.model_block

@@ -6,7 +6,10 @@ factored in numpy by elimination without row interchanges, one row of
 every line per step: l_i = a_i / d_{i-1}, then d_i = b_i - l_i c_{i-1}.
 Where every line has |d_{i-1}| >= |a_i| at every row, LAPACK ``gttrf``
 swaps no row and these are its operations in its order. Each line's
-result is independent of the others and of how many lines share the batch.
+result is independent of the others and of how many lines share the batch,
+so a batch that repeats one line (one line broadcast over the batch, as
+the rate sweep of the ADI step is) factors that line once per process and
+copies its factors out over the batch.
 
 The solve then takes one of two paths:
 
@@ -27,6 +30,7 @@ The solve then takes one of two paths:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,33 +86,14 @@ class _BlockedScan:
     buffers kept here, so one object serves one solve at a time.
     """
 
-    def __init__(self, lower: np.ndarray, coupling: np.ndarray, diag: np.ndarray):
-        """Lay out the factors of lines that are each a column of the (n, W)
-        arrays: ``l``, the upper couplings ``c`` and the pivots ``d``."""
-        n, width = diag.shape
-        k, nb = _BLOCK, -(-n // _BLOCK)
-        self.lower, self.upper, self.inv_diag = (np.empty((k, nb, width)) for _ in range(3))
-        _scatter(lower, self.lower)
-        _scatter(coupling, self.upper)
-        _scatter(diag, self.inv_diag)
-        # The last row's coupling is ignored; a padding row past n solves to 0.
-        self.upper[(n - 1) % k, (n - 1) // k] = 0.0
-        self.inv_diag[n - (nb - 1) * k:, nb - 1] = 1.0
-        # fwd_weights[p] = prod_{m>p} (-l_m), bwd_weights[p] = prod_{m<p} (-e_m).
-        self.fwd_weights = np.empty_like(self.lower)
-        self.bwd_weights = np.empty_like(self.upper)
-        self.fwd_weights[-1] = 1.0
-        self.bwd_weights[0] = 1.0
-        with np.errstate(over="ignore", invalid="ignore"):  # see ``finite``
-            self.upper /= self.inv_diag
-            np.divide(1.0, self.inv_diag, out=self.inv_diag)
-            for p in range(k - 1, 0, -1):
-                np.multiply(self.fwd_weights[p], -self.lower[p], out=self.fwd_weights[p - 1])
-            for p in range(1, k):
-                np.multiply(self.bwd_weights[p - 1], -self.upper[p - 1], out=self.bwd_weights[p])
-            self.fwd_carry = self.fwd_weights[0] * -self.lower[0]
-            self.bwd_carry = self.bwd_weights[-1] * -self.upper[-1]
-        self.work = np.empty_like(self.lower)
+    def __init__(self, lower, upper, inv_diag, fwd_weights, bwd_weights, fwd_carry, bwd_carry):
+        """A solver on the factors :func:`_scan_factors` lays out, with work
+        buffers of its own."""
+        self.lower, self.upper, self.inv_diag = lower, upper, inv_diag
+        self.fwd_weights, self.bwd_weights = fwd_weights, bwd_weights
+        self.fwd_carry, self.bwd_carry = fwd_carry, bwd_carry
+        nb, width = inv_diag.shape[1:]
+        self.work = np.empty_like(lower)
         self._incoming = np.empty((nb, width))
         self._ends = np.empty((nb, width))
         self._slab = np.empty((nb, width))
@@ -119,11 +104,6 @@ class _BlockedScan:
         self._bwd_blocks = tuple(zip(self.bwd_carry[:0:-1], inc[:0:-1], inc[-2::-1], ends[:0:-1]))
         self._fwd_rows = tuple(zip(l[1:], x[:-1], x[1:]))
         self._bwd_rows = tuple(zip(e[-2::-1], x[:0:-1], x[-2::-1]))
-
-    @property
-    def finite(self) -> bool:
-        """Whether every in-block product is finite, as the scan needs."""
-        return bool(np.isfinite(self.fwd_weights).all() and np.isfinite(self.bwd_weights).all())
 
     def solve(self, f: np.ndarray, out: np.ndarray) -> None:
         """Solve for ``f`` into ``out``, both (n, W) with a line per column."""
@@ -187,6 +167,64 @@ def _eliminate(a: np.ndarray, b: np.ndarray, c: np.ndarray):
     return lower, diag
 
 
+def _scan_factors(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple | None:
+    """The blocked-scan factors of the lines that are each a column of the
+    (n, W) arrays ``a``, ``b``, ``c``, in the argument order of
+    :class:`_BlockedScan`: each (k, nb, W) but the carries (nb, W).
+
+    None where the scan cannot solve some line: ``gttrf`` would swap rows, a
+    pivot is zero or not finite, or a product of the scan overflows. Every
+    factor of a line is computed from that line alone.
+    """
+    lower, diag = _eliminate(a, b, c)
+    # Correctly rounded division keeps |l_i| = |a_i / d_{i-1}| <= 1 exactly
+    # when |d_{i-1}| >= |a_i|, gttrf's test for keeping row i - 1 as pivot
+    # row; a zero or NaN pivot leaves l_i infinite or NaN, which fails it too.
+    if not (np.abs(lower).max() <= 1.0 and np.isfinite(diag).all() and diag.all()):
+        return None
+    n, width = diag.shape
+    k, nb = _BLOCK, -(-n // _BLOCK)
+    blocked_lower, upper, inv_diag = (np.empty((k, nb, width)) for _ in range(3))
+    _scatter(lower, blocked_lower)
+    _scatter(c, upper)
+    _scatter(diag, inv_diag)
+    # The last row's coupling is ignored; a padding row past n solves to 0.
+    upper[(n - 1) % k, (n - 1) // k] = 0.0
+    inv_diag[n - (nb - 1) * k:, nb - 1] = 1.0
+    # fwd_weights[p] = prod_{m>p} (-l_m), bwd_weights[p] = prod_{m<p} (-e_m).
+    fwd_weights = np.empty_like(blocked_lower)
+    bwd_weights = np.empty_like(upper)
+    fwd_weights[-1] = 1.0
+    bwd_weights[0] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        upper /= inv_diag
+        np.divide(1.0, inv_diag, out=inv_diag)
+        for p in range(k - 1, 0, -1):
+            np.multiply(fwd_weights[p], -blocked_lower[p], out=fwd_weights[p - 1])
+        for p in range(1, k):
+            np.multiply(bwd_weights[p - 1], -upper[p - 1], out=bwd_weights[p])
+        fwd_carry = fwd_weights[0] * -blocked_lower[0]
+        bwd_carry = bwd_weights[-1] * -upper[-1]
+    if not (np.isfinite(fwd_weights).all() and np.isfinite(bwd_weights).all()):
+        return None
+    return blocked_lower, upper, inv_diag, fwd_weights, bwd_weights, fwd_carry, bwd_carry
+
+
+@functools.lru_cache(maxsize=16)
+def _line_factors(a: bytes, b: bytes, c: bytes) -> tuple | None:
+    """:func:`_scan_factors` of the one line whose ``a``, ``b``, ``c`` are
+    these float64 bytes, each factor read-only and of width 1.
+
+    Memoised on those bytes, the exact inputs of the factorisation: a
+    batch that repeats one line, such as the rate sweep of every step
+    operator on one box and step, factors that line once per process.
+    """
+    factors = _scan_factors(*(np.frombuffer(x)[:, None] for x in (a, b, c)))
+    for factor in factors or ():
+        factor.flags.writeable = False
+    return factors
+
+
 def _gttrf(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple:
     """LAPACK ``gttrf`` factors of the lines, each a column of (n, W) ``a``,
     ``b``, ``c``, laid out one after another as one long system."""
@@ -218,18 +256,24 @@ def thomas_prefactor(a: np.ndarray, b: np.ndarray, c: np.ndarray, axis: int) -> 
     in some line, a pivot is zero or not finite, or a product of the scan
     overflows (an upper coupling far above its pivot); then it keeps the
     pivoted factors of ``gttrf`` and ``gttrs``.
+
+    A batch given as one line broadcast over every line (``a``, ``b`` and
+    ``c`` each of stride zero across the lines) is factored as that one
+    line, memoised by :func:`_line_factors`, and its factors are copied
+    out over the batch: the same factors as a batch of separate copies.
     """
     shape = b.shape
     if axis == 1:
         a, b, c = a.T, b.T, c.T
-    lower, diag = _eliminate(a, b, c)
-    # Correctly rounded division keeps |l_i| = |a_i / d_{i-1}| <= 1 exactly
-    # when |d_{i-1}| >= |a_i|, gttrf's test for keeping row i - 1 as pivot
-    # row; a zero or NaN pivot leaves l_i infinite or NaN, which fails it too.
-    if np.abs(lower).max() <= 1.0 and np.isfinite(diag).all() and diag.all():
-        scan = _BlockedScan(lower, c, diag)
-        if scan.finite:
-            return LineFactors(axis, shape, scan, None)
+    if a.strides[1] == b.strides[1] == c.strides[1] == 0:
+        factors = _line_factors(*(x[:, 0].tobytes() for x in (a, b, c)))
+        if factors is not None:
+            width = b.shape[1]
+            factors = [np.broadcast_to(x, x.shape[:-1] + (width,)).copy() for x in factors]
+    else:
+        factors = _scan_factors(a, b, c)
+    if factors is not None:
+        return LineFactors(axis, shape, _BlockedScan(*factors), None)
     return LineFactors(axis, shape, None, _gttrf(a, b, c))
 
 

@@ -28,6 +28,12 @@ row = n_r + 2, the neighbour (i + di, j + dj) of every band entry is the
 band shifted by di * row + dj, so each stencil term is one contiguous pass
 over the band. The ghost entries compute values nobody reads: the weights
 are zero there, and the line solves take only the interior.
+
+The rate terms (1/2 alpha^2, a (theta - r) and 2 r) depend on r alone, so
+every spot node has the same rate line. A step operator forms that line
+once and hands the rate sweep to the line solver as one line broadcast
+over the spot nodes; the solver factors it once per process, so every
+operator on one box and step shares its factors, each copying them out.
 """
 
 from __future__ import annotations
@@ -329,6 +335,13 @@ class _StepOperator:
     then the band shifted by one flat offset, and each operation is one
     contiguous pass. The S-sweep solves into the interior of the padded
     field; the r-sweep returns a new array.
+
+    The r stencil and the rate-only weights ``w1_c``, ``w1_jp``, ``w1_jm``
+    and ``kappa`` are the same on every S line: each is formed once as a
+    row of the coefficients' rate terms, which are rows broadcast over the
+    S nodes (:class:`AdiCoefficients`). The r sweep is factored from that
+    one line (memoised by the line solver) and copied out over the n_s
+    lines, with work buffers of this operator's own.
     """
 
     def __init__(self, coeffs: AdiCoefficients, grid: Grid2D, dt: float):
@@ -360,24 +373,27 @@ class _StepOperator:
             adv_s - half_s[2:],
             axis=0,
         )
-        half_r = coeffs.diff_r * (0.5 / (dr * dr))
-        # drift_r / (2 dr) with a zero column past each end of the r lines
-        adv_r = np.pad(coeffs.drift_r / (2 * dr), ((0, 0), (1, 1)))
+        # rows: the r line is the same at every S node (see the class docstring)
+        half_r = coeffs.diff_r[0] * (0.5 / (dr * dr))
+        reaction_r = coeffs.reaction[0]
+        # drift_r / (2 dr) with a zero past each end of the r line
+        adv_r = np.pad(coeffs.drift_r[0] / (2 * dr), 1)
         # Implicit sweep along r: d x_{j-1} + e x_j + f x_{j+1} = f2.
+        over_s = lambda line: np.broadcast_to(line, (grid.n_s, grid.n_r))  # noqa: E731
         self.lu2 = thomas_prefactor(
-            -(half_r + adv_r[:, :-2]),
-            two_dt + 2 * half_r + reaction,
-            adv_r[:, 2:] - half_r,
+            over_s(-(half_r + adv_r[:-2])),
+            over_s(two_dt + 2 * half_r + reaction_r),
+            over_s(adv_r[2:] - half_r),
             axis=1,
         )
         # The padded arrays are allocated once both factorisations have freed
         # their temporaries, so the heap does not grow around the holes.
         # Explicit r-direction weights feeding f1: 2/dt - A2.
         self.w1_c = padded_weight(np.subtract, two_dt, 2 * half_r)
-        self.w1_jp = padded_weight(np.subtract, half_r, adv_r[:, 2:])
-        self.w1_jm = padded_weight(np.add, half_r, adv_r[:, :-2])
+        self.w1_jp = padded_weight(np.subtract, half_r, adv_r[2:])
+        self.w1_jm = padded_weight(np.add, half_r, adv_r[:-2])
         # f2 = kappa * u* - f1 + cross(u*), see the class docstring.
-        self.kappa = padded_weight(np.add, 2 * two_dt, reaction)
+        self.kappa = padded_weight(np.add, 2 * two_dt, reaction_r)
         self.wx = padded_weight(np.divide, coeffs.cross, 4 * ds * dr)
         pad = np.zeros(shape)
         rhs = np.empty(shape)

@@ -532,15 +532,14 @@ class TestCalibrate:
         mats = [0.25, 0.5, 0.75, 1.0]
         market = make_analytic_surface(set1_model, mats, np.arange(0.8, 1.2001, 0.1))
         settings = CalibrationSettings(ds=0.02, dr=0.003, dt=0.025)
-        checkpoints = []  # every march after the first resumes from one
-        original = cal_mod._march_under
+        checkpoints = []  # the fields the repricing error reads
+        original = cal_mod.price_calls_from_pz
 
-        def spied(model, strikes, values, grid, start):
-            if start is not None and not any(start is c for c in checkpoints):
-                checkpoints.append(start)
-            return original(model, strikes, values, grid, start)
+        def spied(field, strikes):
+            checkpoints.append(field)
+            return original(field, strikes)
 
-        monkeypatch.setattr(cal_mod, "_march_under", spied)
+        monkeypatch.setattr(cal_mod, "price_calls_from_pz", spied)
         result = calibrate(market, set1_model, settings)
         assert [c.t for c in checkpoints] == mats[:-1]
 
@@ -570,13 +569,14 @@ class TestCalibrate:
         )
         levels = _count_operators(monkeypatch)
         calibrate(market, set1_model, settings)
-        # each maturity's slice iterations, plus a checkpoint march for
-        # every maturity but the last, each built where its march starts
+        # one march per slice iteration, each built where it starts: the
+        # first for T_i re-marches (T_{i-2}, T_{i-1}] from the checkpoint at
+        # T_{i-2}, the others resume from the one at T_{i-1}
         n = len(mats)
-        assert len(levels) == n * slice_iterations + n - 1
+        assert len(levels) == n * slice_iterations
         starts = [levels[0]] * (slice_iterations + 1)
         for i in range(1, n):
-            starts += [mats[i - 1]] * (slice_iterations + (i < n - 1))
+            starts += [mats[i - 1]] * (slice_iterations - 1 + (i < n - 1))
         assert levels == pytest.approx(starts, abs=1e-12)
 
     @pytest.mark.parametrize("slice_iterations", [1, 2])
@@ -592,6 +592,39 @@ class TestCalibrate:
         assert report.warnings == [
             f"T={t}: degenerate butterfly at K in [0.2]; flat-filled" for t in (0.25, 0.5)
         ]
+
+    def test_march_warnings_reach_the_report(self, set1_model, monkeypatch):
+        # the first march warns; the report states it, and so does the
+        # report of a calibration that fails later
+        import hybridlv.calibration as cal_mod
+
+        warning = "raw mass drift +25.00% at t=0.1"
+        original = cal_mod.evolve
+
+        marches = []
+
+        def warned(*args, **kwargs):
+            result = original(*args, **kwargs)
+            if not marches:
+                result.diagnostics.warnings.append(warning)
+            marches.append(result)
+            return result
+
+        monkeypatch.setattr(cal_mod, "evolve", warned)
+        settings = CalibrationSettings(ds=0.02, dr=0.003, dt=0.01)
+        market = make_analytic_surface(set1_model, [0.25, 0.5], np.arange(0.8, 1.2001, 0.1))
+        report = calibrate(market, set1_model, settings).report
+        assert report.warnings == [warning]
+        assert f"warning: {warning}\n" in report.format_text()
+
+        # the lattice market of test_negative_variance_raises_with_report
+        marches.clear()
+        mats, ks = [0.5, 0.55, 0.6], np.arange(0.8, 1.2001, 0.05)
+        prices = np.array([[bshw_call(set1_model, t, k).price for k in ks] for t in mats])
+        prices[2] = prices[0]
+        with pytest.raises(CalibrationError) as err:
+            calibrate(CallSurface(np.asarray(mats), ks, prices), set1_model, settings)
+        assert err.value.report.warnings == [warning]
 
     def test_uneven_strikes_closed_form_market(self, set1_model):
         ks = [0.7, 0.8, 0.85, 0.9, 1.0, 1.2]

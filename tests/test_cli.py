@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -136,6 +138,19 @@ class TestCommands:
         lines = (out / "prices_analytic.csv").read_text().splitlines()
         assert lines[0].startswith("# config=")
         assert lines[2] == "K,price,c_t,c_k,c_kk"
+
+    @pytest.mark.parametrize("command", ["corrective-terms", "solve-pde"])
+    def test_printed_digest_stamps_every_artifact_and_hashes_the_saved_config(
+        self, fast_config, capsys, command
+    ):
+        path, out = fast_config
+        assert cli.run(command, config_path=str(path), seed=99) == 0
+        printed = capsys.readouterr().out
+        digest = re.search(r"^# resolved config \(digest ([0-9a-f]{12})\)$", printed, re.M)[1]
+        saved = (out / "resolved_config.yaml").read_bytes()
+        assert hashlib.sha256(saved).hexdigest()[:12] == digest
+        stamps = {p.read_text().split("\n", 1)[0] for p in out.glob("*.csv")}
+        assert stamps == {f"# config={digest}"}
 
     def test_byte_identical_reruns(self, fast_config):
         path, out = fast_config

@@ -317,3 +317,32 @@ def test_scan_is_taken_exactly_when_gttrf_keeps_every_pivot(rng, axis):
             la, lc = la.copy(), lc.copy()
             la[0] = lc[-1] = 0.0
             assert np.allclose(lx, dense_tridiagonal_solve(la, lb, lc, lf), rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("weak", [False, True])
+def test_one_line_broadcast_over_the_batch_factors_as_its_copies(rng, axis, weak):
+    # A line the scan solves is factored once and copied out; a line that
+    # needs row swaps takes gttrf over the whole batch, as its copies do.
+    n, m = 37, 6
+    a, b, c, _ = _random_dominant(rng, n)
+    if weak:
+        a[1:] *= 10.0
+    shape = (n, m) if axis == 0 else (m, n)
+    as_line = (lambda x: x[:, None]) if axis == 0 else (lambda x: x[None, :])
+    broadcast = [np.broadcast_to(as_line(x), shape) for x in (a, b, c)]
+    copies = [x.copy() for x in broadcast]
+    linalg._line_factors.cache_clear()
+    shared = thomas_prefactor(*broadcast, axis)
+    separate = thomas_prefactor(*copies, axis)
+    assert (shared.scan is None) == (separate.scan is None) == weak
+    if not weak:
+        for name in ("lower", "upper", "inv_diag", "fwd_weights", "bwd_weights",
+                     "fwd_carry", "bwd_carry"):
+            got, want = getattr(shared.scan, name), getattr(separate.scan, name)
+            assert got.flags.writeable and np.array_equal(got, want)
+    f = rng.uniform(-3, 3, shape)
+    assert np.array_equal(thomas_apply(shared, f), thomas_apply(separate, f))
+    thomas_prefactor(*broadcast, axis)
+    info = linalg._line_factors.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
