@@ -8,8 +8,8 @@ Where every line has |d_{i-1}| >= |a_i| at every row, LAPACK ``gttrf``
 swaps no row and these are its operations in its order. Each line's
 result is independent of the others and of how many lines share the batch,
 so a batch that repeats one line (one line broadcast over the batch, as
-the rate sweep of the ADI step is) factors that line once per process and
-copies its factors out over the batch.
+the rate sweep of the ADI step is) factors that line once and copies its
+factors out over the batch.
 
 The solve then takes one of two paths:
 
@@ -30,7 +30,6 @@ The solve then takes one of two paths:
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -210,21 +209,6 @@ def _scan_factors(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple | None:
     return blocked_lower, upper, inv_diag, fwd_weights, bwd_weights, fwd_carry, bwd_carry
 
 
-@functools.lru_cache(maxsize=16)
-def _line_factors(a: bytes, b: bytes, c: bytes) -> tuple | None:
-    """:func:`_scan_factors` of the one line whose ``a``, ``b``, ``c`` are
-    these float64 bytes, each factor read-only and of width 1.
-
-    Memoised on those bytes, the exact inputs of the factorisation: a
-    batch that repeats one line, such as the rate sweep of every step
-    operator on one box and step, factors that line once per process.
-    """
-    factors = _scan_factors(*(np.frombuffer(x)[:, None] for x in (a, b, c)))
-    for factor in factors or ():
-        factor.flags.writeable = False
-    return factors
-
-
 def _gttrf(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple:
     """LAPACK ``gttrf`` factors of the lines, each a column of (n, W) ``a``,
     ``b``, ``c``, laid out one after another as one long system."""
@@ -259,14 +243,14 @@ def thomas_prefactor(a: np.ndarray, b: np.ndarray, c: np.ndarray, axis: int) -> 
 
     A batch given as one line broadcast over every line (``a``, ``b`` and
     ``c`` each of stride zero across the lines) is factored as that one
-    line, memoised by :func:`_line_factors`, and its factors are copied
-    out over the batch: the same factors as a batch of separate copies.
+    line, and its factors are copied out over the batch: the same factors
+    as a batch of separate copies.
     """
     shape = b.shape
     if axis == 1:
         a, b, c = a.T, b.T, c.T
     if a.strides[1] == b.strides[1] == c.strides[1] == 0:
-        factors = _line_factors(*(x[:, 0].tobytes() for x in (a, b, c)))
+        factors = _scan_factors(a[:, :1], b[:, :1], c[:, :1])
         if factors is not None:
             width = b.shape[1]
             factors = [np.broadcast_to(x, x.shape[:-1] + (width,)).copy() for x in factors]

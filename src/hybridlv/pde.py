@@ -32,8 +32,8 @@ are zero there, and the line solves take only the interior.
 The rate terms (1/2 alpha^2, a (theta - r) and 2 r) depend on r alone, so
 every spot node has the same rate line. A step operator forms that line
 once and hands the rate sweep to the line solver as one line broadcast
-over the spot nodes; the solver factors it once per process, so every
-operator on one box and step shares its factors, each copying them out.
+over the spot nodes; the solver factors that one line and copies its
+factors out over the spot nodes.
 """
 
 from __future__ import annotations
@@ -340,8 +340,7 @@ class _StepOperator:
     and ``kappa`` are the same on every S line: each is formed once as a
     row of the coefficients' rate terms, which are rows broadcast over the
     S nodes (:class:`AdiCoefficients`). The r sweep is factored from that
-    one line (memoised by the line solver) and copied out over the n_s
-    lines, with work buffers of this operator's own.
+    one line and copied out over the n_s lines.
     """
 
     def __init__(self, coeffs: AdiCoefficients, grid: Grid2D, dt: float):

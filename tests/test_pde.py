@@ -260,6 +260,21 @@ class TestAdiStep:
         fast = adi_step(field, co, g.dt)
         assert np.max(np.abs(fast.values - _literal_step(field, co, g.dt))) < tol
 
+    @pytest.mark.parametrize("sigma2", [0.0, 1e-3])
+    def test_matches_literal_dense_assembly_when_the_rate_sweep_pivots(self, rng, sigma2):
+        # A strong reversion far from theta makes the rate drift outweigh the
+        # diffusion on the rate line: its one line needs row swaps, so the
+        # whole r sweep is factored and solved by gttrf.
+        rate = HullWhiteParams(a=5.0, sigma2=sigma2, theta=0.3, r0=0.02)
+        model = HybridModel(s0=1.0, rate=rate, vol=ConstantVol(0.2), rho=0.4)
+        g = _unit_grid()
+        co = build_coefficients(model, g, 0.0)
+        op = _StepOperator(co, g, g.dt)
+        assert op.lu1.scan is not None and op.lu2.scan is None
+        field = Field2D(g, rng.uniform(0.0, 1.0, (g.n_s, g.n_r)))
+        fast = adi_step(field, co, g.dt)
+        assert np.max(np.abs(fast.values - _literal_step(field, co, g.dt))) < 1e-12
+
     def test_one_step_mass_discounts(self, set1_model):
         g = auto_grid(set1_model, 1.0, ds=0.02, dr=0.003, dt=0.01)
         field = short_time_start(set1_model, g)
@@ -310,70 +325,19 @@ class TestBandStep:
         assert np.array_equal(second, slice_step(co, g, g.dt, once))
 
 
-class TestRateLineMemo:
-    """Every S node's rate line is the same tridiagonal: the r sweep factors
-    it once, memoised on its exact inputs, and each operator copies it out."""
-
-    @staticmethod
-    def _lines(monkeypatch):
-        """Record the memoised line factors behind every operator's r sweep."""
-        import hybridlv.linalg as linalg_mod
-
-        memo, lines = linalg_mod._line_factors, []
-
-        def spied(*key):
-            lines.append(memo(*key))
-            return lines[-1]
-
-        monkeypatch.setattr(linalg_mod, "_line_factors", spied)
-        return lines
-
-    def test_one_box_step_and_rate_share_the_line_and_nothing_else_does(
-        self, set1_model, hyperbolic_model, monkeypatch
-    ):
-        lines = self._lines(monkeypatch)
-        g = _unit_grid()
-        skewed = replace(hyperbolic_model, rate=set1_model.rate)
-        ops = [_StepOperator(build_coefficients(m, g, t), g, g.dt)
-               for m, t in ((set1_model, 0.0), (skewed, 0.5))]
-        assert len(lines) == 2 and lines[1] is lines[0]
-        assert all(x is y for x, y in zip(lines[0], lines[1]))
-        # each operator scans on its own copy, with its own work buffers
-        for op in ops:
-            assert op.lu2.scan.lower.flags.writeable
-            assert not np.shares_memory(op.lu2.scan.lower, lines[0][0])
-        assert ops[0].lu2.scan.work is not ops[1].lu2.scan.work
-        # the shared arrays are read-only
-        assert not any(x.flags.writeable for x in lines[0])
-        with pytest.raises(ValueError):
-            lines[0][0][...] = 0.0
-        # a different step, box or rate parameter is a different line
-        rate = set1_model.rate
-        others = [
-            (set1_model, g, g.dt / 2),
-            (set1_model, _unit_grid(n_r=10), g.dt),
-            (replace(set1_model, rate=replace(rate, a=0.6)), g, g.dt),
-            (replace(set1_model, rate=replace(rate, sigma2=0.05)), g, g.dt),
-            (replace(set1_model, rate=replace(rate, theta=0.03)), g, g.dt),
-        ]
-        for model, grid, dt in others:
-            _StepOperator(build_coefficients(model, grid, 0.0), grid, dt)
-        assert all(line is not lines[0] for line in lines[2:])
-        assert len({id(line) for line in lines[2:]}) == len(others)
-
-    def test_cold_and_warm_memo_march_alike(self, set1_model):
-        import hybridlv.linalg as linalg_mod
-
-        g = auto_grid(set1_model, 0.5, ds=0.02, dr=0.003, dt=0.01)
-        linalg_mod._line_factors.cache_clear()
-        cold = evolve(set1_model, g)
-        warm = evolve(set1_model, g)
-        assert linalg_mod._line_factors.cache_info().hits == 1
-        assert np.array_equal(cold.snapshots[-1].values, warm.snapshots[-1].values)
-        assert cold.diagnostics == warm.diagnostics
-
-
 class TestEvolve:
+    def test_march_completes_when_the_rate_sweep_pivots(self):
+        # deterministic rates far from theta on a coarse step: the rate line
+        # needs row swaps, so every step solves its r sweep by gttrs
+        rate = HullWhiteParams(a=0.5, sigma2=0.0, theta=0.06, r0=0.0)
+        model = HybridModel(s0=1.0, rate=rate, vol=ConstantVol(0.2), rho=0.4)
+        g = auto_grid(model, 1.0, ds=0.02, dr=5e-4, dt=0.1)
+        assert (g.n_s, g.n_r) == (137, 70)
+        assert _StepOperator(build_coefficients(model, g, 0.0), g, g.dt).lu2.scan is None
+        last = evolve(model, g).snapshots[-1]
+        assert last.t == 1.0 and np.all(np.isfinite(last.values))
+        assert last.mass() == pytest.approx(zc_price(rate, 1.0), rel=1e-12)
+
     def test_mass_identity_every_step(self, set1_model):
         g = auto_grid(set1_model, 0.5, ds=0.02, dr=0.003, dt=0.01)
         steps = [t for t in g.t_nodes if t > short_time_start(set1_model, g).t]
