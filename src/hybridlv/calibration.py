@@ -285,7 +285,7 @@ class CalibrationSettings:
 class MaturityDiagnostics:
     maturity: float
     mass_drift: float
-    negative_fraction: float
+    negative_mass_ratio: float
     skipped_strikes: list
     iterations: int
     max_slice_update: float | None  # None after one iteration: nothing to compare
@@ -305,7 +305,7 @@ class CalibrationReport:
         for e in self.entries:
             lines.append(
                 f"T={e.maturity:<8.4g} mass_drift={e.mass_drift:+.3e} "
-                f"neg_frac={e.negative_fraction:.3e} iterations={e.iterations} "
+                f"neg_mass={e.negative_mass_ratio:.3e} iterations={e.iterations} "
                 f"slice_update={_fmt_opt(e.max_slice_update)} "
                 f"reprice_err={_fmt_opt(e.reprice_err)} "
                 f"skipped={','.join(f'{k:g}' for k in e.skipped_strikes) or 'none'}"
@@ -356,9 +356,9 @@ def _march_under(model, strikes, values, grid, start, checkpoint_at=None):
 
 
 def _worst(diag, steps):
-    """The largest mass drift and negative fraction over ``steps`` of a march."""
+    """The largest mass drift and negative-mass ratio over ``steps`` of a march."""
     drift = float(np.max(np.abs(diag.mass_ratios[steps] - 1.0), initial=0.0))
-    return drift, max(diag.negative_fraction[steps], default=0.0)
+    return drift, max(diag.negative_mass_ratio[steps], default=0.0)
 
 
 def calibrate(
@@ -387,8 +387,8 @@ def calibrate(
     operator, per slice iteration. Each further slice iteration for
     T_{i+1} resumes from the checkpoint at T_i: the same floating-point
     operations as a restart from t=0 under the fixed slices, at the cost
-    of the open interval alone. The report's mass drift and negative
-    fraction are maxima over (0, T_i], carried forward across checkpoints,
+    of the open interval alone. The report's mass drift and negative-mass
+    ratio are maxima over (0, T_i], carried forward across checkpoints,
     and every march's mass-drift warnings join the report's warnings.
 
     A checkpoint is the field a solve under the returned surface reaches at
@@ -454,7 +454,7 @@ def calibrate(
         report.entries.append(MaturityDiagnostics(
             maturity=float(maturity),
             mass_drift=max(drift_before, drift),
-            negative_fraction=max(neg_before, neg),
+            negative_mass_ratio=max(neg_before, neg),
             skipped_strikes=skipped,
             iterations=iterations,
             max_slice_update=None if math.isinf(max_update) else max_update,

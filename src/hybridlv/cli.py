@@ -12,7 +12,8 @@ compare           join two price CSVs and report the discrepancy
 
 Every CSV artifact starts with a ``# config=<hash>`` comment carrying the
 digest of the resolved configuration; rerunning a command with the same
-config and seed reproduces the bytes exactly.
+config (and, for ``price-mc``, the same ``--seed``) reproduces the bytes
+exactly.
 
 ``run.maturities`` is the one horizon field. ``solve-pde``, ``price-pde``
 and ``corrective-terms`` march one grid through every entry, each entry on
@@ -91,7 +92,7 @@ def _mass_rows(diag: pde.EvolveDiagnostics):
     for i, t in enumerate(diag.times):
         yield (
             i + 1, t, diag.raw_mass[i], diag.target_mass[i], ratios[i],
-            diag.negative_fraction[i], diag.negative_mass_ratio[i],
+            diag.negative_mass_ratio[i],
         )
 
 
@@ -115,7 +116,7 @@ def _cmd_solve_pde(cfg, writer: _Writer):
         writer.csv(f"pz_t{np.format_float_positional(snap.t, trim='-')}.csv", "t,S,r,pz", rows)
     writer.csv(
         "mass_diagnostics.csv",
-        "step,t,raw_mass,target_zc,ratio,neg_fraction,neg_mass_ratio",
+        "step,t,raw_mass,target_zc,ratio,neg_mass_ratio",
         _mass_rows(result.diagnostics),
         comments=[f"start_mode={result.diagnostics.start_mode}",
                   f"start_time={result.diagnostics.start_time:.17g}"],
@@ -303,6 +304,8 @@ def run(
     right: str | None = None,
 ) -> int:
     """Execute one command; returns the process exit status."""
+    if seed is not None and command != "price-mc":
+        raise ConfigError(f"--seed applies to price-mc only, not to {command}")
     if command == "compare":
         digest = load_config(config_path).digest() if config_path else "none"
         out = Path(out_dir or ".")
@@ -346,7 +349,8 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None)
         p.add_argument("--out", type=str, default=None)
-        p.add_argument("--seed", type=int, default=None)
+        if name == "price-mc":
+            p.add_argument("--seed", type=int, default=None)
         if name == "compare":
             p.add_argument("--left", type=str, required=True)
             p.add_argument("--right", type=str, required=True)
@@ -356,7 +360,7 @@ def main(argv=None) -> int:
             args.command,
             config_path=args.config,
             out_dir=args.out,
-            seed=args.seed,
+            seed=getattr(args, "seed", None),
             left=getattr(args, "left", None),
             right=getattr(args, "right", None),
         )

@@ -12,12 +12,13 @@ from __future__ import annotations
 import copy
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 import yaml
 
+from .calibration import CalibrationSettings
 from .errors import ConfigError, InvalidInputError
 from .models import ConstantVol, HullWhiteParams, HybridModel, HyperbolicVol, lattice_axis
 
@@ -51,14 +52,7 @@ _DEFAULTS = {
         "maturities": [1.0],
         "strikes": {"start": 0.5, "stop": 1.5, "step": 0.05},
         "mc": {"n_paths": 100000, "dt": 1.0 / 300.0, "antithetic": True, "seed": 12345},
-        "calibration": {
-            "ds": 0.008,
-            "dr": 0.0015,
-            "dt": 0.005,
-            "slice_iterations": 1,
-            "use_corrective": True,
-            "market": "analytic",
-        },
+        "calibration": {**asdict(CalibrationSettings()), "market": "analytic"},
     },
 }
 

@@ -64,10 +64,6 @@ __all__ = [
 # Spot deviation, in spot cells, at which the short-time start is resolved.
 _START_CELLS = 2.0
 
-# A node counts as negative below this fraction of the field's peak; round-off
-# of the sweeps leaves values near -1e-15 relative, which are not negativity.
-_NEGATIVE_FLOOR = 1e-10
-
 
 @dataclass(frozen=True)
 class Grid2D:
@@ -253,7 +249,7 @@ def short_time_start(model: HybridModel, grid: Grid2D) -> Field2D:
     mean_r, var_r = _rate_mean_var(p, t0)
     sd_r = max(math.sqrt(var_r), 1.5 * grid.dr)
     cov = model.rho * width_s * p.sigma2 * (1.0 - math.exp(-p.a * t0)) / p.a
-    corr = cov / (sd_s * sd_r) if sd_s > 0 and sd_r > 0 else 0.0
+    corr = cov / (sd_s * sd_r)
     corr = max(-0.98, min(0.98, corr))
 
     s_nodes = grid.s_nodes[:, None]
@@ -436,9 +432,8 @@ class _StepOperator:
 class EvolveDiagnostics:
     """Per-step mass and sign diagnostics of a time march.
 
-    ``negative_fraction`` is the share of nodes below -1e-10 times the
-    field's peak; ``negative_mass_ratio`` is the mass of all negative values
-    over the target mass.
+    ``negative_mass_ratio`` is the mass of all negative values over the
+    target mass.
     """
 
     start_mode: str
@@ -446,7 +441,6 @@ class EvolveDiagnostics:
     times: list = dataclass_field(default_factory=list)
     raw_mass: list = dataclass_field(default_factory=list)
     target_mass: list = dataclass_field(default_factory=list)
-    negative_fraction: list = dataclass_field(default_factory=list)
     negative_mass_ratio: list = dataclass_field(default_factory=list)
     warnings: list = dataclass_field(default_factory=list)
 
@@ -553,16 +547,10 @@ def evolve(
                 f"raw mass drift {raw / target - 1.0:+.2%} at t={t_next:.6g}"
             )
         values *= target / raw
-        negatives = values[values < 0.0]
-        neg_sum = float(-negatives.sum()) * grid.ds * grid.dr
+        neg_sum = float(-values[values < 0.0].sum()) * grid.ds * grid.dr
         diag.times.append(t_next)
         diag.raw_mass.append(raw)
         diag.target_mass.append(target)
-        # the mass is positive, so the peak is and every node under the
-        # floor is among the negatives
-        diag.negative_fraction.append(
-            np.count_nonzero(negatives < -_NEGATIVE_FLOOR * values.max()) / values.size
-        )
         diag.negative_mass_ratio.append(neg_sum / target)
         if (n + 1) in wanted:
             snapshots[n + 1] = Field2D(grid, values.copy(), t=t_next)

@@ -207,17 +207,14 @@ def rate_marginal(rate, maturity, r):
 
 
 def step_health(snapshots, rate):
-    """Per-step (negative_fraction, negative_mass_ratio) of a march, by
-    their definitions, from one snapshot per step: the share of all nodes
-    below -1e-10 times the field's peak (a full-field count), and the mass
-    of all negative values over ZC(0, t)."""
-    fractions, ratios = [], []
+    """Per-step negative_mass_ratio of a march, by its definition, from one
+    snapshot per step: the mass of all negative values over ZC(0, t)."""
+    ratios = []
     for snap in snapshots:
         v = snap.values
-        fractions.append(np.count_nonzero(v < -1e-10 * v.max()) / v.size)
         neg_mass = float(-v[v < 0.0].sum()) * snap.grid.ds * snap.grid.dr
         ratios.append(neg_mass / zc_price(rate, snap.t))
-    return fractions, ratios
+    return ratios
 
 
 def integrate(field, weight):
@@ -409,9 +406,8 @@ class _RestartView:
 def restart_bootstrap(market, model, settings):
     """Maturity bootstrap that restarts every march from t=0.
 
-    Returns the sigma lattice and, per maturity, (mass drift, negative
-    fraction, iterations) read off the last march, as the report states
-    them.
+    Returns the sigma lattice and, per maturity, (mass drift, negative-mass
+    ratio, iterations) read off the last march, as the report states them.
     """
     from dataclasses import replace
 
@@ -442,7 +438,7 @@ def restart_bootstrap(market, model, settings):
             slice_vals = vals
             view.pending = vals
         diag = result.diagnostics
-        entries.append((diag.max_ratio_deviation(), max(diag.negative_fraction), iterations))
+        entries.append((diag.max_ratio_deviation(), max(diag.negative_mass_ratio), iterations))
         view.maturities.append(t)
         view.slices.append(slice_vals)
     return np.vstack(view.slices), entries

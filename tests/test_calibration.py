@@ -543,8 +543,10 @@ class TestCalibrate:
         result = calibrate(market, set1_model, settings)
         sigma, entries = restart_bootstrap(market, set1_model, settings)
         assert np.array_equal(result.surface.sigma, sigma)
-        got = [(e.mass_drift, e.negative_fraction, e.iterations) for e in result.report.entries]
+        got = [(e.mass_drift, e.negative_mass_ratio, e.iterations) for e in result.report.entries]
         assert got == entries
+        # nonzero maxima, so the comparison above carries real values
+        assert min(e.negative_mass_ratio for e in result.report.entries) > 0.0
         assert [e.iterations for e in result.report.entries] == [slice_iterations] * 3
 
     def test_solve_under_the_surface_passes_through_the_checkpoints(self, set1_model, monkeypatch):

@@ -91,8 +91,14 @@ class TestConfig:
 
         from hybridlv.calibration import CalibrationSettings
 
-        keys = set(resolve_config({}).run_block["calibration"]) - {"market"}
-        assert {f.name for f in fields(CalibrationSettings)} == keys
+        block = dict(resolve_config({}).run_block["calibration"])
+        assert block.pop("market") == "analytic"
+        assert set(block) == {f.name for f in fields(CalibrationSettings)}
+        # field by field, value and type: the block is built from the defaults
+        settings = CalibrationSettings()
+        for name, value in block.items():
+            default = getattr(settings, name)
+            assert (value, type(value)) == (default, type(default)), name
 
     def test_digest_tracks_content(self):
         a = resolve_config({"model": {"rho": 0.3}})
@@ -119,7 +125,7 @@ class TestConfig:
         config = tmp_path / "rho.yaml"
         config.write_text(yaml.safe_dump({"model": {"rho": 0.1}}))
         out = tmp_path / "out"
-        assert cli.run("price-analytic", config_path=str(config), out_dir=str(out), seed=99) == 0
+        assert cli.run("price-mc", config_path=str(config), out_dir=str(out), seed=99) == 0
         run = resolve_config({}).run_block
         assert run["mc"]["seed"] == 12345
         assert run["out_dir"] == "out"
@@ -144,7 +150,7 @@ class TestCommands:
         self, fast_config, capsys, command
     ):
         path, out = fast_config
-        assert cli.run(command, config_path=str(path), seed=99) == 0
+        assert cli.run(command, config_path=str(path)) == 0
         printed = capsys.readouterr().out
         digest = re.search(r"^# resolved config \(digest ([0-9a-f]{12})\)$", printed, re.M)[1]
         saved = (out / "resolved_config.yaml").read_bytes()
@@ -166,6 +172,19 @@ class TestCommands:
         cli.run("price-mc", config_path=str(path), seed=99)
         override = (out / "prices_mc.csv").read_text().splitlines()[0]
         assert base != override
+
+    @pytest.mark.parametrize("argv", [
+        ["price-pde", "--config", "c.yaml", "--seed", "3"],
+        ["compare", "--left", "a.csv", "--right", "b.csv", "--seed", "3"],
+    ])
+    def test_seed_is_a_price_mc_option_only(self, argv, capsys):
+        # on a command that draws nothing a seed would only change the digest
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        with pytest.raises(ConfigError, match="--seed applies to price-mc only"):
+            cli.run(argv[0], config_path="c.yaml", seed=3, left="a.csv", right="b.csv")
 
     def test_price_pipeline_and_compare(self, fast_config):
         path, out = fast_config
@@ -193,7 +212,7 @@ class TestCommands:
         header = snaps[0].read_text().splitlines()[1]
         assert header == "t,S,r,pz"
         mass = (out / "mass_diagnostics.csv").read_text().splitlines()
-        assert mass[3] == "step,t,raw_mass,target_zc,ratio,neg_fraction,neg_mass_ratio"
+        assert mass[3] == "step,t,raw_mass,target_zc,ratio,neg_mass_ratio"
 
     def test_close_maturities_get_a_snapshot_each(self, fast_config):
         # "%.6g" named both pz_t0.5.csv, and the second overwrote the first
@@ -296,6 +315,14 @@ run:
         assert np.allclose(rows[:, 2], 0.2, atol=1e-6)
         report = (tmp_path / "out" / "calibration_report.txt").read_text()
         assert report.startswith("calibration report")
+        # negativity is the negative-mass ratio, on every maturity's line,
+        # and no other sign figure is reported beside it
+        entries = [line for line in report.splitlines() if line.startswith("T=")]
+        assert len(entries) == 2
+        for line in entries:
+            keys = [w.split("=")[0] for w in line.split() if "=" in w]
+            assert keys == ["T", "mass_drift", "neg_mass", "iterations", "slice_update",
+                            "reprice_err", "skipped"]
         # each maturity but the last is repriced off its checkpoint
         reprice = self._report_values(report, "reprice_err")
         assert len(reprice) == 2 and reprice[1] == "n/a"
