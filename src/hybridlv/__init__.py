@@ -15,7 +15,6 @@ from .analytic import (
     analytic_z,
     bshw_call,
     bshw_moments,
-    integrated_variance,
 )
 from .calibration import (
     CalibrationResult,

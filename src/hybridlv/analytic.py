@@ -22,7 +22,6 @@ from .models import (ConstantVol, HybridModel, _b_factor, _horizon, _positive_sp
 __all__ = [
     "BshwMoments",
     "PriceAndGreeks",
-    "integrated_variance",
     "bshw_call",
     "bshw_moments",
     "analytic_z",
@@ -73,12 +72,6 @@ class PriceAndGreeks:
     d1: float
     d2: float
     g_t: float
-
-
-def integrated_variance(m: HybridModel, maturity: float) -> float:
-    """Integrated effective variance g(T) of the discounted-spot lognormal
-    (exactly 0.0 at T = 0): the variance of log S(T)."""
-    return bshw_moments(m, maturity).sigma_y
 
 
 def sigma_hat_sq(m: HybridModel, t: float) -> float:
@@ -136,7 +129,7 @@ def bshw_call(m: HybridModel, maturity: float, strike: float):
     if not (np.isfinite(strike) and strike > 0):
         raise InvalidInputError(f"strike must be positive, got {strike!r}")
     t = _horizon(maturity, positive=True)
-    g = integrated_variance(m, t)
+    g = bshw_moments(m, t).sigma_y
     if g <= 0.0:
         raise InvalidInputError(f"zero total variance at T={t!r}: the call has no sensitivities")
     zc = zc_price(m.rate, t)

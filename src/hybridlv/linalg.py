@@ -11,7 +11,8 @@ so a batch that repeats one line (one line broadcast over the batch, as
 the rate sweep of the ADI step is) factors that line once and copies its
 factors out over the batch.
 
-The solve then takes one of two paths:
+A factored batch is one object with one ``solve(f, out)``, every line a
+column of ``f`` and ``out``. Two kinds implement it:
 
 - Every line kept its pivots, every pivot is finite and non-zero, and the
   products of the scan stay finite (every sweep of a bundled
@@ -24,7 +25,7 @@ The solve then takes one of two paths:
   partial pivoting) as one long system with zero couplings at the line
   breaks, and solved by ``gttrs``. ``gttrf`` finds singular and non-finite
   lines, and the recurrences of the scan have no room for an interchange,
-  so this is the only path that solves such lines. Only this path loads
+  so this is the only kind that solves such lines. Only this kind loads
   ``scipy.linalg``.
 """
 
@@ -128,21 +129,50 @@ class _BlockedScan:
         _gather(x, out)
 
 
+class _Pivoted:
+    """LAPACK ``gttrf`` factors of a batch of lines, solved by ``gttrs``.
+
+    The lines, each a column of (n, W) ``a``, ``b``, ``c``, are laid out one
+    after another as one long system whose couplings are zero at every line
+    break; ``lu`` holds the arrays ``gttrf`` returns for it.
+    """
+
+    def __init__(self, a: np.ndarray, b: np.ndarray, c: np.ndarray):
+        from scipy.linalg.lapack import dgttrf
+
+        n = b.shape[0]
+        dl = a.T.flatten()[1:]
+        du = c.T.flatten()[:-1]
+        dl[n - 1::n] = 0.0
+        du[n - 1::n] = 0.0
+        dl, d, du, du2, ipiv, info = dgttrf(
+            dl, b.T.flatten(), du, overwrite_dl=1, overwrite_d=1, overwrite_du=1
+        )
+        if info != 0 or not np.all(np.isfinite(d)):
+            raise SingularSystemError("singular or non-finite line in a batched system")
+        self.lu = dl, d, du, du2, ipiv
+
+    def solve(self, f: np.ndarray, out: np.ndarray) -> None:
+        """Solve for ``f`` into ``out``, both (n, W) with a line per column."""
+        from scipy.linalg.lapack import dgttrs
+
+        x, _ = dgttrs(*self.lu, f.T.flatten(), overwrite_b=1)
+        out[...] = x.reshape(f.shape[::-1]).T
+
+
 @dataclass(frozen=True)
 class LineFactors:
     """Factors of a batch of tridiagonal lines.
 
-    ``scan`` holds the unpivoted factors when the blocked scan can solve
-    every line; ``lu`` holds the LAPACK ``gttrf`` arrays otherwise (the
-    lines laid out one after another along their sweep direction as one
-    long system whose couplings are zero at every line break). ``axis`` and
-    ``shape`` say how to lay a right-hand side out.
+    ``batch`` solves every line at once, each line a column of its
+    right-hand side: a :class:`_BlockedScan` when the scan can solve every
+    line, the pivoted ``gttrf`` factors otherwise. ``axis`` and ``shape``
+    say how a right-hand side of the caller lays its lines out.
     """
 
     axis: int
     shape: tuple
-    scan: _BlockedScan | None
-    lu: tuple | None
+    batch: _BlockedScan | _Pivoted
 
 
 def _eliminate(a: np.ndarray, b: np.ndarray, c: np.ndarray):
@@ -209,24 +239,6 @@ def _scan_factors(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple | None:
     return blocked_lower, upper, inv_diag, fwd_weights, bwd_weights, fwd_carry, bwd_carry
 
 
-def _gttrf(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple:
-    """LAPACK ``gttrf`` factors of the lines, each a column of (n, W) ``a``,
-    ``b``, ``c``, laid out one after another as one long system."""
-    from scipy.linalg.lapack import dgttrf
-
-    n = b.shape[0]
-    dl = a.T.flatten()[1:]
-    du = c.T.flatten()[:-1]
-    dl[n - 1::n] = 0.0
-    du[n - 1::n] = 0.0
-    dl, d, du, du2, ipiv, info = dgttrf(
-        dl, b.T.flatten(), du, overwrite_dl=1, overwrite_d=1, overwrite_du=1
-    )
-    if info != 0 or not np.all(np.isfinite(d)):
-        raise SingularSystemError("singular or non-finite line in a batched system")
-    return dl, d, du, du2, ipiv
-
-
 def thomas_prefactor(a: np.ndarray, b: np.ndarray, c: np.ndarray, axis: int) -> LineFactors:
     """Factor a batch of systems a_i x_{i-1} + b_i x_i + c_i x_{i+1} = f_i.
 
@@ -256,9 +268,8 @@ def thomas_prefactor(a: np.ndarray, b: np.ndarray, c: np.ndarray, axis: int) -> 
             factors = [np.broadcast_to(x, x.shape[:-1] + (width,)).copy() for x in factors]
     else:
         factors = _scan_factors(a, b, c)
-    if factors is not None:
-        return LineFactors(axis, shape, _BlockedScan(*factors), None)
-    return LineFactors(axis, shape, None, _gttrf(a, b, c))
+    batch = _BlockedScan(*factors) if factors is not None else _Pivoted(a, b, c)
+    return LineFactors(axis, shape, batch)
 
 
 def thomas_apply(lu: LineFactors, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -272,22 +283,8 @@ def thomas_apply(lu: LineFactors, f: np.ndarray, out: np.ndarray | None = None) 
         raise InvalidInputError(f"right-hand side shape {f.shape} does not match {lu.shape}")
     if out is not None and out.shape != lu.shape:
         raise InvalidInputError(f"output shape {out.shape} does not match {lu.shape}")
-    if lu.scan is not None:
-        if out is None:
-            out = np.empty(lu.shape)
-        if lu.axis == 0:
-            lu.scan.solve(f, out)
-        else:
-            lu.scan.solve(f.T, out.T)
-        return out
-    from scipy.linalg.lapack import dgttrs
-
-    if lu.axis == 0:
-        f = f.T
-    x, _ = dgttrs(*lu.lu, f.flatten(), overwrite_b=1)
-    x = x.reshape(f.shape)
-    x = x.T if lu.axis == 0 else x
     if out is None:
-        return x
-    out[...] = x
+        out = np.empty(lu.shape)
+    # the factors hold each line as a column
+    lu.batch.solve(*((f, out) if lu.axis == 0 else (f.T, out.T)))
     return out

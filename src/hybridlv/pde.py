@@ -335,8 +335,10 @@ class _StepOperator:
     The r stencil and the rate-only weights ``w1_c``, ``w1_jp``, ``w1_jm``
     and ``kappa`` are the same on every S line: each is formed once as a
     row of the coefficients' rate terms, which are rows broadcast over the
-    S nodes (:class:`AdiCoefficients`). The r sweep is factored from that
-    one line and copied out over the n_s lines.
+    S nodes (:class:`AdiCoefficients`). The r stencil A2 is formed as its
+    three rows, which both the implicit r sweep (2/dt + A2 + reaction) and
+    the explicit weights ``w1_*`` (2/dt - A2) read. The r sweep is factored
+    from that one line and copied out over the n_s lines.
     """
 
     def __init__(self, coeffs: AdiCoefficients, grid: Grid2D, dt: float):
@@ -373,20 +375,18 @@ class _StepOperator:
         reaction_r = coeffs.reaction[0]
         # drift_r / (2 dr) with a zero past each end of the r line
         adv_r = np.pad(coeffs.drift_r[0] / (2 * dr), 1)
-        # Implicit sweep along r: d x_{j-1} + e x_j + f x_{j+1} = f2.
+        # A2 on nodes j-1, j, j+1
+        a2_jm, a2_c, a2_jp = -(half_r + adv_r[:-2]), 2 * half_r, adv_r[2:] - half_r
+        # Implicit sweep along r: (2/dt + A2 + reaction) x = f2.
         over_s = lambda line: np.broadcast_to(line, (grid.n_s, grid.n_r))  # noqa: E731
         self.lu2 = thomas_prefactor(
-            over_s(-(half_r + adv_r[:-2])),
-            over_s(two_dt + 2 * half_r + reaction_r),
-            over_s(adv_r[2:] - half_r),
-            axis=1,
-        )
+            over_s(a2_jm), over_s(two_dt + a2_c + reaction_r), over_s(a2_jp), axis=1)
         # The padded arrays are allocated once both factorisations have freed
         # their temporaries, so the heap does not grow around the holes.
         # Explicit r-direction weights feeding f1: 2/dt - A2.
-        self.w1_c = padded_weight(np.subtract, two_dt, 2 * half_r)
-        self.w1_jp = padded_weight(np.subtract, half_r, adv_r[2:])
-        self.w1_jm = padded_weight(np.add, half_r, adv_r[:-2])
+        self.w1_c = padded_weight(np.subtract, two_dt, a2_c)
+        self.w1_jp = padded_weight(np.negative, a2_jp)
+        self.w1_jm = padded_weight(np.negative, a2_jm)
         # f2 = kappa * u* - f1 + cross(u*), see the class docstring.
         self.kappa = padded_weight(np.add, 2 * two_dt, reaction_r)
         self.wx = padded_weight(np.divide, coeffs.cross, 4 * ds * dr)
@@ -524,9 +524,8 @@ def evolve(
     if m0 <= 0 or not np.isfinite(m0):
         raise InvalidInputError("start field mass must be positive and finite")
 
-    snapshots = {}
-    if n0 in wanted:
-        snapshots[n0] = field.copy()
+    # the march reaches each wanted step once, in step order
+    snapshots = [field.copy()] if n0 in wanted else []
 
     valid_until, op_size = -math.inf, None
     values = field.values
@@ -553,7 +552,6 @@ def evolve(
         diag.target_mass.append(target)
         diag.negative_mass_ratio.append(neg_sum / target)
         if (n + 1) in wanted:
-            snapshots[n + 1] = Field2D(grid, values.copy(), t=t_next)
+            snapshots.append(Field2D(grid, values.copy(), t=t_next))
 
-    ordered = [snapshots[n] for n in sorted(wanted)]
-    return EvolveResult(snapshots=ordered, diagnostics=diag)
+    return EvolveResult(snapshots=snapshots, diagnostics=diag)

@@ -11,7 +11,6 @@ from hybridlv.analytic import (
     analytic_z,
     bshw_call,
     bshw_moments,
-    integrated_variance,
     sigma_hat_sq,
 )
 from hybridlv.errors import InvalidInputError, SingularCovarianceError
@@ -37,7 +36,7 @@ def _model(sigma2=0.04, rho=0.4, sigma1=0.2, theta=0.02, r0=0.02, a=0.5):
 class TestIntegratedVariance:
     def test_deterministic_rates(self):
         m = _model(sigma2=0.0)
-        assert integrated_variance(m, 2.0) == pytest.approx(0.2**2 * 2.0, rel=1e-14)
+        assert bshw_moments(m, 2.0).sigma_y == pytest.approx(0.2**2 * 2.0, rel=1e-14)
 
     def test_zero_correlation_form(self):
         m = _model(rho=0.0)
@@ -45,7 +44,7 @@ class TestIntegratedVariance:
         expect = 0.04 * t + (s2 / a) ** 2 * (
             t - (3 - 4 * math.exp(-a * t) + math.exp(-2 * a * t)) / (2 * a)
         )
-        assert integrated_variance(m, t) == pytest.approx(expect, rel=1e-14)
+        assert bshw_moments(m, t).sigma_y == pytest.approx(expect, rel=1e-14)
 
     def test_against_quadrature(self, set1_model):
         # frozen from a 1e4-node trapezoid of the instantaneous variance
@@ -53,12 +52,12 @@ class TestIntegratedVariance:
         ts = np.linspace(0.0, 1.0, 10001)
         vals = [sigma_hat_sq(set1_model, t) for t in ts]
         quad = np.trapezoid(vals, ts)
-        got = integrated_variance(set1_model, 1.0)
+        got = bshw_moments(set1_model, 1.0).sigma_y
         assert got == pytest.approx(quad, rel=1e-8)
         assert got == pytest.approx(frozen, abs=1e-11)
 
     def test_zero_at_origin(self, set1_model):
-        assert integrated_variance(set1_model, 0.0) == 0.0
+        assert bshw_moments(set1_model, 0.0).sigma_y == 0.0
 
 
 class TestMoments:
@@ -212,7 +211,6 @@ class TestAnalyticZ:
 
 HORIZON_ORACLES = {
     "bshw_moments": bshw_moments,
-    "integrated_variance": integrated_variance,
     "analytic_z": lambda m, t: analytic_z(m, t, 1.0, 0.02),
     "analytic_pz": lambda m, t: analytic_pz(m, t, 1.0, 0.02),
 }

@@ -13,6 +13,7 @@ import yaml
 from hybridlv import cli
 from hybridlv.config import MAX_STRIKES, load_config, resolve_config
 from hybridlv.errors import ConfigError
+from hybridlv.linalg import _BlockedScan
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -491,7 +492,7 @@ class TestBundledConfigs:
         # A scheme change that makes gttrf swap rows would silently send every
         # sweep back to the serial LAPACK solve.
         op = self._first_operator(name, tmp_path, monkeypatch)
-        assert op.lu1.scan is not None and op.lu2.scan is not None
+        assert isinstance(op.lu1.batch, _BlockedScan) and isinstance(op.lu2.batch, _BlockedScan)
 
     @staticmethod
     def _marches(name, tmp_path, monkeypatch):

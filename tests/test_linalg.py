@@ -120,7 +120,7 @@ def test_blocked_scan_matches_dense_oracle_at_block_edges(rng, axis, n):
     b = rng.choice([-1.0, 1.0], shape) * (np.abs(a) + np.abs(c) + 1.0 + rng.uniform(0, 2, shape))
     f = rng.uniform(-3, 3, shape)
     lu = thomas_prefactor(a, b, c, axis)
-    assert lu.scan is not None and lu.lu is None
+    assert isinstance(lu.batch, linalg._BlockedScan)
     x = thomas_apply(lu, f)
     # The factors keep a work buffer; a non-finite solve leaves nothing in it.
     assert np.isnan(thomas_apply(lu, np.full(shape, np.nan))).all()
@@ -142,7 +142,7 @@ def test_overflowing_scan_products_fall_back_to_gttrs(axis):
     if axis == 1:
         a, b, c, f = a.T, b.T, c.T, f.T
     lu = thomas_prefactor(a, b, c, axis)
-    assert lu.scan is None
+    assert isinstance(lu.batch, linalg._Pivoted)
     assert np.array_equal(thomas_apply(lu, f), f)
 
 
@@ -160,8 +160,8 @@ def test_batched_solver_matches_dense_oracle_with_row_swaps(rng, axis):
     a[weak] = rng.choice([-1.0, 1.0], n) * rng.uniform(2.0, 3.0, n)
     f = rng.uniform(-3, 3, shape)
     lu = thomas_prefactor(a, b, c, axis)
-    assert lu.scan is None
-    ipiv = lu.lu[4].reshape(m, n)
+    assert isinstance(lu.batch, linalg._Pivoted)
+    ipiv = lu.batch.lu[4].reshape(m, n)
     assert np.any(ipiv[4] != np.arange(4 * n + 1, 5 * n + 1))
     x = thomas_apply(lu, f)
     for la, lb, lc, lf, lx in zip(*(_lines(v, axis) for v in (a, b, c, f, x))):
@@ -189,7 +189,7 @@ def test_batch_with_zero_elimination_pivot_is_solved(rng, axis, where):
     if axis == 1:
         a, b, c, f = a.T, b.T, c.T, f.T
     lu = thomas_prefactor(a, b, c, axis)
-    assert lu.scan is None
+    assert isinstance(lu.batch, linalg._Pivoted)
     x = thomas_apply(lu, f)
     for la, lb, lc, lf, lx in zip(*(_lines(v, axis) for v in (a, b, c, f, x))):
         assert np.allclose(lx, dense_tridiagonal_solve(la, lb, lc, lf), rtol=1e-12, atol=1e-13)
@@ -238,11 +238,13 @@ def test_solve_into_strided_out_matches_allocating_route(rng, axis, route):
         b[weak] = rng.uniform(-0.1, 0.1, n)
         a[weak] = rng.choice([-1.0, 1.0], n) * rng.uniform(2.0, 3.0, n)
     lu = thomas_prefactor(a, b, c, axis)
-    assert (lu.scan is None) == (route == "gttrs")
+    assert isinstance(lu.batch, linalg._Pivoted) == (route == "gttrs")
     f_pad = rng.uniform(-3, 3, (shape[0] + 2, shape[1] + 2))
     out_pad = np.full_like(f_pad, 7.0)
     f, out = f_pad[1:-1, 1:-1], out_pad[1:-1, 1:-1]
     want = thomas_apply(lu, f.copy())
+    # a new array comes back in C order on either route, whatever the axis
+    assert want.flags.c_contiguous
     assert thomas_apply(lu, f, out=out) is out
     assert np.array_equal(out, want)
     ring = np.ones(out_pad.shape, dtype=bool)
@@ -292,7 +294,7 @@ def test_numpy_factors_match_gttrf(rng, axis, n):
     # and these are the factors the scan solves with
     lu = thomas_prefactor(a, b, c, axis)
     stored = np.empty_like(lower)
-    linalg._gather(lu.scan.lower, stored)
+    linalg._gather(lu.batch.lower, stored)
     assert np.array_equal(stored, lower)
 
 
@@ -310,7 +312,7 @@ def test_scan_is_taken_exactly_when_gttrf_keeps_every_pivot(rng, axis):
         _, _, ipiv = _gttrf_factors(*lines)
         kept = np.array_equal(ipiv.T.ravel(), np.arange(1, n * m + 1))
         lu = thomas_prefactor(a, b, c, axis)
-        assert (lu.scan is not None) == kept
+        assert isinstance(lu.batch, linalg._BlockedScan) == kept
         f = rng.uniform(-3, 3, shape)
         x = thomas_apply(lu, f)
         for la, lb, lc, lf, lx in zip(*(_lines(v, axis) for v in (a, b, c, f, x))):
@@ -320,25 +322,34 @@ def test_scan_is_taken_exactly_when_gttrf_keeps_every_pivot(rng, axis):
 
 
 @pytest.mark.parametrize("axis", [0, 1])
-@pytest.mark.parametrize("weak", [False, True])
+@pytest.mark.parametrize("weak", [False, True, "singular"])
 def test_one_line_broadcast_over_the_batch_factors_as_its_copies(rng, axis, weak):
     # A line the scan solves is factored once and copied out; a line that
-    # needs row swaps takes gttrf over the whole batch, as its copies do.
+    # needs row swaps takes gttrf over the whole batch, as its copies do, and
+    # a singular line raises there, as its copies do.
     n, m = 37, 6
     a, b, c, _ = _random_dominant(rng, n)
-    if weak:
+    if weak == "singular":
+        a[5] = b[5] = c[5] = 0.0
+    elif weak:
         a[1:] *= 10.0
     shape = (n, m) if axis == 0 else (m, n)
     as_line = (lambda x: x[:, None]) if axis == 0 else (lambda x: x[None, :])
     broadcast = [np.broadcast_to(as_line(x), shape) for x in (a, b, c)]
     copies = [x.copy() for x in broadcast]
+    if weak == "singular":
+        for lines in (broadcast, copies):
+            with pytest.raises(SingularSystemError):
+                thomas_prefactor(*lines, axis)
+        return
     shared = thomas_prefactor(*broadcast, axis)
     separate = thomas_prefactor(*copies, axis)
-    assert (shared.scan is None) == (separate.scan is None) == weak
+    assert type(shared.batch) is type(separate.batch)
+    assert isinstance(shared.batch, linalg._Pivoted) == weak
     if not weak:
         for name in ("lower", "upper", "inv_diag", "fwd_weights", "bwd_weights",
                      "fwd_carry", "bwd_carry"):
-            got, want = getattr(shared.scan, name), getattr(separate.scan, name)
+            got, want = getattr(shared.batch, name), getattr(separate.batch, name)
             assert got.flags.writeable and np.array_equal(got, want)
     f = rng.uniform(-3, 3, shape)
     assert np.array_equal(thomas_apply(shared, f), thomas_apply(separate, f))

@@ -7,6 +7,7 @@ import pytest
 from hybridlv.analytic import analytic_pz, bshw_call
 from hybridlv.calibration import price_calls_from_pz
 from hybridlv.errors import InvalidInputError, PdeBlowUpError
+from hybridlv.linalg import _BlockedScan, _Pivoted
 from hybridlv.models import (
     ConstantVol,
     HullWhiteParams,
@@ -256,7 +257,7 @@ class TestAdiStep:
             values = rng.uniform(0.0, 1.0, values.shape)
         field = Field2D(g, values)
         op = _StepOperator(co, g, g.dt)
-        assert op.lu1.scan is not None and op.lu2.scan is not None
+        assert isinstance(op.lu1.batch, _BlockedScan) and isinstance(op.lu2.batch, _BlockedScan)
         fast = adi_step(field, co, g.dt)
         assert np.max(np.abs(fast.values - _literal_step(field, co, g.dt))) < tol
 
@@ -270,7 +271,7 @@ class TestAdiStep:
         g = _unit_grid()
         co = build_coefficients(model, g, 0.0)
         op = _StepOperator(co, g, g.dt)
-        assert op.lu1.scan is not None and op.lu2.scan is None
+        assert isinstance(op.lu1.batch, _BlockedScan) and isinstance(op.lu2.batch, _Pivoted)
         field = Field2D(g, rng.uniform(0.0, 1.0, (g.n_s, g.n_r)))
         fast = adi_step(field, co, g.dt)
         assert np.max(np.abs(fast.values - _literal_step(field, co, g.dt))) < 1e-12
@@ -333,7 +334,8 @@ class TestEvolve:
         model = HybridModel(s0=1.0, rate=rate, vol=ConstantVol(0.2), rho=0.4)
         g = auto_grid(model, 1.0, ds=0.02, dr=5e-4, dt=0.1)
         assert (g.n_s, g.n_r) == (137, 70)
-        assert _StepOperator(build_coefficients(model, g, 0.0), g, g.dt).lu2.scan is None
+        op = _StepOperator(build_coefficients(model, g, 0.0), g, g.dt)
+        assert isinstance(op.lu2.batch, _Pivoted)
         last = evolve(model, g).snapshots[-1]
         assert last.t == 1.0 and np.all(np.isfinite(last.values))
         assert last.mass() == pytest.approx(zc_price(rate, 1.0), rel=1e-12)
@@ -444,6 +446,16 @@ class TestEvolve:
         g = auto_grid(set1_model, 1.0, ds=0.02, dr=0.003, dt=0.01)
         with pytest.raises(InvalidInputError):
             evolve(set1_model, g, snapshot_times=[0.5037])
+
+    def test_snapshots_come_one_per_step_time_in_step_order(self, set1_model):
+        g = auto_grid(set1_model, 0.1, ds=0.03, dr=0.004, dt=0.01)
+        start = short_time_start(set1_model, g)
+        assert start.t < 0.05
+        res = evolve(set1_model, g, snapshot_times=[0.08, start.t, 0.05, 0.08, start.t])
+        assert [snap.t for snap in res.snapshots] == pytest.approx([start.t, 0.05, 0.08])
+        assert np.array_equal(res.snapshots[0].values, start.values)
+        last = evolve(set1_model, g, snapshot_times=[0.08]).snapshots
+        assert len(last) == 1 and np.array_equal(res.snapshots[-1].values, last[0].values)
 
     def test_field_comparable_to_closed_form(self, set1_model):
         g = auto_grid(set1_model, 1.0, ds=0.02, dr=0.003, dt=0.01)
