@@ -927,6 +927,95 @@ class TestMainEntry:
         message = self._config_error(capsys, ["price-analytic", "--config", str(config)])
         assert "run.strikes.step" in message
 
+    @pytest.mark.parametrize("text, named", [
+        ("- 1\n- 2\n", "top level of"),
+        ("model: [1,\n", "could not parse"),
+        ("model: {vol: {sigma1: 0.2}}\n", "model.vol must be a mapping with a 'type' field"),
+    ], ids=["list", "unparsable", "vol-without-type"])
+    def test_malformed_config_file_exits_2(self, tmp_path, capsys, text, named):
+        config = tmp_path / "malformed.yaml"
+        config.write_text(text)
+        message = self._config_error(capsys, ["price-analytic", "--config", str(config)])
+        assert named in message
+
+    def test_empty_config_runs_on_the_defaults(self, tmp_path):
+        config = tmp_path / "empty.yaml"
+        config.write_text("")
+        assert cli.main(["price-analytic", "--config", str(config), "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "prices_analytic.csv").is_file()
+
+    def test_closed_forms_of_a_local_vol_model_exit_3(self, tmp_path, capsys):
+        message = self._input_error(capsys, [
+            "price-analytic", "--config", str(CONFIG_DIR / "hyperbolic_hw_rho_neg.yaml"),
+            "--out", str(tmp_path),
+        ])
+        assert "constant equity volatility" in message
+
+    def test_six_slice_iterations_exit_3(self, tmp_path, capsys):
+        config = tmp_path / "slices.yaml"
+        config.write_text(yaml.safe_dump({
+            "run": {"out_dir": str(tmp_path / "out"), "calibration": {"slice_iterations": 6}},
+        }))
+        message = self._input_error(capsys, ["calibrate", "--config", str(config)])
+        assert "slice_iterations must be in 1..5" in message
+
+    @pytest.mark.parametrize("rows, named", [
+        ("0.5,1.1,0.03\n0.5,1.2,0.01\n", "single-maturity"),
+        ("0.5,1.1,0.03\n1.0,1.0,0.08\n1.0,1.1,0.05\n", "at least 3 strikes"),
+    ], ids=["one-maturity", "two-strikes"])
+    def test_market_lattice_too_small_to_difference_exits_3(self, tmp_path, capsys, rows, named):
+        config, _ = self._market_config(tmp_path, rows)
+        message = self._input_error(capsys, ["calibrate", "--config", str(config)])
+        assert named in message
+
+    def test_market_linear_in_strike_has_no_usable_strike(self, tmp_path, capsys):
+        # C_KK = 0 everywhere: no strike has a local variance to extract
+        config, _ = self._market_config(
+            tmp_path, "0.5,0.9,0.11\n0.5,1.1,0.01\n1.0,0.9,0.12\n1.0,1.0,0.07\n1.0,1.1,0.02\n")
+        assert cli.main(["calibrate", "--config", str(config)]) == 3
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "CalibrationError"
+        assert "no usable strike at maturity 0.5" in payload["message"]
+
+    def test_market_with_a_hole_exits_2(self, tmp_path, capsys):
+        config, _ = self._market_config(tmp_path, "0.5,1.1,0.03\n1.0,1.0,0.08\n")
+        message = self._config_error(capsys, ["calibrate", "--config", str(config)])
+        assert "not a full (T, K) lattice" in message
+
+    def test_analytic_market_beyond_the_solver_box_exits_3(self, tmp_path, capsys):
+        config = tmp_path / "wide.yaml"
+        config.write_text(yaml.safe_dump({"run": {
+            "out_dir": str(tmp_path / "out"),
+            "strikes": {"start": 0.5, "stop": 3.5, "step": 0.5},
+            "calibration": {"market": "analytic"},
+        }}))
+        message = self._input_error(capsys, ["calibrate", "--config", str(config)])
+        assert "market strikes fall outside the solver box" in message
+
+    def test_compare_without_a_common_strike_exits_2(self, tmp_path, capsys):
+        left, right = tmp_path / "left.csv", tmp_path / "right.csv"
+        left.write_text("K,price\n1.0,0.08\n")
+        right.write_text("K,price\n1.1,0.04\n")
+        message = self._config_error(capsys, [
+            "compare", "--out", str(tmp_path / "out"), "--left", str(left), "--right", str(right),
+        ])
+        assert "no common strikes" in message
+
+    def test_grid_bounds_above_the_spot_exit_3(self, tmp_path, capsys):
+        config = tmp_path / "bounds.yaml"
+        config.write_text(yaml.safe_dump({
+            "grid": {"bounds": {"s_min": 3.0, "s_max": 6.0, "r_min": -0.1, "r_max": 0.14}},
+            "run": {"out_dir": str(tmp_path / "out")},
+        }))
+        message = self._input_error(capsys, ["price-pde", "--config", str(config)])
+        assert "no mass inside the grid box" in message
+
+    def test_run_rejects_compare_without_sides_and_unknown_commands(self, tmp_path):
+        with pytest.raises(ConfigError, match="--left and --right"):
+            cli.run("compare", out_dir=str(tmp_path), left=str(tmp_path / "left.csv"))
+        with pytest.raises(ConfigError, match="unknown command 'price'"):
+            cli.run("price", config_path=str(tmp_path / "config.yaml"))
+
 
 def test_cli_import_leaves_scipy_integrate_unloaded():
     # no quadrature in the engine: importing it must not pay for scipy.integrate
@@ -937,19 +1026,35 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     assert done.stdout.strip() == "False"
 
 
-def _scipy_modules_after(code, *args):
-    """The scipy modules loaded by a fresh interpreter that runs ``code``."""
+def _modules_after(package, code, *args):
+    """The modules of ``package`` loaded by a fresh interpreter that runs
+    ``code``, sorted."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    code += "\nimport sys; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    code += (f"\nimport sys\n"
+             f"print(*sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))")
     done = subprocess.run([sys.executable, "-c", code, *args],
                           env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, check=True)
-    return done.stdout.strip().splitlines()[-1]
+    return done.stdout.splitlines()[-1].split()
 
 
 def test_package_import_loads_no_scipy():
     # only price-mc needs scipy (montecarlo's ndtri); start-up must not pay for it
-    assert _scipy_modules_after("import hybridlv, hybridlv.cli") == "[]"
+    assert _modules_after("scipy", "import hybridlv, hybridlv.cli") == []
+
+
+@pytest.mark.parametrize("module, loads", [
+    ("hybridlv", []),
+    ("hybridlv.models", ["errors", "models"]),
+    ("hybridlv.linalg", ["errors", "linalg"]),
+    ("hybridlv.analytic", ["analytic", "errors", "models"]),
+    ("hybridlv.pde", ["errors", "linalg", "models", "pde"]),
+])
+def test_module_import_loads_only_what_it_imports(module, loads):
+    # the package binds __version__ alone: importing one module does not
+    # load the rest of the engine
+    expected = ["hybridlv", *(f"hybridlv.{name}" for name in ["version", *loads])]
+    assert _modules_after("hybridlv", f"import {module}") == sorted(expected)
 
 
 def test_pde_commands_load_no_scipy(tmp_path):
@@ -973,7 +1078,7 @@ def test_pde_commands_load_no_scipy(tmp_path):
     )
     argv = ["price-pde", tmp_path / "fan.yaml", "corrective-terms", tmp_path / "fan.yaml",
             "calibrate", tmp_path / "cal.yaml"]
-    assert _scipy_modules_after(code, *map(str, argv)) == "[]"
+    assert _modules_after("scipy", code, *map(str, argv)) == []
     assert (tmp_path / "fan" / "prices_pde.csv").is_file()
     assert (tmp_path / "fan" / "corrective_terms.csv").is_file()
     assert (tmp_path / "cal" / "local_vol_surface.csv").is_file()

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from hybridlv.calibration import CallSurface, dupire_vol, make_analytic_surface
+from hybridlv.calibration import CallSurface, CorrectiveTermCurve, dupire_vol, make_analytic_surface
 from hybridlv.errors import InvalidInputError
 from hybridlv.models import (
     ConstantVol,
@@ -19,7 +19,7 @@ from hybridlv.models import (
     sde_coefficients,
     zc_price,
 )
-from hybridlv.pde import Grid2D, auto_grid, evolve
+from hybridlv.pde import Field2D, Grid2D, auto_grid, evolve
 
 from .oracles import zc_by_affine_ode
 
@@ -60,6 +60,10 @@ class TestZcPrice:
             HullWhiteParams(a=0.5, sigma2=float("nan"), theta=0.02, r0=0.02)
         with pytest.raises(InvalidInputError):
             HullWhiteParams(a=-0.5, sigma2=0.04, theta=0.02, r0=0.02)
+        with pytest.raises(InvalidInputError, match="initial short rate must be finite"):
+            HullWhiteParams(a=0.5, sigma2=0.04, theta=0.02, r0=math.nan)
+        with pytest.raises(InvalidInputError, match="theta must be finite"):
+            HullWhiteParams(a=0.5, sigma2=0.04, theta=math.nan, r0=0.02)
 
 
 class TestForwardRate:
@@ -160,6 +164,20 @@ class TestModelValidation:
     def test_positive_spot(self):
         with pytest.raises(InvalidInputError):
             HybridModel(s0=0.0, rate=HW1, vol=ConstantVol(0.2), rho=0.0)
+
+    def test_negative_constant_vol_rejected(self):
+        with pytest.raises(InvalidInputError, match="sigma1 must be >= 0"):
+            ConstantVol(-0.1)
+
+    @pytest.mark.parametrize("build", [
+        lambda: SurfaceVol(_OK, _OK, np.full((3, 2), 0.2)),
+        lambda: CallSurface(_OK, _OK, np.full((2, 3), 0.1)),
+        lambda: CorrectiveTermCurve(1.0, _OK, [0.0, 0.0]),
+        lambda: Field2D(Grid2D(0.1, 2.0, -0.05, 0.1, 9, 9, (1.0,), (5,)), np.zeros((9, 8))),
+    ], ids=["SurfaceVol", "CallSurface", "CorrectiveTermCurve", "Field2D"])
+    def test_misshaped_values_rejected(self, build):
+        with pytest.raises(InvalidInputError, match="shape"):
+            build()
 
 
 MALFORMED_AXES = {

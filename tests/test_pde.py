@@ -442,6 +442,20 @@ class TestEvolve:
         resumed = evolve(set1_model, g, start=first)
         assert np.array_equal(resumed.snapshots[-1].values, full.at(1.0).values)
 
+    def test_zero_start_field_rejected(self, set1_model):
+        g = auto_grid(set1_model, 0.1, ds=0.03, dr=0.004, dt=0.01)
+        with pytest.raises(InvalidInputError, match="start field mass must be positive"):
+            evolve(set1_model, g, start=Field2D(g, np.zeros((g.n_s, g.n_r)), t=g.dt))
+
+    def test_resume_at_the_horizon_takes_no_step(self, set1_model):
+        g = auto_grid(set1_model, 0.1, ds=0.03, dr=0.004, dt=0.01)
+        last = evolve(set1_model, g).snapshots[-1]
+        again = evolve(set1_model, g, start=last)
+        assert again.diagnostics.times == [] and again.diagnostics.start_time == last.t
+        assert len(again.snapshots) == 1
+        assert np.array_equal(again.snapshots[0].values, last.values)
+        assert again.diagnostics.max_ratio_deviation() == 0.0
+
     def test_bad_snapshot_time_rejected(self, set1_model):
         g = auto_grid(set1_model, 1.0, ds=0.02, dr=0.003, dt=0.01)
         with pytest.raises(InvalidInputError):
@@ -579,6 +593,18 @@ class TestShortTimeStart:
         assert res.diagnostics.start_time == 0.01
         assert [snap.t for snap in res.snapshots] == [0.02, 1.0]
         assert res.at(1.0).mass() == pytest.approx(zc_price(set1_model.rate, 1.0), rel=1e-12)
+
+    def test_zero_spot_vol_starts_one_step_in(self):
+        # no spot width to resolve: the start is the first step, and the
+        # march keeps its mass on ZC(0, t) from there
+        rate = HullWhiteParams(a=0.5, sigma2=0.04, theta=0.02, r0=0.02)
+        model = HybridModel(s0=1.0, rate=rate, vol=ConstantVol(0.0), rho=0.4)
+        g = auto_grid(model, 0.25, ds=0.02, dr=0.003, dt=0.01)
+        res = evolve(model, g, snapshot_times=g.t_nodes[1:])
+        assert res.diagnostics.start_time == g.dt
+        assert [snap.t for snap in res.snapshots] == pytest.approx(g.t_nodes[1:].tolist())
+        for snap in res.snapshots:
+            assert snap.mass() == pytest.approx(zc_price(rate, snap.t), rel=1e-12)
 
 
 class TestIntegrate:
