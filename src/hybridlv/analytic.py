@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, SingularCovarianceError
+from .errors import InvalidInputError
 from .models import (ConstantVol, HybridModel, _b_factor, _horizon, _positive_spots,
                      _rate_mean_var, forward_rate, zc_price)
 
@@ -157,11 +157,12 @@ def bshw_call(m: HybridModel, maturity: float, strike: float):
 
 def _yr_determinant(mom: BshwMoments) -> float:
     """Determinant of the covariance of (log S, r); a numerically singular
-    one raises :class:`SingularCovarianceError`."""
+    one is outside the closed form's domain and raises
+    :class:`InvalidInputError`."""
     cov = mom.sigma_yr
     det = cov[0, 0] * cov[1, 1] - cov[0, 1] ** 2
     if det <= 1e-300:
-        raise SingularCovarianceError(
+        raise InvalidInputError(
             f"covariance of (log S, r) is numerically singular (det={det:.3e})"
         )
     return det
@@ -209,7 +210,7 @@ def analytic_pz(m: HybridModel, maturity: float, s, r):
 
     The joint density of (S, r) is the bivariate Gaussian of (log S, r)
     divided by S (change of variables). It needs a non-singular covariance,
-    so deterministic rates raise :class:`SingularCovarianceError`. A float
+    so deterministic rates raise :class:`InvalidInputError`. A float
     comes back whenever the result is 0-d.
     """
     s_arr, mom, dy, dr, z = _projection(m, maturity, s, r)

@@ -28,12 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .analytic import bshw_call
-from .errors import (
-    ButterflyDegenerateError,
-    CalibrationError,
-    InvalidInputError,
-    NegativeVarianceError,
-)
+from .errors import CalibrationError, InvalidInputError
 from .models import ConstantVol, HybridModel, SurfaceVol, forward_rate, lattice_axis, nearest_node
 from .pde import Field2D, Grid2D, auto_grid, evolve
 
@@ -227,10 +222,10 @@ def local_vol_stochastic_rates(
     """Local variances along the maturity row ``t`` (a lattice maturity).
 
     ``adj`` is Adj(K) at every strike, or 0.0. Returns the rows
-    ``(dupire, local, c_kk)``: the deterministic-rates Dupire variance
-    [C_T + K f C_K] / (K^2 C_KK / 2), the stochastic-rates variance
-    dupire - Adj(K) / (K C_KK / 2) and the C_KK both divide by. Both
-    variances read NaN where C_KK is at or below ``EPS_FLOOR``.
+    ``(dupire, local)``: the deterministic-rates Dupire variance
+    [C_T + K f C_K] / (K^2 C_KK / 2) and the stochastic-rates variance
+    dupire - Adj(K) / (K C_KK / 2). Both read NaN where C_KK is at or
+    below ``EPS_FLOOR``: the butterfly is degenerate there.
     """
     i = _node(surface.maturities, t, "T")
     c_t, c_k, c_kk = _sensitivities(surface, i)
@@ -239,7 +234,7 @@ def local_vol_stochastic_rates(
     with np.errstate(divide="ignore", invalid="ignore"):
         dupire = np.where(c_kk > EPS_FLOOR, (c_t + ks * f * c_k) / (0.5 * ks**2 * c_kk), np.nan)
         local = dupire - adj / (0.5 * ks * c_kk)
-    return dupire, local, c_kk
+    return dupire, local
 
 
 def dupire_vol(
@@ -250,16 +245,17 @@ def dupire_vol(
 ) -> float:
     """Deterministic-rates local variance at the lattice node (t, k).
 
-    Raises :class:`ButterflyDegenerateError` or :class:`NegativeVarianceError`
-    where the slice extractor would skip the strike or fail.
+    Raises :class:`CalibrationError`, naming the node and the cause, where
+    the slice extractor would skip the strike (a degenerate butterfly) or
+    fail (a negative variance).
     """
     j = _node(surface.strikes, k, "K")
-    dupire, _, c_kk = local_vol_stochastic_rates(surface, forward_curve, 0.0, t)
-    if c_kk[j] <= EPS_FLOOR:
-        raise ButterflyDegenerateError(t, k, float(c_kk[j]))
-    if dupire[j] < 0:
-        raise NegativeVarianceError(t, k, float(dupire[j]), 0.0, float(c_kk[j]))
-    return float(dupire[j])
+    dupire = float(local_vol_stochastic_rates(surface, forward_curve, 0.0, t)[0][j])
+    if not dupire >= 0:
+        cause = ("degenerate butterfly" if math.isnan(dupire)
+                 else f"negative Dupire variance {dupire:g}")
+        raise CalibrationError(f"{cause} at (T={t:g}, K={k:g})")
+    return dupire
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +326,7 @@ def _slice(market, forward_curve, maturity, adj, report):
     Dupire one included), or no usable strike at all, fails the
     calibration.
     """
-    dupire, local, _ = local_vol_stochastic_rates(market, forward_curve, adj, maturity)
+    dupire, local = local_vol_stochastic_rates(market, forward_curve, adj, maturity)
     negative = (dupire < 0) | (local < 0)
     if negative.any():
         raise CalibrationError(
@@ -471,6 +467,6 @@ def _ref_vol(market: CallSurface, forward_curve):
     k_mid = float(market.strikes[len(market.strikes) // 2])
     try:
         level = math.sqrt(dupire_vol(market, forward_curve, t_ref, k_mid))
-    except (ButterflyDegenerateError, NegativeVarianceError):
+    except CalibrationError:
         level = 0.3
     return ConstantVol(level)

@@ -38,7 +38,7 @@ from . import calibration as cal
 from . import pde
 from .analytic import bshw_call
 from .config import ExperimentConfig, _digest, load_config
-from .errors import ConfigError, HybridLvError, InvalidInputError
+from .errors import CalibrationError, ConfigError, HybridLvError, InvalidInputError
 from .models import forward_rate
 from .version import __version__
 
@@ -195,7 +195,12 @@ def _cmd_calibrate(cfg, writer: _Writer):
         slice_iterations=int(cb["slice_iterations"]),
         use_corrective=bool(cb["use_corrective"]),
     )
-    result = cal.calibrate(market, model, settings)
+    try:
+        result = cal.calibrate(market, model, settings)
+    except CalibrationError as exc:
+        if exc.report is not None:  # the maturities finished before the failure
+            writer.text("calibration_report.txt", exc.report.format_text())
+        raise
     surface = result.surface
     rows = [
         (t, k, surface.sigma[i, j])

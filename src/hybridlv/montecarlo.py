@@ -44,7 +44,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import InvalidInputError, McAbortedError, NoDataError
+from .errors import InvalidInputError, McAbortedError
 from .models import HybridModel, _horizon
 
 __all__ = [
@@ -329,7 +329,8 @@ def conditional_z_estimate(
     symmetry, so antithetic mirroring is disabled to keep the error
     estimate honest); centers whose effective sample size falls below 100
     are flagged unreliable. Only kept paths enter, and a run aborts as in
-    ``simulate_paths``.
+    ``simulate_paths``; a center that no kept path weights raises
+    :class:`McAbortedError` as well.
     """
     centers = [(float(a), float(b)) for a, b in centers]
     _check_inputs(maturity, bandwidth, centers)
@@ -355,7 +356,7 @@ def conditional_z_estimate(
     out = []
     for idx, center in enumerate(centers):
         if w_sum[idx] <= 0.0:
-            raise NoDataError(f"no kernel weight at center {center!r}")
+            raise McAbortedError(f"no kernel weight at center {center!r}")
         value = wz_sum[idx] / w_sum[idx]
         resid = w2z2_sum[idx] - 2.0 * value * w2z_sum[idx] + value**2 * w2_sum[idx]
         se = math.sqrt(max(resid, 0.0)) / w_sum[idx]

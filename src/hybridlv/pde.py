@@ -230,9 +230,14 @@ def short_time_start(model: HybridModel, grid: Grid2D) -> Field2D:
     is resolvable on the mesh, capped at a quarter of the first interval
     (k <= steps[0] // 4, at least 1). The start field matches the one-step
     mean/covariance of (S, r), carries the first-order pathwise discount
-    tilt, and is normalised to ZC(0, t0).
+    tilt, and is normalised to ZC(0, t0). A grid box that does not hold the
+    start (S0, r0) strictly inside raises :class:`InvalidInputError`.
     """
     p = model.rate
+    if not (grid.s_min < model.s0 < grid.s_max and grid.r_min < p.r0 < grid.r_max):
+        raise InvalidInputError(
+            f"grid box S in ({grid.s_min:g}, {grid.s_max:g}), r in ({grid.r_min:g}, "
+            f"{grid.r_max:g}) does not hold the start (S0={model.s0:g}, r0={p.r0:g})")
     dt = grid.dt
     sigma0 = float(np.asarray(model.vol.value(0.0, model.s0)))
     width_s = model.s0 * sigma0
@@ -498,7 +503,7 @@ def evolve(
     if start is not None:
         if replace(start.grid, maturities=grid.maturities, steps=grid.steps) != grid:
             raise InvalidInputError("resume field does not lie on this grid's box and nodes")
-        field = start.copy()
+        field = start  # read only: the first step copies its values into the operator
         mode = "resume"
     else:
         field = short_time_start(model, grid)

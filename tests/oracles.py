@@ -420,7 +420,7 @@ def restart_bootstrap(market, model, settings):
     box_model = replace(model, vol=cal._ref_vol(market, fwd))
     box = auto_grid(box_model, mats, settings.ds, settings.dr, settings.dt)
     use_adj = settings.use_corrective and model.rate.sigma2 > 0.0
-    seed, _, _ = cal.local_vol_stochastic_rates(market, fwd, 0.0, mats[0])
+    seed, _ = cal.local_vol_stochastic_rates(market, fwd, 0.0, mats[0])
     view = _RestartView(strikes, np.sqrt(seed))
     work_model = replace(model, vol=view)
     entries = []

@@ -13,7 +13,7 @@ from hybridlv.analytic import (
     bshw_moments,
     sigma_hat_sq,
 )
-from hybridlv.errors import InvalidInputError, SingularCovarianceError
+from hybridlv.errors import InvalidInputError
 from hybridlv.models import ConstantVol, HullWhiteParams, HybridModel, zc_price
 from hybridlv.pde import auto_grid
 
@@ -186,7 +186,7 @@ class TestAnalyticZ:
         assert analytic_z(set1_model, 1.0, s, r) == pytest.approx(oracle, rel=1e-10)
 
     def test_singular_covariance_raises(self, set1_model):
-        with pytest.raises(SingularCovarianceError):
+        with pytest.raises(InvalidInputError, match=r"\(log S, r\) is numerically singular"):
             analytic_z(set1_model, 1e-160, 1.0, 0.02)
 
     def test_rejects_non_positive_inputs(self, set1_model):
@@ -252,5 +252,5 @@ class TestAnalyticPz:
         assert np.all(analytic_pz(set2_model, 2.0, s, r) >= 0.0)
 
     def test_deterministic_rates_rejected(self):
-        with pytest.raises(SingularCovarianceError):
+        with pytest.raises(InvalidInputError, match=r"\(log S, r\) is numerically singular"):
             analytic_pz(_model(sigma2=0.0), 1.0, 1.0, 0.02)

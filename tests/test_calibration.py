@@ -19,12 +19,7 @@ from hybridlv.calibration import (
     price_calls_from_pz,
 )
 from hybridlv.calibration import _sensitivities, _strike_integrals
-from hybridlv.errors import (
-    ButterflyDegenerateError,
-    CalibrationError,
-    InvalidInputError,
-    NegativeVarianceError,
-)
+from hybridlv.errors import CalibrationError, InvalidInputError
 from hybridlv.models import (
     ConstantVol,
     HullWhiteParams,
@@ -246,7 +241,7 @@ class TestDupire:
         fwd = lambda t: forward_rate(set1_model.rate, t)  # noqa: E731
         field = _analytic_field(set1_model, 1.0, ds=0.008, dr=0.0015)
         curve = corrective_terms(field, fwd(1.0), surf.strikes)
-        _, local, _ = local_vol_stochastic_rates(surf, fwd, curve.adj, 1.0)
+        _, local = local_vol_stochastic_rates(surf, fwd, curve.adj, 1.0)
         assert math.sqrt(local[10]) == pytest.approx(0.2, abs=1e-3)  # K = 1
 
     def test_positive_adjustment_lowers_local_variance(self, set1_model):
@@ -254,14 +249,14 @@ class TestDupire:
         fwd = lambda t: forward_rate(set1_model.rate, t)  # noqa: E731
         field = _analytic_field(set1_model, 1.0)
         curve = corrective_terms(field, fwd(1.0), surf.strikes)
-        dup, local, _ = local_vol_stochastic_rates(surf, fwd, curve.adj, 1.0)
+        dup, local = local_vol_stochastic_rates(surf, fwd, curve.adj, 1.0)
         assert dup[10] == dupire_vol(surf, fwd, 1.0, 1.0)
         assert local[10] < dup[10]
 
     def test_zero_rate_vol_equals_dupire_exactly(self, set1_model):
         surf = make_analytic_surface(set1_model, [1.0], np.linspace(0.7, 1.3, 13))
         fwd = lambda t: forward_rate(set1_model.rate, t)  # noqa: E731
-        dup, local, _ = local_vol_stochastic_rates(surf, fwd, 0.0, 1.0)
+        dup, local = local_vol_stochastic_rates(surf, fwd, 0.0, 1.0)
         assert np.array_equal(local, dup)
         assert dup[6] == dupire_vol(surf, fwd, 1.0, 1.0)
 
@@ -279,9 +274,9 @@ class TestDupire:
             return bshw_call(*args)
 
         monkeypatch.setattr(cal_mod, "bshw_call", counted)
-        dup, local, c_kk = local_vol_stochastic_rates(surf, fwd, adj, 1.0)
+        dup, local = local_vol_stochastic_rates(surf, fwd, adj, 1.0)
         assert calls == [(set1_model, 1.0, k) for k in ks]
-        assert np.array_equal(c_kk, [bshw_call(set1_model, 1.0, k).c_kk for k in ks])
+        c_kk = np.array([bshw_call(set1_model, 1.0, k).c_kk for k in ks])
         assert np.array_equal(local, dup - adj / (0.5 * ks * c_kk))
 
     def test_dupire_vol_needs_lattice_nodes(self, set1_model):
@@ -323,10 +318,13 @@ class TestDupire:
         prices[prices < 1e-14] = 0.0
         surf = CallSurface(np.array([0.1, 0.2]), ks, prices)
         fwd = lambda t: forward_rate(set1_model.rate, t)  # noqa: E731
-        with pytest.raises(ButterflyDegenerateError):
+        assert np.isnan(local_vol_stochastic_rates(surf, fwd, 0.0, 0.2)[0][1])
+        with pytest.raises(CalibrationError) as err:
             dupire_vol(surf, fwd, 0.2, 2.5)
+        assert str(err.value) == "degenerate butterfly at (T=0.2, K=2.5)"
+        assert err.value.report is None
 
-    def test_negative_variance_carries_diagnostics(self, set1_model):
+    def test_negative_variance_names_the_node_and_its_value(self, set1_model):
         # a lattice market (no model) with a calendar break at (T=0.5, K=1)
         mats = [0.5, 0.51, 1.0]
         ks = np.arange(0.8, 1.2001, 0.05)
@@ -334,13 +332,12 @@ class TestDupire:
         prices[0, 4] += 1e-3
         surf = CallSurface(np.asarray(mats), ks, prices)
         fwd = lambda t: forward_rate(set1_model.rate, t)  # noqa: E731
-        dup, local, c_kk = local_vol_stochastic_rates(surf, fwd, 1.0, 0.5)
+        dup, local = local_vol_stochastic_rates(surf, fwd, 1.0, 0.5)
         assert dup[4] < 0 and np.all(local < 0)
-        with pytest.raises(NegativeVarianceError) as err:
+        with pytest.raises(CalibrationError) as err:
             dupire_vol(surf, fwd, 0.5, ks[4])
-        assert (err.value.maturity, err.value.strike) == (0.5, ks[4])
-        assert (err.value.dupire_var, err.value.c_kk) == (dup[4], c_kk[4])
-        assert err.value.adjustment == 0.0
+        assert str(err.value) == f"negative Dupire variance {dup[4]:g} at (T=0.5, K=1)"
+        assert err.value.report is None
 
     def test_lattice_derivatives_recover_flat_vol(self):
         rate = HullWhiteParams(a=0.5, sigma2=0.0, theta=0.02, r0=0.02)

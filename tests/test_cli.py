@@ -1008,7 +1008,65 @@ class TestMainEntry:
             "run": {"out_dir": str(tmp_path / "out")},
         }))
         message = self._input_error(capsys, ["price-pde", "--config", str(config)])
-        assert "no mass inside the grid box" in message
+        assert message == (
+            "grid box S in (3, 6), r in (-0.1, 0.14) does not hold the start (S0=1, r0=0.02)")
+
+    @pytest.mark.parametrize("bounds, model, box", [
+        # S0 below the box: the start's far tail blew up at step 2
+        ({"s_min": 1.5, "s_max": 3.0, "r_min": -0.1, "r_max": 0.1}, {},
+         "S in (1.5, 3), r in (-0.1, 0.1)"),
+        # r0 below the box: the march ran to exit 0 with K = 1 priced at
+        # 0.129 against the closed form's 0.0894
+        ({"s_min": 0.01, "s_max": 3.0, "r_min": 0.05, "r_max": 0.3}, {"rate": {"sigma2": 0.04}},
+         "S in (0.01, 3), r in (0.05, 0.3)"),
+    ], ids=["spot-below", "rate-below"])
+    def test_grid_bounds_must_hold_the_start(self, tmp_path, capsys, bounds, model, box):
+        config = tmp_path / "bounds.yaml"
+        config.write_text(yaml.safe_dump({
+            "model": model,
+            "grid": {"bounds": bounds},
+            "run": {"out_dir": str(tmp_path / "out")},
+        }))
+        message = self._input_error(capsys, ["price-pde", "--config", str(config)])
+        assert message == f"grid box {box} does not hold the start (S0=1, r0=0.02)"
+        assert not (tmp_path / "out" / "prices_pde.csv").exists()
+
+    def test_failed_calibration_leaves_the_report_of_finished_maturities(self, tmp_path, capsys):
+        # the CSV form of the lattice market whose T=0.6 quotes repeat those
+        # at T=0.5: the slice at T=0.55 fails once T=0.5 is calibrated
+        mats, ks = [0.5, 0.55, 0.6], np.round(np.arange(0.8, 1.2001, 0.05), 10)
+        config = TestCommands._csv_market_config(tmp_path, mats, ks, 1)
+        market = tmp_path / "market.csv"
+        lines = market.read_text().splitlines(keepends=True)
+        first = lines[1:1 + len(ks)]  # the header, then the quotes of T=0.5
+        lines[1 + 2 * len(ks):] = [quote.replace("0.5,", "0.6,", 1) for quote in first]
+        market.write_text("".join(lines))
+        assert cli.main(["calibrate", "--config", str(config)]) == 3
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "CalibrationError"
+        assert payload["message"].startswith("negative local variance at (T=0.55, ")
+        out = tmp_path / "out"
+        assert not (out / "local_vol_surface.csv").exists()
+        report = (out / "calibration_report.txt").read_text().splitlines()
+        assert [line.split()[0] for line in report if line.startswith("T=")] == ["T=0.5"]
+
+    def test_version_is_stated_once(self, capsys):
+        from hybridlv.version import __version__
+
+        with pytest.raises(SystemExit) as done:
+            cli.main(["--version"])
+        assert done.value.code == 0
+        assert capsys.readouterr().out == f"hybridlv {__version__}\n"
+        try:
+            import tomllib
+        except ModuleNotFoundError:  # Python 3.10: pytest depends on tomli there
+            import tomli as tomllib
+        with open(Path(cli.__file__).resolve().parents[2] / "pyproject.toml", "rb") as handle:
+            pyproject = tomllib.load(handle)
+        assert "version" not in pyproject["project"]
+        assert pyproject["project"]["dynamic"] == ["version"]
+        assert pyproject["tool"]["setuptools"]["dynamic"]["version"] == {
+            "attr": "hybridlv.version.__version__"}
 
     def test_run_rejects_compare_without_sides_and_unknown_commands(self, tmp_path):
         with pytest.raises(ConfigError, match="--left and --right"):

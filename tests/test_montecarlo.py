@@ -8,7 +8,7 @@ import pytest
 from scipy.special import ndtri
 
 from hybridlv.analytic import analytic_z, bshw_call, bshw_moments
-from hybridlv.errors import InvalidInputError, McAbortedError, NoDataError
+from hybridlv.errors import InvalidInputError, McAbortedError
 from hybridlv.models import (
     ConstantVol,
     HullWhiteParams,
@@ -337,7 +337,7 @@ class TestConditionalZ:
 
     def test_empty_region_raises(self, set1_model):
         cfg = McConfig(n_paths=5000, dt_mc=1.0 / 100.0, seed=4)
-        with pytest.raises(NoDataError):
+        with pytest.raises(McAbortedError, match=r"no kernel weight at center \(60\.0, 3\.0\)"):
             conditional_z_estimate(set1_model, 1.0, cfg, [(60.0, 3.0)], 0.005)
 
     @pytest.mark.parametrize("poisoned_paths, aborts", [(slice(None, None, 2), True), (slice(0, 2), False)])

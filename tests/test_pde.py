@@ -456,6 +456,18 @@ class TestEvolve:
         assert np.array_equal(again.snapshots[0].values, last.values)
         assert again.diagnostics.max_ratio_deviation() == 0.0
 
+    def test_resumed_march_leaves_its_start_unchanged(self, set1_model):
+        g = auto_grid(set1_model, 0.2, ds=0.03, dr=0.004, dt=0.01)
+        start = evolve(set1_model, g, snapshot_times=[0.1]).snapshots[0]
+        before = start.values.copy()
+        res = evolve(set1_model, g, snapshot_times=[0.1, 0.2], start=start)
+        assert np.array_equal(start.values, before)
+        # the snapshot at the start step is a copy, not the start's array
+        assert np.array_equal(res.snapshots[0].values, before)
+        assert not np.shares_memory(res.snapshots[0].values, start.values)
+        res.snapshots[0].values[:] = 0.0
+        assert np.array_equal(start.values, before)
+
     def test_bad_snapshot_time_rejected(self, set1_model):
         g = auto_grid(set1_model, 1.0, ds=0.02, dr=0.003, dt=0.01)
         with pytest.raises(InvalidInputError):
@@ -605,6 +617,20 @@ class TestShortTimeStart:
         assert [snap.t for snap in res.snapshots] == pytest.approx(g.t_nodes[1:].tolist())
         for snap in res.snapshots:
             assert snap.mass() == pytest.approx(zc_price(rate, snap.t), rel=1e-12)
+
+    @pytest.mark.parametrize("box", [
+        (1.0, 2.0, -0.1, 0.1),  # S0 on the lower spot edge
+        (0.2, 0.9, -0.1, 0.1),  # S0 above the box
+        (0.5, 1.5, 0.02, 0.1),  # r0 on the lower rate edge
+        (0.5, 1.5, -0.1, 0.0),  # r0 above the box
+    ])
+    def test_box_must_hold_the_start(self, set1_model, box):
+        g = Grid2D(*box, 20, 20, (0.5,), (50,))
+        with pytest.raises(InvalidInputError) as err:
+            short_time_start(set1_model, g)
+        assert str(err.value) == (
+            f"grid box S in ({box[0]:g}, {box[1]:g}), r in ({box[2]:g}, {box[3]:g}) "
+            "does not hold the start (S0=1, r0=0.02)")
 
 
 class TestIntegrate:
