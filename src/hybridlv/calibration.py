@@ -418,6 +418,7 @@ def calibrate(
         while iterations < settings.slice_iterations and max_update > SLICE_TOLERANCE:
             iterations += 1
             split = 0  # the steps of ``result`` before T_{i-1}
+            result = fld = None  # the last march's fields are spent; the checkpoint stays
             if iterations == 1 and i > 0:
                 # slice i-1 is final: re-march its interval under it, keep
                 # the checkpoint at T_{i-1} and run on to T_i

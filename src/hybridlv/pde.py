@@ -33,7 +33,8 @@ The rate terms (1/2 alpha^2, a (theta - r) and 2 r) depend on r alone, so
 every spot node has the same rate line. A step operator forms that line
 once and hands the rate sweep to the line solver as one line broadcast
 over the spot nodes; the solver factors that one line and copies its
-factors out over the spot nodes.
+factors out over the spot nodes. The rate sweep solves into the march's
+field, which every step after the first updates in place.
 """
 
 from __future__ import annotations
@@ -284,8 +285,7 @@ class AdiCoefficients:
     with diff_s = sigma^2 S^2, cross = rho sigma S alpha, diff_r = alpha^2,
     drift_r = a (theta - r), drift_s = r S and reaction = 2 r. Each is a
     read-only (n_s, n_r) view: a term that is constant along an axis (all
-    but ``drift_s`` and ``cross`` are) is its row or column broadcast, not a
-    full copy.
+    but ``drift_s`` are) is its row or column broadcast, not a full copy.
     """
 
     t: float
@@ -299,12 +299,14 @@ class AdiCoefficients:
 
 def build_coefficients(model: HybridModel, grid: Grid2D, t: float) -> AdiCoefficients:
     """Evaluate the terms of the forward equation on the interior nodes at
-    time level ``t``, from the SDE coefficients alone."""
+    time level ``t``, from the SDE coefficients. The Hull-White rate vol is
+    one number, so the cross term is a spot column like the S terms."""
     s = grid.s_nodes[:, None]
     r = grid.r_nodes[None, :]
     co = sde_coefficients(model, t, s, r)
     spot_vol = co.vol_s * s  # sigma S
-    terms = (spot_vol**2, model.rho * spot_vol * co.vol_r, co.vol_r**2, co.drift_s, co.drift_r, 2.0 * r)
+    cross = model.rho * spot_vol * model.rate.sigma2
+    terms = (spot_vol**2, cross, co.vol_r**2, co.drift_s, co.drift_r, 2.0 * r)
     shape = (grid.n_s, grid.n_r)
     return AdiCoefficients(t, *(np.broadcast_to(x, shape) for x in terms))
 
@@ -335,7 +337,8 @@ class _StepOperator:
     arrays, the weights zero on the ghost columns. Each stencil neighbour is
     then the band shifted by one flat offset, and each operation is one
     contiguous pass. The S-sweep solves into the interior of the padded
-    field; the r-sweep returns a new array.
+    field; the r-sweep solves into ``out``, the march's field, or into a new
+    array.
 
     The r stencil and the rate-only weights ``w1_c``, ``w1_jp``, ``w1_jm``
     and ``kappa`` are the same on every S line: each is formed once as a
@@ -375,6 +378,7 @@ class _StepOperator:
             adv_s - half_s[2:],
             axis=0,
         )
+        del half_s, adv_s  # freed before the arrays the operator keeps
         # rows: the r line is the same at every S node (see the class docstring)
         half_r = coeffs.diff_r[0] * (0.5 / (dr * dr))
         reaction_r = coeffs.reaction[0]
@@ -419,7 +423,9 @@ class _StepOperator:
         rhs -= mp
         rhs -= pm
 
-    def apply(self, values: np.ndarray) -> np.ndarray:
+    def apply(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """One step from ``values``, solved into ``out`` (which may be
+        ``values`` itself) or into a new array; either is returned."""
         u, rhs, tmp = self._u, self._rhs, self._tmp
         self._inner[...] = values
         np.multiply(u, self.w1_c, out=rhs)
@@ -430,7 +436,7 @@ class _StepOperator:
         np.multiply(u, self.kappa, out=tmp)
         np.subtract(tmp, rhs, out=rhs)
         self._add_cross_term(rhs)
-        return thomas_apply(self.lu2, self._rhs_inner)
+        return thomas_apply(self.lu2, self._rhs_inner, out=out)
 
 
 @dataclass
@@ -540,7 +546,8 @@ def evolve(
             op = None  # release the old operator before building its successor
             op = _StepOperator(build_coefficients(model, grid, t), grid, h)
             valid_until, op_size = model.vol.next_change(t), h
-        values = op.apply(values)
+        # the first step leaves the start as it is; later ones update the field in place
+        values = op.apply(values, out=values if n > n0 else None)
         raw = float(grid.ds * grid.dr * values.sum())
         # a NaN or inf anywhere in the field leaves the sum non-finite
         if not 0.0 < raw < math.inf:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -323,7 +324,59 @@ class TestBandStep:
         assert np.array_equal(first, kept)
         once = slice_step(co, g, g.dt, values)
         assert np.array_equal(first, once)
-        assert np.array_equal(second, slice_step(co, g, g.dt, once))
+        twice = slice_step(co, g, g.dt, once)
+        assert np.array_equal(second, twice)
+        # in place, as the march updates its field: two steps in a row
+        field = values.copy()
+        assert op.apply(field, out=field) is field
+        assert np.array_equal(field, once)
+        op.apply(field, out=field)
+        assert np.array_equal(field, twice)
+
+
+class TestMemory:
+    """What the march holds, counted by tracemalloc (which sees numpy's
+    allocations) in full-size arrays of (n_s + 2)(n_r + 2) doubles."""
+
+    @staticmethod
+    def _traced(g, call):
+        """The bytes ``call()`` leaves allocated and its peak, in full-size arrays."""
+        tracemalloc.start()
+        try:
+            result = call()  # noqa: F841 (what it keeps stays alive until counted)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        full = 8 * (g.n_s + 2) * (g.n_r + 2)
+        return kept / full, peak / full
+
+    def test_step_operator_keeps_its_factors_and_padded_arrays(self, set1_model):
+        g = _unit_grid(n_s=100, n_r=80)
+        co = build_coefficients(set1_model, g, 0.0)
+        kept, peak = self._traced(g, lambda: _StepOperator(co, g, g.dt))
+        # Measured 21.29: the factors and work buffers of the two sweeps
+        # (12.2, rows padded to blocks of 16), the five explicit weights and
+        # the padded field, right-hand side and scratch (8), and the sweeps'
+        # block buffers and per-row views (1.1). Margin: half an array.
+        assert kept < 21.8
+        # Measured 0.08: the spot stencil is freed before the arrays the
+        # operator keeps are allocated (alive to the end, it adds 2).
+        assert peak - kept < 0.5
+
+    def test_march_holds_one_field_beyond_its_start(self, set1_model, monkeypatch):
+        import hybridlv.pde as pde_mod
+
+        # 409 x 300: numpy's fixed-size ufunc buffers are small beside a field
+        g = auto_grid(set1_model, 0.5, ds=0.005, dr=0.001, dt=0.05)
+        start = short_time_start(set1_model, g)
+        op = _StepOperator(build_coefficients(set1_model, g, start.t), g, g.dt)
+        monkeypatch.setattr(pde_mod, "_StepOperator", lambda coeffs, grid, dt: op)
+        _, peak = self._traced(g, lambda: evolve(set1_model, g, snapshot_times=[], start=start))
+        # Measured 1.13: the field (n_s n_r doubles) with its sign mask (an
+        # eighth), as much as the coefficient build before the first step.
+        # A march that allocates its field at every step holds two. Margin:
+        # a third of an array.
+        assert peak < 1.45
 
 
 class TestEvolve:
@@ -512,8 +565,8 @@ class TestEvolve:
         steps = []
         apply = _StepOperator.apply
 
-        def poisoned(op, values):
-            out = apply(op, values)
+        def poisoned(op, values, out=None):
+            out = apply(op, values, out)
             steps.append(n0 + len(steps) + 1)
             if len(steps) == 3:
                 out[g.n_s // 2, g.n_r // 2] = np.nan
