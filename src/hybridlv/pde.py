@@ -33,8 +33,11 @@ The rate terms (1/2 alpha^2, a (theta - r) and 2 r) depend on r alone, so
 every spot node has the same rate line. A step operator forms that line
 once and hands the rate sweep to the line solver as one line broadcast
 over the spot nodes; the solver factors that one line and copies its
-factors out over the spot nodes. The rate sweep solves into the march's
-field, which every step after the first updates in place.
+factors out over the spot nodes. The explicit weights of the rate line are
+stored once as well, as a tile of k spot rows that each pass repeats along
+the band; only the cross weight, which depends on S, is a full band. The
+rate sweep solves into the march's field, which every step after the first
+updates in place.
 """
 
 from __future__ import annotations
@@ -311,6 +314,26 @@ def build_coefficients(model: HybridModel, grid: Grid2D, t: float) -> AdiCoeffic
     return AdiCoefficients(t, *(np.broadcast_to(x, shape) for x in terms))
 
 
+# Spot rows in a tile of the rate-only weights (see _StepOperator). On the
+# bundled grids (rows of 148-255 entries) a multiply by 32-row tiles ran
+# -12% to +16% against a full band, and a step no slower; tiles of 4-16
+# rows made the multiply up to 50% slower than a full band.
+_TILE_ROWS = 32
+
+
+def _tiled_multiply(band, tile, out):
+    """``out = band * weight``, the weight being ``tile`` repeated along the
+    band: over the band seen as rows of one tile, so that numpy's inner loop
+    runs a whole tile, then over the remainder, shorter than a tile. Each
+    entry meets the same weight as under a full band of it, so the bits are
+    those of the full-band product."""
+    n = tile.size
+    body = band.size - band.size % n
+    np.multiply(band[:body].reshape(-1, n), tile, out=out[:body].reshape(-1, n))
+    np.multiply(band[body:], tile[:band.size - body], out=out[body:])
+    return out
+
+
 class _StepOperator:
     """Prefactored one-step operator for a fixed coefficient level.
 
@@ -332,13 +355,12 @@ class _StepOperator:
     one step only; nothing crosses from one step to the next.
 
     The explicit half of the step runs on the band of the padded layout (see
-    the module docstring). The field, the right-hand side and the weights
-    ``w1_c``, ``w1_jp``, ``w1_jm``, ``kappa`` and ``wx`` are bands of padded
-    arrays, the weights zero on the ghost columns. Each stencil neighbour is
-    then the band shifted by one flat offset, and each operation is one
-    contiguous pass. The S-sweep solves into the interior of the padded
-    field; the r-sweep solves into ``out``, the march's field, or into a new
-    array.
+    the module docstring). The field, the right-hand side and the cross
+    weight ``wx`` are bands of padded arrays, ``wx`` zero on the ghost
+    columns. Each stencil neighbour is then the band shifted by one flat
+    offset, and each operation is one contiguous pass. The S-sweep solves
+    into the interior of the padded field; the r-sweep solves into ``out``,
+    the march's field, or into a new array.
 
     The r stencil and the rate-only weights ``w1_c``, ``w1_jp``, ``w1_jm``
     and ``kappa`` are the same on every S line: each is formed once as a
@@ -346,7 +368,13 @@ class _StepOperator:
     S nodes (:class:`AdiCoefficients`). The r stencil A2 is formed as its
     three rows, which both the implicit r sweep (2/dt + A2 + reaction) and
     the explicit weights ``w1_*`` (2/dt - A2) read. The r sweep is factored
-    from that one line and copied out over the n_s lines.
+    from that one line and copied out over the n_s lines. Each rate-only
+    weight is kept as a tile of k = min(_TILE_ROWS, n_s) padded rows, zero
+    on the ghost columns and rolled so that band entry b reads column
+    (b + 1) % row: the band starts at column 1, and every k rows of it
+    start at column 1 again. :func:`_tiled_multiply` repeats the tile along
+    the band, so every entry meets the weight a full band would hold, and
+    the bits are those of the full-band product.
     """
 
     def __init__(self, coeffs: AdiCoefficients, grid: Grid2D, dt: float):
@@ -365,6 +393,13 @@ class _StepOperator:
             out = np.zeros(shape)
             ufunc(*args, out=out[1:-1, 1:-1])
             return band(out.ravel())
+
+        def tiled_weight(ufunc, *args):
+            """``ufunc(*args)`` on the r nodes, zero on the ghosts, as a tile of
+            k spot rows rolled so that band entry b reads column (b + 1) % row."""
+            line = np.zeros(row)
+            ufunc(*args, out=line[1:-1])
+            return np.tile(np.roll(line, -1), min(_TILE_ROWS, grid.n_s))
 
         two_dt = 2.0 / dt
         reaction = coeffs.reaction
@@ -393,11 +428,11 @@ class _StepOperator:
         # The padded arrays are allocated once both factorisations have freed
         # their temporaries, so the heap does not grow around the holes.
         # Explicit r-direction weights feeding f1: 2/dt - A2.
-        self.w1_c = padded_weight(np.subtract, two_dt, a2_c)
-        self.w1_jp = padded_weight(np.negative, a2_jp)
-        self.w1_jm = padded_weight(np.negative, a2_jm)
+        self.w1_c = tiled_weight(np.subtract, two_dt, a2_c)
+        self.w1_jp = tiled_weight(np.negative, a2_jp)
+        self.w1_jm = tiled_weight(np.negative, a2_jm)
         # f2 = kappa * u* - f1 + cross(u*), see the class docstring.
-        self.kappa = padded_weight(np.add, 2 * two_dt, reaction_r)
+        self.kappa = tiled_weight(np.add, 2 * two_dt, reaction_r)
         self.wx = padded_weight(np.divide, coeffs.cross, 4 * ds * dr)
         pad = np.zeros(shape)
         rhs = np.empty(shape)
@@ -428,12 +463,12 @@ class _StepOperator:
         ``values`` itself) or into a new array; either is returned."""
         u, rhs, tmp = self._u, self._rhs, self._tmp
         self._inner[...] = values
-        np.multiply(u, self.w1_c, out=rhs)
-        rhs += np.multiply(self._jp, self.w1_jp, out=tmp)
-        rhs += np.multiply(self._jm, self.w1_jm, out=tmp)
+        _tiled_multiply(u, self.w1_c, rhs)
+        rhs += _tiled_multiply(self._jp, self.w1_jp, tmp)
+        rhs += _tiled_multiply(self._jm, self.w1_jm, tmp)
         self._add_cross_term(rhs)
         thomas_apply(self.lu1, self._rhs_inner, out=self._inner)
-        np.multiply(u, self.kappa, out=tmp)
+        _tiled_multiply(u, self.kappa, tmp)
         np.subtract(tmp, rhs, out=rhs)
         self._add_cross_term(rhs)
         return thomas_apply(self.lu2, self._rhs_inner, out=out)

@@ -206,6 +206,40 @@ def rate_marginal(rate, maturity, r):
     return zc_price(rate, maturity) * np.exp(-0.5 * z) / math.sqrt(2.0 * math.pi * var)
 
 
+def paired_call_difference(model_a, model_b, maturity, strikes, cfg):
+    """Mean and standard error, per strike, of the discounted call payoff
+    under ``model_a`` minus that under ``model_b``, on common draws.
+
+    Both legs walk ``montecarlo._kept_paths`` in batch order. Batch i of
+    either leg steps from the same substream of ``cfg.seed``, so both see the
+    same normals, and the difference has a far smaller standard error than
+    either price (common random numbers). The models must share their rate
+    parameters: the rate paths then do not depend on the vol, and each batch
+    asserts that both legs kept the same paths, with the same terminal and
+    integrated rates. With antithetic pairing the pair means are the samples.
+    """
+    strikes = np.asarray(strikes, dtype=float)
+    sums = np.zeros(strikes.size)
+    sq_sums = np.zeros(strikes.size)
+    n_units = 0
+    legs = zip(montecarlo._kept_paths(model_a, maturity, cfg),
+               montecarlo._kept_paths(model_b, maturity, cfg), strict=True)
+    for ((s_a, r_a, acc_a), kept_a), ((s_b, r_b, acc_b), kept_b) in legs:
+        assert kept_a == kept_b
+        assert np.array_equal(r_a, r_b) and np.array_equal(acc_a, acc_b)
+        payoff_a = np.maximum(s_a[:, None] - strikes, 0.0)
+        payoff_b = np.maximum(s_b[:, None] - strikes, 0.0)
+        diff = np.exp(-acc_a)[:, None] * (payoff_a - payoff_b)
+        if cfg.antithetic:
+            diff = 0.5 * (diff[:kept_a] + diff[kept_a:])
+        sums += diff.sum(axis=0)
+        sq_sums += (diff * diff).sum(axis=0)
+        n_units += kept_a
+    mean = sums / n_units
+    var = np.maximum(sq_sums / n_units - mean * mean, 0.0) * n_units / (n_units - 1)
+    return mean, np.sqrt(var / n_units)
+
+
 def step_health(snapshots, rate):
     """Per-step negative_mass_ratio of a march, by its definition, from one
     snapshot per step: the mass of all negative values over ZC(0, t)."""

@@ -25,7 +25,7 @@ from hybridlv.montecarlo import (
     simulate_paths,
 )
 
-from .oracles import integer_route_normals, two_pass_batches
+from .oracles import integer_route_normals, paired_call_difference, two_pass_batches
 
 
 def _call_payoff(strike):
@@ -245,6 +245,28 @@ class TestSimulatePaths:
         # TypeError in the batch loop or the seed sequence
         with pytest.raises(InvalidInputError, match=named):
             McConfig(**{"n_paths": 10, "dt_mc": 0.1, **overrides})
+
+
+class TestPairedCallDifference:
+    def test_one_model_against_itself_differs_by_nothing(self, set1_model):
+        cfg = McConfig(n_paths=64, dt_mc=0.1, seed=3)
+        diff, se = paired_call_difference(set1_model, set1_model, 1.0, [0.9, 1.1], cfg)
+        assert np.array_equal(diff, [0.0, 0.0]) and np.array_equal(se, [0.0, 0.0])
+
+    def test_matches_the_difference_of_the_two_prices(self, set1_model):
+        # common draws: the mean difference is the difference of the means
+        cfg = McConfig(n_paths=64, dt_mc=0.1, seed=3)
+        other = replace(set1_model, vol=ConstantVol(0.25))
+        diff, _ = paired_call_difference(other, set1_model, 1.0, [1.0], cfg)
+        price = [simulate_paths(m, 1.0, cfg, [_call_payoff(1.0)])[0].mean
+                 for m in (other, set1_model)]
+        assert diff[0] == pytest.approx(price[0] - price[1], rel=1e-12)
+
+    def test_legs_on_other_rate_paths_are_refused(self, set1_model):
+        cfg = McConfig(n_paths=64, dt_mc=0.1, seed=3)
+        other = replace(set1_model, rate=replace(set1_model.rate, sigma2=0.05))
+        with pytest.raises(AssertionError):
+            paired_call_difference(other, set1_model, 1.0, [1.0], cfg)
 
 
 class TestNormals:

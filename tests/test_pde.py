@@ -18,9 +18,11 @@ from hybridlv.models import (
     zc_price,
 )
 from hybridlv.pde import (
+    _TILE_ROWS,
     Field2D,
     Grid2D,
     _StepOperator,
+    _tiled_multiply,
     auto_grid,
     build_coefficients,
     evolve,
@@ -334,6 +336,39 @@ class TestBandStep:
         assert np.array_equal(field, twice)
 
 
+class TestTiledWeights:
+    """The rate-only weights as tiles of k spot rows against full bands."""
+
+    @pytest.mark.parametrize("rows, extra", [
+        (3 * _TILE_ROWS, 0),  # whole tiles: no remainder
+        (3 * _TILE_ROWS + 5, -2),  # a band's length: a remainder of under k rows
+        (_TILE_ROWS - 3, -2),  # n_s < k: the remainder alone
+    ])
+    def test_tiled_product_is_the_full_band_product_bit_for_bit(self, rng, rows, extra):
+        row = 12
+        tile = rng.uniform(-1.0, 1.0, _TILE_ROWS * row)
+        tile.reshape(-1, row)[:, -2:] = 0.0  # the ghost columns, as the operator rolls them
+        band = rng.uniform(-1.0, 1.0, rows * row + extra)
+        band[::7] = 0.0  # zeros of both signs in the products
+        out = np.full_like(band, np.nan)
+        assert _tiled_multiply(band, tile, out) is out
+        full = np.multiply(band, np.resize(tile, band.size))
+        assert out.tobytes() == full.tobytes()
+
+    @pytest.mark.parametrize("n_s", [8, 40])
+    def test_tiles_hold_the_rate_line_rolled_onto_the_band(self, set1_model, n_s):
+        g = _unit_grid(n_s=n_s, n_r=35)
+        op = _StepOperator(build_coefficients(set1_model, g, 0.0), g, g.dt)
+        row = g.n_r + 2
+        for tile in (op.w1_c, op.w1_jp, op.w1_jm, op.kappa):
+            assert tile.shape == (min(_TILE_ROWS, n_s) * row,)
+            lines = tile.reshape(-1, row)
+            assert np.array_equal(lines, np.broadcast_to(lines[0], lines.shape))
+            # band entry b reads column (b + 1) % row: the ghosts sit last and first
+            line = np.roll(lines[0], 1)
+            assert line[0] == line[-1] == 0.0 and np.all(line[1:-1] != 0.0)
+
+
 class TestMemory:
     """What the march holds, counted by tracemalloc (which sees numpy's
     allocations) in full-size arrays of (n_s + 2)(n_r + 2) doubles."""
@@ -354,11 +389,13 @@ class TestMemory:
         g = _unit_grid(n_s=100, n_r=80)
         co = build_coefficients(set1_model, g, 0.0)
         kept, peak = self._traced(g, lambda: _StepOperator(co, g, g.dt))
-        # Measured 21.29: the factors and work buffers of the two sweeps
-        # (12.2, rows padded to blocks of 16), the five explicit weights and
-        # the padded field, right-hand side and scratch (8), and the sweeps'
-        # block buffers and per-row views (1.1). Margin: half an array.
-        assert kept < 21.8
+        # Measured 18.55: the factors and work buffers of the two sweeps
+        # (12.2, rows padded to blocks of 16), the cross weight wx and the
+        # padded field, right-hand side and scratch (4), the four rate-only
+        # weights as tiles of 32 of the 102 padded rows (1.25), and the
+        # sweeps' block buffers and per-row views (1.1). Margin: a quarter of
+        # an array, less than one weight kept as a full band would add.
+        assert kept < 18.8
         # Measured 0.08: the spot stencil is freed before the arrays the
         # operator keeps are allocated (alive to the end, it adds 2).
         assert peak - kept < 0.5
@@ -634,6 +671,22 @@ class TestFieldAccuracy:
         closed = rate_marginal(model.rate, 1.0, g.r_nodes)
         l1 = np.abs(marginal - closed).sum() * g.dr / zc_price(model.rate, 1.0)
         assert l1 <= 2e-4
+
+    @pytest.mark.parametrize("kind, rho, ds, dr, measured", [
+        ("constant", 0.4, 0.0156, 0.0026, -2.14e-5),  # configs/bshw_rho_pos.yaml
+        ("hyperbolic", -0.3, 0.012, 0.002, -1.98e-6),  # configs/hyperbolic_hw_rho_neg.yaml
+        ("hyperbolic", 0.3, 0.012, 0.002, -2.09e-5),  # configs/hyperbolic_hw_rho_pos.yaml
+    ])
+    def test_discounted_spot_is_a_martingale(self, set1_model, hyperbolic_model,
+                                             kind, rho, ds, dr, measured):
+        # E[D(T) S(T)] = S0 under every local vol, so the integral of S times
+        # the field at T = 1 misses S0 by the scheme's error alone. Gate:
+        # twice the measured miss.
+        model = replace(hyperbolic_model if kind == "hyperbolic" else set1_model, rho=rho)
+        g = auto_grid(model, 1.0, ds=ds, dr=dr, dt=0.0099)
+        field = evolve(model, g).snapshots[-1]
+        miss = integrate(field, lambda s, r: s) - model.s0
+        assert abs(miss) <= 2.0 * abs(measured)
 
 
 class TestShortTimeStart:

@@ -1,0 +1,78 @@
+#!/usr/bin/env bash
+# Compare the peak resident set of `hybridlv calibrate` on the round trip
+# (this checkout's configs/calibration_roundtrip.yaml) between revision <rev>
+# and this checkout:
+#
+#   1. unpack `git archive <rev>` into <dir>/parent;
+#   2. run `calibrate` <pairs> times (default 10) from each tree, every run a
+#      fresh process, into <dir>/out: odd pairs run the parent first, even
+#      pairs the checkout;
+#   3. print each run's peak resident set (the child's ru_maxrss, in MB) and
+#      the median of each side.
+#
+# <dir> must lie outside the checkout, and none of parent and out may exist
+# in it yet. Nothing is written inside the checkout.
+#
+# Usage: tools/peak_rss.sh <rev> <dir> [pairs]
+set -euo pipefail
+
+if [ $# -lt 2 ] || [ $# -gt 3 ]; then
+    echo "usage: $0 <rev> <dir> [pairs]" >&2
+    exit 2
+fi
+rev=$1
+pairs=${3:-10}
+root=$(realpath "$(dirname "$0")/..")
+dir=$(realpath -m "$2")
+
+case "$pairs" in
+    '' | *[!0-9]* | 0) echo "$0: [pairs] must be a positive integer, got '$pairs'" >&2; exit 2 ;;
+esac
+case "$dir/" in
+    "$root"/*) echo "$0: <dir> $dir lies inside the checkout $root" >&2; exit 2 ;;
+esac
+for name in parent out; do
+    if [ -e "$dir/$name" ]; then
+        echo "$0: $dir/$name exists already" >&2
+        exit 2
+    fi
+done
+if ! git -C "$root" cat-file -e "$rev:src/hybridlv/cli.py" 2>/dev/null; then
+    echo "$0: revision $rev has no src/hybridlv/cli.py" >&2
+    exit 2
+fi
+
+export PYTHONDONTWRITEBYTECODE=1  # no __pycache__ in either tree
+mkdir -p "$dir/parent"
+git -C "$root" archive "$rev" | tar -x -C "$dir/parent"
+
+peak() {  # <tree>: run calibrate from <tree> and print its peak resident set in MB
+    python - "$1/src" "$root/configs/calibration_roundtrip.yaml" "$dir/out" <<'EOF'
+import os, resource, subprocess, sys
+src, config, out = sys.argv[1:]
+env = dict(os.environ, PYTHONPATH=src)
+subprocess.run([sys.executable, "-m", "hybridlv", "calibrate", "--config", config, "--out", out],
+               env=env, check=True, stdout=subprocess.DEVNULL)
+print(f"{resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024:.2f}")
+EOF
+}
+
+parent=()
+checkout=()
+for i in $(seq 1 "$pairs"); do
+    if [ $((i % 2)) -eq 1 ]; then
+        parent+=("$(peak "$dir/parent")")
+        checkout+=("$(peak "$root")")
+    else
+        checkout+=("$(peak "$root")")
+        parent+=("$(peak "$dir/parent")")
+    fi
+    echo "pair $i: parent ${parent[-1]} MB, checkout ${checkout[-1]} MB"
+done
+python - "${parent[*]}" "${checkout[*]}" <<'EOF'
+import statistics, sys
+parent, checkout = ([float(x) for x in side.split()] for side in sys.argv[1:])
+lower = sum(c < p for p, c in zip(parent, checkout))
+print(f"median: parent {statistics.median(parent):.2f} MB, checkout {statistics.median(checkout):.2f} MB; "
+      f"checkout lower in {lower}/{len(parent)} pairs")
+EOF
