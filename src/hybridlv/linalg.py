@@ -8,8 +8,11 @@ Where every line has |d_{i-1}| >= |a_i| at every row, LAPACK ``gttrf``
 swaps no row and these are its operations in its order. Each line's
 result is independent of the others and of how many lines share the batch,
 so a batch that repeats one line (one line broadcast over the batch, as
-the rate sweep of the ADI step is) factors that line once and copies its
-factors out over the batch.
+the rate sweep of the ADI step is) factors that line once. It copies out
+over the batch the factors that the row loops of a solve read (the lower
+and upper factors, the inverse pivots and the block carries); the block
+weights, which a solve reads only through ``einsum``, stay that one line,
+broadcast over the batch.
 
 A factored batch is one object with one ``solve(f, out)``, every line a
 column of ``f`` and ``out``. Two kinds implement it:
@@ -37,7 +40,7 @@ import numpy as np
 
 from .errors import InvalidInputError, SingularSystemError
 
-__all__ = ["LineFactors", "thomas_prefactor", "thomas_apply"]
+__all__ = ["LineFactors", "scan_work_size", "thomas_prefactor", "thomas_apply"]
 
 
 # Rows per block of the two-level scan.
@@ -86,14 +89,19 @@ class _BlockedScan:
     buffers kept here, so one object serves one solve at a time.
     """
 
-    def __init__(self, lower, upper, inv_diag, fwd_weights, bwd_weights, fwd_carry, bwd_carry):
-        """A solver on the factors :func:`_scan_factors` lays out, with work
-        buffers of its own."""
+    def __init__(self, lower, upper, inv_diag, fwd_weights, bwd_weights, fwd_carry, bwd_carry,
+                 work=None):
+        """A solver on the factors :func:`_scan_factors` lays out. Its work
+        array is the head of the flat buffer ``work`` when given (whose other
+        contents a solve overwrites), and an array of its own otherwise."""
         self.lower, self.upper, self.inv_diag = lower, upper, inv_diag
         self.fwd_weights, self.bwd_weights = fwd_weights, bwd_weights
         self.fwd_carry, self.bwd_carry = fwd_carry, bwd_carry
         nb, width = inv_diag.shape[1:]
-        self.work = np.empty_like(lower)
+        if work is None:
+            self.work = np.empty_like(lower)
+        else:
+            self.work = work[:lower.size].reshape(lower.shape)
         self._incoming = np.empty((nb, width))
         self._ends = np.empty((nb, width))
         self._slab = np.empty((nb, width))
@@ -239,7 +247,15 @@ def _scan_factors(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple | None:
     return blocked_lower, upper, inv_diag, fwd_weights, bwd_weights, fwd_carry, bwd_carry
 
 
-def thomas_prefactor(a: np.ndarray, b: np.ndarray, c: np.ndarray, axis: int) -> LineFactors:
+def scan_work_size(shape: tuple, axis: int) -> int:
+    """Entries of the work array of the blocked scan of a batch of ``shape``
+    whose lines run along ``axis``: the lines padded to whole blocks of rows."""
+    return -(-shape[axis] // _BLOCK) * _BLOCK * shape[1 - axis]
+
+
+def thomas_prefactor(
+    a: np.ndarray, b: np.ndarray, c: np.ndarray, axis: int, *, work: np.ndarray | None = None
+) -> LineFactors:
     """Factor a batch of systems a_i x_{i-1} + b_i x_i + c_i x_{i+1} = f_i.
 
     ``a``, ``b``, ``c`` are 2-d arrays of equal shape; each line of the
@@ -255,21 +271,39 @@ def thomas_prefactor(a: np.ndarray, b: np.ndarray, c: np.ndarray, axis: int) -> 
 
     A batch given as one line broadcast over every line (``a``, ``b`` and
     ``c`` each of stride zero across the lines) is factored as that one
-    line, and its factors are copied out over the batch: the same factors
-    as a batch of separate copies.
+    line: the same factors as a batch of separate copies. The factors the
+    solve's row loops read (``lower``, ``upper``, ``inv_diag`` and the two
+    carries) are copied out over the batch, since a loop over a broadcast
+    row runs slower; the block weights ``fwd_weights`` and ``bwd_weights``
+    stay read-only views of the one line, from which ``einsum`` computes
+    the same bits.
+
+    ``work``, a flat float array of at least :func:`scan_work_size` entries,
+    is the buffer the blocked scan solves in; a caller that solves several
+    batches one at a time can lend them all one buffer, whose contents every
+    solve overwrites. By default the scan allocates its own. The pivoted
+    factors ignore it.
     """
     shape = b.shape
+    if work is not None and (work.ndim != 1 or work.size < scan_work_size(shape, axis)):
+        raise InvalidInputError(
+            f"work buffer of shape {work.shape} is not flat with at least "
+            f"{scan_work_size(shape, axis)} entries")
     if axis == 1:
         a, b, c = a.T, b.T, c.T
     if a.strides[1] == b.strides[1] == c.strides[1] == 0:
         factors = _scan_factors(a[:, :1], b[:, :1], c[:, :1])
         if factors is not None:
             width = b.shape[1]
-            factors = [np.broadcast_to(x, x.shape[:-1] + (width,)).copy() for x in factors]
+            lower, upper, inv_diag, fwd_weights, bwd_weights, fwd_carry, bwd_carry = (
+                np.broadcast_to(x, x.shape[:-1] + (width,)) for x in factors)
+            factors = (lower.copy(), upper.copy(), inv_diag.copy(), fwd_weights, bwd_weights,
+                       fwd_carry.copy(), bwd_carry.copy())
     else:
         factors = _scan_factors(a, b, c)
-    batch = _BlockedScan(*factors) if factors is not None else _Pivoted(a, b, c)
-    return LineFactors(axis, shape, batch)
+    if factors is None:
+        return LineFactors(axis, shape, _Pivoted(a, b, c))
+    return LineFactors(axis, shape, _BlockedScan(*factors, work=work))
 
 
 def thomas_apply(lu: LineFactors, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

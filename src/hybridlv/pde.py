@@ -32,12 +32,15 @@ are zero there, and the line solves take only the interior.
 The rate terms (1/2 alpha^2, a (theta - r) and 2 r) depend on r alone, so
 every spot node has the same rate line. A step operator forms that line
 once and hands the rate sweep to the line solver as one line broadcast
-over the spot nodes; the solver factors that one line and copies its
-factors out over the spot nodes. The explicit weights of the rate line are
-stored once as well, as a tile of k spot rows that each pass repeats along
-the band; only the cross weight, which depends on S, is a full band. The
-rate sweep solves into the march's field, which every step after the first
-updates in place.
+over the spot nodes; the solver factors that one line, copies out over the
+spot nodes the factors its row loops read, and keeps the block weights as
+that one line. The explicit weights of the rate line are stored once as
+well, as a tile of k spot rows that each pass repeats along the band; only
+the cross weight, which depends on S, is a full band. The two sweeps solve
+in one work buffer, which is also the scratch of the explicit half, since
+no two of the three are live at once. The rate sweep solves into the
+march's field, which every step after the first updates in place, and
+which the march hands over as its snapshot at the horizon.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidInputError, PdeBlowUpError
-from .linalg import thomas_apply, thomas_prefactor
+from .linalg import scan_work_size, thomas_apply, thomas_prefactor
 from .models import (
     HybridModel, _rate_mean_var, lattice_axis, nearest_node, sde_coefficients, zc_price)
 
@@ -314,11 +317,18 @@ def build_coefficients(model: HybridModel, grid: Grid2D, t: float) -> AdiCoeffic
     return AdiCoefficients(t, *(np.broadcast_to(x, shape) for x in terms))
 
 
-# Spot rows in a tile of the rate-only weights (see _StepOperator). On the
-# bundled grids (rows of 148-255 entries) a multiply by 32-row tiles ran
-# -12% to +16% against a full band, and a step no slower; tiles of 4-16
-# rows made the multiply up to 50% slower than a full band.
-_TILE_ROWS = 32
+# Least entries in a tile of the rate-only weights (see _StepOperator). A
+# multiply broadcasting a tile of under about 5,000 entries runs in numpy's
+# slower regime: on the 170 x 120 grid (padded rows of 122 entries; 2-vCPU
+# VM, numpy 2.4.6) one multiply took 14 us with tiles of 32 rows and 8-12 us
+# with tiles of 48-64 rows.
+_TILE_ENTRIES = 6000
+
+
+def _tile_rows(n_s: int, row: int) -> int:
+    """Spot rows in a tile: the fewest whole padded rows of ``row`` entries
+    that hold ``_TILE_ENTRIES``, and at most the n_s rows of the band."""
+    return min(-(-_TILE_ENTRIES // row), n_s)
 
 
 def _tiled_multiply(band, tile, out):
@@ -362,14 +372,23 @@ class _StepOperator:
     into the interior of the padded field; the r-sweep solves into ``out``,
     the march's field, or into a new array.
 
+    The work array of each sweep's solve and the scratch of the explicit
+    half are views of one buffer, sized for the largest of the three: the
+    scratch is spent before each solve starts, and each solve's work before
+    the scratch is next written. The scratch's ring, the ends of the buffer
+    outside the band, which the cross stencil's corners read, is zeroed
+    again by each cross term, since a solve leaves its own values there.
+
     The r stencil and the rate-only weights ``w1_c``, ``w1_jp``, ``w1_jm``
     and ``kappa`` are the same on every S line: each is formed once as a
     row of the coefficients' rate terms, which are rows broadcast over the
     S nodes (:class:`AdiCoefficients`). The r stencil A2 is formed as its
     three rows, which both the implicit r sweep (2/dt + A2 + reaction) and
     the explicit weights ``w1_*`` (2/dt - A2) read. The r sweep is factored
-    from that one line and copied out over the n_s lines. Each rate-only
-    weight is kept as a tile of k = min(_TILE_ROWS, n_s) padded rows, zero
+    from that one line; the factors its row loops read are copied out over
+    the n_s lines, and its block weights stay one line. Each rate-only
+    weight is kept as a tile of k padded rows, the fewest that hold
+    ``_TILE_ENTRIES`` entries but at most n_s (:func:`_tile_rows`), zero
     on the ghost columns and rolled so that band entry b reads column
     (b + 1) % row: the band starts at column 1, and every k rows of it
     start at column 1 again. :func:`_tiled_multiply` repeats the tile along
@@ -399,8 +418,12 @@ class _StepOperator:
             k spot rows rolled so that band entry b reads column (b + 1) % row."""
             line = np.zeros(row)
             ufunc(*args, out=line[1:-1])
-            return np.tile(np.roll(line, -1), min(_TILE_ROWS, grid.n_s))
+            return np.tile(np.roll(line, -1), _tile_rows(grid.n_s, row))
 
+        # the work buffer both sweeps solve in and the scratch of the explicit
+        # half are never live at once: one buffer, sized for the largest
+        lines = (grid.n_s, grid.n_r)
+        work = np.empty(max(scan_work_size(lines, 0), scan_work_size(lines, 1), math.prod(shape)))
         two_dt = 2.0 / dt
         reaction = coeffs.reaction
         # 1/2 diff_s / ds^2 with a zero row past each end of the S lines
@@ -412,6 +435,7 @@ class _StepOperator:
             two_dt + 2 * half_s[1:-1] + reaction,
             adv_s - half_s[2:],
             axis=0,
+            work=work,
         )
         del half_s, adv_s  # freed before the arrays the operator keeps
         # rows: the r line is the same at every S node (see the class docstring)
@@ -424,7 +448,7 @@ class _StepOperator:
         # Implicit sweep along r: (2/dt + A2 + reaction) x = f2.
         over_s = lambda line: np.broadcast_to(line, (grid.n_s, grid.n_r))  # noqa: E731
         self.lu2 = thomas_prefactor(
-            over_s(a2_jm), over_s(two_dt + a2_c + reaction_r), over_s(a2_jp), axis=1)
+            over_s(a2_jm), over_s(two_dt + a2_c + reaction_r), over_s(a2_jp), axis=1, work=work)
         # The padded arrays are allocated once both factorisations have freed
         # their temporaries, so the heap does not grow around the holes.
         # Explicit r-direction weights feeding f1: 2/dt - A2.
@@ -437,21 +461,25 @@ class _StepOperator:
         pad = np.zeros(shape)
         rhs = np.empty(shape)
         # scratch, and the field scaled by wx whose corners the cross term
-        # reads: its ring stays zero and wx zeroes its ghost columns
-        scratch = np.zeros(shape)
+        # reads: wx zeroes its ghost columns, and the cross term zeroes its
+        # ring, the ends of the buffer outside the band, which a solve overwrites
+        scratch = work[:math.prod(shape)]
         flat = pad.ravel()
         self._inner, self._rhs_inner = pad[1:-1, 1:-1], rhs[1:-1, 1:-1]
         self._u, self._rhs = band(flat), band(rhs.ravel())
         self._jp, self._jm = band(flat, 0, 1), band(flat, 0, -1)
-        self._tmp = band(scratch.ravel())
+        self._tmp = band(scratch)
+        self._ring = scratch[:first], scratch[last + 1:]
         # the cross stencil's corners (+1, +1), (-1, -1), (-1, +1), (+1, -1)
         self._corners = tuple(
-            band(scratch.ravel(), di, dj) for di, dj in ((1, 1), (-1, -1), (-1, 1), (1, -1)))
+            band(scratch, di, dj) for di, dj in ((1, 1), (-1, -1), (-1, 1), (1, -1)))
 
     def _add_cross_term(self, rhs):
         """``rhs += cross(wx * u)`` on the band, the explicit mixed-derivative
         term: the r-difference of each neighbour row, times that row's weight."""
         np.multiply(self._u, self.wx, out=self._tmp)
+        for end in self._ring:
+            end.fill(0.0)
         pp, mm, mp, pm = self._corners
         rhs += pp
         rhs += mm
@@ -575,6 +603,7 @@ def evolve(
 
     valid_until, op_size = -math.inf, None
     values = field.values
+    del field  # the start lives on in values alone, until the first step replaces it
     for n in range(n0, grid.n_t):
         t, t_next, h = times[n], times[n + 1], sizes[n]
         if t > valid_until or h != op_size:
@@ -599,6 +628,8 @@ def evolve(
         diag.target_mass.append(target)
         diag.negative_mass_ratio.append(neg_sum / target)
         if (n + 1) in wanted:
-            snapshots.append(Field2D(grid, values.copy(), t=t_next))
+            # the horizon's snapshot takes the field itself: no step follows
+            last = n + 1 == grid.n_t
+            snapshots.append(Field2D(grid, values if last else values.copy(), t=t_next))
 
     return EvolveResult(snapshots=snapshots, diagnostics=diag)

@@ -711,6 +711,30 @@ class TestCalibrate:
             assert abs(diff[worst]) <= 2e-5
             assert abs(diff[worst]) > 4.0 * se[worst]
 
+    def test_skewed_round_trip_reprices_by_monte_carlo_on_common_draws(self, hyperbolic_model):
+        # The hyperbolic model (nu 0.2, beta 0.5, rho -0.3) priced by the
+        # solver at half of every calibration spacing (704 x 508 x 400) and
+        # read as a lattice (no model), then calibrated at the defaults and
+        # repriced at every maturity as the flat round trip above: 65,536
+        # antithetic pairs, dt_mc 1/100, seed 7. Measured max |difference|
+        # 2.91e-3, 1.36e-3, 1.24e-3 and 1.96e-3 at 64-295 SE: the error of
+        # the lattice's sensitivities. Gated at the measured values plus 10%.
+        ks = np.round(np.arange(0.7, 1.3001, 0.05), 10)
+        mats = [0.25, 0.5, 0.75, 1.0]
+        settings = CalibrationSettings()
+        grid = auto_grid(hyperbolic_model, mats, settings.ds / 2, settings.dr / 2, settings.dt / 2)
+        fields = evolve(hyperbolic_model, grid, snapshot_times=mats).snapshots
+        market = CallSurface(np.asarray(mats), ks, [price_calls_from_pz(f, ks) for f in fields])
+        del fields
+        surface = calibrate(market, hyperbolic_model, settings).surface
+        calibrated = replace(hyperbolic_model, vol=surface)
+        cfg = McConfig(n_paths=65536, dt_mc=0.01, seed=7)
+        for t, measured in zip(mats, [2.91e-3, 1.36e-3, 1.24e-3, 1.96e-3]):
+            diff, se = paired_call_difference(calibrated, hyperbolic_model, t, ks, cfg)
+            worst = np.argmax(np.abs(diff))
+            assert abs(diff[worst]) <= 1.1 * measured
+            assert abs(diff[worst]) > 4.0 * se[worst]
+
     def test_negative_variance_raises_with_report(self, set1_model):
         # a lattice market (no model), convex in K, whose T=0.6 quotes repeat
         # those at T=0.5: the central calendar slope at T_2=0.55 vanishes, so

@@ -324,9 +324,11 @@ def test_scan_is_taken_exactly_when_gttrf_keeps_every_pivot(rng, axis):
 @pytest.mark.parametrize("axis", [0, 1])
 @pytest.mark.parametrize("weak", [False, True, "singular"])
 def test_one_line_broadcast_over_the_batch_factors_as_its_copies(rng, axis, weak):
-    # A line the scan solves is factored once and copied out; a line that
-    # needs row swaps takes gttrf over the whole batch, as its copies do, and
-    # a singular line raises there, as its copies do.
+    # A line the scan solves is factored once: the factors of its row loops
+    # are copied out, and its block weights stay read-only views of the one
+    # line, which solve with the same bits; a line that needs row swaps takes
+    # gttrf over the whole batch, as its copies do, and a singular line
+    # raises there, as its copies do.
     n, m = 37, 6
     a, b, c, _ = _random_dominant(rng, n)
     if weak == "singular":
@@ -350,6 +352,33 @@ def test_one_line_broadcast_over_the_batch_factors_as_its_copies(rng, axis, weak
         for name in ("lower", "upper", "inv_diag", "fwd_weights", "bwd_weights",
                      "fwd_carry", "bwd_carry"):
             got, want = getattr(shared.batch, name), getattr(separate.batch, name)
-            assert got.flags.writeable and np.array_equal(got, want)
+            assert np.array_equal(got, want)
+            one_line = name in ("fwd_weights", "bwd_weights")
+            assert got.flags.writeable != one_line
+            assert (got.strides[-1] == 0) == one_line
     f = rng.uniform(-3, 3, shape)
     assert np.array_equal(thomas_apply(shared, f), thomas_apply(separate, f))
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_a_lent_work_buffer_solves_as_an_own_one(rng, axis):
+    # Two batches lent one buffer, solved one at a time, give the bits of
+    # their own buffers; a buffer short of the scan's work, or not flat, is refused.
+    n, m = 37, 6
+    shape = (n, m) if axis == 0 else (m, n)
+    a, b, c = (rng.uniform(-1, 1, shape) for _ in range(3))
+    b += 3.0 * np.sign(b)
+    size = linalg.scan_work_size(shape, axis)
+    assert size == 48 * m  # the 37 rows of each line padded to blocks of 16
+    work = np.empty(size + 5)
+    lent = thomas_prefactor(a, b, c, axis, work=work)
+    other = thomas_prefactor(0.5 * a, b, c, axis, work=work)
+    assert all(isinstance(x.batch, linalg._BlockedScan) for x in (lent, other))
+    assert np.shares_memory(lent.batch.work, other.batch.work)
+    own, own_other = thomas_prefactor(a, b, c, axis), thomas_prefactor(0.5 * a, b, c, axis)
+    f = rng.uniform(-3, 3, shape)
+    for factors, reference in ((lent, own), (other, own_other), (lent, own)):
+        assert np.array_equal(thomas_apply(factors, f), thomas_apply(reference, f))
+    for bad in (np.empty(size - 1), np.empty((2, size))):
+        with pytest.raises(InvalidInputError, match="work buffer"):
+            thomas_prefactor(a, b, c, axis, work=bad)

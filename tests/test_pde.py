@@ -18,10 +18,11 @@ from hybridlv.models import (
     zc_price,
 )
 from hybridlv.pde import (
-    _TILE_ROWS,
+    _TILE_ENTRIES,
     Field2D,
     Grid2D,
     _StepOperator,
+    _tile_rows,
     _tiled_multiply,
     auto_grid,
     build_coefficients,
@@ -339,14 +340,16 @@ class TestBandStep:
 class TestTiledWeights:
     """The rate-only weights as tiles of k spot rows against full bands."""
 
+    K = 32  # spot rows in the tile of the synthetic band below
+
     @pytest.mark.parametrize("rows, extra", [
-        (3 * _TILE_ROWS, 0),  # whole tiles: no remainder
-        (3 * _TILE_ROWS + 5, -2),  # a band's length: a remainder of under k rows
-        (_TILE_ROWS - 3, -2),  # n_s < k: the remainder alone
+        (3 * K, 0),  # whole tiles: no remainder
+        (3 * K + 5, -2),  # a band's length: a remainder of under k rows
+        (K - 3, -2),  # n_s < k: the remainder alone
     ])
     def test_tiled_product_is_the_full_band_product_bit_for_bit(self, rng, rows, extra):
         row = 12
-        tile = rng.uniform(-1.0, 1.0, _TILE_ROWS * row)
+        tile = rng.uniform(-1.0, 1.0, self.K * row)
         tile.reshape(-1, row)[:, -2:] = 0.0  # the ghost columns, as the operator rolls them
         band = rng.uniform(-1.0, 1.0, rows * row + extra)
         band[::7] = 0.0  # zeros of both signs in the products
@@ -355,13 +358,23 @@ class TestTiledWeights:
         full = np.multiply(band, np.resize(tile, band.size))
         assert out.tobytes() == full.tobytes()
 
+    @pytest.mark.parametrize("n_s, n_r, rows", [
+        (170, 120, 50),  # bshw_rho_neg_2y: 50 rows of 122 hold 6,100 entries
+        (372, 253, 24),  # calibration_roundtrip: 24 rows of 255 hold 6,120
+        (40, 35, 40),  # 163 rows of 37 would be needed: capped at n_s
+    ])
+    def test_a_tile_is_the_fewest_whole_rows_that_hold_its_entries(self, n_s, n_r, rows):
+        row = n_r + 2
+        assert _tile_rows(n_s, row) == rows
+        assert rows == n_s or (rows - 1) * row < _TILE_ENTRIES <= rows * row
+
     @pytest.mark.parametrize("n_s", [8, 40])
     def test_tiles_hold_the_rate_line_rolled_onto_the_band(self, set1_model, n_s):
         g = _unit_grid(n_s=n_s, n_r=35)
         op = _StepOperator(build_coefficients(set1_model, g, 0.0), g, g.dt)
         row = g.n_r + 2
         for tile in (op.w1_c, op.w1_jp, op.w1_jm, op.kappa):
-            assert tile.shape == (min(_TILE_ROWS, n_s) * row,)
+            assert tile.shape == (_tile_rows(n_s, row) * row,)
             lines = tile.reshape(-1, row)
             assert np.array_equal(lines, np.broadcast_to(lines[0], lines.shape))
             # band entry b reads column (b + 1) % row: the ghosts sit last and first
@@ -389,29 +402,60 @@ class TestMemory:
         g = _unit_grid(n_s=100, n_r=80)
         co = build_coefficients(set1_model, g, 0.0)
         kept, peak = self._traced(g, lambda: _StepOperator(co, g, g.dt))
-        # Measured 18.55: the factors and work buffers of the two sweeps
-        # (12.2, rows padded to blocks of 16), the cross weight wx and the
-        # padded field, right-hand side and scratch (4), the four rate-only
-        # weights as tiles of 32 of the 102 padded rows (1.25), and the
-        # sweeps' block buffers and per-row views (1.1). Margin: a quarter of
-        # an array, less than one weight kept as a full band would add.
-        assert kept < 18.8
+        # Measured 16.35: the factors of the spot sweep (5.5, rows padded to
+        # blocks of 16), the rate sweep's factors copied out over the spot
+        # nodes (3.0, its block weights one line each), the one work buffer
+        # of both sweeps and the scratch (1.07), the cross weight wx and the
+        # padded field and right-hand side (3), the four rate-only weights as
+        # tiles of 74 of the 102 padded rows (2.9, 6,068 entries each), and
+        # the sweeps' block buffers and per-row views (0.9). Margin: a quarter
+        # of an array, less than either block weight of the rate sweep copied
+        # out, or a second work buffer, would add.
+        assert kept < 16.6
         # Measured 0.08: the spot stencil is freed before the arrays the
         # operator keeps are allocated (alive to the end, it adds 2).
         assert peak - kept < 0.5
 
-    def test_march_holds_one_field_beyond_its_start(self, set1_model, monkeypatch):
+    def test_one_buffer_serves_both_sweeps_and_the_scratch(self, set1_model, rng):
+        g = _unit_grid(n_s=40, n_r=35)
+        co = build_coefficients(set1_model, g, 0.0)
+        op = _StepOperator(co, g, g.dt)
+        work = op.lu1.batch.work
+        assert np.shares_memory(work, op.lu2.batch.work) and np.shares_memory(work, op._tmp)
+        # every solve overwrites the ring that the cross term reads, so each
+        # cross term must zero it again: three steps in place, as the march
+        field = rng.uniform(0.0, 1.0, (g.n_s, g.n_r))
+        want = field.copy()
+        for _ in range(3):
+            op.apply(field, out=field)
+            want = slice_step(co, g, g.dt, want)
+            assert np.array_equal(field, want)
+
+    def _march_peak(self, model, monkeypatch, snapshot_times):
+        """Peak of a march of 409 x 300 nodes, whose operator is built
+        beforehand: numpy's fixed-size ufunc buffers are small beside a field."""
         import hybridlv.pde as pde_mod
 
-        # 409 x 300: numpy's fixed-size ufunc buffers are small beside a field
-        g = auto_grid(set1_model, 0.5, ds=0.005, dr=0.001, dt=0.05)
-        start = short_time_start(set1_model, g)
-        op = _StepOperator(build_coefficients(set1_model, g, start.t), g, g.dt)
+        g = auto_grid(model, 0.5, ds=0.005, dr=0.001, dt=0.05)
+        start = short_time_start(model, g)
+        op = _StepOperator(build_coefficients(model, g, start.t), g, g.dt)
         monkeypatch.setattr(pde_mod, "_StepOperator", lambda coeffs, grid, dt: op)
-        _, peak = self._traced(g, lambda: evolve(set1_model, g, snapshot_times=[], start=start))
+        _, peak = self._traced(
+            g, lambda: evolve(model, g, snapshot_times=snapshot_times, start=start))
+        return peak
+
+    def test_march_holds_one_field_beyond_its_start(self, set1_model, monkeypatch):
+        peak = self._march_peak(set1_model, monkeypatch, [])
         # Measured 1.13: the field (n_s n_r doubles) with its sign mask (an
         # eighth), as much as the coefficient build before the first step.
         # A march that allocates its field at every step holds two. Margin:
+        # a third of an array.
+        assert peak < 1.45
+
+    def test_march_hands_its_field_over_as_the_horizon_snapshot(self, set1_model, monkeypatch):
+        peak = self._march_peak(set1_model, monkeypatch, None)
+        # Measured 1.13, as a march without snapshots: the field itself is
+        # the snapshot at the horizon. A copy of it would make 1.98. Margin:
         # a third of an array.
         assert peak < 1.45
 

@@ -1,33 +1,42 @@
 #!/usr/bin/env bash
-# Compare the peak resident set of `hybridlv calibrate` on the round trip
-# (this checkout's configs/calibration_roundtrip.yaml) between revision <rev>
-# and this checkout:
+# Compare the peak resident set of one `hybridlv <command>` run on one config
+# (this checkout's configs/<config>.yaml) between revision <rev> and this
+# checkout:
 #
 #   1. unpack `git archive <rev>` into <dir>/parent;
-#   2. run `calibrate` <pairs> times (default 10) from each tree, every run a
+#   2. run the command <pairs> times (default 10) from each tree, every run a
 #      fresh process, into <dir>/out: odd pairs run the parent first, even
 #      pairs the checkout;
 #   3. print each run's peak resident set (the child's ru_maxrss, in MB) and
 #      the median of each side.
 #
-# <dir> must lie outside the checkout, and none of parent and out may exist
-# in it yet. Nothing is written inside the checkout.
+# <command> and <config> default to `calibrate` on the round trip
+# (calibration_roundtrip); `10 corrective-terms corrective_terms_rho_pos`,
+# for one, measures the march of the maturity fan instead. <dir> must lie
+# outside the checkout, and none of parent and out may exist in it yet.
+# Nothing is written inside the checkout.
 #
-# Usage: tools/peak_rss.sh <rev> <dir> [pairs]
+# Usage: tools/peak_rss.sh <rev> <dir> [pairs] [command] [config]
 set -euo pipefail
 
-if [ $# -lt 2 ] || [ $# -gt 3 ]; then
-    echo "usage: $0 <rev> <dir> [pairs]" >&2
+if [ $# -lt 2 ] || [ $# -gt 5 ]; then
+    echo "usage: $0 <rev> <dir> [pairs] [command] [config]" >&2
     exit 2
 fi
 rev=$1
 pairs=${3:-10}
+command=${4:-calibrate}
+config=${5:-calibration_roundtrip}
 root=$(realpath "$(dirname "$0")/..")
 dir=$(realpath -m "$2")
 
 case "$pairs" in
     '' | *[!0-9]* | 0) echo "$0: [pairs] must be a positive integer, got '$pairs'" >&2; exit 2 ;;
 esac
+if [ ! -f "$root/configs/$config.yaml" ]; then
+    echo "$0: no config $root/configs/$config.yaml" >&2
+    exit 2
+fi
 case "$dir/" in
     "$root"/*) echo "$0: <dir> $dir lies inside the checkout $root" >&2; exit 2 ;;
 esac
@@ -46,12 +55,12 @@ export PYTHONDONTWRITEBYTECODE=1  # no __pycache__ in either tree
 mkdir -p "$dir/parent"
 git -C "$root" archive "$rev" | tar -x -C "$dir/parent"
 
-peak() {  # <tree>: run calibrate from <tree> and print its peak resident set in MB
-    python - "$1/src" "$root/configs/calibration_roundtrip.yaml" "$dir/out" <<'EOF'
+peak() {  # <tree>: run the command from <tree> and print its peak resident set in MB
+    python - "$1/src" "$command" "$root/configs/$config.yaml" "$dir/out" <<'EOF'
 import os, resource, subprocess, sys
-src, config, out = sys.argv[1:]
+src, command, config, out = sys.argv[1:]
 env = dict(os.environ, PYTHONPATH=src)
-subprocess.run([sys.executable, "-m", "hybridlv", "calibrate", "--config", config, "--out", out],
+subprocess.run([sys.executable, "-m", "hybridlv", command, "--config", config, "--out", out],
                env=env, check=True, stdout=subprocess.DEVNULL)
 print(f"{resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024:.2f}")
 EOF
