@@ -18,7 +18,11 @@ exactly.
 ``run.maturities`` is the one horizon field. ``solve-pde``, ``price-pde``
 and ``corrective-terms`` march one grid through every entry, each entry on
 a step, and read their fields from that one march: ``price-pde`` prices
-the last, so it reads the field ``solve-pde`` writes there. ``calibrate``
+the last, so it reads the field ``solve-pde`` writes there. ``solve-pde``
+and ``corrective-terms`` read each field as the march reaches it, writing
+its ``pz_t*.csv`` or reducing it to its row of corrective terms, so they
+hold one field however many maturities the fan has; a march that fails
+leaves the ``pz_t*.csv`` of the maturities it reached. ``calibrate``
 on an analytic market takes each entry, ``price-analytic`` and
 ``price-mc`` the last. ``run.calibration.market`` is ``analytic`` or the
 path of a ``T,K,price`` CSV lattice.
@@ -96,24 +100,26 @@ def _mass_rows(diag: pde.EvolveDiagnostics):
         )
 
 
-def _march(cfg):
-    """The model and its march on the configured grid, with a snapshot at
-    every configured maturity; the march's warnings go to stderr. Every PDE
+def _march(cfg, model, on_snapshot=None):
+    """The march of ``model`` on the configured grid, with a snapshot at
+    every configured maturity, each handed to ``on_snapshot`` if given (see
+    :func:`pde.evolve`); the march's warnings go to stderr. Every PDE
     command reads its fields from this one march."""
-    model = cfg.build_model()
-    result = pde.evolve(model, _build_grid(cfg, model), snapshot_times=cfg.maturities())
+    result = pde.evolve(model, _build_grid(cfg, model), snapshot_times=cfg.maturities(),
+                        on_snapshot=on_snapshot)
     for warning in result.diagnostics.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    return model, result
+    return result
 
 
 def _cmd_solve_pde(cfg, writer: _Writer):
-    _, result = _march(cfg)
-    for snap in result.snapshots:
+    def write(snap):
         s, r = np.meshgrid(snap.grid.s_nodes, snap.grid.r_nodes, indexing="ij")
         rows = zip(np.full(s.size, snap.t), s.ravel(), r.ravel(), snap.values.ravel())
         # the shortest digits that read back as t, so no two maturities share a file
         writer.csv(f"pz_t{np.format_float_positional(snap.t, trim='-')}.csv", "t,S,r,pz", rows)
+
+    result = _march(cfg, cfg.build_model(), on_snapshot=write)
     writer.csv(
         "mass_diagnostics.csv",
         "step,t,raw_mass,target_zc,ratio,neg_mass_ratio",
@@ -126,8 +132,7 @@ def _cmd_solve_pde(cfg, writer: _Writer):
 
 def _cmd_price_pde(cfg, writer: _Writer):
     strikes = cfg.strikes()
-    _, result = _march(cfg)
-    field = result.snapshots[-1]
+    field = _march(cfg, cfg.build_model()).snapshots[-1]
     prices = cal.price_calls_from_pz(field, strikes)
     writer.csv("prices_pde.csv", "K,price", zip(strikes, prices),
                comments=[f"T={field.t:.17g}"])
@@ -171,11 +176,14 @@ def _cmd_price_mc(cfg, writer: _Writer):
 
 def _cmd_corrective_terms(cfg, writer: _Writer):
     strikes = cfg.strikes()
-    model, result = _march(cfg)
+    model = cfg.build_model()
     rows = []
-    for snap in result.snapshots:
+
+    def reduce(snap):
         curve = cal.corrective_terms(snap, forward_rate(model.rate, snap.t), strikes)
         rows.extend((snap.t, k, a) for k, a in zip(curve.strikes, curve.adj))
+
+    _march(cfg, model, on_snapshot=reduce)
     writer.csv("corrective_terms.csv", "T,K,adj", rows)
     return 0
 

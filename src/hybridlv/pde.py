@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -545,6 +545,8 @@ def evolve(
     grid: Grid2D,
     snapshot_times: Sequence[float] | None = None,
     start: Field2D | None = None,
+    *,
+    on_snapshot: Callable[[Field2D], object] | None = None,
 ) -> EvolveResult:
     """March the discounted density from its start to the grid horizon.
 
@@ -557,6 +559,17 @@ def evolve(
     so resuming at ``t`` repeats bit for bit the steps a single march on
     this grid would take from ``t``. Snapshots are taken at step times from
     the start on, by default at the horizon alone.
+
+    Each snapshot is a :class:`Field2D` handed over in step order, the
+    start's first when its time is wanted. By default the march collects
+    them in ``result.snapshots``. Given ``on_snapshot``, it calls
+    ``on_snapshot(field)`` as it reaches each one and keeps none, so
+    ``result.snapshots`` is empty and, however many times are wanted, the
+    march holds its field and, while the reader runs, one snapshot. Either
+    way a snapshot is the reader's own: every one but the horizon's is a
+    copy, and the horizon's is the march's field, which no step changes
+    after it. An exception raised by the reader stops the march and
+    propagates.
 
     One prefactored step operator serves every step until the local vol
     next changes (``model.vol.next_change``) or the step size does: the
@@ -599,11 +612,16 @@ def evolve(
         raise InvalidInputError("start field mass must be positive and finite")
 
     # the march reaches each wanted step once, in step order
-    snapshots = [field.copy()] if n0 in wanted else []
+    snapshots = []
+    take = snapshots.append if on_snapshot is None else on_snapshot
+    if n0 in wanted:
+        take(field.copy())
 
     valid_until, op_size = -math.inf, None
     values = field.values
-    del field  # the start lives on in values alone, until the first step replaces it
+    # a fresh start lives on in values alone, until the first step replaces
+    # it; a resumed one stays alive through ``start`` and the caller
+    del field
     for n in range(n0, grid.n_t):
         t, t_next, h = times[n], times[n + 1], sizes[n]
         if t > valid_until or h != op_size:
@@ -630,6 +648,6 @@ def evolve(
         if (n + 1) in wanted:
             # the horizon's snapshot takes the field itself: no step follows
             last = n + 1 == grid.n_t
-            snapshots.append(Field2D(grid, values if last else values.copy(), t=t_next))
+            take(Field2D(grid, values if last else values.copy(), t=t_next))
 
     return EvolveResult(snapshots=snapshots, diagnostics=diag)

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +53,35 @@ def _keys(tree, prefix=""):
         if isinstance(value, dict):
             out |= _keys(value, prefix + key + ".")
     return out
+
+
+def _record_marches(monkeypatch):
+    """Patch ``pde.evolve`` to record every march of a command: a list per
+    march of the snapshots it hands to the command's reader, or, for a
+    march without one, of those in its result."""
+    import hybridlv.pde as pde_mod
+
+    marches = []
+    original = pde_mod.evolve
+
+    def recorded(*args, on_snapshot=None, **kwargs):
+        if on_snapshot is None:
+            result = original(*args, **kwargs)
+            marches.append(result.snapshots)
+            return result
+        read = []
+        marches.append(read)
+
+        def keep(snap):
+            read.append(snap)
+            on_snapshot(snap)
+
+        result = original(*args, on_snapshot=keep, **kwargs)
+        assert result.snapshots == []
+        return result
+
+    monkeypatch.setattr(pde_mod, "evolve", recorded)
+    return marches
 
 
 @pytest.fixture
@@ -226,21 +256,33 @@ class TestCommands:
         assert snaps == ["pz_t0.5.csv", "pz_t0.5000001.csv"]
         assert _load_rows(out / "pz_t0.5000001.csv")[0, 0] == 0.5000001
 
-    def test_solve_pde_snapshot_is_row_major(self, fast_config, monkeypatch):
+    def test_failed_solve_pde_leaves_the_fields_it_reached(self, fast_config, monkeypatch):
         import hybridlv.pde as pde_mod
 
-        results = []
-        original = pde_mod.evolve
+        path, out = fast_config
+        raw = yaml.safe_load(path.read_text())
+        raw["run"]["maturities"] = [0.5, 1.0]
+        path.write_text(yaml.safe_dump(raw))
+        steps = []
+        apply = pde_mod._StepOperator.apply
 
-        def recorded(*args, **kwargs):
-            results.append(original(*args, **kwargs))
-            return results[-1]
+        def poisoned(op, values, out=None):
+            steps.append(op)
+            values = apply(op, values, out=out)
+            if len(steps) == 75:  # past t = 0.5, short of t = 1
+                values[0, 0] = np.nan
+            return values
 
-        monkeypatch.setattr(pde_mod, "evolve", recorded)
+        monkeypatch.setattr(pde_mod._StepOperator, "apply", poisoned)
+        assert cli.main(["solve-pde", "--config", str(path)]) == 3
+        assert sorted(p.name for p in out.iterdir()) == ["pz_t0.5.csv", "resolved_config.yaml"]
+
+    def test_solve_pde_snapshot_is_row_major(self, fast_config, monkeypatch):
+        marches = _record_marches(monkeypatch)
         path, out = fast_config
         assert cli.run("solve-pde", config_path=str(path)) == 0
         (csv,) = out.glob("pz_t*.csv")
-        (snap,) = results[0].snapshots
+        (snap,) = marches[0]
         lines = csv.read_text().splitlines()
         assert lines[1] == "t,S,r,pz"
         assert len(lines) == 2 + snap.grid.n_s * snap.grid.n_r
@@ -266,6 +308,30 @@ class TestCommands:
         assert cli.run("corrective-terms", config_path=str(path)) == 0
         rows = _load_rows(tmp_path / "out" / "corrective_terms.csv")
         assert rows[:, 0].tolist() == [t for t in mats for _ in range(7)]
+
+    @pytest.mark.parametrize("command", ["corrective-terms", "solve-pde"])
+    def test_fan_commands_hold_one_field_however_many_maturities(self, tmp_path, command):
+        # the fast config to T = 0.5 (101 x 99 nodes) with 4 or 16 maturities
+        raw = yaml.safe_load(FAST_BSHW.replace("PLACEHOLDER", str(tmp_path / "out")))
+        peaks = []
+        for n in (4, 16):
+            raw["run"]["maturities"] = [0.5 * (i + 1) / n for i in range(n)]
+            path = tmp_path / f"fan{n}.yaml"
+            path.write_text(yaml.safe_dump(raw))
+            tracemalloc.start()
+            try:
+                assert cli.run(command, config_path=str(path)) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        cfg = load_config(path)
+        g = cli._build_grid(cfg, cfg.build_model())
+        few, many = (peak / (8 * (g.n_s + 2) * (g.n_r + 2)) for peak in peaks)
+        # Measured in full-size arrays: 20.13 and 20.12 for corrective-terms,
+        # 21.38 and 21.50 for solve-pde, whose rows add the node grids; a
+        # command that keeps every field holds 11.4 more at 16. Margin: half
+        # an array.
+        assert abs(many - few) < 0.5
 
     def test_price_mc_csv(self, fast_config):
         path, out = fast_config
@@ -343,24 +409,18 @@ run:
     def test_price_pde_prices_the_solve_pde_field(self, fast_config, monkeypatch):
         # one march per config: price-pde prices the field solve-pde writes
         import hybridlv.calibration as cal_mod
-        import hybridlv.pde as pde_mod
 
         path, out = fast_config
         raw = yaml.safe_load(path.read_text())
         raw["grid"] = {"ds": 0.04, "dr": 0.006, "dt": 0.03}
         raw["run"]["maturities"] = [0.5, 1.0]
         path.write_text(yaml.safe_dump(raw))
-        results = []
-        original = pde_mod.evolve
-
-        def recorded(*args, **kwargs):
-            results.append(original(*args, **kwargs))
-            return results[-1]
-
-        monkeypatch.setattr(pde_mod, "evolve", recorded)
+        marches = _record_marches(monkeypatch)
         assert cli.run("price-pde", config_path=str(path)) == 0
         assert cli.run("solve-pde", config_path=str(path)) == 0
-        field = results[-1].at(1.0)
+        assert len(marches) == 2
+        field = marches[-1][-1]  # solve-pde's, at the last maturity
+        assert field.t == 1.0
         strikes = load_config(path).strikes()
         want = np.column_stack([strikes, cal_mod.price_calls_from_pz(field, strikes)])
         assert (out / "prices_pde.csv").read_text().splitlines()[1] == "# T=1"

@@ -1,12 +1,19 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hybridlv.analytic import analytic_pz, bshw_call
-from hybridlv.calibration import price_calls_from_pz
+from hybridlv.calibration import (
+    CalibrationSettings,
+    calibrate,
+    make_analytic_surface,
+    price_calls_from_pz,
+)
+from hybridlv.config import load_config
 from hybridlv.errors import InvalidInputError, PdeBlowUpError
 from hybridlv.linalg import _BlockedScan, _Pivoted
 from hybridlv.models import (
@@ -431,17 +438,18 @@ class TestMemory:
             want = slice_step(co, g, g.dt, want)
             assert np.array_equal(field, want)
 
-    def _march_peak(self, model, monkeypatch, snapshot_times):
-        """Peak of a march of 409 x 300 nodes, whose operator is built
-        beforehand: numpy's fixed-size ufunc buffers are small beside a field."""
+    def _march_peak(self, model, monkeypatch, snapshot_times, dt=0.05, on_snapshot=None):
+        """Peak of a march of 409 x 300 nodes to t = 0.5, whose operator is
+        built beforehand: numpy's fixed-size ufunc buffers are small beside a
+        field."""
         import hybridlv.pde as pde_mod
 
-        g = auto_grid(model, 0.5, ds=0.005, dr=0.001, dt=0.05)
+        g = auto_grid(model, 0.5, ds=0.005, dr=0.001, dt=dt)
         start = short_time_start(model, g)
         op = _StepOperator(build_coefficients(model, g, start.t), g, g.dt)
         monkeypatch.setattr(pde_mod, "_StepOperator", lambda coeffs, grid, dt: op)
-        _, peak = self._traced(
-            g, lambda: evolve(model, g, snapshot_times=snapshot_times, start=start))
+        _, peak = self._traced(g, lambda: evolve(
+            model, g, snapshot_times=snapshot_times, start=start, on_snapshot=on_snapshot))
         return peak
 
     def test_march_holds_one_field_beyond_its_start(self, set1_model, monkeypatch):
@@ -458,6 +466,23 @@ class TestMemory:
         # the snapshot at the horizon. A copy of it would make 1.98. Margin:
         # a third of an array.
         assert peak < 1.45
+
+    def test_a_read_march_holds_one_field_however_many_snapshots(self, set1_model, monkeypatch):
+        # 20 steps of 0.025; a snapshot at each of the last 4 or 16 step times
+        def peaks(on_snapshot):
+            return [self._march_peak(set1_model, monkeypatch, [0.5 - 0.025 * i for i in range(n)],
+                                     dt=0.025, on_snapshot=on_snapshot) for n in (4, 16)]
+
+        masses = []
+        few, many = peaks(lambda snap: masses.append(snap.mass()))
+        assert len(masses) == 20
+        # Measured 1.99 and 1.98: the field and the one copy the reader
+        # holds. Margin: half an array.
+        assert abs(many - few) < 0.5
+        # The list keeps every snapshot: measured 4.10 and 15.97, an array
+        # more per snapshot time.
+        few, many = peaks(None)
+        assert many - few > 11.0
 
 
 class TestEvolve:
@@ -602,6 +627,52 @@ class TestEvolve:
         res.snapshots[0].values[:] = 0.0
         assert np.array_equal(start.values, before)
 
+    def test_a_reader_takes_the_snapshots_the_list_holds(self, set1_model):
+        # a resumed start at a wanted time: its copy is read first
+        g = auto_grid(set1_model, 0.2, ds=0.03, dr=0.004, dt=0.01)
+        start = evolve(set1_model, g, snapshot_times=[0.1]).snapshots[0]
+        times = [0.2, 0.1, 0.15, 0.12]
+        listed = evolve(set1_model, g, snapshot_times=times, start=start)
+        read = []
+        streamed = evolve(set1_model, g, snapshot_times=times, start=start, on_snapshot=read.append)
+        assert streamed.snapshots == []
+        assert [snap.t for snap in read] == [snap.t for snap in listed.snapshots]
+        assert [snap.t for snap in read] == pytest.approx([0.1, 0.12, 0.15, 0.2])
+        # a kept snapshot is the reader's own: no later step changes it
+        for got, want in zip(read, listed.snapshots):
+            assert np.array_equal(got.values, want.values)
+        assert not np.shares_memory(read[0].values, start.values)
+        assert streamed.diagnostics == listed.diagnostics
+
+    def test_a_reader_that_raises_stops_the_march(self, set1_model, monkeypatch):
+        import hybridlv.pde as pde_mod
+
+        steps = []
+        apply = pde_mod._StepOperator.apply
+
+        def counted(op, values, out=None):
+            steps.append(op)
+            return apply(op, values, out=out)
+
+        class Stop(Exception):
+            pass
+
+        read = []
+
+        def reader(snap):
+            read.append(snap.t)
+            if len(read) == 2:
+                raise Stop
+
+        monkeypatch.setattr(pde_mod._StepOperator, "apply", counted)
+        g = auto_grid(set1_model, 0.2, ds=0.03, dr=0.004, dt=0.01)
+        with pytest.raises(Stop):
+            evolve(set1_model, g, snapshot_times=[0.05, 0.1, 0.2], on_snapshot=reader)
+        assert read == pytest.approx([0.05, 0.1])
+        # not one step past the snapshot that raised
+        step_of = lambda t: int(np.argmin(np.abs(g.t_nodes - t)))  # noqa: E731
+        assert len(steps) == step_of(0.1) - step_of(short_time_start(set1_model, g).t)
+
     def test_bad_snapshot_time_rejected(self, set1_model):
         g = auto_grid(set1_model, 1.0, ds=0.02, dr=0.003, dt=0.01)
         with pytest.raises(InvalidInputError):
@@ -731,6 +802,23 @@ class TestFieldAccuracy:
         field = evolve(model, g).snapshots[-1]
         miss = integrate(field, lambda s, r: s) - model.s0
         assert abs(miss) <= 2.0 * abs(measured)
+
+    def test_discounted_spot_is_a_martingale_under_a_calibrated_surface(self):
+        # configs/calibration_roundtrip.yaml calibrated, and the surface it
+        # returns marched to T = 1 at the calibration spacings (346 x 253 x
+        # 200). Measured miss -1.116e-5, as under the generating flat vol on
+        # the same box (-1.117e-5). Gate: twice the measured miss.
+        cfg = load_config(Path(__file__).resolve().parents[1] / "configs"
+                          / "calibration_roundtrip.yaml")
+        model = cfg.build_model()
+        cb = cfg.run_block["calibration"]
+        settings = CalibrationSettings(ds=float(cb["ds"]), dr=float(cb["dr"]), dt=float(cb["dt"]))
+        market = make_analytic_surface(model, cfg.maturities(), cfg.strikes())
+        calibrated = replace(model, vol=calibrate(market, model, settings).surface)
+        assert isinstance(calibrated.vol, SurfaceVol)
+        g = auto_grid(calibrated, 1.0, settings.ds, settings.dr, settings.dt)
+        miss = integrate(evolve(calibrated, g).snapshots[-1], lambda s, r: s) - model.s0
+        assert abs(miss) <= 2.0 * 1.116e-5
 
 
 class TestShortTimeStart:

@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
 # Compare the peak resident set of one `hybridlv <command>` run on one config
-# (this checkout's configs/<config>.yaml) between revision <rev> and this
-# checkout:
+# between revision <rev> and this checkout:
 #
 #   1. unpack `git archive <rev>` into <dir>/parent;
 #   2. run the command <pairs> times (default 10) from each tree, every run a
@@ -12,9 +11,12 @@
 #
 # <command> and <config> default to `calibrate` on the round trip
 # (calibration_roundtrip); `10 corrective-terms corrective_terms_rho_pos`,
-# for one, measures the march of the maturity fan instead. <dir> must lie
-# outside the checkout, and none of parent and out may exist in it yet.
-# Nothing is written inside the checkout.
+# for one, measures the march of the maturity fan instead. <config> is the
+# name of a bundled config (this checkout's configs/<config>.yaml) or the
+# path of a YAML config file, such as a copy of a bundled one with more
+# maturities; both trees run the same file. A config that is neither is
+# refused. <dir> must lie outside the checkout, and none of parent and out
+# may exist in it yet. Nothing is written inside the checkout.
 #
 # Usage: tools/peak_rss.sh <rev> <dir> [pairs] [command] [config]
 set -euo pipefail
@@ -33,8 +35,12 @@ dir=$(realpath -m "$2")
 case "$pairs" in
     '' | *[!0-9]* | 0) echo "$0: [pairs] must be a positive integer, got '$pairs'" >&2; exit 2 ;;
 esac
-if [ ! -f "$root/configs/$config.yaml" ]; then
-    echo "$0: no config $root/configs/$config.yaml" >&2
+if [ -f "$root/configs/$config.yaml" ]; then
+    config=$root/configs/$config.yaml
+elif [ -f "$config" ]; then
+    config=$(realpath "$config")
+else
+    echo "$0: no config $root/configs/$config.yaml, nor a file $config" >&2
     exit 2
 fi
 case "$dir/" in
@@ -56,7 +62,7 @@ mkdir -p "$dir/parent"
 git -C "$root" archive "$rev" | tar -x -C "$dir/parent"
 
 peak() {  # <tree>: run the command from <tree> and print its peak resident set in MB
-    python - "$1/src" "$command" "$root/configs/$config.yaml" "$dir/out" <<'EOF'
+    python - "$1/src" "$command" "$config" "$dir/out" <<'EOF'
 import os, resource, subprocess, sys
 src, command, config, out = sys.argv[1:]
 env = dict(os.environ, PYTHONPATH=src)
