@@ -18,14 +18,14 @@ exactly.
 ``run.maturities`` is the one horizon field. ``solve-pde``, ``price-pde``
 and ``corrective-terms`` march one grid through every entry, each entry on
 a step, and read their fields from that one march: ``price-pde`` prices
-the last, so it reads the field ``solve-pde`` writes there. ``solve-pde``
-and ``corrective-terms`` read each field as the march reaches it, writing
-its ``pz_t*.csv`` or reducing it to its row of corrective terms, so they
-hold one field however many maturities the fan has; a march that fails
-leaves the ``pz_t*.csv`` of the maturities it reached. ``calibrate``
-on an analytic market takes each entry, ``price-analytic`` and
-``price-mc`` the last. ``run.calibration.market`` is ``analytic`` or the
-path of a ``T,K,price`` CSV lattice.
+the last, so it reads the field ``solve-pde`` writes there. All three read
+each field as the march reaches it, writing its ``pz_t*.csv``, reducing it
+to its row of corrective terms, or keeping it only until the next one
+comes, so they hold one field however many maturities the fan has; a march
+that fails leaves the ``pz_t*.csv`` of the maturities it reached.
+``calibrate`` on an analytic market takes each entry, ``price-analytic``
+and ``price-mc`` the last. ``run.calibration.market`` is ``analytic`` or
+the path of a ``T,K,price`` CSV lattice.
 """
 
 from __future__ import annotations
@@ -132,7 +132,9 @@ def _cmd_solve_pde(cfg, writer: _Writer):
 
 def _cmd_price_pde(cfg, writer: _Writer):
     strikes = cfg.strikes()
-    field = _march(cfg, cfg.build_model()).snapshots[-1]
+    latest = {}  # only the field the march reached last
+    _march(cfg, cfg.build_model(), on_snapshot=lambda snap: latest.update(field=snap))
+    field = latest["field"]
     prices = cal.price_calls_from_pz(field, strikes)
     writer.csv("prices_pde.csv", "K,price", zip(strikes, prices),
                comments=[f"T={field.t:.17g}"])

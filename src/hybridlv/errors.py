@@ -10,7 +10,8 @@ class InvalidInputError(HybridLvError, ValueError):
 
 
 class SingularSystemError(HybridLvError):
-    """A tridiagonal system is singular or met a non-finite pivot."""
+    """A batch of tridiagonal lines the line solver cannot factor: a zero or
+    non-finite pivot, a row swap needed, or an overflowing scan product."""
 
 
 class PdeBlowUpError(HybridLvError):

@@ -15,21 +15,20 @@ weights, which a solve reads only through ``einsum``, stay that one line,
 broadcast over the batch.
 
 A factored batch is one object with one ``solve(f, out)``, every line a
-column of ``f`` and ``out``. Two kinds implement it:
+column of ``f`` and ``out``: a line is solved by two first-order
+recurrences. Run down one line, each is a serial chain of n dependent
+steps, as in LAPACK ``gttrs``; here each runs as a two-level blocked scan
+over fixed blocks of rows, and every step works on all blocks of all lines
+at once (H. H. Wang, *A Parallel Method for Tridiagonal Equations*, ACM
+TOMS 7(2), 1981).
 
-- Every line kept its pivots, every pivot is finite and non-zero, and the
-  products of the scan stay finite (every sweep of a bundled
-  configuration): a line is solved by two first-order recurrences. Run
-  down one line, each is a serial chain of n dependent steps, as in LAPACK
-  ``gttrs``; here each runs as a two-level blocked scan over fixed blocks
-  of rows, and every step works on all blocks of all lines at once (H. H.
-  Wang, *A Parallel Method for Tridiagonal Equations*, ACM TOMS 7(2), 1981).
-- Otherwise the batch is factored again by LAPACK ``gttrf`` (LU with
-  partial pivoting) as one long system with zero couplings at the line
-  breaks, and solved by ``gttrs``. ``gttrf`` finds singular and non-finite
-  lines, and the recurrences of the scan have no room for an interchange,
-  so this is the only kind that solves such lines. Only this kind loads
-  ``scipy.linalg``.
+The recurrences have no room for a row interchange. A batch is factored
+only if every line keeps its pivots, every pivot is finite and non-zero,
+and the products of the scan stay finite; otherwise factoring raises
+:class:`SingularSystemError`, naming which. A line that is diagonally
+dominant by columns keeps its pivots (N. J. Higham, *Accuracy and
+Stability of Numerical Algorithms*, 2nd ed., 2002, ch. 9); the step
+operator of :mod:`hybridlv.pde` forms its lines so.
 """
 
 from __future__ import annotations
@@ -137,50 +136,18 @@ class _BlockedScan:
         _gather(x, out)
 
 
-class _Pivoted:
-    """LAPACK ``gttrf`` factors of a batch of lines, solved by ``gttrs``.
-
-    The lines, each a column of (n, W) ``a``, ``b``, ``c``, are laid out one
-    after another as one long system whose couplings are zero at every line
-    break; ``lu`` holds the arrays ``gttrf`` returns for it.
-    """
-
-    def __init__(self, a: np.ndarray, b: np.ndarray, c: np.ndarray):
-        from scipy.linalg.lapack import dgttrf
-
-        n = b.shape[0]
-        dl = a.T.flatten()[1:]
-        du = c.T.flatten()[:-1]
-        dl[n - 1::n] = 0.0
-        du[n - 1::n] = 0.0
-        dl, d, du, du2, ipiv, info = dgttrf(
-            dl, b.T.flatten(), du, overwrite_dl=1, overwrite_d=1, overwrite_du=1
-        )
-        if info != 0 or not np.all(np.isfinite(d)):
-            raise SingularSystemError("singular or non-finite line in a batched system")
-        self.lu = dl, d, du, du2, ipiv
-
-    def solve(self, f: np.ndarray, out: np.ndarray) -> None:
-        """Solve for ``f`` into ``out``, both (n, W) with a line per column."""
-        from scipy.linalg.lapack import dgttrs
-
-        x, _ = dgttrs(*self.lu, f.T.flatten(), overwrite_b=1)
-        out[...] = x.reshape(f.shape[::-1]).T
-
-
 @dataclass(frozen=True)
 class LineFactors:
     """Factors of a batch of tridiagonal lines.
 
     ``batch`` solves every line at once, each line a column of its
-    right-hand side: a :class:`_BlockedScan` when the scan can solve every
-    line, the pivoted ``gttrf`` factors otherwise. ``axis`` and ``shape``
-    say how a right-hand side of the caller lays its lines out.
+    right-hand side. ``axis`` and ``shape`` say how a right-hand side of the
+    caller lays its lines out.
     """
 
     axis: int
     shape: tuple
-    batch: _BlockedScan | _Pivoted
+    batch: _BlockedScan
 
 
 def _eliminate(a: np.ndarray, b: np.ndarray, c: np.ndarray):
@@ -204,21 +171,31 @@ def _eliminate(a: np.ndarray, b: np.ndarray, c: np.ndarray):
     return lower, diag
 
 
-def _scan_factors(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple | None:
+def _pivot_failure(lower: np.ndarray, diag: np.ndarray) -> SingularSystemError:
+    """The error naming why the scan cannot take the (n, W) factors ``lower``
+    and ``diag`` of :func:`_eliminate`, at the first row where it shows."""
+    bad, cause = ~np.isfinite(diag) | (diag == 0.0), "meets a zero or non-finite pivot"
+    if not bad.any():
+        bad, cause = np.abs(lower) > 1.0, "needs a row swap (|a_i| > |d_(i-1)|)"
+    return SingularSystemError(f"a line {cause} at row {int(bad.any(axis=1).argmax())}")
+
+
+def _scan_factors(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple:
     """The blocked-scan factors of the lines that are each a column of the
     (n, W) arrays ``a``, ``b``, ``c``, in the argument order of
     :class:`_BlockedScan`: each (k, nb, W) but the carries (nb, W).
 
-    None where the scan cannot solve some line: ``gttrf`` would swap rows, a
-    pivot is zero or not finite, or a product of the scan overflows. Every
-    factor of a line is computed from that line alone.
+    Raises :class:`SingularSystemError` where the scan cannot solve some
+    line: a pivot is zero or not finite, ``gttrf`` would swap rows, or a
+    product of the scan overflows. Every factor of a line is computed from
+    that line alone.
     """
     lower, diag = _eliminate(a, b, c)
     # Correctly rounded division keeps |l_i| = |a_i / d_{i-1}| <= 1 exactly
     # when |d_{i-1}| >= |a_i|, gttrf's test for keeping row i - 1 as pivot
     # row; a zero or NaN pivot leaves l_i infinite or NaN, which fails it too.
     if not (np.abs(lower).max() <= 1.0 and np.isfinite(diag).all() and diag.all()):
-        return None
+        raise _pivot_failure(lower, diag)
     n, width = diag.shape
     k, nb = _BLOCK, -(-n // _BLOCK)
     blocked_lower, upper, inv_diag = (np.empty((k, nb, width)) for _ in range(3))
@@ -243,7 +220,8 @@ def _scan_factors(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple | None:
         fwd_carry = fwd_weights[0] * -blocked_lower[0]
         bwd_carry = bwd_weights[-1] * -upper[-1]
     if not (np.isfinite(fwd_weights).all() and np.isfinite(bwd_weights).all()):
-        return None
+        raise SingularSystemError(
+            "a product of the blocked scan overflows: an upper coupling lies far above its pivot")
     return blocked_lower, upper, inv_diag, fwd_weights, bwd_weights, fwd_carry, bwd_carry
 
 
@@ -261,13 +239,10 @@ def thomas_prefactor(
     ``a``, ``b``, ``c`` are 2-d arrays of equal shape; each line of the
     batch runs along ``axis`` (``a`` at its first node and ``c`` at its last
     are ignored). The factors are reusable for any number of right-hand
-    sides with the same matrix. Raises :class:`SingularSystemError` if any
-    line is singular or meets a non-finite pivot.
-
-    The batch is solved by the blocked scan unless ``gttrf`` would swap rows
-    in some line, a pivot is zero or not finite, or a product of the scan
-    overflows (an upper coupling far above its pivot); then it keeps the
-    pivoted factors of ``gttrf`` and ``gttrs``.
+    sides with the same matrix. Raises :class:`SingularSystemError`, naming
+    the cause, if some line meets a zero or non-finite pivot, needs a row
+    swap (``gttrf`` would swap rows), or overflows a product of the scan (an
+    upper coupling far above its pivot).
 
     A batch given as one line broadcast over every line (``a``, ``b`` and
     ``c`` each of stride zero across the lines) is factored as that one
@@ -281,8 +256,7 @@ def thomas_prefactor(
     ``work``, a flat float array of at least :func:`scan_work_size` entries,
     is the buffer the blocked scan solves in; a caller that solves several
     batches one at a time can lend them all one buffer, whose contents every
-    solve overwrites. By default the scan allocates its own. The pivoted
-    factors ignore it.
+    solve overwrites. By default the scan allocates its own.
     """
     shape = b.shape
     if work is not None and (work.ndim != 1 or work.size < scan_work_size(shape, axis)):
@@ -292,17 +266,14 @@ def thomas_prefactor(
     if axis == 1:
         a, b, c = a.T, b.T, c.T
     if a.strides[1] == b.strides[1] == c.strides[1] == 0:
-        factors = _scan_factors(a[:, :1], b[:, :1], c[:, :1])
-        if factors is not None:
-            width = b.shape[1]
-            lower, upper, inv_diag, fwd_weights, bwd_weights, fwd_carry, bwd_carry = (
-                np.broadcast_to(x, x.shape[:-1] + (width,)) for x in factors)
-            factors = (lower.copy(), upper.copy(), inv_diag.copy(), fwd_weights, bwd_weights,
-                       fwd_carry.copy(), bwd_carry.copy())
+        width = b.shape[1]
+        lower, upper, inv_diag, fwd_weights, bwd_weights, fwd_carry, bwd_carry = (
+            np.broadcast_to(x, x.shape[:-1] + (width,))
+            for x in _scan_factors(a[:, :1], b[:, :1], c[:, :1]))
+        factors = (lower.copy(), upper.copy(), inv_diag.copy(), fwd_weights, bwd_weights,
+                   fwd_carry.copy(), bwd_carry.copy())
     else:
         factors = _scan_factors(a, b, c)
-    if factors is None:
-        return LineFactors(axis, shape, _Pivoted(a, b, c))
     return LineFactors(axis, shape, _BlockedScan(*factors, work=work))
 
 

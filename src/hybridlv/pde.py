@@ -10,14 +10,16 @@ reaction term,
 
 whose diffusion, cross and rate-drift terms are differenced as written, in
 divergence form: each reads its coefficient at the nodes of its stencil,
-so the operator needs sigma at the nodes and no derivative of it. The spot
-drift stays advective (its -r u is folded into the reaction 2 r). The
-two-sweep alternating-direction implicit scheme (a Peaceman-Rachford
-splitting) takes the spot terms implicitly in half-step 1 and the rate
-terms in half-step 2, the reaction implicitly in both; the cross term stays
-explicit in both. Boundary values are held at zero on the truncated box,
-and after every full step the field is rescaled so its trapezoid mass
-matches the zero-coupon identity ``integral of the field = ZC(0, t)``.
+so the operator needs sigma at the nodes and no derivative of it; the rate
+drift's face flux is upwind where it outweighs the diffusion (a face
+Peclet number above 1). The spot drift stays advective (its -r u is folded
+into the reaction 2 r). The two-sweep alternating-direction implicit
+scheme (a Peaceman-Rachford splitting) takes the spot terms implicitly in
+half-step 1 and the rate terms in half-step 2, the reaction implicitly in
+both; the cross term stays explicit in both. Boundary values are held at
+zero on the truncated box, and after every full step the field is rescaled
+so its trapezoid mass matches the zero-coupon identity ``integral of the
+field = ZC(0, t)``.
 
 The explicit half of a step works on the padded layout: an
 (n_s + 2) x (n_r + 2) array, row-major, whose outer ring holds the zero
@@ -353,9 +355,18 @@ class _StepOperator:
     With half = 1/2 diff / h^2 on each axis, the S stencil A1 of node i
     reads -(half_{i-1} + drift_s / (2 ds)), 2 half_i and drift_s / (2 ds) -
     half_{i+1} on nodes i-1, i, i+1, and the r stencil A2 reads
-    -(half + drift_r_{j-1} / (2 dr)), 2 half and drift_r_{j+1} / (2 dr) -
-    half on nodes j-1, j, j+1 (A1 and A2 are minus the spatial operator, a
-    neighbour's coefficient taken at the neighbour).
+    -(half + lo_{j-1}), 2 half + (lo_j - hi_{j-1}) and hi_j - half on nodes
+    j-1, j, j+1 (A1 and A2 are minus the spatial operator, a neighbour's
+    coefficient taken at the neighbour). The rate drift's flux through the
+    face between nodes j and j+1, over dr, is lo_j u_j + hi_j u_{j+1}:
+    centred, drift_r / (2 dr) on both nodes, where |drift_r| dr <= diff_r at
+    the face (compared without dividing, so diff_r = 0 is well defined), and
+    upwind otherwise, drift_r / dr on the node the drift comes from and 0 on
+    the other. Between centred faces lo_j - hi_{j-1} is exactly 0, so A2 is
+    the centred stencil bit for bit. Either way A2's columns sum to zero and
+    its off-diagonals are at most 0 (a > 0), so 2/dt + A2 + reaction is
+    diagonally dominant by columns wherever 2/dt + 2 r > 0, and factors
+    without row swaps.
 
     The second half-step's right-hand side needs no second S stencil. The
     half-step value u* solves (2/dt + A1 + reaction) u* = f1, and the
@@ -443,8 +454,17 @@ class _StepOperator:
         reaction_r = coeffs.reaction[0]
         # drift_r / (2 dr) with a zero past each end of the r line
         adv_r = np.pad(coeffs.drift_r[0] / (2 * dr), 1)
+        # a face is upwind where |drift_r| dr > diff_r there, each side doubled
+        # as the sum of the face's two nodes (the drift affine to the ghosts)
+        drift = np.pad(coeffs.drift_r[0], 1, mode="reflect", reflect_type="odd")
+        diff = np.pad(coeffs.diff_r[0], 1, mode="edge")
+        face = drift[:-1] + drift[1:]
+        upwind = np.abs(face) * dr > diff[:-1] + diff[1:]
+        # the face flux's weights on its lower and upper node, over dr
+        lo = np.where(upwind, np.where(face > 0, 2 * adv_r[:-1], 0.0), adv_r[:-1])
+        hi = np.where(upwind, np.where(face < 0, 2 * adv_r[1:], 0.0), adv_r[1:])
         # A2 on nodes j-1, j, j+1
-        a2_jm, a2_c, a2_jp = -(half_r + adv_r[:-2]), 2 * half_r, adv_r[2:] - half_r
+        a2_jm, a2_c, a2_jp = -(half_r + lo[:-1]), 2 * half_r + (lo[1:] - hi[:-1]), hi[1:] - half_r
         # Implicit sweep along r: (2/dt + A2 + reaction) x = f2.
         over_s = lambda line: np.broadcast_to(line, (grid.n_s, grid.n_r))  # noqa: E731
         self.lu2 = thomas_prefactor(
@@ -640,7 +660,8 @@ def evolve(
                 f"raw mass drift {raw / target - 1.0:+.2%} at t={t_next:.6g}"
             )
         values *= target / raw
-        neg_sum = float(-values[values < 0.0].sum()) * grid.ds * grid.dr
+        # 0.0 - sum, not -sum: a step without negatives reads +0.0, not -0.0
+        neg_sum = float(0.0 - values[values < 0.0].sum()) * grid.ds * grid.dr
         diag.times.append(t_next)
         diag.raw_mass.append(raw)
         diag.target_mass.append(target)

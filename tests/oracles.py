@@ -105,7 +105,10 @@ def slice_step(coeffs, grid, dt, values):
 
     The weights, the operations and their order per node are those of the
     band passes of ``_StepOperator``; only the memory walk differs (numpy
-    runs a strided 2-d slice one row at a time).
+    runs a strided 2-d slice one row at a time). The rate drift is centred
+    on every face, as the step operator takes it on grids where no face
+    Peclet number exceeds 1 (see :func:`flux_operator`): the grids this
+    oracle is given.
     """
     ds, dr = grid.ds, grid.dr
     two_dt = 2.0 / dt
@@ -158,12 +161,32 @@ def flux_operator(coeffs, grid):
     drift) take their coefficient at the stencil node it multiplies, the
     spot drift and the rate diffusion at the centre node. A neighbour on the
     box boundary holds u = 0 and drops out.
+
+    The rate drift is the difference of its fluxes through the two faces of
+    a node's rate cell. A face's flux is centred, the mean of drift_r u on
+    its two nodes, where |drift_r| dr <= diff_r at the face (a face Peclet
+    number of at most 1), and drift_r u on its upwind node otherwise; the
+    face values of drift_r and diff_r are interpolated linearly from the
+    nearest two rate nodes.
     """
     n_s, n_r, ds, dr = grid.n_s, grid.n_r, grid.ds, grid.dr
     diff_s, cross, diff_r, drift_s, drift_r = (
         np.pad(np.asarray(x), 1)
         for x in (coeffs.diff_s, coeffs.cross, coeffs.diff_r, coeffs.drift_s, coeffs.drift_r))
     entries = {name: ([], [], []) for name in ("spot", "rate", "cross")}
+
+    def face_weights(i, j):
+        """The flux's weights on rate nodes j and j + 1 of the face between
+        them, 0 <= j <= n_r (nodes 0 and n_r + 1 lie on the boundary)."""
+        k = min(max(j, 1), n_r - 1)  # the rate nodes k, k + 1 nearest the face
+
+        def at_face(x):
+            return x[i, k] + (j + 0.5 - k) * (x[i, k + 1] - x[i, k])
+
+        drift_face = at_face(drift_r)
+        if abs(drift_face) * dr <= at_face(diff_r):
+            return drift_r[i, j] / 2, drift_r[i, j + 1] / 2
+        return (drift_r[i, j], 0.0) if drift_face > 0 else (0.0, drift_r[i, j + 1])
 
     def put(name, node, i, j, weight):
         """Add ``weight`` times the value at interior node (i, j), 1-based."""
@@ -182,7 +205,10 @@ def flux_operator(coeffs, grid):
                 put("rate", node, i, j + di, (0.5 if di else -1.0) * diff_r[i, j] / dr**2)
                 if di:
                     put("spot", node, i + di, j, -di * drift_s[i, j] / (2 * ds))
-                    put("rate", node, i, j + di, -di * drift_r[i, j + di] / (2 * dr))
+                    # minus the flux through the face towards j + di, over dr
+                    lower = min(j, j + di)
+                    for m, weight in enumerate(face_weights(i, lower)):
+                        put("rate", node, i, lower + m, -di * weight / dr)
                     for dj in (-1, 1):
                         put("cross", node, i + di, j + dj,
                             di * dj * cross[i + di, j + dj] / (4 * ds * dr))
@@ -242,11 +268,12 @@ def paired_call_difference(model_a, model_b, maturity, strikes, cfg):
 
 def step_health(snapshots, rate):
     """Per-step negative_mass_ratio of a march, by its definition, from one
-    snapshot per step: the mass of all negative values over ZC(0, t)."""
+    snapshot per step: the mass of all negative values over ZC(0, t), 0
+    where there are none."""
     ratios = []
     for snap in snapshots:
-        v = snap.values
-        neg_mass = float(-v[v < 0.0].sum()) * snap.grid.ds * snap.grid.dr
+        negatives = snap.values[snap.values < 0.0]
+        neg_mass = (float(-negatives.sum()) if negatives.size else 0.0) * snap.grid.ds * snap.grid.dr
         ratios.append(neg_mass / zc_price(rate, snap.t))
     return ratios
 

@@ -309,7 +309,7 @@ class TestCommands:
         rows = _load_rows(tmp_path / "out" / "corrective_terms.csv")
         assert rows[:, 0].tolist() == [t for t in mats for _ in range(7)]
 
-    @pytest.mark.parametrize("command", ["corrective-terms", "solve-pde"])
+    @pytest.mark.parametrize("command", ["corrective-terms", "solve-pde", "price-pde"])
     def test_fan_commands_hold_one_field_however_many_maturities(self, tmp_path, command):
         # the fast config to T = 0.5 (101 x 99 nodes) with 4 or 16 maturities
         raw = yaml.safe_load(FAST_BSHW.replace("PLACEHOLDER", str(tmp_path / "out")))
@@ -327,10 +327,11 @@ class TestCommands:
         cfg = load_config(path)
         g = cli._build_grid(cfg, cfg.build_model())
         few, many = (peak / (8 * (g.n_s + 2) * (g.n_r + 2)) for peak in peaks)
-        # Measured in full-size arrays: 20.13 and 20.12 for corrective-terms,
-        # 21.38 and 21.50 for solve-pde, whose rows add the node grids; a
-        # command that keeps every field holds 11.4 more at 16. Margin: half
-        # an array.
+        # Measured in full-size arrays: 19.91 and 20.09 for corrective-terms,
+        # 21.38 and 21.48 for solve-pde, whose rows add the node grids, and
+        # 19.31 and 19.12 for price-pde; a command that keeps every field
+        # holds 11.4 more at 16 (price-pde read the march's list: 20.49 and
+        # 31.87). Margin: half an array.
         assert abs(many - few) < 0.5
 
     def test_price_mc_csv(self, fast_config):
@@ -533,12 +534,13 @@ class TestBundledConfigs:
     @staticmethod
     def _first_operator(name, tmp_path, monkeypatch):
         """Run the config's PDE command up to its first step operator; returns
-        the operator."""
+        the operator, with the coefficients and grid it was built from."""
         import hybridlv.pde as pde_mod
 
         class FirstOperator(pde_mod._StepOperator):
             def __init__(self, coeffs, grid, dt):
                 super().__init__(coeffs, grid, dt)
+                self.coeffs, self.grid = coeffs, grid
                 raise _FirstOperator(self)
 
         monkeypatch.setattr(pde_mod, "_StepOperator", FirstOperator)
@@ -553,6 +555,22 @@ class TestBundledConfigs:
         # sweep back to the serial LAPACK solve.
         op = self._first_operator(name, tmp_path, monkeypatch)
         assert isinstance(op.lu1.batch, _BlockedScan) and isinstance(op.lu2.batch, _BlockedScan)
+
+    @pytest.mark.parametrize("name", sorted(_BUNDLED_PDE_COMMANDS))
+    def test_first_operator_keeps_the_rate_drift_centred(self, name, tmp_path, monkeypatch):
+        # Measured: the largest face Peclet number |drift_r| dr / diff_r is
+        # 0.09-0.26, far from 1, where the drift would turn upwind. Below it
+        # the explicit rate weights are the centred ones, bit for bit.
+        op = self._first_operator(name, tmp_path, monkeypatch)
+        co, dr, row = op.coeffs, op.grid.dr, op.grid.n_r + 2
+        r_faces = op.grid.r_min + dr * (np.arange(op.grid.n_r + 1) + 0.5)
+        rate = cli.load_config(CONFIG_DIR / f"{name}.yaml").build_model().rate
+        peclet = np.abs(rate.a * (rate.theta - r_faces)) * dr / rate.sigma2**2
+        assert peclet.max() < 0.3
+        half = co.diff_r[0] * (0.5 / (dr * dr))
+        adv = np.pad(co.drift_r[0] / (2 * dr), 1)
+        for tile, want in ((op.w1_jp, half - adv[2:]), (op.w1_jm, half + adv[:-2])):
+            assert np.array_equal(np.roll(tile[:row], 1)[1:-1], want)
 
     @staticmethod
     def _marches(name, tmp_path, monkeypatch):
@@ -762,6 +780,20 @@ class TestMainEntry:
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["error"] == "InvalidInputError"
         assert "Euler step must be positive and finite" in payload["message"]
+
+    def test_a_line_the_scan_cannot_solve_exits_3(self, fast_config, capsys):
+        # rates near -15 on a step of 0.1: the reaction 2 r outweighs 2 / dt,
+        # and the S lines lose the dominance that keeps their pivots
+        path, _ = fast_config
+        raw = yaml.safe_load(path.read_text())
+        raw["model"]["rate"].update(theta=-15.0, r0=-15.0)
+        raw["grid"].update(dt=0.1, bounds={"s_min": 1e-4, "s_max": 3.0,
+                                           "r_min": -15.2, "r_max": -14.8})
+        path.write_text(yaml.safe_dump(raw))
+        assert cli.main(["price-pde", "--config", str(path)]) == 3
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "SingularSystemError"
+        assert "needs a row swap" in payload["message"]
 
     def test_one_mc_path_exits_3(self, fast_config, capsys):
         # one sample has no standard error; price-mc wrote se = 0
@@ -1175,6 +1207,24 @@ def test_module_import_loads_only_what_it_imports(module, loads):
     assert _modules_after("hybridlv", f"import {module}") == sorted(expected)
 
 
+def test_a_failing_prefactor_loads_no_scipy():
+    # a zero pivot, a row swap and an overflowing scan product each raise,
+    # with no fallback to load
+    code = (
+        "import numpy as np\n"
+        "from hybridlv.errors import SingularSystemError\n"
+        "from hybridlv.linalg import thomas_prefactor\n"
+        "zero, one = np.zeros((20, 2)), np.ones((20, 2))\n"
+        "for a, b, c in [(zero, zero, zero), (3 * one, one, zero), (zero, one, 1e30 * one)]:\n"
+        "    try:\n"
+        "        thomas_prefactor(a, b, c, 0)\n"
+        "    except SingularSystemError:\n"
+        "        continue\n"
+        "    raise AssertionError('factored')"
+    )
+    assert _modules_after("scipy", code) == []
+
+
 def test_pde_commands_load_no_scipy(tmp_path):
     fan = yaml.safe_load(FAST_BSHW.replace("PLACEHOLDER", str(tmp_path / "fan")))
     fan["run"]["maturities"] = [0.5, 1.0]
@@ -1195,8 +1245,9 @@ def test_pde_commands_load_no_scipy(tmp_path):
         "    assert cli.main([command, '--config', config]) == 0, command"
     )
     argv = ["price-pde", tmp_path / "fan.yaml", "corrective-terms", tmp_path / "fan.yaml",
-            "calibrate", tmp_path / "cal.yaml"]
+            "solve-pde", tmp_path / "fan.yaml", "calibrate", tmp_path / "cal.yaml"]
     assert _modules_after("scipy", code, *map(str, argv)) == []
     assert (tmp_path / "fan" / "prices_pde.csv").is_file()
+    assert (tmp_path / "fan" / "mass_diagnostics.csv").is_file()
     assert (tmp_path / "fan" / "corrective_terms.csv").is_file()
     assert (tmp_path / "cal" / "local_vol_surface.csv").is_file()

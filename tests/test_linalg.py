@@ -132,49 +132,41 @@ def test_blocked_scan_matches_dense_oracle_at_block_edges(rng, axis, n):
 
 
 @pytest.mark.parametrize("axis", [0, 1])
-def test_overflowing_scan_products_fall_back_to_gttrs(axis):
+def test_overflowing_scan_products_raise(axis):
     # No row is swapped, but an upper coupling of 1e30 over a unit pivot on
     # every row overflows the scan's in-block products.
     n, m = 20, 3
     a, b, c = np.zeros((n, m)), np.ones((n, m)), np.full((n, m), 1e30)
-    f = np.zeros((n, m))
-    f[0] = 1.0
     if axis == 1:
-        a, b, c, f = a.T, b.T, c.T, f.T
-    lu = thomas_prefactor(a, b, c, axis)
-    assert isinstance(lu.batch, linalg._Pivoted)
-    assert np.array_equal(thomas_apply(lu, f), f)
+        a, b, c = a.T, b.T, c.T
+    with pytest.raises(SingularSystemError, match="product of the blocked scan overflows"):
+        thomas_prefactor(a, b, c, axis)
 
 
 @pytest.mark.parametrize("axis", [0, 1])
-def test_batched_solver_matches_dense_oracle_with_row_swaps(rng, axis):
+def test_a_line_that_needs_a_row_swap_raises(rng, axis):
     n, m = 12, 7
     shape = (n, m) if axis == 0 else (m, n)
     a = rng.uniform(-1, 1, shape)
     c = rng.uniform(-1, 1, shape)
     b = np.abs(a) + np.abs(c) + 1.5
     # Line 4 is far from diagonally dominant: every sub-diagonal entry
-    # outweighs its diagonal, so partial pivoting must swap rows.
+    # outweighs its diagonal, so partial pivoting must swap rows, first on row 1.
     weak = (slice(None), 4) if axis == 0 else (4, slice(None))
     b[weak] = rng.uniform(-0.1, 0.1, n)
     a[weak] = rng.choice([-1.0, 1.0], n) * rng.uniform(2.0, 3.0, n)
-    f = rng.uniform(-3, 3, shape)
-    lu = thomas_prefactor(a, b, c, axis)
-    assert isinstance(lu.batch, linalg._Pivoted)
-    ipiv = lu.batch.lu[4].reshape(m, n)
-    assert np.any(ipiv[4] != np.arange(4 * n + 1, 5 * n + 1))
-    x = thomas_apply(lu, f)
-    for la, lb, lc, lf, lx in zip(*(_lines(v, axis) for v in (a, b, c, f, x))):
-        la, lc = la.copy(), lc.copy()
-        la[0] = lc[-1] = 0.0
-        assert np.allclose(lx, dense_tridiagonal_solve(la, lb, lc, lf), rtol=1e-12, atol=1e-13)
+    lines = (a, b, c) if axis == 0 else (a.T, b.T, c.T)
+    _, _, ipiv = _gttrf_factors(*lines)
+    assert ipiv[0, 4] == 4 * n + 2  # gttrf swaps rows 0 and 1 of line 4 (1-based, batch-wide)
+    with pytest.raises(SingularSystemError, match=r"a line needs a row swap .* at row 1$"):
+        thomas_prefactor(a, b, c, axis)
 
 
 @pytest.mark.parametrize("axis", [0, 1])
 @pytest.mark.parametrize("where", ["first", "later"])
-def test_batch_with_zero_elimination_pivot_is_solved(rng, axis, where):
+def test_batch_with_zero_elimination_pivot_raises(rng, axis, where):
     # These lines are nonsingular but meet a zero pivot under elimination
-    # without row interchanges; the pivoted factorisation solves them.
+    # without row interchanges, which only a row swap would avoid.
     n, m = 6, 5
     a = rng.uniform(-1, 1, (n, m))
     c = rng.uniform(-1, 1, (n, m))
@@ -185,14 +177,11 @@ def test_batch_with_zero_elimination_pivot_is_solved(rng, axis, where):
         # second pivot b[1] - a[1] * c[0] / b[0] vanishes
         b[0, 3], c[0, 3], a[1, 3], b[1, 3] = 1.0, 1.0, 2.0, 2.0
     a[0] = c[-1] = 0.0
-    f = rng.uniform(-3, 3, (n, m))
     if axis == 1:
-        a, b, c, f = a.T, b.T, c.T, f.T
-    lu = thomas_prefactor(a, b, c, axis)
-    assert isinstance(lu.batch, linalg._Pivoted)
-    x = thomas_apply(lu, f)
-    for la, lb, lc, lf, lx in zip(*(_lines(v, axis) for v in (a, b, c, f, x))):
-        assert np.allclose(lx, dense_tridiagonal_solve(la, lb, lc, lf), rtol=1e-12, atol=1e-13)
+        a, b, c = a.T, b.T, c.T
+    row = 0 if where == "first" else 1
+    with pytest.raises(SingularSystemError, match=f"zero or non-finite pivot at row {row}$"):
+        thomas_prefactor(a, b, c, axis)
 
 
 @pytest.mark.parametrize("axis", [0, 1])
@@ -213,7 +202,7 @@ def test_batch_with_one_singular_line_raises(rng, axis, where):
         b[2, 3] = np.inf
     if axis == 1:
         a, b, c = a.T, b.T, c.T
-    with pytest.raises(SingularSystemError):
+    with pytest.raises(SingularSystemError, match="zero or non-finite pivot"):
         thomas_prefactor(a, b, c, axis)
 
 
@@ -225,25 +214,28 @@ def test_right_hand_side_of_another_shape_rejected():
 
 
 @pytest.mark.parametrize("axis", [0, 1])
-@pytest.mark.parametrize("route", ["scan", "gttrs"])
+@pytest.mark.parametrize("route", ["scan", "swap"])
 def test_solve_into_strided_out_matches_allocating_route(rng, axis, route):
     # The right-hand side and the output are interiors of padded arrays, as
-    # the step operator passes them; line 4 of the gttrs batch pivots.
+    # the step operator passes them; line 4 of the swap batch needs row
+    # swaps, so it has no route and raises.
     n, m = 35, 7
     shape = (n, m) if axis == 0 else (m, n)
     a, c = rng.uniform(-1, 1, shape), rng.uniform(-1, 1, shape)
     b = np.abs(a) + np.abs(c) + 1.5
-    if route == "gttrs":
+    if route == "swap":
         weak = (slice(None), 4) if axis == 0 else (4, slice(None))
         b[weak] = rng.uniform(-0.1, 0.1, n)
         a[weak] = rng.choice([-1.0, 1.0], n) * rng.uniform(2.0, 3.0, n)
+        with pytest.raises(SingularSystemError, match="needs a row swap"):
+            thomas_prefactor(a, b, c, axis)
+        return
     lu = thomas_prefactor(a, b, c, axis)
-    assert isinstance(lu.batch, linalg._Pivoted) == (route == "gttrs")
     f_pad = rng.uniform(-3, 3, (shape[0] + 2, shape[1] + 2))
     out_pad = np.full_like(f_pad, 7.0)
     f, out = f_pad[1:-1, 1:-1], out_pad[1:-1, 1:-1]
     want = thomas_apply(lu, f.copy())
-    # a new array comes back in C order on either route, whatever the axis
+    # a new array comes back in C order, whatever the axis
     assert want.flags.c_contiguous
     assert thomas_apply(lu, f, out=out) is out
     assert np.array_equal(out, want)
@@ -299,9 +291,10 @@ def test_numpy_factors_match_gttrf(rng, axis, n):
 
 
 @pytest.mark.parametrize("axis", [0, 1])
-def test_scan_is_taken_exactly_when_gttrf_keeps_every_pivot(rng, axis):
+def test_a_batch_factors_exactly_when_gttrf_keeps_every_pivot(rng, axis):
     # Weakly dominant lines, some of which pivot, and one line whose every
     # sub-diagonal entry ties its pivot (|d_{i-1}| = |a_i|, no swap in gttrf).
+    # A batch that gttrf would pivot raises, naming the swap.
     n, m = 20, 4
     for _ in range(40):
         shape = (n, m) if axis == 0 else (m, n)
@@ -310,9 +303,12 @@ def test_scan_is_taken_exactly_when_gttrf_keeps_every_pivot(rng, axis):
         lines = [x if axis == 0 else x.T for x in (a, b, c)]
         lines[0][:, 0], lines[1][:, 0], lines[2][:, 0] = 1.0, 1.0, 0.0
         _, _, ipiv = _gttrf_factors(*lines)
-        kept = np.array_equal(ipiv.T.ravel(), np.arange(1, n * m + 1))
+        if not np.array_equal(ipiv.T.ravel(), np.arange(1, n * m + 1)):
+            with pytest.raises(SingularSystemError, match="needs a row swap"):
+                thomas_prefactor(a, b, c, axis)
+            continue
         lu = thomas_prefactor(a, b, c, axis)
-        assert isinstance(lu.batch, linalg._BlockedScan) == kept
+        assert isinstance(lu.batch, linalg._BlockedScan)
         f = rng.uniform(-3, 3, shape)
         x = thomas_apply(lu, f)
         for la, lb, lc, lf, lx in zip(*(_lines(v, axis) for v in (a, b, c, f, x))):
@@ -326,9 +322,8 @@ def test_scan_is_taken_exactly_when_gttrf_keeps_every_pivot(rng, axis):
 def test_one_line_broadcast_over_the_batch_factors_as_its_copies(rng, axis, weak):
     # A line the scan solves is factored once: the factors of its row loops
     # are copied out, and its block weights stay read-only views of the one
-    # line, which solve with the same bits; a line that needs row swaps takes
-    # gttrf over the whole batch, as its copies do, and a singular line
-    # raises there, as its copies do.
+    # line, which solve with the same bits; a line that needs row swaps, or
+    # a singular line, raises with the cause its copies raise with.
     n, m = 37, 6
     a, b, c, _ = _random_dominant(rng, n)
     if weak == "singular":
@@ -339,23 +334,21 @@ def test_one_line_broadcast_over_the_batch_factors_as_its_copies(rng, axis, weak
     as_line = (lambda x: x[:, None]) if axis == 0 else (lambda x: x[None, :])
     broadcast = [np.broadcast_to(as_line(x), shape) for x in (a, b, c)]
     copies = [x.copy() for x in broadcast]
-    if weak == "singular":
+    if weak:
+        cause = "zero or non-finite pivot" if weak == "singular" else "needs a row swap"
         for lines in (broadcast, copies):
-            with pytest.raises(SingularSystemError):
+            with pytest.raises(SingularSystemError, match=cause):
                 thomas_prefactor(*lines, axis)
         return
     shared = thomas_prefactor(*broadcast, axis)
     separate = thomas_prefactor(*copies, axis)
-    assert type(shared.batch) is type(separate.batch)
-    assert isinstance(shared.batch, linalg._Pivoted) == weak
-    if not weak:
-        for name in ("lower", "upper", "inv_diag", "fwd_weights", "bwd_weights",
-                     "fwd_carry", "bwd_carry"):
-            got, want = getattr(shared.batch, name), getattr(separate.batch, name)
-            assert np.array_equal(got, want)
-            one_line = name in ("fwd_weights", "bwd_weights")
-            assert got.flags.writeable != one_line
-            assert (got.strides[-1] == 0) == one_line
+    for name in ("lower", "upper", "inv_diag", "fwd_weights", "bwd_weights",
+                 "fwd_carry", "bwd_carry"):
+        got, want = getattr(shared.batch, name), getattr(separate.batch, name)
+        assert np.array_equal(got, want)
+        one_line = name in ("fwd_weights", "bwd_weights")
+        assert got.flags.writeable != one_line
+        assert (got.strides[-1] == 0) == one_line
     f = rng.uniform(-3, 3, shape)
     assert np.array_equal(thomas_apply(shared, f), thomas_apply(separate, f))
 

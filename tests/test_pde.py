@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridlv.analytic import analytic_pz, bshw_call
 from hybridlv.calibration import (
@@ -15,7 +17,7 @@ from hybridlv.calibration import (
 )
 from hybridlv.config import load_config
 from hybridlv.errors import InvalidInputError, PdeBlowUpError
-from hybridlv.linalg import _BlockedScan, _Pivoted
+from hybridlv.linalg import _BlockedScan
 from hybridlv.models import (
     ConstantVol,
     HullWhiteParams,
@@ -273,16 +275,31 @@ class TestAdiStep:
         assert np.max(np.abs(fast.values - _literal_step(field, co, g.dt))) < tol
 
     @pytest.mark.parametrize("sigma2", [0.0, 1e-3])
-    def test_matches_literal_dense_assembly_when_the_rate_sweep_pivots(self, rng, sigma2):
+    def test_matches_literal_dense_assembly_when_the_rate_drift_is_upwind(self, rng, sigma2):
         # A strong reversion far from theta makes the rate drift outweigh the
-        # diffusion on the rate line: its one line needs row swaps, so the
-        # whole r sweep is factored and solved by gttrf.
+        # diffusion on every face of the rate line, so it is upwind there.
+        # Centred, its one line would need row swaps; upwind, it keeps its
+        # pivots, and both sweeps take the blocked scan.
         rate = HullWhiteParams(a=5.0, sigma2=sigma2, theta=0.3, r0=0.02)
         model = HybridModel(s0=1.0, rate=rate, vol=ConstantVol(0.2), rho=0.4)
         g = _unit_grid()
         co = build_coefficients(model, g, 0.0)
         op = _StepOperator(co, g, g.dt)
-        assert isinstance(op.lu1.batch, _BlockedScan) and isinstance(op.lu2.batch, _Pivoted)
+        assert isinstance(op.lu1.batch, _BlockedScan) and isinstance(op.lu2.batch, _BlockedScan)
+        field = Field2D(g, rng.uniform(0.0, 1.0, (g.n_s, g.n_r)))
+        fast = adi_step(field, co, g.dt)
+        assert np.max(np.abs(fast.values - _literal_step(field, co, g.dt))) < 1e-12
+
+    def test_matches_literal_dense_assembly_where_the_rate_drift_turns_upwind(self, rng):
+        # theta mid-box: the faces near it keep the centred flux, those near
+        # the box's ends go upwind, and the rows between take one of each
+        rate = HullWhiteParams(a=5.0, sigma2=0.014, theta=0.02, r0=0.02)
+        model = HybridModel(s0=1.0, rate=rate, vol=ConstantVol(0.2), rho=0.4)
+        g = _unit_grid()
+        co = build_coefficients(model, g, 0.0)
+        r_faces = g.r_min + g.dr * (np.arange(g.n_r + 1) + 0.5)
+        peclet = np.abs(rate.a * (rate.theta - r_faces)) * g.dr / rate.sigma2**2
+        assert peclet.min() < 1.0 < peclet.max()
         field = Field2D(g, rng.uniform(0.0, 1.0, (g.n_s, g.n_r)))
         fast = adi_step(field, co, g.dt)
         assert np.max(np.abs(fast.values - _literal_step(field, co, g.dt))) < 1e-12
@@ -297,6 +314,32 @@ class TestAdiStep:
         assert out.mass() / field.mass() == pytest.approx(
             zc_price(set1_model.rate, g.dt), abs=5e-3
         )
+
+
+class TestOneLineSolver:
+    """Every line of a step operator factors without row swaps."""
+
+    @given(
+        a=st.floats(0.01, 5.0),
+        sigma2=st.one_of(st.just(0.0), st.floats(1e-4, 0.05)),
+        theta=st.floats(-0.05, 0.3),
+        r0=st.floats(-0.05, 0.15),
+        sigma1=st.floats(0.05, 0.4),
+        ds=st.floats(0.02, 0.05),
+        dr=st.floats(1e-3, 0.01),
+        dt=st.floats(0.002, 0.1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_both_sweeps_take_the_blocked_scan(self, a, sigma2, theta, r0, sigma1, ds, dr, dt):
+        # The domain: a Hull-White rate with a in [0.01, 5], sigma2 in
+        # {0} or [1e-4, 0.05], theta in [-0.05, 0.3] and r0 in [-0.05, 0.15];
+        # a constant spot vol in [0.05, 0.4]; the auto-sized box of T = 0.5
+        # at ds in [0.02, 0.05], dr in [1e-3, 0.01] and dt in [0.002, 0.1].
+        rate = HullWhiteParams(a=a, sigma2=sigma2, theta=theta, r0=r0)
+        model = HybridModel(s0=1.0, rate=rate, vol=ConstantVol(sigma1), rho=0.4)
+        g = auto_grid(model, 0.5, ds=ds, dr=dr, dt=dt)
+        op = _StepOperator(build_coefficients(model, g, 0.0), g, g.dt)
+        assert isinstance(op.lu1.batch, _BlockedScan) and isinstance(op.lu2.batch, _BlockedScan)
 
 
 class TestBandStep:
@@ -486,15 +529,15 @@ class TestMemory:
 
 
 class TestEvolve:
-    def test_march_completes_when_the_rate_sweep_pivots(self):
-        # deterministic rates far from theta on a coarse step: the rate line
-        # needs row swaps, so every step solves its r sweep by gttrs
+    def test_march_completes_when_the_rate_drift_is_upwind(self):
+        # deterministic rates far from theta on a coarse step: centred, the
+        # rate line would need row swaps; upwind, both sweeps take the scan
         rate = HullWhiteParams(a=0.5, sigma2=0.0, theta=0.06, r0=0.0)
         model = HybridModel(s0=1.0, rate=rate, vol=ConstantVol(0.2), rho=0.4)
         g = auto_grid(model, 1.0, ds=0.02, dr=5e-4, dt=0.1)
         assert (g.n_s, g.n_r) == (137, 70)
         op = _StepOperator(build_coefficients(model, g, 0.0), g, g.dt)
-        assert isinstance(op.lu2.batch, _Pivoted)
+        assert isinstance(op.lu1.batch, _BlockedScan) and isinstance(op.lu2.batch, _BlockedScan)
         last = evolve(model, g).snapshots[-1]
         assert last.t == 1.0 and np.all(np.isfinite(last.values))
         assert last.mass() == pytest.approx(zc_price(rate, 1.0), rel=1e-12)
@@ -524,27 +567,71 @@ class TestEvolve:
         res = evolve(set1_model, g)
         assert max(res.diagnostics.negative_mass_ratio) < 1e-3
 
-    @pytest.mark.parametrize("case", ["round-off", "lobe"])
+    @pytest.mark.parametrize("case", ["round-off", "lobe", "none"])
     def test_step_health_matches_its_definition(self, set1_model, case):
         # evolve sums the negatives of the field it holds after each step;
         # the oracle sums them over each step's snapshot
+        model = replace(set1_model, rho=0.0) if case == "none" else set1_model
         if case == "round-off":
             # the bshw_rho_pos grid: round-off negatives only
-            g = auto_grid(set1_model, 0.25, ds=0.0156, dr=0.0026, dt=0.0099)
-            start = short_time_start(set1_model, g)
+            g = auto_grid(model, 0.25, ds=0.0156, dr=0.0026, dt=0.0099)
+            start = short_time_start(model, g)
+        elif case == "none":
+            # without the cross term no step leaves a negative value
+            g = auto_grid(model, 0.25, ds=0.02, dr=0.003, dt=0.01)
+            start = short_time_start(model, g)
         else:
-            g = auto_grid(set1_model, 0.04, ds=0.02, dr=0.003, dt=0.01)
+            g = auto_grid(model, 0.04, ds=0.02, dr=0.003, dt=0.01)
             s = g.s_nodes[:, None]
             r = g.r_nodes[None, :]
             bump = np.exp(-((s - 0.95) ** 2 + (r - 0.02) ** 2) / 0.002)
             lobe = np.exp(-((s - 1.12) ** 2 + (r - 0.02) ** 2) / 0.001)
             start = Field2D(g, bump - 0.3 * lobe, t=0.0)
         steps = [t for t in g.t_nodes if t > start.t]
-        res = evolve(set1_model, g, snapshot_times=steps, start=start)
-        ratios = step_health(res.snapshots, set1_model.rate)
+        res = evolve(model, g, snapshot_times=steps, start=start)
+        ratios = step_health(res.snapshots, model.rate)
         assert len(ratios) == len(res.diagnostics.times) == len(steps)
-        assert res.diagnostics.negative_mass_ratio == ratios
-        assert min(ratios) > 0.0  # every step leaves negatives
+        # bit for bit, so a step without negatives reads +0.0, not -0.0
+        assert np.array(res.diagnostics.negative_mass_ratio).tobytes() == np.array(ratios).tobytes()
+        if case == "none":
+            assert max(ratios) == 0.0
+        else:
+            assert min(ratios) > 0.0  # every step leaves negatives
+
+    @pytest.mark.parametrize("sigma2, gate", [
+        # Measured 5.8e-9 and 1.2e-7 (0.18 and 3.4e-2 with the rate drift
+        # centred on every face). Margin: about twice the measured value.
+        (0.002, 1e-8),
+        (0.005, 2.5e-7),
+    ])
+    def test_a_small_rate_vol_leaves_no_negative_mass(self, sigma2, gate):
+        # theta far from r0 on the bshw_rho_pos spacings (175 x 32 nodes):
+        # the faces far from theta are upwind
+        rate = HullWhiteParams(a=0.5, sigma2=sigma2, theta=0.06, r0=0.0)
+        model = HybridModel(s0=1.0, rate=rate, vol=ConstantVol(0.2), rho=0.4)
+        g = auto_grid(model, 1.0, ds=0.0156, dr=0.0026, dt=0.0099)
+        assert (g.n_s, g.n_r) == (175, 32)
+        res = evolve(model, g)
+        assert max(res.diagnostics.negative_mass_ratio) < gate
+        assert not res.diagnostics.warnings
+        # Measured 3.2e-5 and 3.0e-5 (3.2e-5 and 2.6e-5 centred).
+        strikes = np.round(np.arange(0.5, 1.5001, 0.05), 10)
+        prices = price_calls_from_pz(res.snapshots[-1], strikes)
+        closed = np.array([bshw_call(model, 1.0, k).price for k in strikes])
+        assert np.max(np.abs(prices - closed)) < 5e-4
+
+    def test_deterministic_rates_leave_no_negative_mass(self):
+        # sigma2 = 0: every face but one at theta is upwind. Centred, the
+        # march read 0.86-1.07; at dt = 0.1 it still reads 0.20, from the
+        # explicit half-step, whose upwind weight |a (theta - r)| / dr
+        # outweighs 2 / dt there.
+        rate = HullWhiteParams(a=0.5, sigma2=0.0, theta=0.06, r0=0.0)
+        model = HybridModel(s0=1.0, rate=rate, vol=ConstantVol(0.2), rho=0.4)
+        g = auto_grid(model, 1.0, ds=0.02, dr=5e-4, dt=0.01)
+        assert (g.n_s, g.n_r) == (137, 70)
+        ratios = evolve(model, g).diagnostics.negative_mass_ratio
+        assert len(ratios) == 96 and all(math.copysign(1.0, x) == 1.0 for x in ratios)
+        assert max(ratios) == 0.0
 
     def test_resume_from_another_box_rejected(self, set1_model):
         g = auto_grid(set1_model, 1.0, ds=0.02, dr=0.003, dt=0.01)
