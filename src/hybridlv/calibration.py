@@ -22,6 +22,7 @@ single Dupire value (:func:`dupire_vol`) is read at a lattice node only.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field as dataclass_field, replace
 from typing import Callable, Sequence
 
@@ -273,6 +274,9 @@ class CalibrationSettings:
     use_corrective: bool = True
 
     def __post_init__(self):
+        value = self.slice_iterations
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise InvalidInputError(f"slice_iterations must be an integer, got {value!r}")
         if self.slice_iterations < 1 or self.slice_iterations > 5:
             raise InvalidInputError("slice_iterations must be in 1..5")
 

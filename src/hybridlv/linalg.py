@@ -14,13 +14,13 @@ and upper factors, the inverse pivots and the block carries); the block
 weights, which a solve reads only through ``einsum``, stay that one line,
 broadcast over the batch.
 
-A factored batch is one object with one ``solve(f, out)``, every line a
-column of ``f`` and ``out``: a line is solved by two first-order
-recurrences. Run down one line, each is a serial chain of n dependent
-steps, as in LAPACK ``gttrs``; here each runs as a two-level blocked scan
-over fixed blocks of rows, and every step works on all blocks of all lines
-at once (H. H. Wang, *A Parallel Method for Tridiagonal Equations*, ACM
-TOMS 7(2), 1981).
+A factored batch is one :class:`LineFactors`, whose ``solve(f, out)``
+takes the right-hand side and the solution as the caller lays the batch
+out. A line is solved by two first-order recurrences. Run down one line,
+each is a serial chain of n dependent steps, as in LAPACK ``gttrs``; here
+each runs as a two-level blocked scan over fixed blocks of rows, and every
+step works on all blocks of all lines at once (H. H. Wang, *A Parallel
+Method for Tridiagonal Equations*, ACM TOMS 7(2), 1981).
 
 The recurrences have no room for a row interchange. A batch is factored
 only if every line keeps its pivots, every pivot is finite and non-zero,
@@ -32,8 +32,6 @@ operator of :mod:`hybridlv.pde` forms its lines so.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,88 +66,6 @@ def _gather(blocked: np.ndarray, rows: np.ndarray) -> None:
         rows[full * k:] = by_block[full, :rem]
 
 
-class _BlockedScan:
-    """Unpivoted LU factors of a batch of lines, solved by blocked scans.
-
-    With the unit lower factor ``l`` and the upper factor scaled to a unit
-    diagonal (``e = du / d``), a line is solved by the recurrences
-    y_i = f_i - l_i y_{i-1}, z = y / d and x_i = z_i - e_i x_{i+1}. Each
-    recurrence runs in two levels over blocks of ``_BLOCK`` rows:
-
-    1. each block's last value, as if zero came in, is one weighted sum of
-       the block's right-hand side (``fwd_weights``, ``bwd_weights``);
-    2. a short loop over the blocks carries the true incoming values, with
-       the products over a whole block (``fwd_carry``, ``bwd_carry``);
-    3. the recurrence steps through the rows of all blocks and all lines at
-       once, from the incoming values.
-
-    Every array is stored as (k, nb, W), row q*k + p of each of the W lines
-    at [p, q], so each step of 3. is one contiguous slab. The solve runs in
-    buffers kept here, so one object serves one solve at a time.
-    """
-
-    def __init__(self, lower, upper, inv_diag, fwd_weights, bwd_weights, fwd_carry, bwd_carry,
-                 work=None):
-        """A solver on the factors :func:`_scan_factors` lays out. Its work
-        array is the head of the flat buffer ``work`` when given (whose other
-        contents a solve overwrites), and an array of its own otherwise."""
-        self.lower, self.upper, self.inv_diag = lower, upper, inv_diag
-        self.fwd_weights, self.bwd_weights = fwd_weights, bwd_weights
-        self.fwd_carry, self.bwd_carry = fwd_carry, bwd_carry
-        nb, width = inv_diag.shape[1:]
-        if work is None:
-            self.work = np.empty_like(lower)
-        else:
-            self.work = work[:lower.size].reshape(lower.shape)
-        self._incoming = np.empty((nb, width))
-        self._ends = np.empty((nb, width))
-        self._slab = np.empty((nb, width))
-        # Per-row and per-block views for the loops of ``solve``, built once.
-        x, inc, ends = tuple(self.work), tuple(self._incoming), tuple(self._ends)
-        l, e = tuple(self.lower), tuple(self.upper)
-        self._fwd_blocks = tuple(zip(self.fwd_carry[:-1], inc[:-1], inc[1:], ends[:-1]))
-        self._bwd_blocks = tuple(zip(self.bwd_carry[:0:-1], inc[:0:-1], inc[-2::-1], ends[:0:-1]))
-        self._fwd_rows = tuple(zip(l[1:], x[:-1], x[1:]))
-        self._bwd_rows = tuple(zip(e[-2::-1], x[:0:-1], x[-2::-1]))
-
-    def solve(self, f: np.ndarray, out: np.ndarray) -> None:
-        """Solve for ``f`` into ``out``, both (n, W) with a line per column."""
-        x, inc, ends, slab = self.work, self._incoming, self._ends, self._slab
-        _scatter(f, x)
-        np.einsum("pqw,pqw->qw", self.fwd_weights, x, out=ends)
-        inc[0] = 0.0
-        for carry, prev, cur, end in self._fwd_blocks:
-            np.multiply(carry, prev, out=cur)
-            cur += end
-        x[0] -= np.multiply(self.lower[0], inc, out=slab)
-        for lp, prev, cur in self._fwd_rows:
-            cur -= np.multiply(lp, prev, out=slab)
-        x *= self.inv_diag
-        np.einsum("pqw,pqw->qw", self.bwd_weights, x, out=ends)
-        inc[-1] = 0.0
-        for carry, nxt, cur, end in self._bwd_blocks:
-            np.multiply(carry, nxt, out=cur)
-            cur += end
-        x[-1] -= np.multiply(self.upper[-1], inc, out=slab)
-        for ep, nxt, cur in self._bwd_rows:
-            cur -= np.multiply(ep, nxt, out=slab)
-        _gather(x, out)
-
-
-@dataclass(frozen=True)
-class LineFactors:
-    """Factors of a batch of tridiagonal lines.
-
-    ``batch`` solves every line at once, each line a column of its
-    right-hand side. ``axis`` and ``shape`` say how a right-hand side of the
-    caller lays its lines out.
-    """
-
-    axis: int
-    shape: tuple
-    batch: _BlockedScan
-
-
 def _eliminate(a: np.ndarray, b: np.ndarray, c: np.ndarray):
     """Eliminate without row interchanges; each line is a column of the
     (n, W) arrays ``a``, ``b``, ``c``.
@@ -180,49 +96,127 @@ def _pivot_failure(lower: np.ndarray, diag: np.ndarray) -> SingularSystemError:
     return SingularSystemError(f"a line {cause} at row {int(bad.any(axis=1).argmax())}")
 
 
-def _scan_factors(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple:
-    """The blocked-scan factors of the lines that are each a column of the
-    (n, W) arrays ``a``, ``b``, ``c``, in the argument order of
-    :class:`_BlockedScan`: each (k, nb, W) but the carries (nb, W).
+class LineFactors:
+    """Unpivoted LU factors of a batch of tridiagonal lines, solved by blocked scans.
 
-    Raises :class:`SingularSystemError` where the scan cannot solve some
-    line: a pivot is zero or not finite, ``gttrf`` would swap rows, or a
-    product of the scan overflows. Every factor of a line is computed from
-    that line alone.
+    ``axis`` and ``shape`` say how the caller lays the batch out; the
+    factors hold each of the W lines as a column. With the unit lower
+    factor ``l`` and the upper factor scaled to a unit diagonal
+    (``e = du / d``), a line is solved by the recurrences
+    y_i = f_i - l_i y_{i-1}, z = y / d and x_i = z_i - e_i x_{i+1}. Each
+    recurrence runs in two levels over blocks of ``_BLOCK`` rows:
+
+    1. each block's last value, as if zero came in, is one weighted sum of
+       the block's right-hand side (``fwd_weights``, ``bwd_weights``);
+    2. a short loop over the blocks carries the true incoming values, with
+       the products over a whole block (``fwd_carry``, ``bwd_carry``);
+    3. the recurrence steps through the rows of all blocks and all lines at
+       once, from the incoming values.
+
+    Every factor is stored as (k, nb, W), row q*k + p of each line at
+    [p, q], but the carries, (nb, W); so each step of 3. is one contiguous
+    slab. The solve runs in buffers kept here, so one object serves one
+    solve at a time. :func:`thomas_prefactor` builds it.
     """
-    lower, diag = _eliminate(a, b, c)
-    # Correctly rounded division keeps |l_i| = |a_i / d_{i-1}| <= 1 exactly
-    # when |d_{i-1}| >= |a_i|, gttrf's test for keeping row i - 1 as pivot
-    # row; a zero or NaN pivot leaves l_i infinite or NaN, which fails it too.
-    if not (np.abs(lower).max() <= 1.0 and np.isfinite(diag).all() and diag.all()):
-        raise _pivot_failure(lower, diag)
-    n, width = diag.shape
-    k, nb = _BLOCK, -(-n // _BLOCK)
-    blocked_lower, upper, inv_diag = (np.empty((k, nb, width)) for _ in range(3))
-    _scatter(lower, blocked_lower)
-    _scatter(c, upper)
-    _scatter(diag, inv_diag)
-    # The last row's coupling is ignored; a padding row past n solves to 0.
-    upper[(n - 1) % k, (n - 1) // k] = 0.0
-    inv_diag[n - (nb - 1) * k:, nb - 1] = 1.0
-    # fwd_weights[p] = prod_{m>p} (-l_m), bwd_weights[p] = prod_{m<p} (-e_m).
-    fwd_weights = np.empty_like(blocked_lower)
-    bwd_weights = np.empty_like(upper)
-    fwd_weights[-1] = 1.0
-    bwd_weights[0] = 1.0
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        upper /= inv_diag
-        np.divide(1.0, inv_diag, out=inv_diag)
-        for p in range(k - 1, 0, -1):
-            np.multiply(fwd_weights[p], -blocked_lower[p], out=fwd_weights[p - 1])
-        for p in range(1, k):
-            np.multiply(bwd_weights[p - 1], -upper[p - 1], out=bwd_weights[p])
-        fwd_carry = fwd_weights[0] * -blocked_lower[0]
-        bwd_carry = bwd_weights[-1] * -upper[-1]
-    if not (np.isfinite(fwd_weights).all() and np.isfinite(bwd_weights).all()):
-        raise SingularSystemError(
-            "a product of the blocked scan overflows: an upper coupling lies far above its pivot")
-    return blocked_lower, upper, inv_diag, fwd_weights, bwd_weights, fwd_carry, bwd_carry
+
+    def __init__(self, a: np.ndarray, b: np.ndarray, c: np.ndarray, axis: int,
+                 work: np.ndarray | None = None):
+        """Factor the lines of ``a``, ``b``, ``c`` that run along ``axis``, as
+        :func:`thomas_prefactor` says. The work array is the head of the flat
+        buffer ``work`` when given, and an array of its own otherwise."""
+        self.axis, self.shape = axis, b.shape
+        if axis == 1:
+            a, b, c = a.T, b.T, c.T
+        width = b.shape[1]
+        # one line broadcast over the batch is factored once
+        one_line = a.strides[1] == b.strides[1] == c.strides[1] == 0
+        if one_line:
+            a, b, c = a[:, :1], b[:, :1], c[:, :1]
+        rows_l, rows_d = _eliminate(a, b, c)
+        # Correctly rounded division keeps |l_i| = |a_i / d_{i-1}| <= 1 exactly
+        # when |d_{i-1}| >= |a_i|, gttrf's test for keeping row i - 1 as pivot
+        # row; a zero or NaN pivot leaves l_i infinite or NaN, which fails it too.
+        if not (np.abs(rows_l).max() <= 1.0 and np.isfinite(rows_d).all() and rows_d.all()):
+            raise _pivot_failure(rows_l, rows_d)
+        n, w = rows_d.shape
+        k, nb = _BLOCK, -(-n // _BLOCK)
+        lower, upper, inv_diag = (np.empty((k, nb, w)) for _ in range(3))
+        _scatter(rows_l, lower)
+        _scatter(c, upper)
+        _scatter(rows_d, inv_diag)
+        # The last row's coupling is ignored; a padding row past n solves to 0.
+        upper[(n - 1) % k, (n - 1) // k] = 0.0
+        inv_diag[n - (nb - 1) * k:, nb - 1] = 1.0
+        # fwd_weights[p] = prod_{m>p} (-l_m), bwd_weights[p] = prod_{m<p} (-e_m).
+        fwd_weights = np.empty_like(lower)
+        bwd_weights = np.empty_like(upper)
+        fwd_weights[-1] = 1.0
+        bwd_weights[0] = 1.0
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            upper /= inv_diag
+            np.divide(1.0, inv_diag, out=inv_diag)
+            for p in range(k - 1, 0, -1):
+                np.multiply(fwd_weights[p], -lower[p], out=fwd_weights[p - 1])
+            for p in range(1, k):
+                np.multiply(bwd_weights[p - 1], -upper[p - 1], out=bwd_weights[p])
+            fwd_carry = fwd_weights[0] * -lower[0]
+            bwd_carry = bwd_weights[-1] * -upper[-1]
+        if not (np.isfinite(fwd_weights).all() and np.isfinite(bwd_weights).all()):
+            raise SingularSystemError(
+                "a product of the blocked scan overflows: an upper coupling lies far above its pivot")
+        del rows_l, rows_d
+
+        def spread(x, copy=True):
+            """``x``, or for one line, ``x`` over the batch: copied out, or a
+            read-only view, which ``einsum`` reads as fast."""
+            if not one_line:
+                return x
+            x = np.broadcast_to(x, x.shape[:-1] + (width,))
+            return x.copy() if copy else x
+
+        self.lower, self.upper, self.inv_diag = spread(lower), spread(upper), spread(inv_diag)
+        self.fwd_weights = spread(fwd_weights, copy=False)
+        self.bwd_weights = spread(bwd_weights, copy=False)
+        self.fwd_carry, self.bwd_carry = spread(fwd_carry), spread(bwd_carry)
+        if work is None:
+            self.work = np.empty_like(self.lower)
+        else:
+            self.work = work[:self.lower.size].reshape(self.lower.shape)
+        self._incoming = np.empty((nb, width))
+        self._ends = np.empty((nb, width))
+        self._slab = np.empty((nb, width))
+        # Per-row and per-block views for the loops of ``solve``, built once.
+        x, inc, ends = tuple(self.work), tuple(self._incoming), tuple(self._ends)
+        l, e = tuple(self.lower), tuple(self.upper)
+        self._fwd_blocks = tuple(zip(self.fwd_carry[:-1], inc[:-1], inc[1:], ends[:-1]))
+        self._bwd_blocks = tuple(zip(self.bwd_carry[:0:-1], inc[:0:-1], inc[-2::-1], ends[:0:-1]))
+        self._fwd_rows = tuple(zip(l[1:], x[:-1], x[1:]))
+        self._bwd_rows = tuple(zip(e[-2::-1], x[:0:-1], x[-2::-1]))
+
+    def solve(self, f: np.ndarray, out: np.ndarray) -> None:
+        """Solve for ``f`` into ``out``, both of the batch's ``shape``."""
+        if self.axis == 1:
+            f, out = f.T, out.T
+        x, inc, ends, slab = self.work, self._incoming, self._ends, self._slab
+        _scatter(f, x)
+        np.einsum("pqw,pqw->qw", self.fwd_weights, x, out=ends)
+        inc[0] = 0.0
+        for carry, prev, cur, end in self._fwd_blocks:
+            np.multiply(carry, prev, out=cur)
+            cur += end
+        x[0] -= np.multiply(self.lower[0], inc, out=slab)
+        for lp, prev, cur in self._fwd_rows:
+            cur -= np.multiply(lp, prev, out=slab)
+        x *= self.inv_diag
+        np.einsum("pqw,pqw->qw", self.bwd_weights, x, out=ends)
+        inc[-1] = 0.0
+        for carry, nxt, cur, end in self._bwd_blocks:
+            np.multiply(carry, nxt, out=cur)
+            cur += end
+        x[-1] -= np.multiply(self.upper[-1], inc, out=slab)
+        for ep, nxt, cur in self._bwd_rows:
+            cur -= np.multiply(ep, nxt, out=slab)
+        _gather(x, out)
 
 
 def scan_work_size(shape: tuple, axis: int) -> int:
@@ -236,13 +230,15 @@ def thomas_prefactor(
 ) -> LineFactors:
     """Factor a batch of systems a_i x_{i-1} + b_i x_i + c_i x_{i+1} = f_i.
 
-    ``a``, ``b``, ``c`` are 2-d arrays of equal shape; each line of the
-    batch runs along ``axis`` (``a`` at its first node and ``c`` at its last
-    are ignored). The factors are reusable for any number of right-hand
-    sides with the same matrix. Raises :class:`SingularSystemError`, naming
-    the cause, if some line meets a zero or non-finite pivot, needs a row
-    swap (``gttrf`` would swap rows), or overflows a product of the scan (an
-    upper coupling far above its pivot).
+    ``a``, ``b``, ``c`` are 2-d arrays of one shape; each line of the batch
+    runs along ``axis``, 0 or 1 (``a`` at its first node and ``c`` at its
+    last are ignored). The factors are reusable for any number of
+    right-hand sides with the same matrix. Raises
+    :class:`InvalidInputError` for another axis or other arrays, and
+    :class:`SingularSystemError`, naming the cause, if some line meets a
+    zero or non-finite pivot, needs a row swap (``gttrf`` would swap rows),
+    or overflows a product of the scan (an upper coupling far above its
+    pivot).
 
     A batch given as one line broadcast over every line (``a``, ``b`` and
     ``c`` each of stride zero across the lines) is factored as that one
@@ -258,23 +254,17 @@ def thomas_prefactor(
     batches one at a time can lend them all one buffer, whose contents every
     solve overwrites. By default the scan allocates its own.
     """
-    shape = b.shape
-    if work is not None and (work.ndim != 1 or work.size < scan_work_size(shape, axis)):
+    if axis not in (0, 1):
+        raise InvalidInputError(f"axis must be 0 or 1, got {axis!r}")
+    if not all(isinstance(x, np.ndarray) and x.ndim == 2 and x.shape == np.shape(b)
+               for x in (a, b, c)):
         raise InvalidInputError(
-            f"work buffer of shape {work.shape} is not flat with at least "
-            f"{scan_work_size(shape, axis)} entries")
-    if axis == 1:
-        a, b, c = a.T, b.T, c.T
-    if a.strides[1] == b.strides[1] == c.strides[1] == 0:
-        width = b.shape[1]
-        lower, upper, inv_diag, fwd_weights, bwd_weights, fwd_carry, bwd_carry = (
-            np.broadcast_to(x, x.shape[:-1] + (width,))
-            for x in _scan_factors(a[:, :1], b[:, :1], c[:, :1]))
-        factors = (lower.copy(), upper.copy(), inv_diag.copy(), fwd_weights, bwd_weights,
-                   fwd_carry.copy(), bwd_carry.copy())
-    else:
-        factors = _scan_factors(a, b, c)
-    return LineFactors(axis, shape, _BlockedScan(*factors, work=work))
+            f"a, b, c must be 2-d arrays of one shape, got shapes {[np.shape(x) for x in (a, b, c)]}")
+    size = scan_work_size(b.shape, axis)
+    if work is not None and (work.ndim != 1 or work.size < size):
+        raise InvalidInputError(
+            f"work buffer of shape {work.shape} is not flat with at least {size} entries")
+    return LineFactors(a, b, c, axis, work)
 
 
 def thomas_apply(lu: LineFactors, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -290,6 +280,5 @@ def thomas_apply(lu: LineFactors, f: np.ndarray, out: np.ndarray | None = None) 
         raise InvalidInputError(f"output shape {out.shape} does not match {lu.shape}")
     if out is None:
         out = np.empty(lu.shape)
-    # the factors hold each line as a column
-    lu.batch.solve(*((f, out) if lu.axis == 0 else (f.T, out.T)))
+    lu.solve(f, out)
     return out

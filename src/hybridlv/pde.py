@@ -48,6 +48,7 @@ which the march hands over as its snapshot at the horizon.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field as dataclass_field, replace
 from typing import Callable, Sequence
 
@@ -99,6 +100,11 @@ class Grid2D:
             raise InvalidInputError("need 0 < s_min < s_max")
         if not self.r_max > self.r_min:
             raise InvalidInputError("need r_min < r_max")
+        counts = (("n_s", self.n_s), ("n_r", self.n_r),
+                  *((f"steps[{i}]", n) for i, n in enumerate(self.steps)))
+        for name, n in counts:
+            if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+                raise InvalidInputError(f"{name} must be an integer, got {n!r}")
         if self.n_s < 8 or self.n_r < 8:
             raise InvalidInputError("need at least 8 interior nodes per direction")
         lattice_axis(self.maturities, "maturities")

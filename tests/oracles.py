@@ -12,8 +12,10 @@ term. Expected values in the tests are frozen from these oracles.
 operator once, for tests that check a single step. :func:`slice_step`
 shares the production line solves and checks only the explicit stencils.
 :class:`RebuiltEveryStep` shares the production surface and drops only its
-operator caching. :func:`rate_marginal` is a closed form of its own, checked
-against ``analytic_pz`` integrated over the spot.
+operator caching. :func:`mcs_march` is another scheme, the modified
+Craig-Sneyd step, on :func:`flux_operator`'s terms with sparse LU solves.
+:func:`rate_marginal` is a closed form of its own, checked against
+``analytic_pz`` integrated over the spot.
 """
 
 import math
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.integrate import quad, solve_ivp
+from scipy.sparse.linalg import splu
 from scipy.special import ndtri
 
 from hybridlv import montecarlo
@@ -29,7 +32,7 @@ from hybridlv.analytic import bshw_call
 from hybridlv.errors import InvalidInputError, SingularSystemError
 from hybridlv.linalg import thomas_apply, thomas_prefactor
 from hybridlv.models import SurfaceVol, _rate_mean_var, zc_price
-from hybridlv.pde import Field2D, _StepOperator
+from hybridlv.pde import Field2D, _StepOperator, build_coefficients
 
 _PIVOT_FLOOR = 1e-300
 
@@ -218,6 +221,51 @@ def flux_operator(coeffs, grid):
         for rows, cols, vals in entries.values())
     reaction = sparse.diags(np.broadcast_to(coeffs.reaction, (n_s, n_r)).ravel(), format="csr")
     return spot, rate, mixed, reaction
+
+
+def mcs_march(model, grid, start, theta=1.0 / 3.0):
+    """March ``start`` to the horizon of the one-maturity ``grid`` by the
+    modified Craig-Sneyd step (In 't Hout & Welfert 2009), on the terms of
+    :func:`flux_operator` at the start's time: a time-independent vol only.
+
+    With A0 the cross term, A1 the spot term and A2 the rate term, each of
+    the latter two less half the reaction, and F = A0 + A1 + A2, a step of
+    dt from u reads
+
+        Y0 = u + dt F u,
+        (I - theta dt A_j) Y_j = Y_{j-1} - theta dt A_j u,  j = 1, 2,
+        Z0 = Y0 + theta dt A0 (Y2 - u) + (1/2 - theta) dt F (Y2 - u),
+        (I - theta dt A_j) Z_j = Z_{j-1} - theta dt A_j u,  j = 1, 2,
+
+    and the new u is Z2, rescaled onto ZC(0, t) as :func:`hybridlv.pde.evolve`
+    rescales. Each (I - theta dt A_j) is factored once, by ``splu``.
+    """
+    if len(grid.maturities) != 1 or model.vol.next_change(start.t) < grid.t_end:
+        raise InvalidInputError("the oracle takes one maturity and a time-independent vol")
+    dt = grid.maturities[0] / grid.steps[0]
+    spot, rate, cross, reaction = flux_operator(build_coefficients(model, grid, start.t), grid)
+    a1, a2 = spot - 0.5 * reaction, rate - 0.5 * reaction
+    full = cross + a1 + a2
+    eye = sparse.identity(full.shape[0], format="csc")
+    solves = [splu((eye - theta * dt * a).tocsc()).solve for a in (a1, a2)]
+
+    def sweeps(y, pulls):
+        """Y2 from Y0, or Z2 from Z0: the two implicit stages."""
+        for solve, pull in zip(solves, pulls):
+            y = solve(y - pull)
+        return y
+
+    times = grid.t_nodes
+    u, t = start.values.ravel(), start.t
+    for t_next in times[int(np.argmin(np.abs(times - t))) + 1:]:
+        pulls = [theta * dt * (a @ u) for a in (a1, a2)]
+        y0 = u + dt * (full @ u)
+        change = sweeps(y0, pulls) - u
+        z0 = y0 + theta * dt * (cross @ change) + (0.5 - theta) * dt * (full @ change)
+        u = sweeps(z0, pulls)
+        u *= zc_price(model.rate, t_next) / (grid.ds * grid.dr * u.sum())
+        t = t_next
+    return Field2D(grid, u.reshape(grid.n_s, grid.n_r), t=t)
 
 
 def rate_marginal(rate, maturity, r):

@@ -458,6 +458,13 @@ class TestSurfaceVol:
 
 
 class TestCalibrate:
+    @pytest.mark.parametrize("count", [2.5, 2.0, True, "2"])
+    def test_slice_iterations_must_be_an_integer(self, count):
+        # 2.5 would pass the 1..5 check and run 3 slice iterations
+        with pytest.raises(InvalidInputError, match="slice_iterations must be an integer"):
+            CalibrationSettings(slice_iterations=count)
+        assert CalibrationSettings(slice_iterations=np.int64(2)).slice_iterations == 2
+
     def test_degenerate_single_node_recovers_flat_vol(self):
         rate = HullWhiteParams(a=0.5, sigma2=0.0, theta=0.02, r0=0.02)
         m = HybridModel(s0=1.0, rate=rate, vol=ConstantVol(0.2), rho=0.0)

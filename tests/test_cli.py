@@ -14,7 +14,6 @@ import yaml
 from hybridlv import cli
 from hybridlv.config import MAX_STRIKES, load_config, resolve_config
 from hybridlv.errors import ConfigError
-from hybridlv.linalg import _BlockedScan
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -548,13 +547,6 @@ class TestBundledConfigs:
         with pytest.raises(_FirstOperator) as stop:
             cli.run(_BUNDLED_PDE_COMMANDS[name], config_path=str(config), out_dir=str(tmp_path))
         return stop.value.args[0]
-
-    @pytest.mark.parametrize("name", sorted(_BUNDLED_PDE_COMMANDS))
-    def test_first_operator_takes_the_blocked_scan(self, name, tmp_path, monkeypatch):
-        # A scheme change that makes gttrf swap rows would silently send every
-        # sweep back to the serial LAPACK solve.
-        op = self._first_operator(name, tmp_path, monkeypatch)
-        assert isinstance(op.lu1.batch, _BlockedScan) and isinstance(op.lu2.batch, _BlockedScan)
 
     @pytest.mark.parametrize("name", sorted(_BUNDLED_PDE_COMMANDS))
     def test_first_operator_keeps_the_rate_drift_centred(self, name, tmp_path, monkeypatch):

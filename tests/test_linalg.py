@@ -120,7 +120,6 @@ def test_blocked_scan_matches_dense_oracle_at_block_edges(rng, axis, n):
     b = rng.choice([-1.0, 1.0], shape) * (np.abs(a) + np.abs(c) + 1.0 + rng.uniform(0, 2, shape))
     f = rng.uniform(-3, 3, shape)
     lu = thomas_prefactor(a, b, c, axis)
-    assert isinstance(lu.batch, linalg._BlockedScan)
     x = thomas_apply(lu, f)
     # The factors keep a work buffer; a non-finite solve leaves nothing in it.
     assert np.isnan(thomas_apply(lu, np.full(shape, np.nan))).all()
@@ -244,6 +243,27 @@ def test_solve_into_strided_out_matches_allocating_route(rng, axis, route):
     assert np.all(out_pad[ring] == 7.0)
 
 
+@pytest.mark.parametrize("axis, reshape, match", [
+    (2, None, "axis must be 0 or 1"),
+    (-1, None, "axis must be 0 or 1"),
+    (0, lambda a, b, c: (a[:, :19], b, c), "2-d arrays of one shape"),
+    (1, lambda a, b, c: (a, b, c[:, :, None]), "2-d arrays of one shape"),
+    (0, lambda a, b, c: (a[0], b[0], c[0]), "2-d arrays of one shape"),
+    (0, lambda a, b, c: (a.tolist(), b, c), "2-d arrays of one shape"),
+], ids=["axis 2", "axis -1", "a narrower", "c 3-d", "1-d lines", "a list"])
+def test_a_batch_the_scan_would_misread_is_refused(rng, axis, reshape, match):
+    # Unrefused, axis 2 or -1 was factored as axis 0 and solved as axis 1,
+    # without error: a residual of 0.54 along either axis (axis 2), a
+    # solution 0.10 off the axis 1 one (axis -1).
+    shape = (20, 20)
+    a, c = rng.uniform(-1, 1, shape), rng.uniform(-1, 1, shape)
+    b = np.abs(a) + np.abs(c) + 1.5
+    if reshape is not None:
+        a, b, c = reshape(a, b, c)
+    with pytest.raises(InvalidInputError, match=match):
+        thomas_prefactor(a, b, c, axis)
+
+
 def test_output_of_another_shape_rejected():
     a, b, c = np.zeros((4, 8)), np.ones((4, 8)), np.zeros((4, 8))
     lu = thomas_prefactor(a, b, c, axis=1)
@@ -286,7 +306,7 @@ def test_numpy_factors_match_gttrf(rng, axis, n):
     # and these are the factors the scan solves with
     lu = thomas_prefactor(a, b, c, axis)
     stored = np.empty_like(lower)
-    linalg._gather(lu.batch.lower, stored)
+    linalg._gather(lu.lower, stored)
     assert np.array_equal(stored, lower)
 
 
@@ -308,7 +328,6 @@ def test_a_batch_factors_exactly_when_gttrf_keeps_every_pivot(rng, axis):
                 thomas_prefactor(a, b, c, axis)
             continue
         lu = thomas_prefactor(a, b, c, axis)
-        assert isinstance(lu.batch, linalg._BlockedScan)
         f = rng.uniform(-3, 3, shape)
         x = thomas_apply(lu, f)
         for la, lb, lc, lf, lx in zip(*(_lines(v, axis) for v in (a, b, c, f, x))):
@@ -344,7 +363,7 @@ def test_one_line_broadcast_over_the_batch_factors_as_its_copies(rng, axis, weak
     separate = thomas_prefactor(*copies, axis)
     for name in ("lower", "upper", "inv_diag", "fwd_weights", "bwd_weights",
                  "fwd_carry", "bwd_carry"):
-        got, want = getattr(shared.batch, name), getattr(separate.batch, name)
+        got, want = getattr(shared, name), getattr(separate, name)
         assert np.array_equal(got, want)
         one_line = name in ("fwd_weights", "bwd_weights")
         assert got.flags.writeable != one_line
@@ -366,8 +385,7 @@ def test_a_lent_work_buffer_solves_as_an_own_one(rng, axis):
     work = np.empty(size + 5)
     lent = thomas_prefactor(a, b, c, axis, work=work)
     other = thomas_prefactor(0.5 * a, b, c, axis, work=work)
-    assert all(isinstance(x.batch, linalg._BlockedScan) for x in (lent, other))
-    assert np.shares_memory(lent.batch.work, other.batch.work)
+    assert np.shares_memory(lent.work, other.work)
     own, own_other = thomas_prefactor(a, b, c, axis), thomas_prefactor(0.5 * a, b, c, axis)
     f = rng.uniform(-3, 3, shape)
     for factors, reference in ((lent, own), (other, own_other), (lent, own)):

@@ -17,7 +17,6 @@ from hybridlv.calibration import (
 )
 from hybridlv.config import load_config
 from hybridlv.errors import InvalidInputError, PdeBlowUpError
-from hybridlv.linalg import _BlockedScan
 from hybridlv.models import (
     ConstantVol,
     HullWhiteParams,
@@ -45,6 +44,7 @@ from .oracles import (
     flux_operator,
     integrate,
     lognormal_density,
+    mcs_march,
     rate_marginal,
     slice_step,
     step_health,
@@ -107,6 +107,17 @@ class TestGrid:
                                   ((math.nan,), (5,)), ((), ())]:
             with pytest.raises(InvalidInputError, match="maturities"):
                 Grid2D(0.1, 1.0, 0.0, 0.1, 9, 9, maturities, steps)
+
+    @pytest.mark.parametrize("n_s, n_r, steps, name", [
+        (40.5, 9, (10, 10), "n_s"), (9, 9.0, (10, 10), "n_r"), (True, 9, (10, 10), "n_s"),
+        (9, 9, (20.5, 10), r"steps\[0\]"), (9, 9, (10, True), r"steps\[1\]"),
+    ])
+    def test_counts_must_be_integers(self, n_s, n_r, steps, name):
+        # 20.5 steps would build and fail in np.repeat, True would march as one step
+        with pytest.raises(InvalidInputError, match=f"^{name} must be an integer"):
+            Grid2D(0.1, 1.0, 0.0, 0.1, n_s, n_r, (0.5, 1.0), steps)
+        g = Grid2D(0.1, 1.0, 0.0, 0.1, np.int64(9), np.int32(9), (0.5, 1.0), (np.int64(10), 10))
+        assert g.n_t == 20
 
     def test_auto_grid_hits_requested_spacings(self, set1_model):
         g = auto_grid(set1_model, 1.0, ds=0.0156, dr=0.0026, dt=0.0099)
@@ -269,8 +280,6 @@ class TestAdiStep:
         else:
             values = rng.uniform(0.0, 1.0, values.shape)
         field = Field2D(g, values)
-        op = _StepOperator(co, g, g.dt)
-        assert isinstance(op.lu1.batch, _BlockedScan) and isinstance(op.lu2.batch, _BlockedScan)
         fast = adi_step(field, co, g.dt)
         assert np.max(np.abs(fast.values - _literal_step(field, co, g.dt))) < tol
 
@@ -284,8 +293,6 @@ class TestAdiStep:
         model = HybridModel(s0=1.0, rate=rate, vol=ConstantVol(0.2), rho=0.4)
         g = _unit_grid()
         co = build_coefficients(model, g, 0.0)
-        op = _StepOperator(co, g, g.dt)
-        assert isinstance(op.lu1.batch, _BlockedScan) and isinstance(op.lu2.batch, _BlockedScan)
         field = Field2D(g, rng.uniform(0.0, 1.0, (g.n_s, g.n_r)))
         fast = adi_step(field, co, g.dt)
         assert np.max(np.abs(fast.values - _literal_step(field, co, g.dt))) < 1e-12
@@ -338,8 +345,8 @@ class TestOneLineSolver:
         rate = HullWhiteParams(a=a, sigma2=sigma2, theta=theta, r0=r0)
         model = HybridModel(s0=1.0, rate=rate, vol=ConstantVol(sigma1), rho=0.4)
         g = auto_grid(model, 0.5, ds=ds, dr=dr, dt=dt)
-        op = _StepOperator(build_coefficients(model, g, 0.0), g, g.dt)
-        assert isinstance(op.lu1.batch, _BlockedScan) and isinstance(op.lu2.batch, _BlockedScan)
+        # a line the scan cannot factor raises SingularSystemError
+        _StepOperator(build_coefficients(model, g, 0.0), g, g.dt)
 
 
 class TestBandStep:
@@ -470,8 +477,8 @@ class TestMemory:
         g = _unit_grid(n_s=40, n_r=35)
         co = build_coefficients(set1_model, g, 0.0)
         op = _StepOperator(co, g, g.dt)
-        work = op.lu1.batch.work
-        assert np.shares_memory(work, op.lu2.batch.work) and np.shares_memory(work, op._tmp)
+        work = op.lu1.work
+        assert np.shares_memory(work, op.lu2.work) and np.shares_memory(work, op._tmp)
         # every solve overwrites the ring that the cross term reads, so each
         # cross term must zero it again: three steps in place, as the march
         field = rng.uniform(0.0, 1.0, (g.n_s, g.n_r))
@@ -536,8 +543,6 @@ class TestEvolve:
         model = HybridModel(s0=1.0, rate=rate, vol=ConstantVol(0.2), rho=0.4)
         g = auto_grid(model, 1.0, ds=0.02, dr=5e-4, dt=0.1)
         assert (g.n_s, g.n_r) == (137, 70)
-        op = _StepOperator(build_coefficients(model, g, 0.0), g, g.dt)
-        assert isinstance(op.lu1.batch, _BlockedScan) and isinstance(op.lu2.batch, _BlockedScan)
         last = evolve(model, g).snapshots[-1]
         assert last.t == 1.0 and np.all(np.isfinite(last.values))
         assert last.mass() == pytest.approx(zc_price(rate, 1.0), rel=1e-12)
@@ -906,6 +911,48 @@ class TestFieldAccuracy:
         g = auto_grid(calibrated, 1.0, settings.ds, settings.dr, settings.dt)
         miss = integrate(evolve(calibrated, g).snapshots[-1], lambda s, r: s) - model.s0
         assert abs(miss) <= 2.0 * 1.116e-5
+
+
+class TestCraigSneydTarget:
+    """The modified Craig-Sneyd step (theta = 1/3) of :func:`oracles.mcs_march`,
+    the second-order step the engine's Peaceman-Rachford step is to give
+    way to: its order in time and a long march it finishes.
+
+    Prices are read at 13 strikes F exp(z 0.2 sqrt(T)), z evenly spaced
+    from -1.5 to 1.5, F = S0 / ZC(0, T).
+    """
+
+    @staticmethod
+    def _prices(model, grid, start):
+        t = grid.t_end
+        forward = model.s0 / zc_price(model.rate, t)
+        strikes = forward * np.exp(np.linspace(-1.5, 1.5, 13) * 0.2 * math.sqrt(t))
+        return strikes, price_calls_from_pz(mcs_march(model, grid, start), strikes)
+
+    @pytest.mark.parametrize("kind", ["constant", "hyperbolic"])
+    def test_step_is_second_order_in_time(self, set1_model, hyperbolic_model, kind):
+        # The bshw_rho_pos and hyperbolic_hw_rho_neg models at bshw_rho_pos's
+        # spacings (177 x 146 and 180 x 146), one start for every march.
+        # Measured: max |P(25) - P(50)| / max |P(50) - P(100)| reads 4.017
+        # (2.06e-6 / 5.13e-7) and 4.019; the engine's step reads 2.0.
+        model = set1_model if kind == "constant" else hyperbolic_model
+        grids = [auto_grid(model, 1.0, ds=0.0156, dr=0.0026, dt=1.0 / n) for n in (25, 50, 100)]
+        start = short_time_start(model, grids[0])
+        p25, p50, p100 = (self._prices(model, g, start)[1] for g in grids)
+        assert 3.5 < np.max(np.abs(p25 - p50)) / np.max(np.abs(p50 - p100)) < 4.5
+
+    @pytest.mark.parametrize("rho", [0.4, -0.4])
+    def test_long_march_matches_closed_form(self, set1_model, rho):
+        # Measured 3.76e-5 at rho = 0.4 and 1.20e-4 at -0.4 (1.61e-5 and
+        # 2.85e-5 at bshw_rho_pos's spacings, 657 x 183 x 505). On this grid
+        # the engine's own march raises PdeBlowUpError at step 236 (rho = 0.4)
+        # or ends 2.4 off the closed form with one warning (rho = -0.4).
+        model = replace(set1_model, rho=rho)
+        g = auto_grid(model, 5.0, ds=0.03, dr=0.005, dt=0.02)
+        assert (g.n_s, g.n_r, g.n_t) == (341, 95, 250)
+        strikes, prices = self._prices(model, g, short_time_start(model, g))
+        closed = np.array([bshw_call(model, 5.0, k).price for k in strikes])
+        assert np.max(np.abs(prices - closed)) <= 5e-4
 
 
 class TestShortTimeStart:

@@ -6,7 +6,8 @@
 #   2. run that tree's tools/artifacts.sh into <dir>/art and move the result
 #      to <dir>/art-parent;
 #   3. run this checkout's tools/artifacts.sh into <dir>/art;
-#   4. exit with the status of `diff -r <dir>/art-parent <dir>/art`.
+#   4. exit with the status of `diff -r <dir>/art-parent <dir>/art`, and
+#      after an empty diff print how many files it compared.
 #
 # Both runs write to the same <dir>/art, so their "# config=" digests agree.
 # <dir> must lie outside the checkout, and none of parent, art and
@@ -44,3 +45,4 @@ bash "$dir/parent/tools/artifacts.sh" "$dir/art"
 mv "$dir/art" "$dir/art-parent"
 bash "$root/tools/artifacts.sh" "$dir/art"
 diff -r "$dir/art-parent" "$dir/art"
+echo "$(find "$dir/art" -type f | wc -l) files identical"
