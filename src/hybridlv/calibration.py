@@ -22,14 +22,13 @@ single Dupire value (:func:`dupire_vol`) is read at a lattice node only.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field as dataclass_field, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .analytic import bshw_call
-from .errors import CalibrationError, InvalidInputError
+from .errors import CalibrationError, InvalidInputError, require_integer
 from .models import ConstantVol, HybridModel, SurfaceVol, forward_rate, lattice_axis, nearest_node
 from .pde import Field2D, Grid2D, auto_grid, evolve
 
@@ -274,9 +273,7 @@ class CalibrationSettings:
     use_corrective: bool = True
 
     def __post_init__(self):
-        value = self.slice_iterations
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise InvalidInputError(f"slice_iterations must be an integer, got {value!r}")
+        require_integer("slice_iterations", self.slice_iterations)
         if self.slice_iterations < 1 or self.slice_iterations > 5:
             raise InvalidInputError("slice_iterations must be in 1..5")
 

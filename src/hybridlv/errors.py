@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that
+raises one."""
+
+import numbers
 
 
 class HybridLvError(Exception):
@@ -7,6 +10,13 @@ class HybridLvError(Exception):
 
 class InvalidInputError(HybridLvError, ValueError):
     """An argument is outside the documented domain of an operation."""
+
+
+def require_integer(name: str, value) -> None:
+    """Raise :class:`InvalidInputError` unless ``value`` is an integer:
+    any ``numbers.Integral`` (numpy integers included) but ``bool``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
 
 
 class SingularSystemError(HybridLvError):

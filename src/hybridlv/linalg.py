@@ -230,9 +230,9 @@ def thomas_prefactor(
 ) -> LineFactors:
     """Factor a batch of systems a_i x_{i-1} + b_i x_i + c_i x_{i+1} = f_i.
 
-    ``a``, ``b``, ``c`` are 2-d arrays of one shape; each line of the batch
-    runs along ``axis``, 0 or 1 (``a`` at its first node and ``c`` at its
-    last are ignored). The factors are reusable for any number of
+    ``a``, ``b``, ``c`` are 2-d float arrays of one shape; each line of the
+    batch runs along ``axis``, 0 or 1 (``a`` at its first node and ``c`` at
+    its last are ignored). The factors are reusable for any number of
     right-hand sides with the same matrix. Raises
     :class:`InvalidInputError` for another axis or other arrays, and
     :class:`SingularSystemError`, naming the cause, if some line meets a
@@ -257,9 +257,9 @@ def thomas_prefactor(
     if axis not in (0, 1):
         raise InvalidInputError(f"axis must be 0 or 1, got {axis!r}")
     if not all(isinstance(x, np.ndarray) and x.ndim == 2 and x.shape == np.shape(b)
-               for x in (a, b, c)):
-        raise InvalidInputError(
-            f"a, b, c must be 2-d arrays of one shape, got shapes {[np.shape(x) for x in (a, b, c)]}")
+               and np.issubdtype(x.dtype, np.floating) for x in (a, b, c)):
+        raise InvalidInputError("a, b, c must be 2-d float arrays of one shape, got "
+                                f"{[(np.shape(x), np.asarray(x).dtype.name) for x in (a, b, c)]}")
     size = scan_work_size(b.shape, axis)
     if work is not None and (work.ndim != 1 or work.size < size):
         raise InvalidInputError(

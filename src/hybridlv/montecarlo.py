@@ -35,7 +35,6 @@ and no thread is started.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -44,7 +43,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import InvalidInputError, McAbortedError
+from .errors import InvalidInputError, McAbortedError, require_integer
 from .models import HybridModel, _horizon
 
 __all__ = [
@@ -77,9 +76,7 @@ class McConfig:
 
     def __post_init__(self):
         for name in ("n_paths", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+            require_integer(name, getattr(self, name))
         if self.n_paths < 2:
             raise InvalidInputError(f"need at least two paths, got {self.n_paths!r}")
         if self.seed < 0:

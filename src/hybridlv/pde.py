@@ -48,13 +48,12 @@ which the march hands over as its snapshot at the horizon.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field as dataclass_field, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, PdeBlowUpError
+from .errors import InvalidInputError, PdeBlowUpError, require_integer
 from .linalg import scan_work_size, thomas_apply, thomas_prefactor
 from .models import (
     HybridModel, _rate_mean_var, lattice_axis, nearest_node, sde_coefficients, zc_price)
@@ -103,8 +102,7 @@ class Grid2D:
         counts = (("n_s", self.n_s), ("n_r", self.n_r),
                   *((f"steps[{i}]", n) for i, n in enumerate(self.steps)))
         for name, n in counts:
-            if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-                raise InvalidInputError(f"{name} must be an integer, got {n!r}")
+            require_integer(name, n)
         if self.n_s < 8 or self.n_r < 8:
             raise InvalidInputError("need at least 8 interior nodes per direction")
         lattice_axis(self.maturities, "maturities")

@@ -223,10 +223,11 @@ def flux_operator(coeffs, grid):
     return spot, rate, mixed, reaction
 
 
-def mcs_march(model, grid, start, theta=1.0 / 3.0):
+def mcs_march(model, grid, start):
     """March ``start`` to the horizon of the one-maturity ``grid`` by the
-    modified Craig-Sneyd step (In 't Hout & Welfert 2009), on the terms of
-    :func:`flux_operator` at the start's time: a time-independent vol only.
+    modified Craig-Sneyd step with theta = 1/3 (In 't Hout & Welfert 2009),
+    on the terms of :func:`flux_operator` at the start's time: a
+    time-independent vol only.
 
     With A0 the cross term, A1 the spot term and A2 the rate term, each of
     the latter two less half the reaction, and F = A0 + A1 + A2, a step of
@@ -242,6 +243,7 @@ def mcs_march(model, grid, start, theta=1.0 / 3.0):
     """
     if len(grid.maturities) != 1 or model.vol.next_change(start.t) < grid.t_end:
         raise InvalidInputError("the oracle takes one maturity and a time-independent vol")
+    theta = 1.0 / 3.0
     dt = grid.maturities[0] / grid.steps[0]
     spot, rate, cross, reaction = flux_operator(build_coefficients(model, grid, start.t), grid)
     a1, a2 = spot - 0.5 * reaction, rate - 0.5 * reaction

@@ -246,15 +246,17 @@ def test_solve_into_strided_out_matches_allocating_route(rng, axis, route):
 @pytest.mark.parametrize("axis, reshape, match", [
     (2, None, "axis must be 0 or 1"),
     (-1, None, "axis must be 0 or 1"),
-    (0, lambda a, b, c: (a[:, :19], b, c), "2-d arrays of one shape"),
-    (1, lambda a, b, c: (a, b, c[:, :, None]), "2-d arrays of one shape"),
-    (0, lambda a, b, c: (a[0], b[0], c[0]), "2-d arrays of one shape"),
-    (0, lambda a, b, c: (a.tolist(), b, c), "2-d arrays of one shape"),
-], ids=["axis 2", "axis -1", "a narrower", "c 3-d", "1-d lines", "a list"])
+    (0, lambda a, b, c: (a[:, :19], b, c), "2-d float arrays of one shape"),
+    (1, lambda a, b, c: (a, b, c[:, :, None]), "2-d float arrays of one shape"),
+    (0, lambda a, b, c: (a[0], b[0], c[0]), "2-d float arrays of one shape"),
+    (0, lambda a, b, c: (a.tolist(), b, c), "2-d float arrays of one shape"),
+    (1, lambda a, b, c: (a.astype(int), b.astype(int), c.astype(int)), "2-d float arrays"),
+], ids=["axis 2", "axis -1", "a narrower", "c 3-d", "1-d lines", "a list", "integers"])
 def test_a_batch_the_scan_would_misread_is_refused(rng, axis, reshape, match):
     # Unrefused, axis 2 or -1 was factored as axis 0 and solved as axis 1,
     # without error: a residual of 0.54 along either axis (axis 2), a
-    # solution 0.10 off the axis 1 one (axis -1).
+    # solution 0.10 off the axis 1 one (axis -1). Integer lines died in the
+    # elimination with a bare numpy UFuncTypeError.
     shape = (20, 20)
     a, c = rng.uniform(-1, 1, shape), rng.uniform(-1, 1, shape)
     b = np.abs(a) + np.abs(c) + 1.5
