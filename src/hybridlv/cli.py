@@ -385,6 +385,9 @@ def main(argv=None) -> int:
     except HybridLvError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(json.dumps({"error": "MemoryError", "message": str(exc)}), file=sys.stderr)
+        return 3
     except OSError as exc:
         print(json.dumps({"error": "io", "message": str(exc)}), file=sys.stderr)
         return 1

@@ -97,10 +97,17 @@ def _b_factor(a: float, t) -> float:
     return (1.0 - np.exp(-a * t)) / a
 
 
+# Below this speed the (1 - exp(-a T)) / a and sigma2**2 / a**2 terms of
+# zc_price, forward_rate and bshw_moments cancel: the call error against a
+# 50-digit reference grows from 7e-11 at a = 1e-3 to 1.6e-7 at 1e-4 and
+# 1.3e-4 at 1e-5 (T up to 30).
+_MIN_MEAN_REVERSION = 1e-3
+
+
 @dataclass(frozen=True)
 class HullWhiteParams:
     """Mean-reverting Gaussian short-rate parameters with a constant
-    long-term mean level ``theta``."""
+    long-term mean level ``theta``; the speed ``a`` is at least 1e-3."""
 
     a: float
     sigma2: float
@@ -108,8 +115,11 @@ class HullWhiteParams:
     r0: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.a) and self.a > 0):
-            raise InvalidInputError(f"mean-reversion speed must be positive, got {self.a!r}")
+        if not (np.isfinite(self.a) and self.a >= _MIN_MEAN_REVERSION):
+            raise InvalidInputError(
+                f"mean-reversion speed must be finite and >= {_MIN_MEAN_REVERSION:g}, got "
+                f"{self.a!r}: below it the closed forms' (1 - exp(-a T)) / a and "
+                "sigma2**2 / a**2 terms lose their digits to cancellation")
         if not (np.isfinite(self.sigma2) and self.sigma2 >= 0):
             raise InvalidInputError(f"rate volatility must be >= 0, got {self.sigma2!r}")
         if not np.isfinite(self.r0):

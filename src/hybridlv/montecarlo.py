@@ -25,15 +25,17 @@ vol terms are formed once per step instead of once per path.
 Batches step on every core in the process's affinity mask (every core
 where the OS reports no mask), in rounds of one batch per core: the calling
 thread steps the first batch of a round and a pool of one thread per other
-core steps the rest. A batch's terminals do not depend on the thread that
-steps it, and the rounds are reduced in batch order, so every estimate has
-the same bits at any worker count. Each extra worker holds one more batch
+core steps the rest. Each batch drops its own unkept paths on the thread
+that steps it. A batch's kept terminals do not depend on that thread, and
+the rounds are reduced in batch order, so every estimate has the same bits
+at any worker count. Each extra worker holds one more batch
 state. With one core, or one batch, every batch steps in the calling thread
 and no thread is started.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -155,7 +157,7 @@ def _batch_terminals(model: HybridModel, maturity: float, cfg: McConfig, rng, n:
     ``sig * sqdt`` are formed at the rank ``value`` returns: once per step
     for a vol that is one number, once per path otherwise, in the same order,
     so the bits are the same. A path that runs to a zero, infinite or NaN
-    state steps on without a warning; :func:`_kept_paths` drops it.
+    state steps on without a warning; :func:`_one_batch` drops it.
     """
     p = model.rate
     n_steps = max(1, int(math.ceil(maturity / cfg.dt_mc - 1e-12)))
@@ -216,19 +218,33 @@ def _workers() -> int:
 
 
 def _one_batch(model: HybridModel, maturity: float, cfg: McConfig, index: int):
-    """((s, r, acc), n) of batch ``index``: its ``n`` draws come from its own
-    substream, and every batch but the last holds ``_BATCH_SIZE``."""
+    """((s, r, acc), kept, dropped) of batch ``index``: the terminals of its
+    ``kept`` kept draws (mirrors in the second half with antithetic pairing)
+    and the count of its simulated paths that were not kept.
+
+    The batch's draws come from its own substream, and every batch but the
+    last holds ``_BATCH_SIZE``. A path is kept when its spot is positive and
+    finite and its rate and integrated rate are finite, a pair when both
+    legs are.
+    """
     n = min(_BATCH_SIZE, cfg.n_paths - index * _BATCH_SIZE)
     seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(index,))
     rng = np.random.Generator(np.random.PCG64(seq))
-    return _batch_terminals(model, maturity, cfg, rng, n), n
+    s, r, acc = _batch_terminals(model, maturity, cfg, rng, n)
+    ok = (s > 0) & np.isfinite(s) & np.isfinite(r) & np.isfinite(acc)
+    dropped = len(s) - int(np.count_nonzero(ok))
+    if cfg.antithetic:
+        ok = ok[:n] & ok[n:]
+    kept = int(np.count_nonzero(ok))
+    if kept < n:
+        keep = np.tile(ok, 2 if cfg.antithetic else 1)
+        s, r, acc = s[keep], r[keep], acc[keep]
+    return (s, r, acc), kept, dropped
 
 
-def _iter_batches(model: HybridModel, maturity: float, cfg: McConfig):
-    """Yield ((s, r, acc), n) per batch of ``n`` draws in fixed order.
-
-    Each batch has its own substream of the seed. With antithetic pairing
-    the terminal arrays hold 2n paths, the mirrors in the second half.
+def _kept_paths(model: HybridModel, maturity: float, cfg: McConfig):
+    """Yield ((s, r, acc), kept) per batch in fixed order, as
+    :func:`_one_batch` keeps them.
 
     With w = min(cores, batches) workers, the batches step in rounds of w:
     batches 2..w of a round go to a pool of w - 1 threads while this thread
@@ -236,41 +252,21 @@ def _iter_batches(model: HybridModel, maturity: float, cfg: McConfig):
     nothing is submitted, so the pool starts no thread. An exception raised
     by a batch is re-raised here; leaving the generator (a consumer that
     raises or stops early) waits for the round's pool batches and joins the
-    pool threads.
+    pool threads. After the last batch, :class:`McAbortedError` is raised
+    when more than 0.01% of the simulated paths were not kept.
     """
     n_batches = -(-cfg.n_paths // _BATCH_SIZE)
     workers = min(_workers(), n_batches)
+    dropped = 0
     with ThreadPoolExecutor(max(workers - 1, 1)) as pool:
         for first in range(0, n_batches, workers):
             rest = [pool.submit(_one_batch, model, maturity, cfg, index)
                     for index in range(first + 1, min(first + workers, n_batches))]
-            yield _one_batch(model, maturity, cfg, first)
-            for future in rest:
-                yield future.result()
-
-
-def _kept_paths(model: HybridModel, maturity: float, cfg: McConfig):
-    """Yield ((s, r, acc), kept) per batch, the terminals of its ``kept``
-    kept draws (mirrors in the second half with antithetic pairing).
-
-    A path is kept when its spot is positive and finite and its rate and
-    integrated rate are finite, a pair when both legs are. After the last
-    batch, :class:`McAbortedError` is raised when more than 0.01% of the
-    simulated paths were not kept.
-    """
-    n_legs = 2 if cfg.antithetic else 1
-    dropped = 0
-    for (s, r, acc), n in _iter_batches(model, maturity, cfg):
-        ok = (s > 0) & np.isfinite(s) & np.isfinite(r) & np.isfinite(acc)
-        dropped += len(s) - int(np.count_nonzero(ok))
-        if cfg.antithetic:
-            ok = ok[:n] & ok[n:]
-        kept = int(np.count_nonzero(ok))
-        if kept < n:
-            keep = np.tile(ok, n_legs)
-            s, r, acc = s[keep], r[keep], acc[keep]
-        yield (s, r, acc), kept
-    total = n_legs * cfg.n_paths
+            head = _one_batch(model, maturity, cfg, first)
+            for terminals, kept, lost in itertools.chain([head], (f.result() for f in rest)):
+                dropped += lost
+                yield terminals, kept
+    total = (2 if cfg.antithetic else 1) * cfg.n_paths
     if dropped > _ABORT_FRACTION * total:
         raise McAbortedError(
             f"{dropped} of {total} paths were non-finite or had a zero spot")

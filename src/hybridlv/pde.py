@@ -73,6 +73,9 @@ __all__ = [
 # Spot deviation, in spot cells, at which the short-time start is resolved.
 _START_CELLS = 2.0
 
+_UNADDRESSABLE = ("the grid's n_s x n_r field or its n_t + 1 step times need more bytes "
+                  f"than numpy can address ({np.iinfo(np.intp).max}); coarsen ds, dr or dt")
+
 
 @dataclass(frozen=True)
 class Grid2D:
@@ -82,7 +85,9 @@ class Grid2D:
     edges carry the fixed Dirichlet value 0 and are not stored. The march
     ends at each of ``maturities`` (a tuple) in turn: the interval
     (T_{i-1}, T_i], with T_0 = 0, takes ``steps[i]`` equal steps, so every
-    maturity is a step time.
+    maturity is a step time. A grid whose field or step times would need
+    more bytes than numpy can address is refused before anything is
+    allocated.
     """
 
     s_min: float
@@ -108,6 +113,8 @@ class Grid2D:
         lattice_axis(self.maturities, "maturities")
         if len(self.steps) != len(self.maturities) or min(self.steps) < 1:
             raise InvalidInputError("need at least one step for each of the maturities")
+        if max(self.n_s * self.n_r, self.n_t + 1) * 8 > np.iinfo(np.intp).max:
+            raise InvalidInputError(_UNADDRESSABLE)
 
     @property
     def ds(self) -> float:
@@ -162,6 +169,8 @@ class Grid2D:
             raise InvalidInputError(
                 f"need a finite box (got s_min={s_min!r}, s_max={s_max!r}, "
                 f"r_min={r_min!r}, r_max={r_max!r})")
+        if not max((s_max - s_min) / ds, (r_max - r_min) / dr, float(mats[-1]) / dt) < math.inf:
+            raise InvalidInputError(_UNADDRESSABLE)
         n_s = max(8, int(round((s_max - s_min) / ds)) - 1)
         n_r = max(8, int(round((r_max - r_min) / dr)) - 1)
         ends = [0.0] + mats.tolist()

@@ -12,8 +12,9 @@ term. Expected values in the tests are frozen from these oracles.
 operator once, for tests that check a single step. :func:`slice_step`
 shares the production line solves and checks only the explicit stencils.
 :class:`RebuiltEveryStep` shares the production surface and drops only its
-operator caching. :func:`mcs_march` is another scheme, the modified
-Craig-Sneyd step, on :func:`flux_operator`'s terms with sparse LU solves.
+operator caching. :func:`mcs_step` is another scheme, the modified
+Craig-Sneyd step, on :func:`flux_operator`'s terms with sparse LU solves,
+and :func:`mcs_march` marches it.
 :func:`rate_marginal` is a closed form of its own, checked against
 ``analytic_pz`` integrated over the spot.
 """
@@ -223,11 +224,10 @@ def flux_operator(coeffs, grid):
     return spot, rate, mixed, reaction
 
 
-def mcs_march(model, grid, start):
-    """March ``start`` to the horizon of the one-maturity ``grid`` by the
-    modified Craig-Sneyd step with theta = 1/3 (In 't Hout & Welfert 2009),
-    on the terms of :func:`flux_operator` at the start's time: a
-    time-independent vol only.
+def mcs_step(coeffs, grid, dt):
+    """The modified Craig-Sneyd step with theta = 1/3 (In 't Hout & Welfert
+    2009) on the terms of :func:`flux_operator`: a map from a field's
+    (n_s, n_r) values to their unrescaled values one step of ``dt`` later.
 
     With A0 the cross term, A1 the spot term and A2 the rate term, each of
     the latter two less half the reaction, and F = A0 + A1 + A2, a step of
@@ -238,14 +238,11 @@ def mcs_march(model, grid, start):
         Z0 = Y0 + theta dt A0 (Y2 - u) + (1/2 - theta) dt F (Y2 - u),
         (I - theta dt A_j) Z_j = Z_{j-1} - theta dt A_j u,  j = 1, 2,
 
-    and the new u is Z2, rescaled onto ZC(0, t) as :func:`hybridlv.pde.evolve`
-    rescales. Each (I - theta dt A_j) is factored once, by ``splu``.
+    and the new u is Z2. Each (I - theta dt A_j) is factored once, by
+    ``splu``, when the map is made.
     """
-    if len(grid.maturities) != 1 or model.vol.next_change(start.t) < grid.t_end:
-        raise InvalidInputError("the oracle takes one maturity and a time-independent vol")
     theta = 1.0 / 3.0
-    dt = grid.maturities[0] / grid.steps[0]
-    spot, rate, cross, reaction = flux_operator(build_coefficients(model, grid, start.t), grid)
+    spot, rate, cross, reaction = flux_operator(coeffs, grid)
     a1, a2 = spot - 0.5 * reaction, rate - 0.5 * reaction
     full = cross + a1 + a2
     eye = sparse.identity(full.shape[0], format="csc")
@@ -257,17 +254,33 @@ def mcs_march(model, grid, start):
             y = solve(y - pull)
         return y
 
-    times = grid.t_nodes
-    u, t = start.values.ravel(), start.t
-    for t_next in times[int(np.argmin(np.abs(times - t))) + 1:]:
+    def step(values):
+        u = values.ravel()
         pulls = [theta * dt * (a @ u) for a in (a1, a2)]
         y0 = u + dt * (full @ u)
         change = sweeps(y0, pulls) - u
         z0 = y0 + theta * dt * (cross @ change) + (0.5 - theta) * dt * (full @ change)
-        u = sweeps(z0, pulls)
+        return sweeps(z0, pulls).reshape(grid.n_s, grid.n_r)
+
+    return step
+
+
+def mcs_march(model, grid, start):
+    """March ``start`` to the horizon of the one-maturity ``grid`` by
+    :func:`mcs_step` on the coefficients at the start's time (a
+    time-independent vol only), rescaling each step's field onto ZC(0, t)
+    as :func:`hybridlv.pde.evolve` rescales."""
+    if len(grid.maturities) != 1 or model.vol.next_change(start.t) < grid.t_end:
+        raise InvalidInputError("the oracle takes one maturity and a time-independent vol")
+    dt = grid.maturities[0] / grid.steps[0]
+    step = mcs_step(build_coefficients(model, grid, start.t), grid, dt)
+    times = grid.t_nodes
+    u, t = start.values, start.t
+    for t_next in times[int(np.argmin(np.abs(times - t))) + 1:]:
+        u = step(u)
         u *= zc_price(model.rate, t_next) / (grid.ds * grid.dr * u.sum())
         t = t_next
-    return Field2D(grid, u.reshape(grid.n_s, grid.n_r), t=t)
+    return Field2D(grid, u, t=t)
 
 
 def rate_marginal(rate, maturity, r):

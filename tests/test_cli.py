@@ -829,6 +829,40 @@ class TestMainEntry:
         assert payload["error"] == "InvalidInputError"
         assert "zero total variance at T=1.0" in payload["message"]
 
+    @pytest.mark.parametrize("command", ["price-analytic", "price-pde"])
+    def test_mean_reversion_below_its_floor_exits_3(self, fast_config, capsys, command):
+        # price-analytic wrote a price of 1 at every strike; price-pde
+        # failed with numpy's "Maximum allowed size exceeded"
+        path, _ = fast_config
+        raw = yaml.safe_load(path.read_text())
+        raw["model"]["rate"]["a"] = 1.0e-7
+        path.write_text(yaml.safe_dump(raw))
+        assert cli.main([command, "--config", str(path)]) == 3
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "InvalidInputError"
+        assert "mean-reversion speed must be finite and >= 0.001" in payload["message"]
+
+    def test_unaddressable_grid_exits_3(self, fast_config, capsys):
+        path, _ = fast_config
+        raw = yaml.safe_load(path.read_text())
+        raw["grid"]["ds"] = 1.0e-300
+        path.write_text(yaml.safe_dump(raw))
+        assert cli.main(["price-pde", "--config", str(path)]) == 3
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "InvalidInputError"
+        assert "more bytes than numpy can address" in payload["message"]
+
+    def test_grid_the_machine_cannot_hold_exits_3(self, fast_config, capsys, monkeypatch):
+        # a field numpy can address but cannot allocate ended in a traceback
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 39.2 GiB")
+
+        monkeypatch.setattr(cli.pde, "evolve", out_of_memory)
+        path, _ = fast_config
+        assert cli.main(["price-pde", "--config", str(path)]) == 3
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload == {"error": "MemoryError", "message": "Unable to allocate 39.2 GiB"}
+
     def test_numeric_strings_pass_unchanged(self):
         cfg = resolve_config({"grid": {"dt": "1e-2"}, "run": {"strikes": ["0.9", 1.0]}})
         assert cfg.raw["grid"]["dt"] == "1e-2"

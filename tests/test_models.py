@@ -41,6 +41,22 @@ class TestZcPrice:
         assert ode == pytest.approx(frozen, abs=1e-10)
         assert zc_price(HW1, 1.0) == pytest.approx(ode, rel=1e-10)
 
+    @pytest.mark.parametrize("sigma2", [0.005, 0.04])
+    def test_slowest_mean_reversion_matches_affine_ode_oracle(self, sigma2):
+        # at the 1e-3 floor the (1 - exp(-a T)) / a and sigma2**2 / a**2
+        # terms still hold their digits out to 30y
+        p = HullWhiteParams(a=1e-3, sigma2=sigma2, theta=0.02, r0=0.02)
+        for t in (1.0 / 12.0, 0.1, 1.0, 5.0, 10.0, 30.0):
+            ode = zc_by_affine_ode(p.a, sigma2, p.theta, p.r0, t)
+            assert zc_price(p, t) == pytest.approx(ode, rel=1e-10)
+
+    def test_mean_reversion_floor(self):
+        # at a = 1e-7 the closed forms priced every call at 1; at 1e-8 at NaN
+        HullWhiteParams(a=1e-3, sigma2=0.04, theta=0.02, r0=0.02)
+        for a in (9e-4, 1e-7, 0.0):
+            with pytest.raises(InvalidInputError, match=r"mean-reversion speed .*>= 0\.001.*cancellation"):
+                HullWhiteParams(a=a, sigma2=0.04, theta=0.02, r0=0.02)
+
     def test_strictly_decreasing_in_maturity(self):
         ts = np.linspace(0.0, 5.0, 51)
         vals = [zc_price(HW1, t) for t in ts]

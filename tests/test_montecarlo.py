@@ -19,7 +19,7 @@ from hybridlv.models import (
 )
 from hybridlv.montecarlo import (
     McConfig,
-    _iter_batches,
+    _kept_paths,
     _normals,
     conditional_z_estimate,
     simulate_paths,
@@ -183,7 +183,7 @@ class TestSimulatePaths:
         model = request.getfixturevalue(model_name)
         force_batch_size(1000)
         cfg = replace(McConfig(n_paths=1500, dt_mc=1.0 / 50.0, seed=11), **overrides)
-        batches = list(_iter_batches(model, 1.0, cfg))
+        batches = list(_kept_paths(model, 1.0, cfg))
         reference = list(two_pass_batches(model, 1.0, cfg))
         assert len(batches) == len(reference) == -(-cfg.n_paths // 1000)
         for (terminals, n), (plus, minus) in zip(batches, reference):
@@ -204,7 +204,7 @@ class TestSimulatePaths:
         assert np.shape(flat.vol.value(0.0, np.ones(3))) == (3,)
         force_batch_size(1000)
         cfg = McConfig(n_paths=2500, dt_mc=1.0 / 50.0, seed=17, antithetic=antithetic)
-        for (got, n), (want, n_flat) in zip(_iter_batches(set1_model, 1.0, cfg), _iter_batches(flat, 1.0, cfg)):
+        for (got, n), (want, n_flat) in zip(_kept_paths(set1_model, 1.0, cfg), _kept_paths(flat, 1.0, cfg)):
             assert n == n_flat
             for a, b in zip(got, want):
                 assert np.array_equal(a, b)
@@ -298,7 +298,7 @@ class TestMomentsAgainstSimulation:
         # gather raw terminal samples through the batch iterator
         cfg = McConfig(n_paths=1000000, dt_mc=1.0 / 300.0, seed=2024, antithetic=False)
         ys, rs, accs = [], [], []
-        for (s, r, acc), _ in _iter_batches(set1_model, 1.0, cfg):
+        for (s, r, acc), _ in _kept_paths(set1_model, 1.0, cfg):
             ys.append(np.log(s))
             rs.append(r)
             accs.append(acc)
@@ -451,12 +451,12 @@ class TestWorkers:
         cfg = replace(self.CFG, antithetic=antithetic)
         payoffs = [_call_payoff(0.9), _call_payoff(1.1), lambda s, r, acc: np.exp(-acc)]
         force_workers(1)
-        serial = list(_iter_batches(model, 1.0, cfg))
+        serial = list(_kept_paths(model, 1.0, cfg))
         serial_est = simulate_paths(model, 1.0, cfg, payoffs)
         assert [n for _, n in serial] == [1000, 1000, 1000, 1000, 500]
         for workers in (2, 3):
             force_workers(workers)
-            batches = list(_iter_batches(model, 1.0, cfg))
+            batches = list(_kept_paths(model, 1.0, cfg))
             assert [n for _, n in batches] == [n for _, n in serial]
             for (got, _), (want, _) in zip(batches, serial):
                 for a, b in zip(got, want):
@@ -494,7 +494,7 @@ class TestWorkers:
         force_workers(workers)
         cfg = replace(self.CFG, n_paths=n_paths)
         before = threading.active_count()
-        assert len(list(_iter_batches(set1_model, 1.0, cfg))) == -(-n_paths // 1000)
+        assert len(list(_kept_paths(set1_model, 1.0, cfg))) == -(-n_paths // 1000)
         assert sorted(index for index, main in stepped if not main) == pool_batches
         assert sorted(index for index, _ in stepped) == list(range(-(-n_paths // 1000)))
         if not pool_batches:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import splu
 
 from hybridlv.analytic import analytic_pz, bshw_call
 from hybridlv.calibration import (
@@ -45,6 +46,7 @@ from .oracles import (
     integrate,
     lognormal_density,
     mcs_march,
+    mcs_step,
     rate_marginal,
     slice_step,
     step_health,
@@ -157,6 +159,22 @@ class TestGrid:
     def test_maturities_must_be_positive_and_increasing(self, set1_model, mats):
         with pytest.raises(InvalidInputError):
             Grid2D.from_spacings(0.01, 3.0, -0.1, 0.14, mats, 0.02, 0.003, 0.01)
+
+    @pytest.mark.parametrize("ds, dt", [(1e-300, 0.01), (5e-324, 0.01), (0.01, 1e-300), (0.01, 5e-324)])
+    def test_a_grid_numpy_cannot_address_is_refused(self, set1_model, ds, dt):
+        # numpy raised "Maximum allowed size exceeded" from the first
+        # allocation, and a count of inf nodes failed in int(); the refusal
+        # comes first and allocates nothing
+        with pytest.raises(InvalidInputError, match="more bytes than numpy can address"):
+            auto_grid(set1_model, 1.0, ds=ds, dr=0.002, dt=dt)
+
+    def test_grid_size_limit_is_numpy_s(self):
+        side = math.isqrt(np.iinfo(np.intp).max // 8)
+        steps = np.iinfo(np.intp).max // 8 - 1
+        Grid2D(0.1, 1.0, 0.0, 0.1, side, side, (1.0,), (steps,))
+        for n_s, n_r, n_t in ((side + 1, side + 1, 1), (9, 9, steps + 1)):
+            with pytest.raises(InvalidInputError, match="numpy"):
+                Grid2D(0.1, 1.0, 0.0, 0.1, n_s, n_r, (1.0,), (n_t,))
 
 
 class TestCoefficients:
@@ -953,6 +971,31 @@ class TestCraigSneydTarget:
         strikes, prices = self._prices(model, g, short_time_start(model, g))
         closed = np.array([bshw_call(model, 5.0, k).price for k in strikes])
         assert np.max(np.abs(prices - closed)) <= 5e-4
+
+    def test_step_is_the_march_before_its_rescale(self, set1_model, monkeypatch):
+        # stage 2's step oracle: a map on coefficients and dt that factors
+        # its two implicit stages once and leaves the field unrescaled; the
+        # march is that map plus the rescale
+        from . import oracles
+
+        factored = []
+
+        def counted(matrix):
+            factored.append(matrix)
+            return splu(matrix)
+
+        monkeypatch.setattr(oracles, "splu", counted)
+        g = auto_grid(set1_model, 0.1, ds=0.05, dr=0.01, dt=0.02)
+        start = short_time_start(set1_model, g)
+        step = mcs_step(build_coefficients(set1_model, g, start.t), g, g.dt)
+        values = start.values
+        for t_next in g.t_nodes[g.t_nodes > start.t + 0.5 * g.dt]:
+            values = step(values)
+            assert values.shape == (g.n_s, g.n_r)
+            values *= zc_price(set1_model.rate, t_next) / (g.ds * g.dr * values.sum())
+        assert len(factored) == 2
+        assert np.array_equal(start.values, short_time_start(set1_model, g).values)
+        assert np.array_equal(values, mcs_march(set1_model, g, start).values)
 
 
 class TestShortTimeStart:

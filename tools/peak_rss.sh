@@ -43,23 +43,8 @@ else
     echo "$0: no config $root/configs/$config.yaml, nor a file $config" >&2
     exit 2
 fi
-case "$dir/" in
-    "$root"/*) echo "$0: <dir> $dir lies inside the checkout $root" >&2; exit 2 ;;
-esac
-for name in parent out; do
-    if [ -e "$dir/$name" ]; then
-        echo "$0: $dir/$name exists already" >&2
-        exit 2
-    fi
-done
-if ! git -C "$root" cat-file -e "$rev:src/hybridlv/cli.py" 2>/dev/null; then
-    echo "$0: revision $rev has no src/hybridlv/cli.py" >&2
-    exit 2
-fi
-
-export PYTHONDONTWRITEBYTECODE=1  # no __pycache__ in either tree
-mkdir -p "$dir/parent"
-git -C "$root" archive "$rev" | tar -x -C "$dir/parent"
+source "$root/tools/parent_tree.sh"
+unpack_parent "$rev" src/hybridlv/cli.py out
 
 peak() {  # <tree>: run the command from <tree> and print its peak resident set in MB
     python - "$1/src" "$command" "$config" "$dir/out" <<'EOF'

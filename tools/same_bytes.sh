@@ -24,23 +24,8 @@ rev=$1
 root=$(realpath "$(dirname "$0")/..")
 dir=$(realpath -m "$2")
 
-case "$dir/" in
-    "$root"/*) echo "$0: <dir> $dir lies inside the checkout $root" >&2; exit 2 ;;
-esac
-for name in parent art art-parent; do
-    if [ -e "$dir/$name" ]; then
-        echo "$0: $dir/$name exists already" >&2
-        exit 2
-    fi
-done
-if ! git -C "$root" cat-file -e "$rev:tools/artifacts.sh" 2>/dev/null; then
-    echo "$0: revision $rev has no tools/artifacts.sh" >&2
-    exit 2
-fi
-
-export PYTHONDONTWRITEBYTECODE=1  # no __pycache__ in either tree
-mkdir -p "$dir/parent"
-git -C "$root" archive "$rev" | tar -x -C "$dir/parent"
+source "$root/tools/parent_tree.sh"
+unpack_parent "$rev" tools/artifacts.sh art art-parent
 bash "$dir/parent/tools/artifacts.sh" "$dir/art"
 mv "$dir/art" "$dir/art-parent"
 bash "$root/tools/artifacts.sh" "$dir/art"
