@@ -28,15 +28,16 @@ thread steps the first batch of a round and a pool of one thread per other
 core steps the rest. Each batch drops its own unkept paths on the thread
 that steps it. A batch's kept terminals do not depend on that thread, and
 the rounds are reduced in batch order, so every estimate has the same bits
-at any worker count. Each extra worker holds one more batch
-state. With one core, or one batch, every batch steps in the calling thread
-and no thread is started.
+at any worker count. The walk and both estimators release a batch's arrays
+once the estimator has read them, so with w workers an estimate holds the w
+batch states being stepped and no spent batch. With one core, or one
+batch, every batch steps in the calling thread and no thread is started.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -83,8 +84,12 @@ class McConfig:
             raise InvalidInputError(f"need at least two paths, got {self.n_paths!r}")
         if self.seed < 0:
             raise InvalidInputError(f"seed must be non-negative, got {self.seed!r}")
+        if isinstance(self.dt_mc, bool) or not isinstance(self.dt_mc, numbers.Real):
+            raise InvalidInputError(f"dt_mc must be a real number, got {self.dt_mc!r}")
         if not 0.0 < self.dt_mc < math.inf:
             raise InvalidInputError(f"Euler step must be positive and finite, got {self.dt_mc!r}")
+        if not isinstance(self.antithetic, bool):
+            raise InvalidInputError(f"antithetic must be a bool, got {self.antithetic!r}")
 
 
 @dataclass(frozen=True)
@@ -248,8 +253,10 @@ def _kept_paths(model: HybridModel, maturity: float, cfg: McConfig):
 
     With w = min(cores, batches) workers, the batches step in rounds of w:
     batches 2..w of a round go to a pool of w - 1 threads while this thread
-    steps batch 1, and the round is yielded in batch order. With one worker
-    nothing is submitted, so the pool starts no thread. An exception raised
+    steps batch 1, and the round is yielded in batch order. Neither the
+    walk nor a finished future keeps a batch once it has been yielded and
+    the consumer asks for the next. With one worker nothing is submitted,
+    so the pool starts no thread. An exception raised
     by a batch is re-raised here; leaving the generator (a consumer that
     raises or stops early) waits for the round's pool batches and joins the
     pool threads. After the last batch, :class:`McAbortedError` is raised
@@ -262,10 +269,15 @@ def _kept_paths(model: HybridModel, maturity: float, cfg: McConfig):
         for first in range(0, n_batches, workers):
             rest = [pool.submit(_one_batch, model, maturity, cfg, index)
                     for index in range(first + 1, min(first + workers, n_batches))]
-            head = _one_batch(model, maturity, cfg, first)
-            for terminals, kept, lost in itertools.chain([head], (f.result() for f in rest)):
+            terminals, kept, lost = _one_batch(model, maturity, cfg, first)
+            while True:
                 dropped += lost
                 yield terminals, kept
+                del terminals
+                if not rest:
+                    break
+                # a future holds its result: pop it before reading it
+                terminals, kept, lost = rest.pop(0).result()
     total = (2 if cfg.antithetic else 1) * cfg.n_paths
     if dropped > _ABORT_FRACTION * total:
         raise McAbortedError(
@@ -298,6 +310,9 @@ def simulate_paths(
                 vals = 0.5 * (vals[:kept] + vals[kept:])
             sums[idx] += vals.sum()
             sq_sums[idx] += (vals * vals).sum()
+            del vals
+        # release the batch before asking the walk for the next one
+        del s, r, acc
     out = []
     for idx in range(n_payoffs):
         mean = sums[idx] / n_units
@@ -346,6 +361,8 @@ def conditional_z_estimate(
             w2_sum[idx] += w2.sum()
             w2z_sum[idx] += (w2 * z).sum()
             w2z2_sum[idx] += (w2 * z * z).sum()
+            del w, w2
+        del s, r, acc, y, z
     out = []
     for idx, center in enumerate(centers):
         if w_sum[idx] <= 0.0:

@@ -17,7 +17,6 @@ from hybridlv.errors import InvalidInputError
 from hybridlv.models import ConstantVol, HullWhiteParams, HybridModel, zc_price
 from hybridlv.pde import auto_grid
 
-from .conftest import SET1
 from .oracles import (
     bs_call_textbook,
     bshw_greeks_fd_check,

@@ -656,6 +656,28 @@ class TestEvolve:
         assert len(ratios) == 96 and all(math.copysign(1.0, x) == 1.0 for x in ratios)
         assert max(ratios) == 0.0
 
+    def test_strong_negative_correlation_warns_of_negative_mass(self, set1_model):
+        # rho = -0.95 on the config-default spacings: the K = 1 call reads
+        # 2.5e-3 above bshw_call, and the ratio grows to 105 at the horizon
+        model = replace(set1_model, rho=-0.95)
+        g = auto_grid(model, 1.0, ds=0.01, dr=0.002, dt=0.01)
+        assert (g.n_s, g.n_r, g.n_t) == (276, 190, 100)
+        diag = evolve(model, g).diagnostics
+        worst = max(diag.negative_mass_ratio)
+        assert worst > 100.0
+        assert diag.warnings == [f"negative mass ratio {worst:.3g} at t=1 passes the floor 0.001"]
+
+    def test_a_small_negative_mass_does_not_warn(self):
+        # sigma2 = 0.01 far from theta on the bshw_rho_pos spacings: the
+        # ratio peaks at 2.8e-4, below the 1e-3 floor
+        rate = HullWhiteParams(a=0.5, sigma2=0.01, theta=0.06, r0=0.0)
+        model = HybridModel(s0=1.0, rate=rate, vol=ConstantVol(0.2), rho=0.4)
+        g = auto_grid(model, 1.0, ds=0.0156, dr=0.0026, dt=0.0099)
+        assert (g.n_s, g.n_r) == (175, 45)
+        diag = evolve(model, g).diagnostics
+        assert 1e-4 < max(diag.negative_mass_ratio) < 1e-3
+        assert not diag.warnings
+
     def test_resume_from_another_box_rejected(self, set1_model):
         g = auto_grid(set1_model, 1.0, ds=0.02, dr=0.003, dt=0.01)
         first = evolve(set1_model, g, snapshot_times=[0.5]).snapshots[0]
